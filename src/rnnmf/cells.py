@@ -1,0 +1,350 @@
+"""The cell table: every rule that differs between the five recurrent cells.
+
+The generic code (moment maps, Jacobian moments, the width-N simulator)
+looks a cell up in CELLS by architecture name and calls through its record;
+nothing outside this module branches on a cell. Record functions call the
+traced library functions (expect1, advance_cell, ...) through this module's
+globals, never through stored references.
+
+Moment steps map the gate statistics of the current state to
+(mu', Q', rho', cell'), with rho' = E[s_a' s_b'] the cross moment of the two
+coupled copies and cell' the advanced LSTM ensemble (None elsewhere).
+Contribution entries are lists of _Term products, one list per label, in
+the order the Jacobian moments sum them. The stationary state powers obey
+one recursion for every quadrature cell s' = A s + W,
+
+    E[s^p] (1 - a(p, 0)) = sum_{j<p} C(p, j) a(j, p - j) E[s^j] b(p - j),
+
+where E[A^j W^m] = a(j, m) b(m); each cell supplies its a and b.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
+
+import numpy as np
+
+from .core import dsigmoid, dtanh, sigmoid
+from .lstm_cell_sampler import CellStateEnsemble, advance_cell, correlated_cell_pairs
+from .quadrature import GaussianPairSpec, expect1, expect2
+
+__all__ = ["CellRules", "CELLS"]
+
+
+# ---------------------------------------------------------------------------
+# Jacobian contribution term algebra
+
+_PRIMS = {
+    "sig": sigmoid,
+    "dsig": dsigmoid,
+    "tanh": np.tanh,
+    "dtanh": dtanh,
+    "omsig": lambda u: 1.0 - sigmoid(u),
+}
+
+
+def _prod_func(names):
+    fs = tuple(_PRIMS[n] for n in names)
+
+    def g(u):
+        out = fs[0](u)
+        for f in fs[1:]:
+            out = out * f(u)
+        return out
+
+    return g
+
+
+@dataclass(frozen=True)
+class _Term:
+    """coef * s^s_pow * prod_k prims(u_k), all inside one expectation,
+    times pre-averaged factor blocks (avg), each its own expectation."""
+
+    coef: float
+    s_pow: int = 0
+    funcs: tuple = ()  # ((gate, (prim, ...)), ...)
+    avg: tuple = ()  # ((s_pow, funcs), ...)
+
+
+def _mk(coef, s_pow=0, funcs=(), avg=()):
+    canon = tuple(sorted((g, tuple(sorted(ps))) for g, ps in funcs))
+    return _Term(coef, s_pow, canon, tuple(avg))
+
+
+def _tmul(t1: _Term, t2: _Term) -> _Term:
+    merged: dict[str, tuple] = {}
+    for g, ps in t1.funcs + t2.funcs:
+        merged[g] = merged.get(g, ()) + ps
+    funcs = tuple(sorted((g, tuple(sorted(ps))) for g, ps in merged.items()))
+    return _Term(t1.coef * t2.coef, t1.s_pow + t2.s_pow, funcs, t1.avg + t2.avg)
+
+
+# ---------------------------------------------------------------------------
+# shared pieces of the moment steps
+
+
+def _rho_s(state) -> float:
+    # exact at c_s = 1 so that fully correlated copies stay bit-identical
+    return state.q_s if state.c_s == 1.0 else state.c_s * state.sigma2_s + state.mu_s * state.mu_s
+
+
+def _moment_pair(g, stats, k: str, order: int):
+    """(E[g], E[g^2], E[g_a g_b]) of g(u_k) over the correlated pair."""
+    mu, s2 = stats.mu(k), stats.sigma2_pre(k)
+    e1 = expect1(g, mu, s2, order)
+    e2 = expect2(g, g, GaussianPairSpec(mu, s2, 1.0), order)
+    epair = expect2(g, g, stats.pair(k), order)
+    return e1, e2, epair
+
+
+def _gate_powers(prim: str, stats, k: str, order: int) -> list:
+    """[1, E[g(u_k)], ..., E[g(u_k)^4]] for the primitive g."""
+    return [1.0] + [
+        expect1(_prod_func((prim,) * m), stats.mu(k), stats.sigma2_pre(k), order) for m in (1, 2, 3, 4)
+    ]
+
+
+def _forget_diag(s, u, c):
+    return sigmoid(u["f"]) * np.ones_like(np.asarray(s, dtype=float))
+
+
+def _zeros(s, u, c):
+    return np.zeros_like(np.asarray(s, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# vanillaRNN: s' = sig(u_f)
+
+
+def _vanilla_step(theta, stats, state, cell, order):
+    return _moment_pair(sigmoid, stats, "f", order) + (None,)
+
+
+def _vanilla_entries(theta):
+    return {
+        "a_0": [],
+        "f": [_mk(theta.sigma2("f"), funcs=(("f", ("dsig", "dsig")),))],
+    }
+
+
+def _vanilla_factors(stats, order):
+    # A = 0, W = sig(u_f)
+    return (lambda j, m: 0.0 if j else 1.0), _gate_powers("sig", stats, "f", order).__getitem__
+
+
+# ---------------------------------------------------------------------------
+# minimalRNN (x = "r") and GRU (x = "r2"): s' = sig(u_f) s + (1 - sig(u_f)) tanh(u_x)
+
+
+def _convex_entries(theta, x: str):
+    sf2 = theta.sigma2("f")
+    return {
+        "a_0": [_mk(1.0, funcs=(("f", ("sig", "sig")),))],
+        "f": [
+            _mk(sf2, s_pow=2, funcs=(("f", ("dsig", "dsig")),)),
+            _mk(-2.0 * sf2, s_pow=1, funcs=(("f", ("dsig", "dsig")), (x, ("tanh",)))),
+            _mk(sf2, funcs=(("f", ("dsig", "dsig")), (x, ("tanh", "tanh")))),
+        ],
+    }
+
+
+def _minimal_entries(theta):
+    out = _convex_entries(theta, "r")
+    out["r"] = [_mk(theta.sigma2("r"), funcs=(("f", ("omsig", "omsig")), ("r", ("dtanh", "dtanh"))))]
+    return out
+
+
+def _gru_entries(theta):
+    out = _convex_entries(theta, "r2")
+    s22 = theta.sigma2("r2")
+    outer = (("f", ("omsig", "omsig")), ("r2", ("dtanh", "dtanh")))
+    # the inner-chain factors enter pre-averaged: unit-level fluctuations of
+    # the inner matrix's column profile wash out of the trace at large width
+    out["r"] = [_mk(theta.sigma2("r") * s22, funcs=outer, avg=((2, (("r", ("dsig", "dsig")),)),))]
+    out["r2"] = [_mk(s22, funcs=outer, avg=((0, (("r", ("sig", "sig")),)),))]
+    return out
+
+
+def _convex(x: str, entries) -> "CellRules":
+    def step(theta, stats, state, cell, order):
+        e_gam, e_gam2, e_gampair = _moment_pair(sigmoid, stats, "f", order)
+        e_x, e_x2, e_xpair = _moment_pair(np.tanh, stats, x, order)
+        # gamma, x and s are independent
+        mu_n = e_gam * state.mu_s + (1.0 - e_gam) * e_x
+        q_n = e_gam2 * state.q_s + 2.0 * (e_gam - e_gam2) * state.mu_s * e_x + (1.0 - 2.0 * e_gam + e_gam2) * e_x2
+        rho_n = (
+            e_gampair * _rho_s(state)
+            + 2.0 * (e_gam - e_gampair) * state.mu_s * e_x
+            + (1.0 - 2.0 * e_gam + e_gampair) * e_xpair
+        )
+        return mu_n, q_n, rho_n, None
+
+    def factors(stats, order):
+        # A = gamma, W = (1 - gamma) x
+        def egam(j, m):
+            prims = ("sig",) * j + ("omsig",) * m
+            return expect1(_prod_func(prims), stats.mu("f"), stats.sigma2_pre("f"), order)
+
+        return egam, _gate_powers("tanh", stats, x, order).__getitem__
+
+    def update(s, u, c):
+        g = sigmoid(u["f"])
+        return g * s + (1.0 - g) * np.tanh(u[x]), None
+
+    return CellRules(
+        step=step,
+        entries=entries,
+        factors=factors,
+        update=update,
+        d0=_forget_diag,
+        dk={
+            "f": lambda s, u, c: dsigmoid(u["f"]) * (s - np.tanh(u[x])),
+            x: lambda s, u, c: (1.0 - sigmoid(u["f"])) * dtanh(u[x]),
+        },
+    )
+
+
+# ---------------------------------------------------------------------------
+# peepholeLSTM and LSTM share the cell update c' = sig(u_f) c + sig(u_i) tanh(u_r)
+
+
+def _lstm_cell(u, c_prev):
+    return sigmoid(u["f"]) * c_prev + sigmoid(u["i"]) * np.tanh(u["r"])
+
+
+def _peephole_step(theta, stats, state, cell, order):
+    e_gam, e_gam2, e_gampair = _moment_pair(sigmoid, stats, "f", order)
+    e_i, e_i2, e_ipair = _moment_pair(sigmoid, stats, "i", order)
+    e_t, e_t2, e_tpair = _moment_pair(np.tanh, stats, "r", order)
+    mu_c, q_c = state.mu_s, state.q_s
+    mu_n = e_gam * mu_c + e_i * e_t
+    q_n = e_gam2 * q_c + 2.0 * e_gam * mu_c * e_i * e_t + e_i2 * e_t2
+    rho_n = e_gampair * _rho_s(state) + 2.0 * e_gam * mu_c * e_i * e_t + e_ipair * e_tpair
+    return mu_n, q_n, rho_n, None
+
+
+def _peephole_entries(theta):
+    return {
+        "a_0": [_mk(1.0, funcs=(("f", ("sig", "sig")),))],
+        "i": [_mk(theta.sigma2("i"), funcs=(("i", ("dsig", "dsig")), ("r", ("tanh", "tanh"))))],
+        "f": [_mk(theta.sigma2("f"), s_pow=2, funcs=(("f", ("dsig", "dsig")),))],
+        "r": [_mk(theta.sigma2("r"), funcs=(("i", ("sig", "sig")), ("r", ("dtanh", "dtanh"))))],
+        # the output gate never feeds back into the cell: D_o = 0 identically,
+        # so its entry is omitted
+    }
+
+
+def _peephole_factors(stats, order):
+    # A = sig(u_f), W = sig(u_i) tanh(u_r), the three gates independent
+    eg = _gate_powers("sig", stats, "f", order)
+    ew = [a * b for a, b in zip(_gate_powers("sig", stats, "i", order), _gate_powers("tanh", stats, "r", order))]
+    return (lambda j, m: eg[j]), ew.__getitem__
+
+
+def _lstm_output_moments(stats, cell_new, order):
+    """(mu', Q', rho') of h = sig(u_o) tanh(c) on a sampled cell ensemble;
+    rho' is None for an unpaired ensemble."""
+    assert isinstance(cell_new, CellStateEnsemble)
+    e_o = expect1(sigmoid, stats.mu("o"), stats.sigma2_pre("o"), order)
+    e_o2 = expect2(sigmoid, sigmoid, GaussianPairSpec(stats.mu("o"), stats.sigma2_pre("o"), 1.0), order)
+    th = np.tanh(cell_new.samples)
+    mu_n = e_o * float(np.mean(th))
+    q_n = e_o2 * float(np.mean(th * th))
+    rho_n = None
+    if cell_new.paired:
+        e_opair = expect2(sigmoid, sigmoid, stats.pair("o"), order)
+        th_b = np.tanh(cell_new.samples_b)
+        rho_n = e_opair * float(np.mean(th * th_b))
+    return mu_n, q_n, rho_n
+
+
+def _lstm_step(theta, stats, state, cell, order):
+    cell_new = advance_cell(theta, stats, cell)
+    return _lstm_output_moments(stats, cell_new, order) + (cell_new,)
+
+
+def _lstm_correlate(theta, stats, cell, order, n_s, n_iters, seed):
+    init = cell if (cell is not None and getattr(cell, "paired", False)) else None
+    pairs = correlated_cell_pairs(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed, init=init)
+    e_opair = expect2(sigmoid, sigmoid, stats.pair("o"), order)
+    return e_opair * float(np.mean(np.tanh(pairs.samples) * np.tanh(pairs.samples_b)))
+
+
+def _lstm_update(h, u, c):
+    c_new = _lstm_cell(u, c)
+    return sigmoid(u["o"]) * np.tanh(c_new), c_new
+
+
+# ---------------------------------------------------------------------------
+# the table
+
+
+@dataclass(frozen=True)
+class CellRules:
+    """One cell's rules.
+
+    step(theta, stats, state, cell, order) -> (mu', Q', rho', cell').
+    correlate(theta, stats, cell, order, n_s, n_iters, seed) -> rho' is the
+    sampled correlation step; None means rho' of step. entries(theta) gives
+    the contribution terms by label, factors(stats, order) the state-power
+    factors (a, b); both are None for the sampled LSTM. update(s, u, c) ->
+    (s', c') is the width-N update, c the carried cell or None. d0(s, u, c)
+    is the derivative through the carried state (ds'/ds, or dh'/dc_prev for
+    the LSTM) and dk[k](s, u, c) the derivative by u_k, for every gate that
+    reaches the state directly. has_cell marks a cell state, whether it is
+    the tracked state (peephole) or carried beside it (LSTM).
+    """
+
+    step: Callable
+    update: Callable
+    d0: Callable
+    dk: Mapping[str, Callable]
+    entries: Optional[Callable] = None
+    factors: Optional[Callable] = None
+    correlate: Optional[Callable] = None
+    has_cell: bool = False
+
+
+CELLS: Mapping[str, CellRules] = MappingProxyType(
+    {
+        "vanillaRNN": CellRules(
+            step=_vanilla_step,
+            entries=_vanilla_entries,
+            factors=_vanilla_factors,
+            update=lambda s, u, c: (sigmoid(u["f"]), None),
+            d0=_zeros,
+            dk={"f": lambda s, u, c: dsigmoid(u["f"])},
+        ),
+        "minimalRNN": _convex("r", _minimal_entries),
+        "GRU": _convex("r2", _gru_entries),
+        "peepholeLSTM": CellRules(
+            step=_peephole_step,
+            entries=_peephole_entries,
+            factors=_peephole_factors,
+            update=lambda s, u, c: (_lstm_cell(u, s), None),
+            d0=_forget_diag,
+            dk={
+                "i": lambda s, u, c: dsigmoid(u["i"]) * np.tanh(u["r"]),
+                "f": lambda s, u, c: dsigmoid(u["f"]) * s,
+                "r": lambda s, u, c: sigmoid(u["i"]) * dtanh(u["r"]),
+                "o": _zeros,
+            },
+            has_cell=True,
+        ),
+        "LSTM": CellRules(
+            step=_lstm_step,
+            correlate=_lstm_correlate,
+            update=_lstm_update,
+            d0=lambda h, u, c: sigmoid(u["f"]) * sigmoid(u["o"]) * dtanh(_lstm_cell(u, c)),
+            dk={
+                "i": lambda h, u, c: sigmoid(u["o"]) * dtanh(_lstm_cell(u, c)) * dsigmoid(u["i"]) * np.tanh(u["r"]),
+                "f": lambda h, u, c: sigmoid(u["o"]) * dtanh(_lstm_cell(u, c)) * dsigmoid(u["f"]) * c,
+                "r": lambda h, u, c: sigmoid(u["o"]) * dtanh(_lstm_cell(u, c)) * sigmoid(u["i"]) * dtanh(u["r"]),
+                "o": lambda h, u, c: dsigmoid(u["o"]) * np.tanh(_lstm_cell(u, c)),
+            },
+            has_cell=True,
+        ),
+    }
+)

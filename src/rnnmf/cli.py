@@ -15,20 +15,18 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
+from .cells import CELLS
 from .core import (
     ARCHITECTURES,
-    GateParams,
-    Hyperparameters,
     InputStats,
     SimulationConfig,
+    UnknownGate,
     get_architecture,
     theta_from_json_dict,
     theta_to_json_dict,
-    validate_theta,
 )
 from .criticality import (
     SWEEP_COLUMNS,
@@ -38,18 +36,13 @@ from .criticality import (
     search_critical,
     sweep_phase_diagram,
 )
-from .fixed_point import chi_at, solve_correlation, solve_moments
+from .fixed_point import solve_correlation, solve_moments
 from .jacobian import jacobian_report_dict, moments
 from .lstm_cell_sampler import sample_cell_distribution
-from .moment_maps import moment_trajectory, preactivation_stats, step_correlation
-from .quadrature import DEFAULT_ORDER, GaussianPairSpec, expect2
-from .simulator import (
-    assemble_jacobian,
-    build_jacobian,
-    jacobian_frame,
-    simulate_cell_distribution,
-    simulate_pair,
-)
+from .moment_maps import preactivation_stats
+from .quadrature import DEFAULT_ORDER
+from .simulator import build_jacobian, simulate_cell_distribution, simulate_pair
+from .verify import CHECKS
 
 __all__ = ["run", "main"]
 
@@ -84,23 +77,18 @@ def _load_json(path):
         raise _UsageError(f"cannot read {path}: {e}") from None
 
 
+def _check_arch(args, file_arch: str, path) -> None:
+    if args.arch and args.arch != file_arch:
+        raise _UsageError(f"--arch {args.arch} contradicts the arch {file_arch} of {path}")
+
+
 def _resolve_theta(args):
-    obj = _load_json(args.theta)
     try:
-        file_arch, theta = theta_from_json_dict(obj)
+        arch_name, theta = theta_from_json_dict(_load_json(args.theta))
     except ValueError as e:
         raise _UsageError(f"bad theta file {args.theta}: {e}") from None
-    arch_name = getattr(args, "arch", None) or file_arch
-    if arch_name is None:
-        raise _UsageError("no architecture: pass --arch or put an arch field in the theta file")
-    if getattr(args, "arch", None) and file_arch and args.arch != file_arch:
-        raise _UsageError(f"--arch {args.arch} contradicts the theta file's arch {file_arch}")
-    try:
-        arch = get_architecture(arch_name)
-        validate_theta(theta, arch)
-    except ValueError as e:
-        raise _UsageError(f"bad theta file {args.theta}: {e}") from None
-    return arch, theta
+    _check_arch(args, arch_name, args.theta)
+    return get_architecture(arch_name), theta
 
 
 def _inputs(args) -> InputStats:
@@ -202,18 +190,19 @@ def _cmd_sweep(args) -> int:
         _, direction = direction_from_json_dict(_load_json(args.direction))
     except ValueError as e:
         raise _UsageError(str(e)) from None
-    arch_name = args.arch or file_arch
-    if args.arch and file_arch and args.arch != file_arch:
-        raise _UsageError(f"--arch {args.arch} contradicts theta0's arch {file_arch}")
+    _check_arch(args, file_arch, args.theta0)
     alphas = _parse_alphas(args.alphas)
     seed = _resolve_seed(args)
     workers = args.workers
     if workers is None:
         workers = int(os.environ.get("RNNMF_WORKERS", os.cpu_count() or 1))
-    rows = sweep_phase_diagram(
-        arch_name, theta0, direction, alphas, _inputs(args), seed=seed,
-        workers=workers, order=args.order, n_s=args.n_s, n_iters=args.n_iters,
-    )
+    try:
+        rows = sweep_phase_diagram(
+            file_arch, theta0, direction, alphas, _inputs(args), seed=seed,
+            workers=workers, order=args.order, n_s=args.n_s, n_iters=args.n_iters,
+        )
+    except UnknownGate as e:
+        raise _UsageError(f"bad direction file {args.direction}: {e}") from None
     _write_csv(SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
     return 0
 
@@ -280,12 +269,12 @@ def _cmd_cell_dist(args) -> int:
     seed = _resolve_seed(args)
     inputs = _inputs(args)
     if args.simulate:
-        if arch.name not in ("LSTM", "peepholeLSTM"):
+        if not CELLS[arch.name].has_cell:
             raise _UsageError("--simulate needs a cell-carrying architecture")
         config = SimulationConfig(N=args.N, T=args.T, seed=seed)
         cells = simulate_cell_distribution(theta, arch, config, seed=seed, inputs=inputs)
     else:
-        if arch.name != "LSTM":
+        if not arch.needs_cell:
             raise _UsageError("the stationary cell sampler applies to the LSTM only")
         msol = solve_moments(
             theta, arch, inputs, order=args.order, n_s=args.n_s, n_iters=args.n_iters, seed=seed
@@ -297,157 +286,9 @@ def _cmd_cell_dist(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify: a fast built-in property battery
-
-
-def _random_theta(arch, rng) -> Hyperparameters:
-    gates = {}
-    for k in arch.labels():
-        gates[k] = GateParams(
-            sigma2=float(rng.uniform(0.0, 1.0)),
-            nu2=float(rng.uniform(0.0, 1.0)),
-            rho2=float(rng.uniform(0.0, 1.0)),
-            mu=float(rng.uniform(-2.0, 2.0)),
-        )
-    return Hyperparameters(gates)
-
-
-def _vrf_slope_identity_quadrature():
-    rng = np.random.default_rng(11)
-    inputs = InputStats(1.0, 1.0)
-    worst = 0.0
-    for arch_name in ("vanillaRNN", "minimalRNN", "GRU", "peepholeLSTM"):
-        arch = get_architecture(arch_name)
-        for _ in range(2):
-            theta = _random_theta(arch, rng)
-            msol = solve_moments(theta, arch, inputs, order=128)
-            chi = chi_at(theta, arch, inputs, msol.state, 1.0, order=128)
-            m1 = moments(theta, arch, msol.state, inputs=inputs, order=128).m1
-            worst = max(worst, abs(m1 - chi))
-    return worst < 1e-6, f"max |m1 - chi(C=1)| = {worst:.3e}"
-
-
-def _vrf_slope_identity_sampled():
-    rng = np.random.default_rng(5)
-    arch = get_architecture("LSTM")
-    theta = _random_theta(arch, rng)
-    inputs = InputStats(1.0, 1.0)
-    msol = solve_moments(theta, arch, inputs, seed=3)
-    mom = moments(theta, arch, msol.state, inputs=inputs, seed=9)
-    chi = chi_at(theta, arch, inputs, msol.state, 1.0, seed=9)
-    tol = 5.0 * math.sqrt(2.0) * (mom.m1_se or 0.0)
-    return abs(mom.m1 - chi) <= tol, f"|m1 - chi| = {abs(mom.m1 - chi):.3e} (5 SE = {tol:.3e})"
-
-
-def _vrf_pair_positivity():
-    def odd_poly(x):
-        return x**3 * np.exp(-(x**2))
-
-    worst = math.inf
-    for g in (np.tanh, odd_poly):
-        for mu in (0.0, 0.7):
-            for s2 in (0.25, 1.5):
-                for c in (0.0, 0.4, 0.9, 1.0):
-                    v = expect2(g, g, GaussianPairSpec(mu, s2, c))
-                    worst = min(worst, v)
-    return worst >= -1e-10, f"min pair expectation = {worst:.3e}"
-
-
-def _vrf_convexity():
-    rng = np.random.default_rng(23)
-    arch = get_architecture("peepholeLSTM")
-    inputs = InputStats(1.0, 1.0)
-    worst = math.inf
-    for _ in range(2):
-        theta = _random_theta(arch, rng)
-        msol = solve_moments(theta, arch, inputs)
-        grid = np.linspace(0.0, 1.0, 21)
-        vals = [step_correlation(theta, arch, msol.state, float(c), inputs) for c in grid]
-        second = np.diff(vals, 2)
-        worst = min(worst, float(np.min(second)))
-    return worst >= -1e-6, f"min second difference = {worst:.3e}"
-
-
-def _zero_variance_theta(arch, mu_f=1.0) -> Hyperparameters:
-    gates = {}
-    for k in arch.labels():
-        mu = {"f": mu_f, "r": 0.3, "r2": 0.3, "i": 0.2, "o": 0.1}.get(k, 0.0)
-        gates[k] = GateParams(sigma2=0.0, nu2=0.0, rho2=0.0, mu=mu)
-    return Hyperparameters(gates)
-
-
-def _vrf_zero_variance_exactness():
-    worst = 0.0
-    inputs = InputStats(1.0, 1.0)
-    for arch_name in ARCHITECTURES:
-        arch = get_architecture(arch_name)
-        theta = _zero_variance_theta(arch)
-        T = 50
-        pred = moment_trajectory(theta, arch, inputs, T, n_s=16, seed=1)
-        sim = simulate_pair(theta, arch, SimulationConfig(N=8, T=T, seed=2), inputs)
-        for p, s in zip(pred, sim):
-            worst = max(worst, abs(p.mu_s - s.mu), abs(p.q_s - s.q))
-    return worst < 1e-12, f"max |mean-field - simulator| = {worst:.3e}"
-
-
-def _benign_theta(arch) -> Hyperparameters:
-    gates = {}
-    for k in arch.labels():
-        gates[k] = GateParams(sigma2=0.2, nu2=0.2, rho2=0.01, mu=1.0 if k == "f" else 0.0)
-    return Hyperparameters(gates)
-
-
-def _fd_jacobian_worst(arch_name: str, N: int, seed: int) -> float:
-    arch = get_architecture(arch_name)
-    theta = _benign_theta(arch)
-    frame = jacobian_frame(theta, arch, SimulationConfig(N=N, T=1, seed=seed), seed=seed)
-    J = assemble_jacobian(theta, frame)
-    s = frame.state
-    eps = 1e-5
-    worst = 0.0
-    for j in range(N):
-        e = np.zeros(N)
-        e[j] = eps
-        col = (frame.one_step(s + e) - frame.one_step(s - e)) / (2.0 * eps)
-        denom = max(float(np.linalg.norm(J[:, j])), 1e-12)
-        worst = max(worst, float(np.linalg.norm(col - J[:, j])) / denom)
-    return worst
-
-
-def _vrf_jacobian_transcription():
-    worst = max(_fd_jacobian_worst("GRU", 48, 7), _fd_jacobian_worst("LSTM", 48, 8))
-    return worst < 1e-4, f"max column rel err = {worst:.3e}"
-
-
-def _vrf_timescale_anchor():
-    arch = get_architecture("peepholeLSTM")
-    theta = Hyperparameters(
-        {k: GateParams(0.0, 0.0, 0.0, 5.0 if k == "f" else 0.0) for k in arch.labels()}
-    )
-    inputs = InputStats(1.0, 1.0)
-    msol = solve_moments(theta, arch, inputs)
-    rep = solve_correlation(theta, arch, inputs, msol)
-    s5 = 1.0 / (1.0 + math.exp(-5.0))
-    xi_ref = -1.0 / math.log(s5 * s5)
-    rel = abs(rep.xi - xi_ref) / xi_ref
-    return rel < 1e-3, f"xi = {rep.xi:.4f} vs {xi_ref:.4f} (rel {rel:.2e})"
-
-
-_VERIFY_CHECKS = (
-    ("correlation-slope identity, quadrature architectures", _vrf_slope_identity_quadrature),
-    ("correlation-slope identity, sampled LSTM", _vrf_slope_identity_sampled),
-    ("pair-expectation positivity", _vrf_pair_positivity),
-    ("correlation-map convexity (peephole)", _vrf_convexity),
-    ("zero-variance mean-field vs simulator", _vrf_zero_variance_exactness),
-    ("Jacobian assembly vs finite differences", _vrf_jacobian_transcription),
-    ("critical peephole timescale anchor", _vrf_timescale_anchor),
-)
-
-
 def _cmd_verify(args) -> int:
     failures = 0
-    for name, check in _VERIFY_CHECKS:
+    for name, check in CHECKS:
         try:
             ok, detail = check()
         except Exception as e:  # a crashed check is a failed check
@@ -455,7 +296,7 @@ def _cmd_verify(args) -> int:
         if not ok:
             failures += 1
         print(f"{'PASS' if ok else 'FAIL'}  {name:<50s} {detail}")
-    total = len(_VERIFY_CHECKS)
+    total = len(CHECKS)
     print(f"{total - failures}/{total} checks passed")
     return 0 if failures == 0 else 1
 
@@ -565,8 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    if "RNNMF_TMPDIR" in os.environ:
-        tempfile.tempdir = os.environ["RNNMF_TMPDIR"]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,9 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 from scipy.special import expit
@@ -76,6 +76,10 @@ def dsigmoid(x):
 def dtanh(x):
     t = np.tanh(x)
     return 1.0 - t * t
+
+
+# a gated pre-activation's inner nonlinearity g and its derivative, by GateId.g_name
+_GATE_FUNCS = {"sigmoid": (sigmoid, dsigmoid), "tanh": (np.tanh, dtanh)}
 
 
 @dataclass(frozen=True)
@@ -224,20 +228,17 @@ ZERO_STATE = MomentState(0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """A recurrent cell written as s^t = f(s^{t-1}, {u_k^t}).
+    """A recurrent cell's gates: s^t = f(s^{t-1}, {u_k^t}).
 
-    f is affine in s_prev and vectorizes over numpy arrays. d0 is df/ds_prev
-    and dk[k] is df/du_k, both at fixed pre-activations. For the LSTM the
-    tracked state is h and f takes the previous cell value c_prev as an
-    extra argument; needs_cell marks that the moment maps require a sampled
-    cell ensemble (the map is not closed in (mu, Q, C) alone).
+    The cell's rules (moment step, Jacobian terms, width-N update) live in
+    the cell table, rnnmf.cells.CELLS, under the same name. For the LSTM the
+    tracked state is h and the update also reads the previous cell value;
+    needs_cell marks that the moment maps require a sampled cell ensemble
+    (the map is not closed in (mu, Q, C) alone).
     """
 
     name: str
     gates: tuple[GateId, ...]
-    f: Callable = field(repr=False)
-    d0: Callable = field(repr=False)
-    dk: Mapping[str, Callable] = field(repr=False, default_factory=dict)
     needs_cell: bool = False
     state_symbol: str = "s"
 
@@ -257,95 +258,22 @@ class ArchitectureSpec:
         return tuple(g for g in self.gates if g.form == "gated")
 
 
-def _vanilla_f(s, u, c_prev=None):
-    return sigmoid(u["f"])
-
-
-def _vanilla_d0(s, u, c_prev=None):
-    return np.zeros_like(np.asarray(s, dtype=float))
-
-
-def _minimal_f(s, u, c_prev=None):
-    g = sigmoid(u["f"])
-    return g * s + (1.0 - g) * np.tanh(u["r"])
-
-
-def _gru_f(s, u, c_prev=None):
-    g = sigmoid(u["f"])
-    return g * s + (1.0 - g) * np.tanh(u["r2"])
-
-
-def _peephole_f(c, u, c_prev=None):
-    return sigmoid(u["f"]) * c + sigmoid(u["i"]) * np.tanh(u["r"])
-
-
-def _lstm_cell(u, c_prev):
-    return sigmoid(u["f"]) * c_prev + sigmoid(u["i"]) * np.tanh(u["r"])
-
-
-def _lstm_f(h, u, c_prev=0.0):
-    return sigmoid(u["o"]) * np.tanh(_lstm_cell(u, c_prev))
-
-
-def _lstm_d0(h, u, c_prev=0.0):
-    # at fixed c_prev the update does not read h directly
-    return np.zeros_like(np.asarray(h, dtype=float))
-
-
 ARCHITECTURES: Mapping[str, ArchitectureSpec] = MappingProxyType(
     {
-        "vanillaRNN": ArchitectureSpec(
-            name="vanillaRNN",
-            gates=(GateId("f"),),
-            f=_vanilla_f,
-            d0=_vanilla_d0,
-            dk={"f": lambda s, u, c_prev=None: dsigmoid(u["f"])},
-        ),
-        "minimalRNN": ArchitectureSpec(
-            name="minimalRNN",
-            gates=(GateId("f"), GateId("r")),
-            f=_minimal_f,
-            d0=lambda s, u, c_prev=None: sigmoid(u["f"]) * np.ones_like(np.asarray(s, dtype=float)),
-            dk={
-                "f": lambda s, u, c_prev=None: dsigmoid(u["f"]) * (s - np.tanh(u["r"])),
-                "r": lambda s, u, c_prev=None: (1.0 - sigmoid(u["f"])) * dtanh(u["r"]),
-            },
-        ),
+        "vanillaRNN": ArchitectureSpec(name="vanillaRNN", gates=(GateId("f"),)),
+        "minimalRNN": ArchitectureSpec(name="minimalRNN", gates=(GateId("f"), GateId("r"))),
         "GRU": ArchitectureSpec(
             name="GRU",
             gates=(GateId("f"), GateId("r"), GateId("r2", form="gated", gated_by="r", g_name="sigmoid")),
-            f=_gru_f,
-            d0=lambda s, u, c_prev=None: sigmoid(u["f"]) * np.ones_like(np.asarray(s, dtype=float)),
-            dk={
-                "f": lambda s, u, c_prev=None: dsigmoid(u["f"]) * (s - np.tanh(u["r2"])),
-                "r": lambda s, u, c_prev=None: np.zeros_like(np.asarray(s, dtype=float)),
-                "r2": lambda s, u, c_prev=None: (1.0 - sigmoid(u["f"])) * dtanh(u["r2"]),
-            },
         ),
         "peepholeLSTM": ArchitectureSpec(
             name="peepholeLSTM",
             gates=(GateId("i"), GateId("f"), GateId("r"), GateId("o")),
-            f=_peephole_f,
-            d0=lambda c, u, c_prev=None: sigmoid(u["f"]) * np.ones_like(np.asarray(c, dtype=float)),
-            dk={
-                "i": lambda c, u, c_prev=None: dsigmoid(u["i"]) * np.tanh(u["r"]),
-                "f": lambda c, u, c_prev=None: dsigmoid(u["f"]) * c,
-                "r": lambda c, u, c_prev=None: sigmoid(u["i"]) * dtanh(u["r"]),
-                "o": lambda c, u, c_prev=None: np.zeros_like(np.asarray(c, dtype=float)),
-            },
             state_symbol="c",
         ),
         "LSTM": ArchitectureSpec(
             name="LSTM",
             gates=(GateId("i"), GateId("f"), GateId("r"), GateId("o")),
-            f=_lstm_f,
-            d0=_lstm_d0,
-            dk={
-                "i": lambda h, u, c_prev=0.0: sigmoid(u["o"]) * dtanh(_lstm_cell(u, c_prev)) * dsigmoid(u["i"]) * np.tanh(u["r"]),
-                "f": lambda h, u, c_prev=0.0: sigmoid(u["o"]) * dtanh(_lstm_cell(u, c_prev)) * dsigmoid(u["f"]) * c_prev,
-                "r": lambda h, u, c_prev=0.0: sigmoid(u["o"]) * dtanh(_lstm_cell(u, c_prev)) * sigmoid(u["i"]) * dtanh(u["r"]),
-                "o": lambda h, u, c_prev=0.0: dsigmoid(u["o"]) * np.tanh(_lstm_cell(u, c_prev)),
-            },
             needs_cell=True,
             state_symbol="h",
         ),

@@ -14,8 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-import numpy as np
-
 from . import jacobian as _jacobian
 from .core import (
     GateParams,
@@ -23,12 +21,13 @@ from .core import (
     InputStats,
     InvalidTheta,
     NegativeVariance,
+    UnknownGate,
     get_architecture,
     theta_from_json_dict,
     theta_to_json_dict,
     validate_theta,
 )
-from .fixed_point import NoConvergence, solve_correlation, solve_moments
+from .fixed_point import NoConvergence, _derived_seed, solve_correlation, solve_moments
 from .jacobian import IsometryGap, isometry_gap
 from .quadrature import DEFAULT_ORDER
 
@@ -342,7 +341,7 @@ def direction_from_json_dict(obj: dict):
     """Parse a sweep direction: same shape as a theta document, but entries
     may be negative (it is a ray direction, not a valid initialization)."""
 
-    if not isinstance(obj, dict) or "gates" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("gates"), dict):
         raise InvalidTheta('direction document needs a "gates" object')
     gates = {}
     for label, entry in obj["gates"].items():
@@ -365,10 +364,6 @@ def _combine(theta0: Hyperparameters, direction, alpha: float) -> Hyperparameter
     return Hyperparameters(gates)
 
 
-def _point_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
-
-
 def _sweep_point(payload):
     (index, arch_name, theta0_doc, direction, alpha, R, sigma_z, seed, order, n_s, n_iters) = payload
     row = {c: math.nan for c in SWEEP_COLUMNS}
@@ -382,7 +377,7 @@ def _sweep_point(payload):
         row["status"] = "invalid_theta"
         return index, row
     inputs = InputStats(R, sigma_z)
-    pseed = _point_seed(seed, index)
+    pseed = _derived_seed(seed, index)
     try:
         rep, mom, _gap = _pipeline_eval(theta, arch, inputs, order, n_s, n_iters, pseed)
     except NoConvergence:
@@ -412,6 +407,7 @@ def sweep_phase_diagram(
 ):
     """chi/xi/m1/m2/sigma along the ray theta0 + alpha * direction.
 
+    A direction naming a gate the architecture lacks raises UnknownGate.
     Per-point failures are recorded in the row's status column and the sweep
     continues. Points get independent derived seeds, so the grid is
     deterministic for a given seed regardless of worker count. Returns rows
@@ -425,6 +421,9 @@ def sweep_phase_diagram(
     if isinstance(direction, Hyperparameters):
         direction = {k: {"sigma2": p.sigma2, "nu2": p.nu2, "rho2": p.rho2, "mu": p.mu}
                      for k, p in direction.gates.items()}
+    unknown = set(direction) - set(arch.labels())
+    if unknown:
+        raise UnknownGate(f"{arch.name}: direction names unknown gates {sorted(unknown)}")
     payloads = [
         (i, arch.name, theta0_doc, dict(direction), float(a), inputs.R, inputs.sigma_z,
          seed, order, n_s, n_iters)

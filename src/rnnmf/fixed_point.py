@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cells import _lstm_output_moments
 from .core import (
     ZERO_STATE,
     ArchitectureSpec,
@@ -28,8 +29,6 @@ from .core import (
 from .lstm_cell_sampler import CellStateEnsemble, sample_cell_distribution
 from .moment_maps import (
     _DEG_TOL,
-    DegenerateCorrelation,
-    _lstm_output_moments,
     preactivation_stats,
     step_correlation,
     step_moments,
@@ -148,7 +147,7 @@ def _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters,
         cell = sample_cell_distribution(
             theta, stats, n_s=n_s, n_iters=n_iters, seed=_derived_seed(seed, it)
         )
-        mu, q, _ = _lstm_output_moments(theta, stats, cell, order)
+        mu, q, _ = _lstm_output_moments(stats, cell, order)
         th = np.tanh(cell.samples)
         e_o = expect1(sigmoid, stats.mu("o"), stats.sigma2_pre("o"), order)
         e_o2 = expect1(lambda u: sigmoid(u) ** 2, stats.mu("o"), stats.sigma2_pre("o"), order)
@@ -204,7 +203,7 @@ def solve_moments(
     """
 
     validate_theta(theta, arch)
-    if arch.name == "LSTM":
+    if arch.needs_cell:
         if start is not None:
             raise ValueError("start state not supported for the sampled map")
         return _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters, seed)
@@ -277,7 +276,7 @@ def chi_at(
     st = _as_state(state)
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"correlation c = {c} outside [-1, 1]")
-    if arch.name == "LSTM":
+    if arch.needs_cell:
         frame_state = MomentState(st.mu_s, max(st.q_s, st.mu_s**2), c)
         stats = preactivation_stats(theta, arch, frame_state, inputs, order)
         init = None
@@ -287,7 +286,7 @@ def chi_at(
         # mean each contribution, then sum in label order: the same
         # accumulation the moment assembly uses, so common random numbers
         # make chi and m1 agree to the last bit at c = 1
-        return float(sum(float(np.mean(frame[k])) for k in ("a_0", "i", "f", "r", "o")))
+        return float(sum(float(np.mean(v)) for v in frame.values()))
 
     if _degenerate(st):
         return _jacobian.moments(theta, arch, st, inputs=inputs, order=order).m1
@@ -369,9 +368,7 @@ def solve_correlation(
             trajectory=(1.0,),
         )
 
-    kw = {"order": order}
-    if arch.name == "LSTM":
-        kw.update(n_s=n_s, n_iters=n_iters, seed=seed, cell=cell)
+    kw = dict(order=order, n_s=n_s, n_iters=n_iters, seed=seed, cell=cell)
     c = float(c0)
     traj = [c]
     damping = 1.0

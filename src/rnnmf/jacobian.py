@@ -25,6 +25,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .cells import CELLS, _prod_func, _Term, _tmul
 from .core import (
     ArchitectureSpec,
     Hyperparameters,
@@ -34,7 +35,7 @@ from .core import (
     dtanh,
     sigmoid,
 )
-from .lstm_cell_sampler import CellStateEnsemble, _advance_streams, correlated_cell_pairs
+from .lstm_cell_sampler import CellStateEnsemble, _draw_streams, correlated_cell_pairs
 from .moment_maps import PreActivationStats, preactivation_stats
 from .quadrature import DEFAULT_ORDER, expect1
 
@@ -51,50 +52,6 @@ __all__ = [
 ]
 
 CRITICAL_TOL = 1e-2  # per-component threshold for calling a point critical
-
-_PRIMS = {
-    "sig": sigmoid,
-    "dsig": dsigmoid,
-    "tanh": np.tanh,
-    "dtanh": dtanh,
-    "omsig": lambda u: 1.0 - sigmoid(u),
-}
-
-
-def _prod_func(names):
-    fs = tuple(_PRIMS[n] for n in names)
-
-    def g(u):
-        out = fs[0](u)
-        for f in fs[1:]:
-            out = out * f(u)
-        return out
-
-    return g
-
-
-@dataclass(frozen=True)
-class _Term:
-    """coef * s^s_pow * prod_k prims(u_k), all inside one expectation,
-    times pre-averaged factor blocks (avg), each its own expectation."""
-
-    coef: float
-    s_pow: int = 0
-    funcs: tuple = ()  # ((gate, (prim, ...)), ...)
-    avg: tuple = ()  # ((s_pow, funcs), ...)
-
-
-def _mk(coef, s_pow=0, funcs=(), avg=()):
-    canon = tuple(sorted((g, tuple(sorted(ps))) for g, ps in funcs))
-    return _Term(coef, s_pow, canon, tuple(avg))
-
-
-def _tmul(t1: _Term, t2: _Term) -> _Term:
-    merged: dict[str, tuple] = {}
-    for g, ps in t1.funcs + t2.funcs:
-        merged[g] = merged.get(g, ()) + ps
-    funcs = tuple(sorted((g, tuple(sorted(ps))) for g, ps in merged.items()))
-    return _Term(t1.coef * t2.coef, t1.s_pow + t2.s_pow, funcs, t1.avg + t2.avg)
 
 
 class _EvalCtx:
@@ -129,128 +86,21 @@ class _EvalCtx:
         return sum(self.term(t) for t in ts)
 
 
-def _entries_vanilla(theta):
-    return {
-        "a_0": [],
-        "f": [_mk(theta.sigma2("f"), funcs=(("f", ("dsig", "dsig")),))],
-    }
-
-
-def _entries_convex(theta, x: str):
-    """minimalRNN (x = 'r') and GRU (x = 'r2'): s' = sig(u_f) s + (1-sig) tanh(u_x)."""
-    sf2 = theta.sigma2("f")
-    out = {
-        "a_0": [_mk(1.0, funcs=(("f", ("sig", "sig")),))],
-        "f": [
-            _mk(sf2, s_pow=2, funcs=(("f", ("dsig", "dsig")),)),
-            _mk(-2.0 * sf2, s_pow=1, funcs=(("f", ("dsig", "dsig")), (x, ("tanh",)))),
-            _mk(sf2, funcs=(("f", ("dsig", "dsig")), (x, ("tanh", "tanh")))),
-        ],
-    }
-    return out
-
-
-def _entries_minimal(theta):
-    out = _entries_convex(theta, "r")
-    out["r"] = [_mk(theta.sigma2("r"), funcs=(("f", ("omsig", "omsig")), ("r", ("dtanh", "dtanh"))))]
-    return out
-
-
-def _entries_gru(theta):
-    out = _entries_convex(theta, "r2")
-    s22 = theta.sigma2("r2")
-    outer = (("f", ("omsig", "omsig")), ("r2", ("dtanh", "dtanh")))
-    # the inner-chain factors enter pre-averaged: unit-level fluctuations of
-    # the inner matrix's column profile wash out of the trace at large width
-    out["r"] = [_mk(theta.sigma2("r") * s22, funcs=outer, avg=((2, (("r", ("dsig", "dsig")),)),))]
-    out["r2"] = [_mk(s22, funcs=outer, avg=((0, (("r", ("sig", "sig")),)),))]
-    return out
-
-
-def _entries_peephole(theta):
-    return {
-        "a_0": [_mk(1.0, funcs=(("f", ("sig", "sig")),))],
-        "i": [_mk(theta.sigma2("i"), funcs=(("i", ("dsig", "dsig")), ("r", ("tanh", "tanh"))))],
-        "f": [_mk(theta.sigma2("f"), s_pow=2, funcs=(("f", ("dsig", "dsig")),))],
-        "r": [_mk(theta.sigma2("r"), funcs=(("i", ("sig", "sig")), ("r", ("dtanh", "dtanh"))))],
-        # the output gate never feeds back into the cell: D_o = 0 identically,
-        # so its entry is omitted
-    }
-
-
-_ENTRY_BUILDERS = {
-    "vanillaRNN": _entries_vanilla,
-    "minimalRNN": _entries_minimal,
-    "GRU": _entries_gru,
-    "peepholeLSTM": _entries_peephole,
-}
-
-_ENTRY_ORDER = {
-    "vanillaRNN": ("a_0", "f"),
-    "minimalRNN": ("a_0", "f", "r"),
-    "GRU": ("a_0", "f", "r", "r2"),
-    "peepholeLSTM": ("a_0", "i", "f", "r"),
-    "LSTM": ("a_0", "i", "f", "r", "o"),
-}
-
-
-def _stationary_state_powers(theta, arch, stats: PreActivationStats, mu_star, q_star, order):
-    """E[s^p] for p = 0..4 at the moment fixed point.
-
-    p = 1, 2 are (mu*, Q*); higher powers follow from the update's
-    independence structure, e.g. for s' = gamma s + (1 - gamma) x:
-    E[s^p] (1 - E[gamma^p]) = sum_{j<p} C(p,j) E[gamma^j (1-gamma)^{p-j}]
-    E[s^j] E[x^{p-j}].
-    """
+def _stationary_state_powers(rules, stats: PreActivationStats, mu_star, q_star, order):
+    """E[s^p] for p = 0..4 at the moment fixed point: p = 1, 2 are
+    (mu*, Q*), p = 3, 4 follow from the cell's state-power recursion."""
 
     M = [1.0, mu_star, q_star, 0.0, 0.0]
-    name = arch.name
-    if name == "vanillaRNN":
-        for p in (1, 2, 3, 4):
-            M[p] = expect1(_prod_func(("sig",) * p), stats.mu("f"), stats.sigma2_pre("f"), order)
-        return M
-    if name in ("minimalRNN", "GRU"):
-        x = "r" if name == "minimalRNN" else "r2"
-        ex = [1.0] + [
-            expect1(_prod_func(("tanh",) * m), stats.mu(x), stats.sigma2_pre(x), order)
-            for m in (1, 2, 3, 4)
-        ]
-
-        def egam(j, m):
-            prims = ("sig",) * j + ("omsig",) * m
-            if not prims:
-                return 1.0
-            return expect1(_prod_func(prims), stats.mu("f"), stats.sigma2_pre("f"), order)
-
-        for p in (3, 4):
-            acc = 0.0
-            for j in range(p):
-                acc += math.comb(p, j) * egam(j, p - j) * M[j] * ex[p - j]
-            denom = 1.0 - egam(p, 0)
-            if denom <= 1e-15:
-                raise ArithmeticError("stationary state power diverges (forget gate saturated)")
-            M[p] = acc / denom
-        return M
-    if name == "peepholeLSTM":
-        ew = [1.0] + [
-            expect1(_prod_func(("sig",) * m), stats.mu("i"), stats.sigma2_pre("i"), order)
-            * expect1(_prod_func(("tanh",) * m), stats.mu("r"), stats.sigma2_pre("r"), order)
-            for m in (1, 2, 3, 4)
-        ]
-        eg = [1.0] + [
-            expect1(_prod_func(("sig",) * p), stats.mu("f"), stats.sigma2_pre("f"), order)
-            for p in (1, 2, 3, 4)
-        ]
-        for p in (3, 4):
-            acc = 0.0
-            for j in range(p):
-                acc += math.comb(p, j) * eg[j] * M[j] * ew[p - j]
-            denom = 1.0 - eg[p]
-            if denom <= 1e-15:
-                raise ArithmeticError("stationary state power diverges (forget gate saturated)")
-            M[p] = acc / denom
-        return M
-    raise ValueError(f"no state-power recursion for {name!r}")
+    a, b = rules.factors(stats, order)
+    for p in (3, 4):
+        acc = 0.0
+        for j in range(p):
+            acc += math.comb(p, j) * a(j, p - j) * M[j] * b(p - j)
+        denom = 1.0 - a(p, 0)
+        if denom <= 1e-15:
+            raise ArithmeticError("stationary state power diverges (forget gate saturated)")
+        M[p] = acc / denom
+    return M
 
 
 @dataclass(frozen=True)
@@ -344,7 +194,7 @@ def lstm_chi_frame(
     ca, cb = pairs.samples, pairs.samples_b
     # recorded update: draw streams the same way advance_cell would,
     # with a fourth column for the output gate
-    Z = _advance_streams(pairs.meta.seed, pairs.meta.step_index, n_s, (4, 2))
+    Z = _draw_streams([pairs.meta.seed, pairs.meta.step_index], n_s, (4, 2))
     labels = ("i", "f", "r", "o")
     mus = np.array([stats.mu(k) for k in labels])
     sigs = np.array([math.sqrt(stats.sigma2_pre(k)) for k in labels])
@@ -368,9 +218,9 @@ def lstm_chi_frame(
     return out
 
 
-def _lstm_contribution(theta, fixed_state, inputs, order, n_s, n_iters, seed, cell):
+def _sampled_contribution(theta, arch, fixed_state, inputs, order, n_s, n_iters, seed, cell):
     inputs_m1 = InputStats(inputs.R, 1.0)  # m1/sigma are single-network quantities
-    stats = preactivation_stats(theta, _LSTM_ARCH(), fixed_state, inputs_m1, order)
+    stats = preactivation_stats(theta, arch, fixed_state, inputs_m1, order)
     init = None
     if cell is not None:
         if cell.paired:
@@ -380,7 +230,7 @@ def _lstm_contribution(theta, fixed_state, inputs, order, n_s, n_iters, seed, ce
         if init.meta.n_s != n_s:
             n_s = init.meta.n_s
     frame = lstm_chi_frame(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed, init=init)
-    labels = _ENTRY_ORDER["LSTM"]
+    labels = tuple(frame)
     ea = {k: float(np.mean(frame[k])) for k in labels}
     eaa = {}
     for k in labels:
@@ -389,12 +239,6 @@ def _lstm_contribution(theta, fixed_state, inputs, order, n_s, n_iters, seed, ce
     total = sum(frame[k] for k in labels)
     se_m1 = float(np.std(total, ddof=1) / math.sqrt(len(total)))
     return ContributionVector(labels=labels, ea=ea, eaa=eaa, se_m1=se_m1)
-
-
-def _LSTM_ARCH():
-    from .core import get_architecture
-
-    return get_architecture("LSTM")
 
 
 def contribution_vector(
@@ -418,15 +262,14 @@ def contribution_vector(
 
     state = _fixed_state(fixed)
     inp = _fixed_inputs(fixed, inputs)
-    if arch.name == "LSTM":
-        return _lstm_contribution(theta, state, inp, order, n_s, n_iters, seed, cell)
-    if arch.name not in _ENTRY_BUILDERS:
-        raise ValueError(f"no contribution vector for {arch.name!r}")
+    if arch.needs_cell:
+        return _sampled_contribution(theta, arch, state, inp, order, n_s, n_iters, seed, cell)
+    rules = CELLS[arch.name]
     stats = preactivation_stats(theta, arch, state, inp, order)
-    powers = _stationary_state_powers(theta, arch, stats, state.mu_s, state.q_s, order)
+    powers = _stationary_state_powers(rules, stats, state.mu_s, state.q_s, order)
     ctx = _EvalCtx(stats, powers, order)
-    entries = _ENTRY_BUILDERS[arch.name](theta)
-    labels = _ENTRY_ORDER[arch.name]
+    entries = rules.entries(theta)
+    labels = tuple(entries)
     ea = {k: ctx.terms(entries[k]) for k in labels}
     eaa = {}
     for k in labels:

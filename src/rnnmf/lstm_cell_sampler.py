@@ -75,16 +75,10 @@ def _resolve_seed(seed) -> int:
     return int(seed)
 
 
-def _sample_streams(seed: int, n_s: int, shape) -> np.ndarray:
-    children = np.random.SeedSequence(seed).spawn(n_s)
-    out = np.empty((n_s,) + shape)
-    for j, ch in enumerate(children):
-        out[j] = np.random.default_rng(ch).standard_normal(shape)
-    return out
-
-
-def _advance_streams(seed: int, step_index: int, n_s: int, shape) -> np.ndarray:
-    children = np.random.SeedSequence([seed, step_index]).spawn(n_s)
+def _draw_streams(entropy, n_s: int, shape) -> np.ndarray:
+    """One standard normal block of `shape` per sample, each from its own
+    child of SeedSequence(entropy)."""
+    children = np.random.SeedSequence(entropy).spawn(n_s)
     out = np.empty((n_s,) + shape)
     for j, ch in enumerate(children):
         out[j] = np.random.default_rng(ch).standard_normal(shape)
@@ -130,7 +124,7 @@ def sample_cell_distribution(
         raise ValueError("n_s >= 1 and n_iters >= 0 required")
     seed = _resolve_seed(seed)
     mus, sigs = _gate_params(stats)
-    Z = _sample_streams(seed, n_s, (n_iters, 3))
+    Z = _draw_streams(seed, n_s, (n_iters, 3))
     c = np.zeros(n_s)
     for t in range(n_iters):
         c = _update(c, Z[:, t, :], mus, sigs)
@@ -164,7 +158,7 @@ def correlated_cell_pairs(
     seed = _resolve_seed(seed)
     mus, sigs = _gate_params(stats)
     cs, roots = _pair_gates(stats)
-    Z = _sample_streams(seed, n_s, (n_iters, 3, 2))
+    Z = _draw_streams(seed, n_s, (n_iters, 3, 2))
     if init is not None:
         if not init.paired or init.meta.n_s != n_s:
             raise ValueError("init must be a paired ensemble of matching size")
@@ -197,7 +191,7 @@ def advance_cell(theta: Hyperparameters, stats, cell: CellStateEnsemble) -> Cell
     n_s = cell.meta.n_s
     if cell.paired:
         cs, roots = _pair_gates(stats)
-        Z = _advance_streams(cell.meta.seed, cell.meta.step_index, n_s, (3, 2))
+        Z = _draw_streams([cell.meta.seed, cell.meta.step_index], n_s, (3, 2))
         z1, z2 = Z[:, :, 0], Z[:, :, 1]
         ca = _update(cell.samples, z1, mus, sigs)
         cb = _update(cell.samples_b, cs * z1 + roots * z2, mus, sigs)
@@ -205,7 +199,7 @@ def advance_cell(theta: Hyperparameters, stats, cell: CellStateEnsemble) -> Cell
         _check_divergence(cb, theta)
         new_b = cb
     else:
-        Z = _advance_streams(cell.meta.seed, cell.meta.step_index, n_s, (3,))
+        Z = _draw_streams([cell.meta.seed, cell.meta.step_index], n_s, (3,))
         ca = _update(cell.samples, Z, mus, sigs)
         _check_divergence(ca, theta)
         new_b = None

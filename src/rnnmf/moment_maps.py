@@ -9,23 +9,21 @@ depend on the cell-state distribution, supplied here as a sampled ensemble.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-import numpy as np
-
+from .cells import CELLS, _rho_s
 from .core import (
+    _GATE_FUNCS,
     ZERO_STATE,
     ArchitectureSpec,
     Hyperparameters,
     InputStats,
     MomentState,
-    dsigmoid,
-    sigmoid,
     validate_theta,
 )
+from .lstm_cell_sampler import correlated_cell_pairs
 from .quadrature import DEFAULT_ORDER, GaussianPairSpec, expect1, expect2
 
 __all__ = [
@@ -50,9 +48,6 @@ class DegenerateCorrelation(ArithmeticError):
 class MissingCellEnsemble(ValueError):
     """The LSTM moment map needs a sampled cell ensemble and none (or the
     wrong kind) was supplied."""
-
-
-_G_FUNCS = {"sigmoid": sigmoid, "tanh": np.tanh}
 
 
 @dataclass(frozen=True)
@@ -123,10 +118,8 @@ def preactivation_stats(
     """
 
     validate_theta(theta, arch)
-    mu_s, q_s, c_s = state.mu_s, state.q_s, state.c_s
-    sigma2_s = state.sigma2_s
-    # exact at c_s = 1 so that fully correlated copies stay bit-identical
-    rho_s = q_s if c_s == 1.0 else c_s * sigma2_s + mu_s * mu_s
+    q_s = state.q_s
+    rho_s = _rho_s(state)
 
     out: dict[str, GateStats] = {}
     for gid in arch.linear_gates():
@@ -139,7 +132,7 @@ def preactivation_stats(
     for gid in arch.gated_gates():
         p = theta[gid.label]
         inner = out[gid.gated_by]
-        g = _G_FUNCS[gid.g_name]
+        g = _GATE_FUNCS[gid.g_name][0]
         gg = lambda u, _g=g: _g(u) * _g(u)
         e_g2 = expect1(gg, inner.mu, inner.sigma2_pre, order)
         inner_pair = GaussianPairSpec(inner.mu, inner.sigma2_pre, 0.0 if inner.c is None else inner.c)
@@ -152,25 +145,6 @@ def preactivation_stats(
     return PreActivationStats(out)
 
 
-def _sig2(u):
-    s = sigmoid(u)
-    return s * s
-
-
-def _tanh2(u):
-    t = np.tanh(u)
-    return t * t
-
-
-def _moment_pair(g, stats: PreActivationStats, k: str, order: int):
-    """(E[g], E[g^2], E[g_a g_b]) of g(u_k) over the correlated pair."""
-    mu, s2 = stats.mu(k), stats.sigma2_pre(k)
-    e1 = expect1(g, mu, s2, order)
-    e2 = expect2(g, g, GaussianPairSpec(mu, s2, 1.0), order)
-    epair = expect2(g, g, stats.pair(k), order)
-    return e1, e2, epair
-
-
 def _correlation_from(rho: float, mu: float, q: float) -> float:
     s2 = q - mu * mu
     if s2 <= _DEG_TOL * max(1.0, abs(q)):
@@ -181,66 +155,20 @@ def _correlation_from(rho: float, mu: float, q: float) -> float:
     return min(max(c, -1.0), 1.0)
 
 
-def _convex_update_moments(
-    mu_s, q_s, rho_s, e_gam, e_gam2, e_gampair, e_x, e_x2, e_xpair
-):
-    """Moments of s' = gamma s + (1 - gamma) x with gamma, x, s independent."""
-    mu_n = e_gam * mu_s + (1.0 - e_gam) * e_x
-    q_n = e_gam2 * q_s + 2.0 * (e_gam - e_gam2) * mu_s * e_x + (1.0 - 2.0 * e_gam + e_gam2) * e_x2
-    rho_n = (
-        e_gampair * rho_s
-        + 2.0 * (e_gam - e_gampair) * mu_s * e_x
-        + (1.0 - 2.0 * e_gam + e_gampair) * e_xpair
-    )
-    return mu_n, q_n, rho_n
-
-
-def _rho_s(state: MomentState) -> float:
-    return state.q_s if state.c_s == 1.0 else state.c_s * state.sigma2_s + state.mu_s * state.mu_s
-
-
-def _step_vanilla(theta, arch, state, inputs, order):
+def _step(theta, arch, state, inputs, cell, order):
+    """One moment step through the cell's record: (new state, advanced cell)."""
+    if arch.needs_cell and cell is None:
+        raise MissingCellEnsemble(f"the {arch.name} moment map needs a cell ensemble")
     stats = preactivation_stats(theta, arch, state, inputs, order)
-    e1, e2, ep = _moment_pair(sigmoid, stats, "f", order)
-    return e1, e2, ep
-
-
-def _step_convex(theta, arch, state, inputs, order, x_label):
-    stats = preactivation_stats(theta, arch, state, inputs, order)
-    e_gam, e_gam2, e_gampair = _moment_pair(sigmoid, stats, "f", order)
-    e_x, e_x2, e_xpair = _moment_pair(np.tanh, stats, x_label, order)
-    return _convex_update_moments(
-        state.mu_s, state.q_s, _rho_s(state), e_gam, e_gam2, e_gampair, e_x, e_x2, e_xpair
-    )
-
-
-def _step_peephole(theta, arch, state, inputs, order):
-    stats = preactivation_stats(theta, arch, state, inputs, order)
-    e_gam, e_gam2, e_gampair = _moment_pair(sigmoid, stats, "f", order)
-    e_i, e_i2, e_ipair = _moment_pair(sigmoid, stats, "i", order)
-    e_t, e_t2, e_tpair = _moment_pair(np.tanh, stats, "r", order)
-    mu_c, q_c = state.mu_s, state.q_s
-    mu_n = e_gam * mu_c + e_i * e_t
-    q_n = e_gam2 * q_c + 2.0 * e_gam * mu_c * e_i * e_t + e_i2 * e_t2
-    rho_n = e_gampair * _rho_s(state) + 2.0 * e_gam * mu_c * e_i * e_t + e_ipair * e_tpair
-    return mu_n, q_n, rho_n
-
-
-def _lstm_output_moments(theta, stats, cell_new, order):
-    from .lstm_cell_sampler import CellStateEnsemble  # local to avoid import cycles
-
-    assert isinstance(cell_new, CellStateEnsemble)
-    e_o = expect1(sigmoid, stats.mu("o"), stats.sigma2_pre("o"), order)
-    e_o2 = expect2(sigmoid, sigmoid, GaussianPairSpec(stats.mu("o"), stats.sigma2_pre("o"), 1.0), order)
-    th = np.tanh(cell_new.samples)
-    mu_n = e_o * float(np.mean(th))
-    q_n = e_o2 * float(np.mean(th * th))
-    rho_n = None
-    if cell_new.paired:
-        e_opair = expect2(sigmoid, sigmoid, stats.pair("o"), order)
-        th_b = np.tanh(cell_new.samples_b)
-        rho_n = e_opair * float(np.mean(th * th_b))
-    return mu_n, q_n, rho_n
+    mu_n, q_n, rho_n, cell_new = CELLS[arch.name].step(theta, stats, state, cell, order)
+    if rho_n is None:  # sampled step on an unpaired ensemble
+        if q_n - mu_n * mu_n <= _DEG_TOL * max(1.0, abs(q_n)):
+            return MomentState(mu_n, max(q_n, mu_n * mu_n), 0.0), cell_new
+        raise MissingCellEnsemble(
+            f"correlation stepping for the {arch.name} needs a paired ensemble "
+            "(see correlated_cell_pairs)"
+        )
+    return MomentState(mu_n, q_n, _correlation_from(rho_n, mu_n, q_n)), cell_new
 
 
 def step_moments(
@@ -254,40 +182,13 @@ def step_moments(
     """One step of the moment map: (mu, Q, C) -> (mu', Q', C').
 
     For the LSTM a cell ensemble must be supplied; it is advanced one step
-    internally (using this state's gate statistics) to evaluate the output
-    moments. The caller keeps its own copy in sync with advance_cell, which
-    reproduces the identical advance from the ensemble's seed lineage.
-    Correlation output for the LSTM requires a paired ensemble unless the
-    result is degenerate.
+    (using this state's gate statistics) to evaluate the output moments.
+    advance_cell reproduces the identical advance from the ensemble's seed
+    lineage. Correlation output for the LSTM requires a paired ensemble
+    unless the result is degenerate.
     """
 
-    name = arch.name
-    if name == "vanillaRNN":
-        mu_n, q_n, rho_n = _step_vanilla(theta, arch, state, inputs, order)
-    elif name == "minimalRNN":
-        mu_n, q_n, rho_n = _step_convex(theta, arch, state, inputs, order, "r")
-    elif name == "GRU":
-        mu_n, q_n, rho_n = _step_convex(theta, arch, state, inputs, order, "r2")
-    elif name == "peepholeLSTM":
-        mu_n, q_n, rho_n = _step_peephole(theta, arch, state, inputs, order)
-    elif name == "LSTM":
-        if cell is None:
-            raise MissingCellEnsemble("the LSTM moment map needs a cell ensemble")
-        from .lstm_cell_sampler import advance_cell
-
-        stats = preactivation_stats(theta, arch, state, inputs, order)
-        cell_new = advance_cell(theta, stats, cell)
-        mu_n, q_n, rho_n = _lstm_output_moments(theta, stats, cell_new, order)
-        if rho_n is None:
-            if q_n - mu_n * mu_n <= _DEG_TOL * max(1.0, abs(q_n)):
-                return MomentState(mu_n, max(q_n, mu_n * mu_n), 0.0)
-            raise MissingCellEnsemble(
-                "correlation stepping for the LSTM needs a paired ensemble "
-                "(see correlated_cell_pairs)"
-            )
-    else:
-        raise ValueError(f"no moment map for architecture {name!r}")
-    return MomentState(mu_n, q_n, _correlation_from(rho_n, mu_n, q_n))
+    return _step(theta, arch, state, inputs, cell, order)[0]
 
 
 def step_correlation(
@@ -320,25 +221,12 @@ def step_correlation(
     if abs(c_s) > 1.0:
         raise ValueError(f"|C| must be <= 1, got {c_s}")
     state = MomentState(fixed.mu_s, fixed.q_s, c_s)
-    name = arch.name
-    if name == "vanillaRNN":
-        _, _, rho_n = _step_vanilla(theta, arch, state, inputs, order)
-    elif name == "minimalRNN":
-        _, _, rho_n = _step_convex(theta, arch, state, inputs, order, "r")
-    elif name == "GRU":
-        _, _, rho_n = _step_convex(theta, arch, state, inputs, order, "r2")
-    elif name == "peepholeLSTM":
-        _, _, rho_n = _step_peephole(theta, arch, state, inputs, order)
-    elif name == "LSTM":
-        from .lstm_cell_sampler import correlated_cell_pairs
-
-        stats = preactivation_stats(theta, arch, state, inputs, order)
-        init = cell if (cell is not None and getattr(cell, "paired", False)) else None
-        pairs = correlated_cell_pairs(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed, init=init)
-        e_opair = expect2(sigmoid, sigmoid, stats.pair("o"), order)
-        rho_n = e_opair * float(np.mean(np.tanh(pairs.samples) * np.tanh(pairs.samples_b)))
+    stats = preactivation_stats(theta, arch, state, inputs, order)
+    rules = CELLS[arch.name]
+    if rules.correlate is None:
+        rho_n = rules.step(theta, stats, state, cell, order)[2]
     else:
-        raise ValueError(f"no correlation map for architecture {name!r}")
+        rho_n = rules.correlate(theta, stats, cell, order, n_s, n_iters, seed)
     return (rho_n - fixed.mu_s * fixed.mu_s) / sigma2_star
 
 
@@ -365,21 +253,15 @@ def moment_trajectory(
     state = start if start is not None else ZERO_STATE
     traj = [state]
     cell = None
-    if arch.name == "LSTM":
-        from .lstm_cell_sampler import correlated_cell_pairs
-
+    if arch.needs_cell:
         stats0 = preactivation_stats(theta, arch, state, inputs, order)
         cell = correlated_cell_pairs(theta, stats0, n_s=n_s, n_iters=n_iters, seed=seed)
     for t in range(T):
         sz = inputs.sigma_z if sigma_z_schedule is None else float(sigma_z_schedule[t])
         step_inputs = InputStats(inputs.R, sz)
-        if arch.name == "LSTM":
-            from .lstm_cell_sampler import advance_cell
-
-            stats = preactivation_stats(theta, arch, state, step_inputs, order)
-            state = step_moments(theta, arch, state, step_inputs, cell=cell, order=order)
-            cell = advance_cell(theta, stats, cell)
-        else:
+        if cell is None:
             state = step_moments(theta, arch, state, step_inputs, order=order)
+        else:
+            state, cell = _step(theta, arch, state, step_inputs, cell, order)
         traj.append(state)
     return traj

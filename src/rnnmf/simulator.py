@@ -16,12 +16,13 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .cells import CELLS
 from .core import (
+    _GATE_FUNCS,
     ArchitectureSpec,
     Hyperparameters,
     InputStats,
     SimulationConfig,
-    dsigmoid,
     dtanh,
     sigmoid,
     validate_theta,
@@ -41,10 +42,6 @@ __all__ = [
 ]
 
 _MAX_SVD_N = 2048  # dense SVD guardrail
-
-_G_FUNCS = {"sigmoid": sigmoid, "tanh": np.tanh}
-
-_DG_FUNCS = {"sigmoid": dsigmoid, "tanh": dtanh}
 
 
 class NonFiniteState(ArithmeticError):
@@ -101,15 +98,11 @@ def _preactivations(arch: ArchitectureSpec, draw: WeightDraw, s: np.ndarray, z: 
     u: dict = {}
     for g in arch.gates:
         if g.form == "gated":
-            inner = _G_FUNCS[g.g_name](u[g.gated_by])
+            inner = _GATE_FUNCS[g.g_name][0](u[g.gated_by])
             u[g.label] = draw.W[g.label] @ (inner * s) + draw.U[g.label] @ z + draw.b[g.label]
         else:
             u[g.label] = draw.W[g.label] @ s + draw.U[g.label] @ z + draw.b[g.label]
     return u
-
-
-def _lstm_cell_update(u: dict, c: np.ndarray) -> np.ndarray:
-    return sigmoid(u["f"]) * c + sigmoid(u["i"]) * np.tanh(u["r"])
 
 
 def _check_finite(x: np.ndarray, t: int):
@@ -118,10 +111,7 @@ def _check_finite(x: np.ndarray, t: int):
 
 
 def _advance(arch, u: dict, s: np.ndarray, c: Optional[np.ndarray]):
-    if arch.needs_cell:
-        c_new = _lstm_cell_update(u, c)
-        return sigmoid(u["o"]) * np.tanh(c_new), c_new
-    return arch.f(s, u), None
+    return CELLS[arch.name].update(s, u, c)
 
 
 def _empirical(sa, sb, t) -> TrajectoryPoint:
@@ -226,13 +216,13 @@ class JacobianFrame:
     z: np.ndarray
     u: dict = field(repr=False)
 
+    def _prev_cell(self, s: np.ndarray) -> Optional[np.ndarray]:
+        """The previous cell value behind state s (None without a carried cell)."""
+        return np.arctanh(s / sigmoid(self.u_o_prev)) if self.arch.needs_cell else None
+
     def one_step(self, s: np.ndarray) -> np.ndarray:
         u = _preactivations(self.arch, self.draw, s, self.z)
-        if self.arch.needs_cell:
-            c = np.arctanh(s / sigmoid(self.u_o_prev))
-            c_new = _lstm_cell_update(u, c)
-            return sigmoid(u["o"]) * np.tanh(c_new)
-        return self.arch.f(s, u)
+        return _advance(self.arch, u, s, self._prev_cell(s))[0]
 
 
 def jacobian_frame(
@@ -274,31 +264,26 @@ def assemble_jacobian(theta: Hyperparameters, frame: JacobianFrame) -> np.ndarra
     """Derivative matrix of frame.one_step at frame.state, assembled from
     the per-gate derivative profiles and the frame's weight draws."""
 
-    arch = frame.arch
+    arch, rules = frame.arch, CELLS[frame.arch.name]
     s, u, draw = frame.state, frame.u, frame.draw
     N = s.size
-    if arch.needs_cell:
-        do = sigmoid(frame.u_o_prev)
-        c = np.arctanh(s / do)
-        c_new = _lstm_cell_update(u, c)
-        diag = sigmoid(u["f"]) * sigmoid(u["o"]) * dtanh(c_new) / (do * dtanh(c))
-        J = np.diag(diag)
-        for k in arch.labels():
-            J += arch.dk[k](s, u, c)[:, None] * draw.W[k]
-        return J
+    c = frame._prev_cell(s)
+    diag = rules.d0(s, u, c)
+    if c is not None:  # chain dh'/dc_prev through c_prev = artanh(h / sigmoid(u_o_prev))
+        diag = diag / (sigmoid(frame.u_o_prev) * dtanh(c))
     inner_labels = {g.gated_by for g in arch.gates if g.gated_by is not None}
-    J = np.diag(np.broadcast_to(np.asarray(arch.d0(s, u), dtype=float), (N,)))
+    J = np.diag(np.broadcast_to(np.asarray(diag, dtype=float), (N,)))
     for g in arch.gates:
         if g.form == "gated":
-            gfun, dgfun = _G_FUNCS[g.g_name], _DG_FUNCS[g.g_name]
+            gfun, dgfun = _GATE_FUNCS[g.g_name]
             uk = u[g.gated_by]
-            outer = arch.dk[g.label](s, u)[:, None] * draw.W[g.label]
+            outer = rules.dk[g.label](s, u, c)[:, None] * draw.W[g.label]
             J += outer * gfun(uk)[None, :]
             J += (outer * (s * dgfun(uk))[None, :]) @ draw.W[g.gated_by]
         elif g.label in inner_labels:
             continue  # reaches the state only through its gated consumer
         else:
-            J += arch.dk[g.label](s, u)[:, None] * draw.W[g.label]
+            J += rules.dk[g.label](s, u, c)[:, None] * draw.W[g.label]
     return J
 
 
@@ -340,7 +325,7 @@ def simulate_cell_distribution(
     internal cell, which is what gets returned).
     """
 
-    if arch.name not in ("LSTM", "peepholeLSTM"):
+    if not CELLS[arch.name].has_cell:
         raise ValueError(f"{arch.name} has no cell state")
     validate_theta(theta, arch)
     inputs = inputs if inputs is not None else InputStats(1.0, 1.0)

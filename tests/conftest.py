@@ -1,34 +1,7 @@
-import numpy as np
 import pytest
 
-from rnnmf import GateParams, Hyperparameters, InputStats, get_architecture
-
-
-def make_theta(arch, sigma2=0.3, nu2=0.3, rho2=0.01, mu_f=1.0, mu_other=0.0):
-    gates = {
-        k: GateParams(sigma2, nu2, rho2, mu_f if k == "f" else mu_other)
-        for k in arch.labels()
-    }
-    return Hyperparameters(gates)
-
-
-def random_theta(arch, rng, mu_bound=2.0):
-    """Variances uniform on [0, 1], means uniform on [-mu_bound, mu_bound]."""
-    gates = {}
-    for k in arch.labels():
-        gates[k] = GateParams(
-            sigma2=float(rng.uniform(0.0, 1.0)),
-            nu2=float(rng.uniform(0.0, 1.0)),
-            rho2=float(rng.uniform(0.0, 1.0)),
-            mu=float(rng.uniform(-mu_bound, mu_bound)),
-        )
-    return Hyperparameters(gates)
-
-
-def zero_variance_theta(arch, mu_f=1.0):
-    mus = {"f": mu_f, "r": 0.3, "r2": 0.3, "i": 0.2, "o": 0.1}
-    gates = {k: GateParams(0.0, 0.0, 0.0, mus.get(k, 0.0)) for k in arch.labels()}
-    return Hyperparameters(gates)
+from rnnmf import InputStats, get_architecture
+from rnnmf.verify import make_theta, random_theta, zero_variance_theta  # noqa: F401  (shared with the tests)
 
 
 @pytest.fixture

@@ -187,6 +187,30 @@ def test_sweep_rejects_a_malformed_grid(tmp_path, capsys):
     assert code == 2
 
 
+def test_sweep_rejects_a_gate_the_architecture_lacks(tmp_path, capsys):
+    theta0, direction = _sweep_files(tmp_path)
+    direction.write_text(json.dumps({"gates": {"ff": {"mu": 1.0}}}))
+    code = run(
+        ["sweep", "--theta0", str(theta0), "--direction", str(direction),
+         "--alphas", "0:2:3", "--seed", "0", "--workers", "1"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'ff'" in captured.err
+
+
+def test_sweep_rejects_a_direction_without_a_gates_object(tmp_path, capsys):
+    theta0, direction = _sweep_files(tmp_path)
+    direction.write_text(json.dumps({"gates": [1, 2]}))
+    code = run(
+        ["sweep", "--theta0", str(theta0), "--direction", str(direction),
+         "--alphas", "0:2:3", "--seed", "0", "--workers", "1"]
+    )
+    assert code == 2
+    assert "gates" in capsys.readouterr().err
+
+
 def test_simulate_trajectory_csv(tmp_path, capsys):
     theta = _write_theta(tmp_path, "minimalRNN")
     args = [

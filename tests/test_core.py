@@ -17,6 +17,7 @@ from rnnmf import (
     theta_to_json_dict,
     validate_theta,
 )
+from rnnmf.cells import CELLS
 from rnnmf.core import MissingGate, UnknownGate, theta_hash
 
 from conftest import make_theta
@@ -29,6 +30,18 @@ def test_registry_contents():
     assert not get_architecture("peepholeLSTM").needs_cell
     assert get_architecture("peepholeLSTM").state_symbol == "c"
     assert get_architecture("LSTM").state_symbol == "h"
+
+
+def test_every_architecture_has_a_cell_record():
+    assert set(CELLS) == set(ARCHITECTURES)
+    for name, arch in ARCHITECTURES.items():
+        rules = CELLS[name]
+        inner = {g.gated_by for g in arch.gates if g.gated_by is not None}
+        # a derivative profile for every gate that reaches the state directly
+        assert set(rules.dk) == set(arch.labels()) - inner
+        # the sampled cell has no closed-form contribution terms
+        assert (rules.entries is None) == (rules.factors is None) == arch.needs_cell
+        assert rules.has_cell == (arch.state_symbol != "s")
 
 
 def test_unknown_architecture():

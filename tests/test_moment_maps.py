@@ -12,6 +12,7 @@ from rnnmf import (
     MissingCellEnsemble,
     MomentState,
     ZERO_STATE,
+    advance_cell,
     correlated_cell_pairs,
     expect1,
     get_architecture,
@@ -117,6 +118,24 @@ def test_moment_trajectory_composes_step_moments():
         assert traj[t + 1].q_s == state.q_s
         assert traj[t + 1].c_s == state.c_s
     assert len(traj) == 6
+
+    # the LSTM at nonzero variance: a lockstep step_moments + advance_cell
+    # loop from the same zero-start paired ensemble, bit for bit
+    arch = get_architecture("LSTM")
+    theta = make_theta(arch)
+    inputs = InputStats(1.0, 0.5)
+    traj = moment_trajectory(theta, arch, inputs, 6, n_s=64, seed=3)
+    state = ZERO_STATE
+    cell = correlated_cell_pairs(
+        theta, preactivation_stats(theta, arch, state, inputs), n_s=64, n_iters=0, seed=3
+    )
+    for t in range(6):
+        stats = preactivation_stats(theta, arch, state, inputs)
+        state = step_moments(theta, arch, state, inputs, cell=cell)
+        cell = advance_cell(theta, stats, cell)
+        assert traj[t + 1] == state
+    assert state.q_s > state.mu_s**2 and 0.0 < state.c_s < 1.0
+    assert len(traj) == 7
 
 
 def test_moment_trajectory_schedule_switches_inputs():
