@@ -20,6 +20,7 @@ where E[A^j W^m] = a(j, m) b(m); each cell supplies its a and b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
@@ -243,12 +244,19 @@ def _peephole_factors(stats, order):
     return (lambda j, m: eg[j]), ew.__getitem__
 
 
-def _lstm_output_moments(stats, cell_new, order):
-    """(mu', Q', rho') of h = sig(u_o) tanh(c) on a sampled cell ensemble;
-    rho' is None for an unpaired ensemble."""
+def _lstm_gate_o(stats, order):
+    """(E[sig(u_o)], E[sig(u_o)^2])."""
+    mu, s2 = stats.mu("o"), stats.sigma2_pre("o")
+    return expect1(sigmoid, mu, s2, order), expect2(sigmoid, sigmoid, GaussianPairSpec(mu, s2, 1.0), order)
+
+
+def _lstm_output_moments(stats, cell_new, gate_o, order):
+    """(mu', Q', rho') of h = sig(u_o) tanh(c) on a sampled cell ensemble,
+    given gate_o = _lstm_gate_o(stats, order); rho' is None for an unpaired
+    ensemble. rho' standardizes chain b to chain a's mean and variance, so
+    (rho' - mu'^2) / (Q' - mu'^2) is the chain correlation, in [-1, 1]."""
     assert isinstance(cell_new, CellStateEnsemble)
-    e_o = expect1(sigmoid, stats.mu("o"), stats.sigma2_pre("o"), order)
-    e_o2 = expect2(sigmoid, sigmoid, GaussianPairSpec(stats.mu("o"), stats.sigma2_pre("o"), 1.0), order)
+    e_o, e_o2 = gate_o
     th = np.tanh(cell_new.samples)
     mu_n = e_o * float(np.mean(th))
     q_n = e_o2 * float(np.mean(th * th))
@@ -256,13 +264,16 @@ def _lstm_output_moments(stats, cell_new, order):
     if cell_new.paired:
         e_opair = expect2(sigmoid, sigmoid, stats.pair("o"), order)
         th_b = np.tanh(cell_new.samples_b)
-        rho_n = e_opair * float(np.mean(th * th_b))
+        mu_b = e_o * float(np.mean(th_b))
+        var_a, var_b = q_n - mu_n * mu_n, e_o2 * float(np.mean(th_b * th_b)) - mu_b * mu_b
+        cov = e_opair * float(np.mean(th * th_b)) - mu_n * mu_b
+        rho_n = mu_n * mu_n + (cov * math.sqrt(var_a / var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
     return mu_n, q_n, rho_n
 
 
 def _lstm_step(theta, stats, state, cell, order):
     cell_new = advance_cell(theta, stats, cell)
-    return _lstm_output_moments(stats, cell_new, order) + (cell_new,)
+    return _lstm_output_moments(stats, cell_new, _lstm_gate_o(stats, order), order) + (cell_new,)
 
 
 def _lstm_correlate(theta, stats, cell, order, n_s, n_iters, seed):

@@ -16,14 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .cells import _lstm_output_moments
+from .cells import _lstm_gate_o, _lstm_output_moments
 from .core import (
     ZERO_STATE,
     ArchitectureSpec,
     Hyperparameters,
     InputStats,
     MomentState,
-    sigmoid,
     validate_theta,
 )
 from .lstm_cell_sampler import CellStateEnsemble, sample_cell_distribution
@@ -33,7 +32,7 @@ from .moment_maps import (
     step_correlation,
     step_moments,
 )
-from .quadrature import DEFAULT_ORDER, expect1
+from .quadrature import DEFAULT_ORDER
 from . import jacobian as _jacobian
 
 __all__ = [
@@ -63,7 +62,8 @@ class DerivativeUnstable(ArithmeticError):
 
 @dataclass(frozen=True)
 class MomentsSolution:
-    """Converged single-network moments with the iteration history."""
+    """Converged single-network moments with the iteration history (see
+    solve_moments for residual and error_estimate)."""
 
     state: MomentState
     trajectory: tuple
@@ -73,6 +73,7 @@ class MomentsSolution:
     inputs: InputStats
     arch: str
     cell: Optional[CellStateEnsemble] = None
+    error_estimate: Optional[float] = None
 
     @property
     def mu_star(self) -> float:
@@ -85,7 +86,8 @@ class MomentsSolution:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """Everything about one fixed point: moments, correlation, chi, xi."""
+    """Everything about one fixed point: moments, correlation, chi, xi.
+    residuals and error_estimates are keyed "mu", "q" and "c"."""
 
     arch: str
     mu_star: float
@@ -98,6 +100,7 @@ class FixedPointReport:
     converged: bool
     inputs: InputStats
     trajectory: tuple = field(default=(), repr=False)
+    error_estimates: dict = field(default_factory=dict)
 
     @property
     def stable(self) -> bool:
@@ -126,6 +129,10 @@ def _as_state(fixed) -> MomentState:
     return MomentState(fixed.mu_star, fixed.q_star, getattr(fixed, "c_star", 0.0))
 
 
+def _state(x) -> MomentState:
+    return MomentState(float(x[0]), float(x[1]), 0.0)
+
+
 def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
@@ -142,32 +149,22 @@ def _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters,
     hist = []  # (mu, q, se_mu, se_q)
     cell = None
     for it in range(1, max_iter + 1):
-        state = MomentState(mu, q, 0.0)
-        stats = preactivation_stats(theta, arch, state, inputs, order)
-        cell = sample_cell_distribution(
-            theta, stats, n_s=n_s, n_iters=n_iters, seed=_derived_seed(seed, it)
-        )
-        mu, q, _ = _lstm_output_moments(stats, cell, order)
+        stats = preactivation_stats(theta, arch, MomentState(mu, q, 0.0), inputs, order)
+        cell = sample_cell_distribution(theta, stats, n_s=n_s, n_iters=n_iters, seed=_derived_seed(seed, it))
+        e_o, e_o2 = gate_o = _lstm_gate_o(stats, order)
+        mu, q, _ = _lstm_output_moments(stats, cell, gate_o, order)
         th = np.tanh(cell.samples)
-        e_o = expect1(sigmoid, stats.mu("o"), stats.sigma2_pre("o"), order)
-        e_o2 = expect1(lambda u: sigmoid(u) ** 2, stats.mu("o"), stats.sigma2_pre("o"), order)
-        rt = math.sqrt(n_s)
-        se_mu = e_o * float(np.std(th, ddof=1)) / rt
-        se_q = e_o2 * float(np.std(th * th, ddof=1)) / rt
+        se_mu = e_o * float(np.std(th, ddof=1)) / math.sqrt(n_s)
+        se_q = e_o2 * float(np.std(th * th, ddof=1)) / math.sqrt(n_s)
         traj.append(MomentState(mu, q, 0.0))
         hist.append((mu, q, se_mu, se_q))
         if len(hist) > _WINDOW:
             m0, q0, s0m, s0q = hist[-1 - _WINDOW]
             dm, dq = abs(mu - m0), abs(q - q0)
-            pm = math.sqrt(se_mu**2 + s0m**2)
-            pq = math.sqrt(se_q**2 + s0q**2)
-            if dm < 3.0 * pm and dq < 3.0 * pq:
-                tail = hist[-(_WINDOW + 1):]
-                mu_bar = float(np.mean([h[0] for h in tail]))
-                q_bar = float(np.mean([h[1] for h in tail]))
-                q_bar = max(q_bar, mu_bar * mu_bar)
+            if dm < 3.0 * math.sqrt(se_mu**2 + s0m**2) and dq < 3.0 * math.sqrt(se_q**2 + s0q**2):
+                mu_bar, q_bar = (float(np.mean([h[j] for h in hist[-(_WINDOW + 1):]])) for j in (0, 1))
                 return MomentsSolution(
-                    state=MomentState(mu_bar, q_bar, 0.0),
+                    state=MomentState(mu_bar, max(q_bar, mu_bar * mu_bar), 0.0),
                     trajectory=tuple(traj),
                     iterations=it,
                     converged=True,
@@ -176,8 +173,68 @@ def _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters,
                     arch=arch.name,
                     cell=cell,
                 )
+    raise NoConvergence(f"moment iteration did not settle within {max_iter} iterations", traj)
+
+
+_DEPTH = 2  # Anderson history: differences mixed into each step (at most dim x)
+_DAMPING = 0.5  # relaxation of the plain step that follows a rejected one
+
+
+def _norm(v) -> float:
+    return float(np.max(np.abs(v)))
+
+
+def _iterate(G, x0, project, point, tol, max_iter, what):
+    """Solve x = project(G(x)) by safeguarded Anderson iteration.
+
+    rate, the largest secant slope |G(x) - G(x_j)| / |x - x_j| over the
+    history, estimates the contraction rate. While rate < 1 the next
+    iterate mixes the last _DEPTH differences (Anderson type II, Walker & Ni
+    2011); otherwise it is the plain step G(x). An Anderson iterate that
+    raises the residual g = G(x) - x is rejected for a plain step damped by
+    _DAMPING from the last accepted one, and the history is cleared. The
+    error estimate is twice the larger of |g| / (1 - rate) and the next
+    Anderson step, (I - J)^-1 g for the secant Jacobian J: the factor covers
+    the change of slope across the last step. Stops when it is <= tol
+    (max norms). Returns (point(x), |g|, estimate, map evaluations,
+    accepted iterates); NoConvergence carries the accepted iterates.
+    """
+
+    x = project(np.atleast_1d(np.array(x0, dtype=float)))
+    depth = min(_DEPTH, x.size)
+    xs, fs, traj = [], [], []  # last depth + 1 accepted iterates, their map values; every accepted one
+    mixed = False  # x is an Anderson candidate, not a plain step
+    r = err = math.inf
+    for it in range(1, max_iter + 1):
+        f = project(G(x))
+        r_new = _norm(f - x)
+        if mixed and r_new > r:
+            xs, fs = xs[-1:], fs[-1:]
+            x, mixed = project(xs[0] + _DAMPING * (fs[0] - xs[0])), False
+            continue
+        r = r_new
+        xs, fs = xs[-depth:] + [x], fs[-depth:] + [f]
+        traj.append(point(x))
+        rate = max(
+            (_norm(f - fj) / d for xj, fj in zip(xs[:-1], fs[:-1]) if (d := _norm(x - xj)) > 0.0),
+            default=math.inf,
+        )
+        if rate < 1.0:
+            dx = np.diff(xs, axis=0).T
+            dg = np.diff(fs, axis=0).T - dx
+            gamma = np.linalg.lstsq(dg, f - x, rcond=None)[0]
+            nxt = project(f - (dx + dg) @ gamma)
+            err = 2.0 * max(r / (1.0 - rate), _norm(nxt - x))
+        else:  # no history yet, or the map expands along it: plain step
+            nxt = f
+            err = 0.0 if r == 0.0 else math.inf
+        if err <= tol:
+            return point(x), r, err, it, traj
+        x, mixed = nxt, rate < 1.0
     raise NoConvergence(
-        f"moment iteration did not settle within {max_iter} iterations", traj
+        f"{what} residual {r:.3e}, error estimate {err:.3e} > tol {tol:g} "
+        f"after {max_iter} map evaluations",
+        traj,
     )
 
 
@@ -195,11 +252,15 @@ def solve_moments(
 ) -> MomentsSolution:
     """Iterate the moment map from the zero state to its fixed point.
 
-    Quadrature architectures use plain fixed-point iteration to |delta| < tol
-    (relaxation 0.5 kicks in if the Q updates start alternating in sign).
-    The LSTM resamples its cell ensemble every iteration and stops on a
-    noise-aware window criterion. Raises NoConvergence with the trajectory
-    attached when max_iter is exhausted.
+    Quadrature architectures use safeguarded Anderson iteration on
+    (mu, Q), projected onto Q >= mu^2, with a damped plain-step fallback
+    (see _iterate). It stops when the estimated distance to the fixed point,
+    about residual / (1 - rate), is <= tol: residual is max(|dmu|, |dQ|) of
+    the map at the returned point, error_estimate that distance, iterations
+    the map evaluations and trajectory the accepted iterates. The LSTM
+    resamples its cell ensemble every iteration and stops on a noise-aware
+    window criterion (residual: the change across it; error_estimate:
+    None). Raises NoConvergence with the trajectory after max_iter.
     """
 
     validate_theta(theta, arch)
@@ -208,37 +269,24 @@ def solve_moments(
             raise ValueError("start state not supported for the sampled map")
         return _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters, seed)
 
-    state = start if start is not None else ZERO_STATE
-    traj = [state]
-    damping = 1.0
-    prev_dq = 0.0
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        new = step_moments(theta, arch, state, inputs, order=order)
-        dmu = new.mu_s - state.mu_s
-        dq = new.q_s - state.q_s
-        if damping == 1.0 and dq * prev_dq < 0.0:
-            damping = 0.5
-        prev_dq = dq
-        if damping < 1.0:
-            q_d = state.q_s + damping * dq
-            mu_d = state.mu_s + damping * dmu
-            new = MomentState(mu_d, max(q_d, mu_d * mu_d), new.c_s)
-        traj.append(new)
-        residual = max(abs(dmu), abs(dq))
-        state = new
-        if abs(dmu) < tol and abs(dq) < tol:
-            return MomentsSolution(
-                state=state,
-                trajectory=tuple(traj),
-                iterations=it,
-                converged=True,
-                residual=residual,
-                inputs=inputs,
-                arch=arch.name,
-            )
-    raise NoConvergence(
-        f"moment iteration residual {residual:.3e} > tol after {max_iter} iterations", traj
+    def G(x):
+        new = step_moments(theta, arch, _state(x), inputs, order=order)
+        return np.array([new.mu_s, new.q_s])
+
+    def project(x):
+        return np.array([x[0], max(x[1], x[0] * x[0])])
+
+    start = start if start is not None else ZERO_STATE
+    state, r, err, it, traj = _iterate(G, (start.mu_s, start.q_s), project, _state, tol, max_iter, "moment")
+    return MomentsSolution(
+        state=state,
+        trajectory=tuple(traj),
+        iterations=it,
+        converged=True,
+        residual=r,
+        error_estimate=err,
+        inputs=inputs,
+        arch=arch.name,
     )
 
 
@@ -339,69 +387,31 @@ def solve_correlation(
 ) -> FixedPointReport:
     """Iterate the correlation map from c0 to C*, then linearize.
 
-    Returns the full report (mu*, Q*, C*, chi, xi). For the LSTM each
-    iteration reuses the same seed, so the sampled map is a fixed
-    deterministic function and the iteration converges like one. When the
-    fixed state is degenerate the correlation is undefined and C* = 1 is
-    reported by convention, with chi from the contribution functional.
+    Returns the full report (mu*, Q*, C*, chi, xi). C* comes from the
+    solver of solve_moments on [-1, 1]: residuals["c"] is the projected map
+    residual at C*, error_estimates["c"] the distance estimate to the fixed
+    point at the given (mu*, Q*), iterations the map evaluations. For the
+    LSTM each evaluation reuses the same seed, so the sampled map is a
+    fixed deterministic function. When the fixed state is degenerate the
+    correlation is undefined and C* = 1 is reported by convention, with chi
+    from the contribution functional.
     """
 
     st = _as_state(fixed)
     if not -1.0 <= c0 <= 1.0:
         raise ValueError(f"start correlation c0 = {c0} outside [-1, 1]")
-    mu_res = fixed.residual if isinstance(fixed, MomentsSolution) else 0.0
+    mu_res, mu_err = (fixed.residual, fixed.error_estimate) if isinstance(fixed, MomentsSolution) else (0.0, 0.0)
     cell = fixed.cell if isinstance(fixed, MomentsSolution) else None
 
-    if _degenerate(st):
-        chi = chi_at(theta, arch, inputs, st, 1.0, order=order, n_s=n_s, n_iters=n_iters, seed=seed)
-        return FixedPointReport(
-            arch=arch.name,
-            mu_star=st.mu_s,
-            q_star=st.q_s,
-            c_star=1.0,
-            chi=chi,
-            xi=_xi_from_chi(chi),
-            iterations=0,
-            residuals={"mu": mu_res, "q": mu_res, "c": 0.0},
-            converged=True,
-            inputs=inputs,
-            trajectory=(1.0,),
+    if _degenerate(st):  # no correlation direction: C* = 1 by convention
+        c, resid_c, err_c, it, traj, cell = 1.0, 0.0, 0.0, 0, [1.0], None
+    else:
+        kw = dict(order=order, n_s=n_s, n_iters=n_iters, seed=seed, cell=cell)
+        c, resid_c, err_c, it, traj = _iterate(
+            lambda x: np.array([step_correlation(theta, arch, st, float(x[0]), inputs, **kw)]),
+            c0, lambda x: np.clip(x, -1.0, 1.0), lambda x: float(x[0]), tol, max_iter, "correlation",
         )
-
-    kw = dict(order=order, n_s=n_s, n_iters=n_iters, seed=seed, cell=cell)
-    c = float(c0)
-    traj = [c]
-    damping = 1.0
-    prev_dc = 0.0
-    converged = False
-    it = 0
-    step = 0.0
-    for it in range(1, max_iter + 1):
-        c_new = step_correlation(theta, arch, st, c, inputs, **kw)
-        dc = c_new - c
-        if damping == 1.0 and dc * prev_dc < 0.0:
-            damping = 0.5
-        prev_dc = dc
-        c_next = c + damping * dc if damping < 1.0 else c_new
-        c_next = min(max(c_next, -1.0), 1.0)
-        # the iteration lives on [-1, 1]: convergence is judged on the
-        # projected step, else a map overshooting 1.0 by a residual-sized
-        # amount would pin at the boundary without ever registering
-        step = c_next - c
-        c = c_next
-        traj.append(c)
-        if abs(step) < tol:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(
-            f"correlation iteration |dc| = {abs(step):.3e} > tol after {max_iter} iterations",
-            traj,
-        )
-    resid_c = abs(step_correlation(theta, arch, st, c, inputs, **kw) - c)
-    chi = chi_at(
-        theta, arch, inputs, st, c, order=order, n_s=n_s, n_iters=n_iters, seed=seed, cell=cell
-    )
+    chi = chi_at(theta, arch, inputs, st, c, order=order, n_s=n_s, n_iters=n_iters, seed=seed, cell=cell)
     return FixedPointReport(
         arch=arch.name,
         mu_star=st.mu_s,
@@ -414,4 +424,5 @@ def solve_correlation(
         converged=True,
         inputs=inputs,
         trajectory=tuple(traj),
+        error_estimates={"mu": mu_err, "q": mu_err, "c": err_c},
     )

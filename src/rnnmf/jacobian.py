@@ -298,7 +298,8 @@ def moments(
     if sigma < 0.0:
         if sigma < -1e-8:
             raise ArithmeticError(f"sigma = {sigma} strongly negative (bug)")
-        warnings.warn(f"clamping slightly negative sigma = {sigma:.3e} to 0", stacklevel=2)
+        if sigma < -4.0 * np.spacing(m1 * m1):  # beyond rounding of the m1^2-sized terms
+            warnings.warn(f"clamping slightly negative sigma = {sigma:.3e} to 0", stacklevel=2)
         sigma = 0.0
     return JacobianMoments(m1=m1, m2=sigma + m1 * m1, sigma=sigma, m1_se=cv.se_m1)
 

@@ -114,6 +114,21 @@ def _advance(arch, u: dict, s: np.ndarray, c: Optional[np.ndarray]):
     return CELLS[arch.name].update(s, u, c)
 
 
+def _run_single(theta, arch, config, seed, inputs, steps):
+    """steps updates of one width-N network from zero on i.i.d. inputs, then
+    the generator, the input scale and (s, c, u) of the last update."""
+    validate_theta(theta, arch)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed if seed is None else seed))
+    N, labels, sqrtR = config.N, arch.labels(), math.sqrt(inputs.R)
+    s, c, u = np.zeros(N), (np.zeros(N) if arch.needs_cell else None), None
+    for t in range(1, steps + 1):
+        draw = _draw_step(rng, theta, labels, N, N)
+        u = _preactivations(arch, draw, s, sqrtR * rng.standard_normal(N))
+        s, c = _advance(arch, u, s, c)
+        _check_finite(s, t)
+    return rng, sqrtR, (s, c, u)
+
+
 def _empirical(sa, sb, t) -> TrajectoryPoint:
     N = sa.size
     rt = math.sqrt(N)
@@ -235,27 +250,13 @@ def jacobian_frame(
 ) -> JacobianFrame:
     """Burn the network in for burn_in steps, then freeze one step's draws."""
 
-    validate_theta(theta, arch)
     inputs = inputs if inputs is not None else InputStats(1.0, 1.0)
-    N = config.N
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed if seed is None else seed))
-    labels = arch.labels()
-    s = np.zeros(N)
-    c = np.zeros(N) if arch.needs_cell else None
-    u_o = None
-    sqrtR = math.sqrt(inputs.R)
-    for t in range(1, burn_in + 1):
-        draw = _draw_step(rng, theta, labels, N, N)
-        z = sqrtR * rng.standard_normal(N)
-        u = _preactivations(arch, draw, s, z)
-        s, c = _advance(arch, u, s, c)
-        _check_finite(s, t)
-        if arch.needs_cell:
-            u_o = u["o"]
-    if arch.needs_cell and u_o is None:
+    rng, sqrtR, (s, c, u) = _run_single(theta, arch, config, seed, inputs, burn_in)
+    if arch.needs_cell and u is None:
         raise ValueError("burn_in must be >= 1 for the cell-carrying architecture")
-    draw = _draw_step(rng, theta, labels, N, N)
-    z = sqrtR * rng.standard_normal(N)
+    u_o = u["o"] if arch.needs_cell else None
+    draw = _draw_step(rng, theta, arch.labels(), config.N, config.N)
+    z = sqrtR * rng.standard_normal(config.N)
     u = _preactivations(arch, draw, s, z)
     return JacobianFrame(arch=arch, state=s, cell=c, u_o_prev=u_o, draw=draw, z=z, u=u)
 
@@ -280,10 +281,10 @@ def assemble_jacobian(theta: Hyperparameters, frame: JacobianFrame) -> np.ndarra
             outer = rules.dk[g.label](s, u, c)[:, None] * draw.W[g.label]
             J += outer * gfun(uk)[None, :]
             J += (outer * (s * dgfun(uk))[None, :]) @ draw.W[g.gated_by]
-        elif g.label in inner_labels:
-            continue  # reaches the state only through its gated consumer
-        else:
-            J += rules.dk[g.label](s, u, c)[:, None] * draw.W[g.label]
+        elif g.label not in inner_labels:  # inner gates act through their consumer
+            d = rules.dk[g.label](s, u, c)
+            if d.any():  # the peephole's output gate has an identically zero profile
+                J += d[:, None] * draw.W[g.label]
     return J
 
 
@@ -327,18 +328,6 @@ def simulate_cell_distribution(
 
     if not CELLS[arch.name].has_cell:
         raise ValueError(f"{arch.name} has no cell state")
-    validate_theta(theta, arch)
     inputs = inputs if inputs is not None else InputStats(1.0, 1.0)
-    N = config.N
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed if seed is None else seed))
-    labels = arch.labels()
-    s = np.zeros(N)
-    c = np.zeros(N) if arch.needs_cell else None
-    sqrtR = math.sqrt(inputs.R)
-    for t in range(1, config.T + 1):
-        draw = _draw_step(rng, theta, labels, N, N)
-        z = sqrtR * rng.standard_normal(N)
-        u = _preactivations(arch, draw, s, z)
-        s, c = _advance(arch, u, s, c)
-        _check_finite(s, t)
+    s, c, _ = _run_single(theta, arch, config, seed, inputs, config.T)[2]
     return c if arch.needs_cell else s

@@ -94,7 +94,9 @@ def test_computation_failure_exits_1_with_json_error(tmp_path, capsys):
     }
     path = tmp_path / "divergent.json"
     path.write_text(json.dumps(doc))
-    assert run(["fixed-point", "--theta", str(path), "--seed", "0"]) == 1
+    # this theta converges (slowly: its moment map expands for Q below
+    # about 1000), so a small iteration budget forces the failure
+    assert run(["fixed-point", "--theta", str(path), "--seed", "0", "--max-iter", "50"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoConvergence"
     assert isinstance(err["message"], str)

@@ -41,8 +41,9 @@ def report_schema():
 def test_solve_moments_matches_frozen_oracle():
     arch = get_architecture("peepholeLSTM")
     msol = solve_moments(peephole_drive_theta(), arch, UNIT)
-    # plain iteration truncates at tol/(1 - contraction rate) from the limit
-    assert abs(msol.q_star - PEEPHOLE_DRIVE_Q) < 1.5e-7
+    # the solve stops on an estimate of the distance to the limit, not on
+    # the last step, so the default tol 1e-9 bounds the error
+    assert abs(msol.q_star - PEEPHOLE_DRIVE_Q) < 1e-9
     assert abs(msol.mu_star) < 1e-12
     assert msol.converged
 
@@ -57,9 +58,10 @@ def test_solve_moments_agrees_with_direct_iteration(quadrature_arch):
     assert msol.mu_star == pytest.approx(state.mu_s, abs=1e-7)
 
 
-def test_no_convergence_has_monotone_trajectory():
-    arch = get_architecture("peepholeLSTM")
-    theta = Hyperparameters(
+def _slow_peephole_theta():
+    # forget bias 10: the moment map expands for Q below about 1000 and
+    # contracts at rate sigmoid(10)^2 near Q* ~ 5472
+    return Hyperparameters(
         {
             "i": GateParams(0.1, 1.0, 0.0, 0.0),
             "f": GateParams(0.0, 0.0, 0.0, 10.0),
@@ -67,12 +69,62 @@ def test_no_convergence_has_monotone_trajectory():
             "o": GateParams(0.1, 1.0, 0.0, 0.0),
         }
     )
+
+
+def test_no_convergence_has_monotone_trajectory():
+    arch = get_architecture("peepholeLSTM")
     with pytest.raises(NoConvergence) as exc:
-        solve_moments(theta, arch, UNIT)
+        solve_moments(_slow_peephole_theta(), arch, UNIT, max_iter=50)
     traj = exc.value.trajectory
     q = np.array([s.q_s for s in traj])
-    assert len(traj) == 10001
-    assert np.all(np.diff(q) >= 0.0)
+    # while the map expands every step is a plain one, and each is accepted
+    assert len(traj) == 50
+    assert traj[0] == ZERO_STATE
+    assert np.all(np.diff(q) > 0.0)
+
+
+def test_slow_peephole_reaches_a_verified_fixed_point():
+    arch = get_architecture("peepholeLSTM")
+    theta = _slow_peephole_theta()
+    msol = solve_moments(theta, arch, UNIT)
+    assert msol.error_estimate <= 1e-9
+    assert msol.q_star == pytest.approx(5472.38, abs=0.01)
+    nxt = step_moments(theta, arch, msol.state, UNIT)
+    assert max(abs(nxt.mu_s - msol.mu_star), abs(nxt.q_s - msol.q_star)) == msol.residual
+    assert msol.residual <= 1e-9
+    rep = solve_correlation(theta, arch, UNIT, msol)
+    c_next = step_correlation(theta, arch, msol.state, rep.c_star, UNIT)
+    assert abs(min(c_next, 1.0) - rep.c_star) == rep.residuals["c"] <= 1e-9
+
+
+# the forget-bias ray of the quadrature-sweep benchmark, plus the peephole
+# near its transition, where plain iteration took thousands of steps
+# (mu_f = 4) or did not converge within max_iter (mu_f = 3.9)
+_RAY = [(a, mu_f) for a in ("vanillaRNN", "minimalRNN", "GRU", "peepholeLSTM") for mu_f in range(6)]
+_RAY += [("peepholeLSTM", 3.9), ("peepholeLSTM", 4.0)]
+
+
+@pytest.mark.parametrize("arch_name,mu_f", _RAY)
+def test_fixed_point_is_within_tol_and_its_error_estimate_bounds_the_error(arch_name, mu_f):
+    arch = get_architecture(arch_name)
+    theta = make_theta(arch, sigma2=0.5, nu2=0.5, rho2=0.05, mu_f=mu_f)
+    msol = solve_moments(theta, arch, UNIT)
+    rep = solve_correlation(theta, arch, UNIT, msol)
+    ref_m = solve_moments(theta, arch, UNIT, tol=1e-13)
+    # C* is the fixed point of the correlation map at the given (mu*, Q*),
+    # so its reference is taken at the same state
+    ref_c = solve_correlation(theta, arch, UNIT, msol, tol=1e-13)
+    moment_bound = msol.error_estimate + ref_m.error_estimate
+    checks = {
+        "mu": (abs(msol.mu_star - ref_m.mu_star), moment_bound),
+        "q": (abs(msol.q_star - ref_m.q_star), moment_bound),
+        "c": (abs(rep.c_star - ref_c.c_star), rep.error_estimates["c"] + ref_c.error_estimates["c"]),
+    }
+    for k, (err, bound) in checks.items():
+        assert err <= 1e-9, (k, err)
+        assert err <= bound, (k, err, bound)
+    assert rep.error_estimates["mu"] == rep.error_estimates["q"] == msol.error_estimate <= 1e-9
+    assert rep.error_estimates["c"] <= 1e-9
 
 
 def test_lstm_solver_rejects_start():

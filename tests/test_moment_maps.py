@@ -167,6 +167,18 @@ def test_lstm_step_advances_with_paired_cells():
     assert nxt.q_s >= nxt.mu_s**2
 
 
+def test_lstm_sampled_correlation_stays_in_range():
+    # the two chains' sample moments differ; normalizing their covariance by
+    # chain a's variance alone gave C = 1.024 at step 9 of this trajectory
+    arch = get_architecture("LSTM")
+    mus = {"f": 1.2, "i": 0.3, "r": 0.2, "o": -0.2}
+    theta = Hyperparameters({k: GateParams(0.4, 0.3, 0.05, mus[k]) for k in arch.labels()})
+    sched = [0.0] * 5 + [1.0] * 7
+    traj = moment_trajectory(theta, arch, InputStats(1.0, 0.0), 12, n_s=32, seed=4, sigma_z_schedule=sched)
+    assert all(-1.0 <= s.c_s <= 1.0 for s in traj)
+    assert traj[-1].c_s > 0.9  # the fully correlated drive pulls the chains together
+
+
 def test_step_correlation_fixed_point_at_one(quadrature_arch):
     rng = np.random.default_rng(17)
     theta = random_theta(quadrature_arch, rng)
