@@ -267,6 +267,8 @@ def solve_moments(
     if arch.needs_cell:
         if start is not None:
             raise ValueError("start state not supported for the sampled map")
+        if n_s < 2:
+            raise ValueError(f"n_s = {n_s}: the sampled map's standard errors need n_s >= 2")
         return _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters, seed)
 
     def G(x):

@@ -35,7 +35,7 @@ from .core import (
     dtanh,
     sigmoid,
 )
-from .lstm_cell_sampler import CellStateEnsemble, _draw_streams, correlated_cell_pairs
+from .lstm_cell_sampler import CellStateEnsemble, chain_streams, correlated_cell_pairs
 from .moment_maps import PreActivationStats, preactivation_stats
 from .quadrature import DEFAULT_ORDER, expect1
 
@@ -192,16 +192,19 @@ def lstm_chi_frame(
         raise ValueError("n_iters >= 1 required (one recorded update)")
     pairs = correlated_cell_pairs(theta, stats, n_s=n_s, n_iters=n_iters - 1, seed=seed, init=init)
     ca, cb = pairs.samples, pairs.samples_b
-    # recorded update: draw streams the same way advance_cell would,
-    # with a fourth column for the output gate
-    Z = _draw_streams([pairs.meta.seed, pairs.meta.step_index], n_s, (4, 2))
+    # recorded update: i, f, r drawn from the streams advance_cell would use
+    # for this lineage, in the same order, then the output gate after them
+    za, zb = (
+        np.column_stack([rng.standard_normal((n_s, 3)), rng.standard_normal(n_s)])
+        for rng in chain_streams([pairs.meta.seed, pairs.meta.step_index])
+    )
     labels = ("i", "f", "r", "o")
     mus = np.array([stats.mu(k) for k in labels])
     sigs = np.array([math.sqrt(stats.sigma2_pre(k)) for k in labels])
     cs = np.array([stats.pair_c(k) for k in labels])
     roots = np.sqrt(np.maximum(1.0 - cs * cs, 0.0))
-    ua = mus + sigs * Z[:, :, 0]
-    ub = mus + sigs * (cs * Z[:, :, 0] + roots * Z[:, :, 1])
+    ua = mus + sigs * za
+    ub = mus + sigs * (cs * za + roots * zb)
     u_ia, u_fa, u_ra, u_oa = ua.T
     u_ib, u_fb, u_rb, u_ob = ub.T
     cna = sigmoid(u_fa) * ca + sigmoid(u_ia) * np.tanh(u_ra)
@@ -227,8 +230,9 @@ def _sampled_contribution(theta, arch, fixed_state, inputs, order, n_s, n_iters,
             init = cell
         else:
             init = CellStateEnsemble(samples=cell.samples, meta=cell.meta, samples_b=cell.samples.copy())
-        if init.meta.n_s != n_s:
-            n_s = init.meta.n_s
+        n_s = init.meta.n_s
+    if n_s < 2:
+        raise ValueError(f"n_s = {n_s}: the standard error of m1 needs n_s >= 2")
     frame = lstm_chi_frame(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed, init=init)
     labels = tuple(frame)
     ea = {k: float(np.mean(frame[k])) for k in labels}

@@ -3,8 +3,10 @@
 The cell update c' = sigmoid(u_f) c + sigmoid(u_i) tanh(u_r) with i.i.d.
 Gaussian gates is a perpetuity; its stationary law has no closed form (and
 is typically heavy tailed), so moments are estimated from sampled chains.
-Each sample owns an RNG stream derived from (seed, sample index), making
-serial and parallel evaluation bit-identical.
+Each call draws from two generators derived from its entropy (the seed,
+or the seed and step index of an ensemble's lineage): one for chain a and
+one for the independent part of the coupled chain b. Draws are made step
+by step, so memory stays O(n_s).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "sample_cell_distribution",
     "correlated_cell_pairs",
     "advance_cell",
+    "chain_streams",
 ]
 
 _DIVERGENCE_LIMIT = 1e12
@@ -75,20 +78,12 @@ def _resolve_seed(seed) -> int:
     return int(seed)
 
 
-def _draw_streams(entropy, n_s: int, shape) -> np.ndarray:
-    """One standard normal block of `shape` per sample, each from its own
-    child of SeedSequence(entropy)."""
-    children = np.random.SeedSequence(entropy).spawn(n_s)
-    out = np.empty((n_s,) + shape)
-    for j, ch in enumerate(children):
-        out[j] = np.random.default_rng(ch).standard_normal(shape)
-    return out
-
-
-def _gate_params(stats):
-    mus = np.array([stats.mu(k) for k in _GATE_ORDER])
-    sigs = np.array([math.sqrt(stats.sigma2_pre(k)) for k in _GATE_ORDER])
-    return mus, sigs
+def chain_streams(entropy):
+    """The two generators of one sampler call: chain a's gate draws come
+    from SeedSequence(entropy), chain b's independent part from its first
+    spawned child."""
+    seq = np.random.SeedSequence(entropy)
+    return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
 
 
 def _check_divergence(c, theta: Hyperparameters):
@@ -106,6 +101,32 @@ def _update(c, z, mus, sigs):
     return expit(u_f) * c + expit(u_i) * np.tanh(u_r)
 
 
+def _run(theta, stats, c_a, c_b, entropy, steps):
+    """`steps` cell updates of chain c_a and, unless c_b is None, of the
+    coupled chain c_b, whose gate k sees C_k z_a + sqrt(1 - C_k^2) z_b.
+    z_a comes from chain a's generator alone, so chain a is the same whether
+    or not c_b is carried; at C_k = 1 the chains coincide. Returns both."""
+    rng_a, rng_b = chain_streams(entropy)
+    mus = np.array([stats.mu(k) for k in _GATE_ORDER])
+    sigs = np.array([math.sqrt(stats.sigma2_pre(k)) for k in _GATE_ORDER])
+    if c_b is not None:
+        cs = np.array([stats.pair_c(k) for k in _GATE_ORDER])
+        roots = np.sqrt(np.maximum(1.0 - cs * cs, 0.0))
+    for _ in range(steps):
+        z = rng_a.standard_normal((c_a.size, 3))
+        c_a = _update(c_a, z, mus, sigs)
+        _check_divergence(c_a, theta)
+        if c_b is not None:
+            c_b = _update(c_b, cs * z + roots * rng_b.standard_normal(z.shape), mus, sigs)
+            _check_divergence(c_b, theta)
+    return c_a, c_b
+
+
+def _ensemble(theta, c_a, c_b, n_iters, seed) -> CellStateEnsemble:
+    meta = EnsembleMeta(n_s=c_a.size, n_iters=n_iters, seed=seed, theta_digest=theta_hash(theta))
+    return CellStateEnsemble(samples=c_a, meta=meta, samples_b=c_b)
+
+
 def sample_cell_distribution(
     theta: Hyperparameters,
     stats,
@@ -116,27 +137,16 @@ def sample_cell_distribution(
     """Iterates the cell update n_iters times on n_s chains started at 0.
 
     stats supplies (mu_k, Sigma_k^2) for the i, f, r gates (any object with
-    mu(k) and sigma2_pre(k)). Deterministic given the seed. Raw samples are
+    mu(k) and sigma2_pre(k)). Deterministic given the seed, and equal to
+    chain a of correlated_cell_pairs at the same seed. Raw samples are
     kept as-is: no clipping, heavy tails included.
     """
 
     if n_s < 1 or n_iters < 0:
         raise ValueError("n_s >= 1 and n_iters >= 0 required")
     seed = _resolve_seed(seed)
-    mus, sigs = _gate_params(stats)
-    Z = _draw_streams(seed, n_s, (n_iters, 3))
-    c = np.zeros(n_s)
-    for t in range(n_iters):
-        c = _update(c, Z[:, t, :], mus, sigs)
-        _check_divergence(c, theta)
-    meta = EnsembleMeta(n_s=n_s, n_iters=n_iters, seed=seed, theta_digest=theta_hash(theta))
-    return CellStateEnsemble(samples=c, meta=meta)
-
-
-def _pair_gates(stats):
-    cs = np.array([stats.pair_c(k) for k in _GATE_ORDER])
-    roots = np.sqrt(np.maximum(1.0 - cs * cs, 0.0))
-    return cs, roots
+    c, _ = _run(theta, stats, np.zeros(n_s), None, seed, n_iters)
+    return _ensemble(theta, c, None, n_iters, seed)
 
 
 def correlated_cell_pairs(
@@ -156,52 +166,26 @@ def correlated_cell_pairs(
     if n_s < 1 or n_iters < 0:
         raise ValueError("n_s >= 1 and n_iters >= 0 required")
     seed = _resolve_seed(seed)
-    mus, sigs = _gate_params(stats)
-    cs, roots = _pair_gates(stats)
-    Z = _draw_streams(seed, n_s, (n_iters, 3, 2))
-    if init is not None:
-        if not init.paired or init.meta.n_s != n_s:
-            raise ValueError("init must be a paired ensemble of matching size")
-        ca, cb = init.samples.copy(), init.samples_b.copy()
+    if init is None:
+        c_a, c_b = np.zeros(n_s), np.zeros(n_s)
+    elif init.paired and init.meta.n_s == n_s:
+        c_a, c_b = init.samples.copy(), init.samples_b.copy()
     else:
-        ca, cb = np.zeros(n_s), np.zeros(n_s)
-    for t in range(n_iters):
-        z1 = Z[:, t, :, 0]
-        z2 = Z[:, t, :, 1]
-        zb = cs * z1 + roots * z2
-        ca = _update(ca, z1, mus, sigs)
-        cb = _update(cb, zb, mus, sigs)
-        _check_divergence(ca, theta)
-        _check_divergence(cb, theta)
-    meta = EnsembleMeta(n_s=n_s, n_iters=n_iters, seed=seed, theta_digest=theta_hash(theta))
-    return CellStateEnsemble(samples=ca, meta=meta, samples_b=cb)
+        raise ValueError("init must be a paired ensemble of matching size")
+    return _ensemble(theta, *_run(theta, stats, c_a, c_b, seed, n_iters), n_iters, seed)
 
 
 def advance_cell(theta: Hyperparameters, stats, cell: CellStateEnsemble) -> CellStateEnsemble:
     """One cell update with fresh draws from the ensemble's seed lineage.
 
-    The draw streams are derived from (meta.seed, meta.step_index), so two
+    The step draws from chain_streams([meta.seed, meta.step_index]), so two
     callers advancing the same ensemble with the same stats get bit-identical
-    results. Paired ensembles advance both chains with correlated draws.
+    results. Paired ensembles advance both chains with correlated draws;
+    chain a advances the same whether or not the ensemble is paired.
     """
 
     if theta_hash(theta) != cell.meta.theta_digest:
         raise ValueError("theta does not match the ensemble's theta digest")
-    mus, sigs = _gate_params(stats)
-    n_s = cell.meta.n_s
-    if cell.paired:
-        cs, roots = _pair_gates(stats)
-        Z = _draw_streams([cell.meta.seed, cell.meta.step_index], n_s, (3, 2))
-        z1, z2 = Z[:, :, 0], Z[:, :, 1]
-        ca = _update(cell.samples, z1, mus, sigs)
-        cb = _update(cell.samples_b, cs * z1 + roots * z2, mus, sigs)
-        _check_divergence(ca, theta)
-        _check_divergence(cb, theta)
-        new_b = cb
-    else:
-        Z = _draw_streams([cell.meta.seed, cell.meta.step_index], n_s, (3,))
-        ca = _update(cell.samples, Z, mus, sigs)
-        _check_divergence(ca, theta)
-        new_b = None
-    meta = replace(cell.meta, step_index=cell.meta.step_index + 1)
-    return CellStateEnsemble(samples=ca, meta=meta, samples_b=new_b)
+    meta = cell.meta
+    c_a, c_b = _run(theta, stats, cell.samples, cell.samples_b, [meta.seed, meta.step_index], 1)
+    return CellStateEnsemble(samples=c_a, meta=replace(meta, step_index=meta.step_index + 1), samples_b=c_b)

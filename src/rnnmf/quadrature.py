@@ -53,8 +53,14 @@ class GaussianPairSpec:
 
 @lru_cache(maxsize=8)
 def _nodes(order: int):
-    # physicists' Hermite nodes rescaled to the standard normal measure
-    x, w = np.polynomial.hermite.hermgauss(order)
+    # physicists' Hermite nodes rescaled to the standard normal measure;
+    # numpy's weights stop being finite at high orders
+    if order < 1:
+        raise ValueError(f"quadrature order {order} < 1")
+    with np.errstate(all="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(order)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise ValueError(f"quadrature order {order} unsupported: Gauss-Hermite nodes or weights are not finite")
     return x * math.sqrt(2.0), w / math.sqrt(math.pi)
 
 
@@ -72,12 +78,12 @@ def expect1(g, mu: float, sigma2: float, order: int = DEFAULT_ORDER) -> float:
 
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+    x, w = _nodes(order)
     if sigma2 == 0.0:
         v = float(np.asarray(g(np.asarray(mu, dtype=float))))
         if not math.isfinite(v):
             _check_finite(np.asarray(v), g)
         return v
-    x, w = _nodes(order)
     vals = np.asarray(g(mu + math.sqrt(sigma2) * x), dtype=float)
     _check_finite(vals, g)
     return float(w @ vals)

@@ -133,6 +133,17 @@ def test_lstm_solver_rejects_start():
         solve_moments(make_theta(arch), arch, UNIT, start=MomentState(0.0, 0.5, 0.0))
 
 
+def test_lstm_standard_errors_need_two_samples():
+    # one sample has no standard deviation, so the LSTM solve's noise-window
+    # test could never pass; both sampled paths reject it before sampling
+    arch = get_architecture("LSTM")
+    theta = make_theta(arch)
+    with pytest.raises(ValueError, match="n_s >= 2"):
+        solve_moments(theta, arch, UNIT, n_s=1, max_iter=20)
+    with pytest.raises(ValueError, match="n_s >= 2"):
+        moments(theta, arch, MomentState(0.0, 0.3, 1.0), inputs=UNIT, n_s=1)
+
+
 def test_full_correlation_is_fixed_point_and_classified(quadrature_arch):
     rng = np.random.default_rng(31)
     theta = random_theta(quadrature_arch, rng)

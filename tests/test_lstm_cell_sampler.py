@@ -62,6 +62,17 @@ def test_paired_sampler_collapses_at_full_correlation():
     assert np.array_equal(pairs.samples, pairs.samples_b)
 
 
+def test_chain_a_does_not_depend_on_carrying_chain_b():
+    theta = make_theta(ARCH)
+    stats = stats_for(theta, MomentState(0.0, 0.1, 0.5))
+    single = sample_cell_distribution(theta, stats, n_s=32, n_iters=20, seed=4)
+    pairs = correlated_cell_pairs(theta, stats, n_s=32, n_iters=20, seed=4)
+    assert not np.array_equal(pairs.samples, pairs.samples_b)
+    assert np.array_equal(single.samples, pairs.samples)
+    # the next step of the lineage, unpaired or paired
+    assert np.array_equal(advance_cell(theta, stats, single).samples, advance_cell(theta, stats, pairs).samples)
+
+
 def test_paired_sampler_decorrelates_at_zero():
     # state correlation 0, uncorrelated inputs, no shared bias: the two
     # replicas see independent gate draws and their cells decouple

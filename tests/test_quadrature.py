@@ -60,6 +60,16 @@ def test_non_finite_integrand_raises():
         expect1(lambda x: np.where(x > 0, np.inf, 0.0), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("order", [0, 400])
+def test_unsupported_order_raises_naming_the_order(order):
+    # numpy's Gauss-Hermite weights are not finite at order 400; the error
+    # must name the order, not yield nan or blame the integrand
+    with pytest.raises(ValueError, match=f"order {order}"):
+        expect1(np.tanh, 0.3, 1.0, order=order)
+    with pytest.raises(ValueError, match=f"order {order}"):
+        expect2(np.tanh, np.tanh, GaussianPairSpec(0.3, 1.0, 0.5), order=order)
+
+
 def test_sample_pair_statistics():
     pair = GaussianPairSpec(0.5, 2.0, 0.6)
     a, b = sample_pair(pair, 200_000, seed=7)
