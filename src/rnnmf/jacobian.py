@@ -35,7 +35,7 @@ from .core import (
     dtanh,
     sigmoid,
 )
-from .lstm_cell_sampler import CellStateEnsemble, chain_streams, correlated_cell_pairs
+from .lstm_cell_sampler import CellStateEnsemble, correlated_cell_pairs, recorded_step
 from .moment_maps import PreActivationStats, preactivation_stats
 from .quadrature import DEFAULT_ORDER, expect1
 
@@ -191,13 +191,10 @@ def lstm_chi_frame(
     if n_iters < 1:
         raise ValueError("n_iters >= 1 required (one recorded update)")
     pairs = correlated_cell_pairs(theta, stats, n_s=n_s, n_iters=n_iters - 1, seed=seed, init=init)
-    ca, cb = pairs.samples, pairs.samples_b
-    # recorded update: i, f, r drawn from the streams advance_cell would use
-    # for this lineage, in the same order, then the output gate after them
-    za, zb = (
-        np.column_stack([rng.standard_normal((n_s, 3)), rng.standard_normal(n_s)])
-        for rng in chain_streams([pairs.meta.seed, pairs.meta.step_index])
-    )
+    # recorded update: advance_cell's step of this frame, its i, f, r draws
+    # and an output-gate draw made after them from the same streams
+    nxt, za, zb = recorded_step(theta, stats, pairs)
+    ca, cb, cna, cnb = pairs.samples, pairs.samples_b, nxt.samples, nxt.samples_b
     labels = ("i", "f", "r", "o")
     mus = np.array([stats.mu(k) for k in labels])
     sigs = np.array([math.sqrt(stats.sigma2_pre(k)) for k in labels])
@@ -207,8 +204,6 @@ def lstm_chi_frame(
     ub = mus + sigs * (cs * za + roots * zb)
     u_ia, u_fa, u_ra, u_oa = ua.T
     u_ib, u_fb, u_rb, u_ob = ub.T
-    cna = sigmoid(u_fa) * ca + sigmoid(u_ia) * np.tanh(u_ra)
-    cnb = sigmoid(u_fb) * cb + sigmoid(u_ib) * np.tanh(u_rb)
     oo = sigmoid(u_oa) * sigmoid(u_ob)
     dth = dtanh(cna) * dtanh(cnb)
     out = {

@@ -27,7 +27,7 @@ __all__ = [
     "sample_cell_distribution",
     "correlated_cell_pairs",
     "advance_cell",
-    "chain_streams",
+    "recorded_step",
 ]
 
 _DIVERGENCE_LIMIT = 1e12
@@ -78,9 +78,8 @@ def _resolve_seed(seed) -> int:
     return int(seed)
 
 
-def chain_streams(entropy):
-    """The two generators of one sampler call: chain a's gate draws come
-    from SeedSequence(entropy), chain b's independent part from its first
+def _streams(entropy):
+    """Chain a's generator, SeedSequence(entropy), and chain b's, its first
     spawned child."""
     seq = np.random.SeedSequence(entropy)
     return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
@@ -101,25 +100,32 @@ def _update(c, z, mus, sigs):
     return expit(u_f) * c + expit(u_i) * np.tanh(u_r)
 
 
-def _run(theta, stats, c_a, c_b, entropy, steps):
+def _run(theta, stats, c_a, c_b, entropy, steps, extra=0):
     """`steps` cell updates of chain c_a and, unless c_b is None, of the
     coupled chain c_b, whose gate k sees C_k z_a + sqrt(1 - C_k^2) z_b.
     z_a comes from chain a's generator alone, so chain a is the same whether
-    or not c_b is carried; at C_k = 1 the chains coincide. Returns both."""
-    rng_a, rng_b = chain_streams(entropy)
+    or not c_b is carried; at C_k = 1 the chains coincide. Returns both
+    chains and the last step's draws (z_a, z_b)."""
+    rng_a, rng_b = _streams(entropy)
     mus = np.array([stats.mu(k) for k in _GATE_ORDER])
     sigs = np.array([math.sqrt(stats.sigma2_pre(k)) for k in _GATE_ORDER])
     if c_b is not None:
         cs = np.array([stats.pair_c(k) for k in _GATE_ORDER])
         roots = np.sqrt(np.maximum(1.0 - cs * cs, 0.0))
+    z_a = z_b = None
     for _ in range(steps):
-        z = rng_a.standard_normal((c_a.size, 3))
-        c_a = _update(c_a, z, mus, sigs)
+        z_a = rng_a.standard_normal((c_a.size, 3))
+        c_a = _update(c_a, z_a, mus, sigs)
         _check_divergence(c_a, theta)
         if c_b is not None:
-            c_b = _update(c_b, cs * z + roots * rng_b.standard_normal(z.shape), mus, sigs)
+            z_b = rng_b.standard_normal(z_a.shape)
+            c_b = _update(c_b, cs * z_a + roots * z_b, mus, sigs)
             _check_divergence(c_b, theta)
-    return c_a, c_b
+    if extra:  # more standard normal columns, drawn after the last step
+        z_a = np.column_stack([z_a, rng_a.standard_normal((c_a.size, extra))])
+        if c_b is not None:
+            z_b = np.column_stack([z_b, rng_b.standard_normal((c_b.size, extra))])
+    return c_a, c_b, z_a, z_b
 
 
 def _ensemble(theta, c_a, c_b, n_iters, seed) -> CellStateEnsemble:
@@ -134,18 +140,15 @@ def sample_cell_distribution(
     n_iters: int = 200,
     seed=None,
 ) -> CellStateEnsemble:
-    """Iterates the cell update n_iters times on n_s chains started at 0.
-
-    stats supplies (mu_k, Sigma_k^2) for the i, f, r gates (any object with
-    mu(k) and sigma2_pre(k)). Deterministic given the seed, and equal to
-    chain a of correlated_cell_pairs at the same seed. Raw samples are
-    kept as-is: no clipping, heavy tails included.
-    """
+    """n_iters cell updates of n_s chains started at 0; stats supplies the
+    (mu_k, Sigma_k^2) of the i, f, r gates through mu(k) and sigma2_pre(k).
+    Deterministic given the seed, and chain a of correlated_cell_pairs at
+    the same seed. Raw samples: no clipping, heavy tails included."""
 
     if n_s < 1 or n_iters < 0:
         raise ValueError("n_s >= 1 and n_iters >= 0 required")
     seed = _resolve_seed(seed)
-    c, _ = _run(theta, stats, np.zeros(n_s), None, seed, n_iters)
+    c = _run(theta, stats, np.zeros(n_s), None, seed, n_iters)[0]
     return _ensemble(theta, c, None, n_iters, seed)
 
 
@@ -157,11 +160,9 @@ def correlated_cell_pairs(
     seed=None,
     init: Optional[CellStateEnsemble] = None,
 ) -> CellStateEnsemble:
-    """Coupled chains (c_a, c_b) driven by Cholesky-correlated gate draws at
-    the pair correlations C_k carried by stats. With C_k = 1 for all gates
-    the two chains coincide exactly. A paired `init` warm-starts the chains
-    (its length must match n_s).
-    """
+    """Coupled chains (c_a, c_b) with Cholesky-correlated gate draws at the
+    pair correlations C_k of stats; at C_k = 1 they coincide exactly. A
+    paired `init` of length n_s warm-starts the chains."""
 
     if n_s < 1 or n_iters < 0:
         raise ValueError("n_s >= 1 and n_iters >= 0 required")
@@ -172,20 +173,33 @@ def correlated_cell_pairs(
         c_a, c_b = init.samples.copy(), init.samples_b.copy()
     else:
         raise ValueError("init must be a paired ensemble of matching size")
-    return _ensemble(theta, *_run(theta, stats, c_a, c_b, seed, n_iters), n_iters, seed)
+    return _ensemble(theta, *_run(theta, stats, c_a, c_b, seed, n_iters)[:2], n_iters, seed)
+
+
+def _step(theta, stats, cell, extra):
+    if theta_hash(theta) != cell.meta.theta_digest:
+        raise ValueError("theta does not match the ensemble's theta digest")
+    # SeedSequence pads entropy with zeros, so [seed, step_index] at step 0
+    # would replay the stream of SeedSequence(seed) that built the ensemble;
+    # the trailing 1 keeps every step's draws apart from it
+    meta, entropy = cell.meta, [cell.meta.seed, cell.meta.step_index, 1]
+    c_a, c_b, z_a, z_b = _run(theta, stats, cell.samples, cell.samples_b, entropy, 1, extra)
+    return CellStateEnsemble(c_a, replace(meta, step_index=meta.step_index + 1), c_b), z_a, z_b
 
 
 def advance_cell(theta: Hyperparameters, stats, cell: CellStateEnsemble) -> CellStateEnsemble:
-    """One cell update with fresh draws from the ensemble's seed lineage.
-
-    The step draws from chain_streams([meta.seed, meta.step_index]), so two
-    callers advancing the same ensemble with the same stats get bit-identical
-    results. Paired ensembles advance both chains with correlated draws;
-    chain a advances the same whether or not the ensemble is paired.
+    """One cell update with fresh draws from the ensemble's seed lineage,
+    entropy [meta.seed, meta.step_index, 1]: the same ensemble and stats give
+    bit-identical results. Paired ensembles advance both chains with
+    correlated draws; chain a advances the same whether or not it is paired.
     """
 
-    if theta_hash(theta) != cell.meta.theta_digest:
-        raise ValueError("theta does not match the ensemble's theta digest")
-    meta = cell.meta
-    c_a, c_b = _run(theta, stats, cell.samples, cell.samples_b, [meta.seed, meta.step_index], 1)
-    return CellStateEnsemble(samples=c_a, meta=replace(meta, step_index=meta.step_index + 1), samples_b=c_b)
+    return _step(theta, stats, cell, 0)[0]
+
+
+def recorded_step(theta: Hyperparameters, stats, cell: CellStateEnsemble):
+    """advance_cell and its draws (ensemble, z_a, z_b): columns i, f, r of the
+    step (z_b: chain b's independent part, None if unpaired), then one more
+    standard normal drawn after them, the Jacobian frame's output gate."""
+
+    return _step(theta, stats, cell, 1)

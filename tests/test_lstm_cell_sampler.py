@@ -11,9 +11,11 @@ from rnnmf import (
     advance_cell,
     correlated_cell_pairs,
     get_architecture,
+    lstm_chi_frame,
     preactivation_stats,
     sample_cell_distribution,
 )
+from rnnmf.lstm_cell_sampler import recorded_step
 
 from conftest import make_theta, zero_variance_theta
 
@@ -110,6 +112,35 @@ def test_advance_cell_continues_seed_lineage():
     assert np.array_equal(step1.samples, step1_again.samples)
     assert not np.array_equal(step1.samples, step2.samples)
     assert step2.meta.step_index == step1.meta.step_index + 1
+
+
+def test_step_draws_are_not_the_burn_in_draws():
+    # an ensemble's first advance must not replay the first step that built it
+    theta = make_theta(ARCH)
+    stats = stats_for(theta, MomentState(0.0, 0.1, 0.5))
+    start = correlated_cell_pairs(theta, stats, n_s=32, n_iters=0, seed=4)
+    burn_in = correlated_cell_pairs(theta, stats, n_s=32, n_iters=1, seed=4)
+    step = advance_cell(theta, stats, start)
+    assert not np.array_equal(step.samples, burn_in.samples)
+    assert not np.array_equal(step.samples_b, burn_in.samples_b)
+
+
+def test_chi_frame_records_the_advance_cell_step():
+    theta = make_theta(ARCH)
+    stats = stats_for(theta, MomentState(0.0, 0.1, 0.5))
+    pairs = correlated_cell_pairs(theta, stats, n_s=32, n_iters=9, seed=4)
+    step = advance_cell(theta, stats, pairs)
+    recorded, z_a, z_b = recorded_step(theta, stats, pairs)
+    assert np.array_equal(recorded.samples, step.samples)
+    assert np.array_equal(recorded.samples_b, step.samples_b)
+    assert recorded.meta == step.meta
+    # the frame's forget-gate product is built from exactly these draws
+    mu, sd, c = stats.mu("f"), math.sqrt(stats.sigma2_pre("f")), stats.pair_c("f")
+    u_a = mu + sd * z_a[:, 1]
+    u_b = mu + sd * (c * z_a[:, 1] + math.sqrt(1.0 - c * c) * z_b[:, 1])
+    frame = lstm_chi_frame(theta, stats, n_s=32, n_iters=10, seed=4)
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    assert np.allclose(frame["a_0"], sig(u_a) * sig(u_b), rtol=1e-14, atol=0)
 
 
 def test_warm_start_adopts_init_samples():

@@ -16,7 +16,6 @@ raises prints its exception type and message.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -153,12 +152,9 @@ def cli(seed: int):
 
 
 def main():
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--cli-seeds", type=int, nargs="*", default=[1, 2], help="cli-battery seeds (none: skip)")
-    args = p.parse_args()
     library()
-    for seed in args.cli_seeds:
-        cli(seed)
+    cli(1)
+    cli(2)
 
 
 if __name__ == "__main__":
