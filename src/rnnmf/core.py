@@ -14,7 +14,6 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "MissingGate",
@@ -65,11 +64,13 @@ class InvalidTheta(ValueError):
 
 
 def sigmoid(x):
-    return expit(x)
+    # exp(-x) overflows to inf below x = -709.78 (numpy warns), and the
+    # result is then exactly 0; +-inf map exactly to 0 and 1.
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def dsigmoid(x):
-    s = expit(x)
+    s = sigmoid(x)
     return s * (1.0 - s)
 
 

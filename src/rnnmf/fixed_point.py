@@ -141,8 +141,9 @@ def _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters,
     # Re-equilibration scheme: every outer iteration draws a fresh stationary
     # cell ensemble at the current (mu, Q), reads the output moments off it,
     # and repeats. Convergence is judged against the Monte Carlo noise floor:
-    # the change across a 10-iteration window must drop below 3 pooled
-    # standard errors for both moments. The reported moments are the window
+    # the change across a 10-iteration window must be at most 3 pooled
+    # standard errors, or tol if that is larger (a point-mass cell has zero
+    # standard errors), for both moments. The reported moments are the window
     # mean, which averages down the per-iteration sampling noise.
     mu, q = 0.0, 0.0
     traj = [ZERO_STATE]
@@ -161,7 +162,8 @@ def _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters,
         if len(hist) > _WINDOW:
             m0, q0, s0m, s0q = hist[-1 - _WINDOW]
             dm, dq = abs(mu - m0), abs(q - q0)
-            if dm < 3.0 * math.sqrt(se_mu**2 + s0m**2) and dq < 3.0 * math.sqrt(se_q**2 + s0q**2):
+            noise_m, noise_q = 3.0 * math.sqrt(se_mu**2 + s0m**2), 3.0 * math.sqrt(se_q**2 + s0q**2)
+            if dm <= max(noise_m, tol) and dq <= max(noise_q, tol):
                 mu_bar, q_bar = (float(np.mean([h[j] for h in hist[-(_WINDOW + 1):]])) for j in (0, 1))
                 return MomentsSolution(
                     state=MomentState(mu_bar, max(q_bar, mu_bar * mu_bar), 0.0),

@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .core import Hyperparameters, theta_hash
+from .core import Hyperparameters, sigmoid, theta_hash
 
 __all__ = [
     "NonFiniteSample",
@@ -97,7 +96,7 @@ def _update(c, z, mus, sigs):
     u_i = mus[0] + sigs[0] * z[..., 0]
     u_f = mus[1] + sigs[1] * z[..., 1]
     u_r = mus[2] + sigs[2] * z[..., 2]
-    return expit(u_f) * c + expit(u_i) * np.tanh(u_r)
+    return sigmoid(u_f) * c + sigmoid(u_i) * np.tanh(u_r)
 
 
 def _run(theta, stats, c_a, c_b, entropy, steps, extra=0):

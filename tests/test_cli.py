@@ -287,3 +287,15 @@ def test_console_script_is_wired():
     )
     assert proc.returncode == 0
     assert "Mean-field" in proc.stdout
+
+
+def test_cli_start_up_loads_neither_scipy_nor_the_process_pool():
+    # both cost import time in every CLI process; only `sweep --workers N`
+    # needs the process pool, and nothing needs scipy
+    code = (
+        "import sys, rnnmf.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +18,9 @@ from rnnmf import (
     theta_to_json_dict,
     validate_theta,
 )
+from rnnmf import lstm_cell_sampler
 from rnnmf.cells import CELLS
-from rnnmf.core import MissingGate, UnknownGate, theta_hash
+from rnnmf.core import MissingGate, UnknownGate, dsigmoid, sigmoid, theta_hash
 
 from conftest import make_theta
 
@@ -134,3 +136,30 @@ def test_theta_hash_stable_and_sensitive():
     assert h == theta_hash(make_theta(arch))
     assert h != theta_hash(theta.replace("f", mu=1.0 + 1e-12))
     assert len(h) == 16
+
+
+def test_sigmoid_matches_libm_within_two_ulp():
+    xs = np.linspace(-40.0, 40.0, 8001)
+    ref = np.array([1.0 / (1.0 + math.exp(-x)) for x in xs])
+    bound = 2.0 * np.spacing(ref)
+    for got in (sigmoid(xs), np.array([sigmoid(float(x)) for x in xs])):
+        assert np.all(np.abs(got - ref) <= bound)
+    # s (1 - s) carries the error of s, so dsigmoid's bound is 2 ulp of s in
+    # absolute terms: near s = 1 the cancellation in 1 - s magnifies it
+    # relative to the derivative itself
+    for got in (dsigmoid(xs), np.array([dsigmoid(float(x)) for x in xs])):
+        assert np.all(np.abs(got - ref * (1.0 - ref)) <= bound)
+
+
+def test_sigmoid_saturates_exactly():
+    for x, s in ((-np.inf, 0.0), (800.0, 1.0), (np.inf, 1.0)):
+        assert sigmoid(x) == s and dsigmoid(x) == 0.0
+    assert list(sigmoid(np.array([-np.inf, 800.0, np.inf]))) == [0.0, 1.0, 1.0]
+    # below x = -709.78 exp(-x) overflows: numpy warns and the value is still exactly 0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert sigmoid(-800.0) == 0.0 and dsigmoid(-800.0) == 0.0
+
+
+def test_package_has_one_sigmoid():
+    assert lstm_cell_sampler.sigmoid is sigmoid
+    assert not hasattr(lstm_cell_sampler, "expit")

@@ -23,7 +23,7 @@ from rnnmf import (
     step_moments,
 )
 
-from conftest import make_theta, random_theta
+from conftest import make_theta, random_theta, zero_variance_theta
 from test_moment_maps import PEEPHOLE_DRIVE_Q, peephole_drive_theta
 
 UNIT = InputStats(1.0, 1.0)
@@ -142,6 +142,18 @@ def test_lstm_standard_errors_need_two_samples():
         solve_moments(theta, arch, UNIT, n_s=1, max_iter=20)
     with pytest.raises(ValueError, match="n_s >= 2"):
         moments(theta, arch, MomentState(0.0, 0.3, 1.0), inputs=UNIT, n_s=1)
+
+
+def test_lstm_zero_variance_solve_settles_on_tol():
+    # every cell sample is the same number, so both standard errors are 0 and
+    # only the tol floor of the noise-window test lets the solve stop
+    arch = get_architecture("LSTM")
+    msol = solve_moments(zero_variance_theta(arch), arch, UNIT, max_iter=200, seed=1)
+    sig = lambda x: 1.0 / (1.0 + math.exp(-x))
+    mu = sig(0.1) * math.tanh(sig(0.2) * math.tanh(0.3) / (1.0 - sig(1.0)))
+    assert msol.converged and msol.iterations == 11  # the first window test passes
+    assert msol.mu_star == pytest.approx(mu, abs=1e-9)
+    assert msol.q_star == pytest.approx(mu * mu, abs=1e-9)
 
 
 def test_full_correlation_is_fixed_point_and_classified(quadrature_arch):
