@@ -3,7 +3,7 @@
 The generic code (moment maps, Jacobian moments, the width-N simulator)
 looks a cell up in CELLS by architecture name and calls through its record;
 nothing outside this module branches on a cell. Record functions call the
-traced library functions (expect1, advance_cell, ...) through this module's
+traced library functions (expect2, advance_cell, ...) through this module's
 globals, never through stored references.
 
 Moment steps map the gate statistics of the current state to
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .core import dsigmoid, dtanh, sigmoid
 from .lstm_cell_sampler import CellStateEnsemble, advance_cell, correlated_cell_pairs
-from .quadrature import GaussianPairSpec, expect1, expect2
+from .quadrature import _expect_moments, expect2
 
 __all__ = ["CellRules", "CELLS"]
 
@@ -68,6 +69,11 @@ class _Term:
     funcs: tuple = ()  # ((gate, (prim, ...)), ...)
     avg: tuple = ()  # ((s_pow, funcs), ...)
 
+    @property
+    def shape(self) -> tuple:
+        """(s_pow, funcs, avg): everything but the theta-dependent coef."""
+        return self.s_pow, self.funcs, self.avg
+
 
 def _mk(coef, s_pow=0, funcs=(), avg=()):
     canon = tuple(sorted((g, tuple(sorted(ps))) for g, ps in funcs))
@@ -82,6 +88,13 @@ def _tmul(t1: _Term, t2: _Term) -> _Term:
     return _Term(t1.coef * t2.coef, t1.s_pow + t2.s_pow, funcs, t1.avg + t2.avg)
 
 
+@lru_cache(maxsize=None)
+def _shape_product(shape1, shape2) -> tuple:
+    """The shape of the product of two terms of these shapes: _tmul's
+    without the coefficient, so independent of theta."""
+    return _tmul(_Term(1.0, *shape1), _Term(1.0, *shape2)).shape
+
+
 # ---------------------------------------------------------------------------
 # shared pieces of the moment steps
 
@@ -92,19 +105,14 @@ def _rho_s(state) -> float:
 
 
 def _moment_pair(g, stats, k: str, order: int):
-    """(E[g], E[g^2], E[g_a g_b]) of g(u_k) over the correlated pair."""
-    mu, s2 = stats.mu(k), stats.sigma2_pre(k)
-    e1 = expect1(g, mu, s2, order)
-    e2 = expect2(g, g, GaussianPairSpec(mu, s2, 1.0), order)
-    epair = expect2(g, g, stats.pair(k), order)
-    return e1, e2, epair
+    """(E[g], E[g^2], E[g_a g_b]) of g(u_k) over the correlated pair, from
+    one evaluation of g per node set (none more for a collapsed pair)."""
+    return _expect_moments(g, stats.mu(k), stats.sigma2_pre(k), stats.pair_c(k), order)
 
 
-def _gate_powers(prim: str, stats, k: str, order: int) -> list:
+def _gate_powers(prim: str, ev, k: str) -> list:
     """[1, E[g(u_k)], ..., E[g(u_k)^4]] for the primitive g."""
-    return [1.0] + [
-        expect1(_prod_func((prim,) * m), stats.mu(k), stats.sigma2_pre(k), order) for m in (1, 2, 3, 4)
-    ]
+    return [1.0] + [ev(k, (prim,) * m) for m in (1, 2, 3, 4)]
 
 
 def _forget_diag(s, u, c):
@@ -130,9 +138,9 @@ def _vanilla_entries(theta):
     }
 
 
-def _vanilla_factors(stats, order):
+def _vanilla_factors(ev):
     # A = 0, W = sig(u_f)
-    return (lambda j, m: 0.0 if j else 1.0), _gate_powers("sig", stats, "f", order).__getitem__
+    return (lambda j, m: 0.0 if j else 1.0), _gate_powers("sig", ev, "f").__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +190,9 @@ def _convex(x: str, entries) -> "CellRules":
         )
         return mu_n, q_n, rho_n, None
 
-    def factors(stats, order):
+    def factors(ev):
         # A = gamma, W = (1 - gamma) x
-        def egam(j, m):
-            prims = ("sig",) * j + ("omsig",) * m
-            return expect1(_prod_func(prims), stats.mu("f"), stats.sigma2_pre("f"), order)
-
-        return egam, _gate_powers("tanh", stats, x, order).__getitem__
+        return (lambda j, m: ev("f", ("sig",) * j + ("omsig",) * m)), _gate_powers("tanh", ev, x).__getitem__
 
     def update(s, u, c):
         g = sigmoid(u["f"])
@@ -237,17 +241,16 @@ def _peephole_entries(theta):
     }
 
 
-def _peephole_factors(stats, order):
+def _peephole_factors(ev):
     # A = sig(u_f), W = sig(u_i) tanh(u_r), the three gates independent
-    eg = _gate_powers("sig", stats, "f", order)
-    ew = [a * b for a, b in zip(_gate_powers("sig", stats, "i", order), _gate_powers("tanh", stats, "r", order))]
+    eg = _gate_powers("sig", ev, "f")
+    ew = [a * b for a, b in zip(_gate_powers("sig", ev, "i"), _gate_powers("tanh", ev, "r"))]
     return (lambda j, m: eg[j]), ew.__getitem__
 
 
 def _lstm_gate_o(stats, order):
     """(E[sig(u_o)], E[sig(u_o)^2])."""
-    mu, s2 = stats.mu("o"), stats.sigma2_pre("o")
-    return expect1(sigmoid, mu, s2, order), expect2(sigmoid, sigmoid, GaussianPairSpec(mu, s2, 1.0), order)
+    return _expect_moments(sigmoid, stats.mu("o"), stats.sigma2_pre("o"), 1.0, order)[:2]
 
 
 def _lstm_output_moments(stats, cell_new, gate_o, order):
@@ -299,9 +302,10 @@ class CellRules:
     step(theta, stats, state, cell, order) -> (mu', Q', rho', cell').
     correlate(theta, stats, cell, order, n_s, n_iters, seed) -> rho' is the
     sampled correlation step; None means rho' of step. entries(theta) gives
-    the contribution terms by label, factors(stats, order) the state-power
-    factors (a, b); both are None for the sampled LSTM. update(s, u, c) ->
-    (s', c') is the width-N update, c the carried cell or None. d0(s, u, c)
+    the contribution terms by label, factors(ev) the state-power factors
+    (a, b), with ev(k, prims) = E[prod of prims(u_k)]; both are None for
+    the sampled LSTM. update(s, u, c) -> (s', c') is the width-N update, c
+    the carried cell or None. d0(s, u, c)
     is the derivative through the carried state (ds'/ds, or dh'/dc_prev for
     the LSTM) and dk[k](s, u, c) the derivative by u_k, for every gate that
     reaches the state directly. has_cell marks a cell state, whether it is

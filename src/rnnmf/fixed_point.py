@@ -28,9 +28,9 @@ from .core import (
 from .lstm_cell_sampler import CellStateEnsemble, sample_cell_distribution
 from .moment_maps import (
     _DEG_TOL,
+    _moment_step,
     preactivation_stats,
     step_correlation,
-    step_moments,
 )
 from .quadrature import DEFAULT_ORDER
 from . import jacobian as _jacobian
@@ -254,15 +254,18 @@ def solve_moments(
 ) -> MomentsSolution:
     """Iterate the moment map from the zero state to its fixed point.
 
-    Quadrature architectures use safeguarded Anderson iteration on
-    (mu, Q), projected onto Q >= mu^2, with a damped plain-step fallback
-    (see _iterate). It stops when the estimated distance to the fixed point,
-    about residual / (1 - rate), is <= tol: residual is max(|dmu|, |dQ|) of
-    the map at the returned point, error_estimate that distance, iterations
-    the map evaluations and trajectory the accepted iterates. The LSTM
-    resamples its cell ensemble every iteration and stops on a noise-aware
-    window criterion (residual: the change across it; error_estimate:
-    None). Raises NoConvergence with the trajectory after max_iter.
+    Quadrature architectures use safeguarded Anderson iteration on (mu, Q),
+    projected onto Q >= mu^2, with a damped plain-step fallback (see
+    _iterate). The map is the moment-only step: step_moments' (mu', Q')
+    without the copies' pair integrals and without re-validating theta,
+    which is validated once here. It stops when the estimated distance to
+    the fixed point, about residual / (1 - rate), is <= tol: residual is
+    max(|dmu|, |dQ|) of the map at the returned point, error_estimate that
+    distance, iterations the map evaluations and trajectory the accepted
+    iterates. The LSTM resamples its cell ensemble every iteration and stops
+    on a noise-aware window criterion (residual: the change across it;
+    error_estimate: None). Raises NoConvergence with the trajectory after
+    max_iter.
     """
 
     validate_theta(theta, arch)
@@ -274,8 +277,7 @@ def solve_moments(
         return _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters, seed)
 
     def G(x):
-        new = step_moments(theta, arch, _state(x), inputs, order=order)
-        return np.array([new.mu_s, new.q_s])
+        return np.array(_moment_step(theta, arch, *x.tolist(), inputs.R, order))
 
     def project(x):
         return np.array([x[0], max(x[1], x[0] * x[0])])

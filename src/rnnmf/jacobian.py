@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cells import CELLS, _prod_func, _Term, _tmul
+from .cells import _PRIMS, CELLS, _prod_func, _shape_product
 from .core import (
     ArchitectureSpec,
     Hyperparameters,
@@ -37,7 +37,7 @@ from .core import (
 )
 from .lstm_cell_sampler import CellStateEnsemble, correlated_cell_pairs, recorded_step
 from .moment_maps import PreActivationStats, preactivation_stats
-from .quadrature import DEFAULT_ORDER, expect1
+from .quadrature import DEFAULT_ORDER, _expect_node_product, _node_values
 
 __all__ = [
     "ContributionVector",
@@ -55,43 +55,60 @@ CRITICAL_TOL = 1e-2  # per-component threshold for calling a point critical
 
 
 class _EvalCtx:
-    def __init__(self, stats: PreActivationStats, state_powers, order: int):
+    """Gate expectations E[prod of prims(u_gate)] and term values at one set
+    of gate statistics. Each primitive is evaluated once per gate, at
+    expect1's points, and a product multiplies those values in _prod_func's
+    order: bit for bit expect1(_prod_func(prims))."""
+
+    def __init__(self, stats: PreActivationStats, order: int):
         self.stats = stats
-        self.powers = state_powers  # [1, E s, E s^2, E s^3, E s^4]
         self.order = order
         self._memo: dict = {}
+        self._values: dict = {}  # (gate, prim) -> prim at the gate's points
+
+    def _prim(self, gate: str, prim: str):
+        if (gate, prim) not in self._values:
+            self._values[(gate, prim)] = _node_values(
+                _PRIMS[prim], self.stats.mu(gate), self.stats.sigma2_pre(gate), self.order
+            )
+        return self._values[(gate, prim)]
 
     def gate_expect(self, gate: str, prims: tuple) -> float:
         key = (gate, prims)
         if key not in self._memo:
-            self._memo[key] = expect1(
-                _prod_func(prims), self.stats.mu(gate), self.stats.sigma2_pre(gate), self.order
+            self._memo[key] = _expect_node_product(
+                [self._prim(gate, p) for p in prims],
+                _prod_func(prims),
+                self.stats.mu(gate),
+                self.stats.sigma2_pre(gate),
+                self.order,
             )
         return self._memo[key]
 
-    def term(self, t: _Term) -> float:
-        v = t.coef
-        if t.s_pow:
-            v *= self.powers[t.s_pow]
-        for g, ps in t.funcs:
+    def term(self, coef: float, shape: tuple, powers) -> float:
+        """coef times the expectations of a term of this _Term.shape, with
+        powers = [1, E s, E s^2, E s^3, E s^4]."""
+        s_pow, funcs, avg = shape
+        v = coef
+        if s_pow:
+            v *= powers[s_pow]
+        for g, ps in funcs:
             v *= self.gate_expect(g, ps)
-        for s_pow, funcs in t.avg:
+        for s_pow, funcs in avg:
             if s_pow:
-                v *= self.powers[s_pow]
+                v *= powers[s_pow]
             for g, ps in funcs:
                 v *= self.gate_expect(g, ps)
         return v
 
-    def terms(self, ts) -> float:
-        return sum(self.term(t) for t in ts)
 
-
-def _stationary_state_powers(rules, stats: PreActivationStats, mu_star, q_star, order):
+def _stationary_state_powers(rules, ev, mu_star, q_star):
     """E[s^p] for p = 0..4 at the moment fixed point: p = 1, 2 are
-    (mu*, Q*), p = 3, 4 follow from the cell's state-power recursion."""
+    (mu*, Q*), p = 3, 4 follow from the cell's state-power recursion, with
+    ev the gate expectations (_EvalCtx.gate_expect)."""
 
     M = [1.0, mu_star, q_star, 0.0, 0.0]
-    a, b = rules.factors(stats, order)
+    a, b = rules.factors(ev)
     for p in (3, 4):
         acc = 0.0
         for j in range(p):
@@ -265,15 +282,19 @@ def contribution_vector(
         return _sampled_contribution(theta, arch, state, inp, order, n_s, n_iters, seed, cell)
     rules = CELLS[arch.name]
     stats = preactivation_stats(theta, arch, state, inp, order)
-    powers = _stationary_state_powers(rules, stats, state.mu_s, state.q_s, order)
-    ctx = _EvalCtx(stats, powers, order)
+    ctx = _EvalCtx(stats, order)
+    powers = _stationary_state_powers(rules, ctx.gate_expect, state.mu_s, state.q_s)
     entries = rules.entries(theta)
     labels = tuple(entries)
-    ea = {k: ctx.terms(entries[k]) for k in labels}
+    ea = {k: sum(ctx.term(t.coef, t.shape, powers) for t in entries[k]) for k in labels}
     eaa = {}
     for k in labels:
         for l in labels:
-            eaa[(k, l)] = ctx.terms([_tmul(t1, t2) for t1 in entries[k] for t2 in entries[l]])
+            eaa[(k, l)] = sum(
+                ctx.term(t1.coef * t2.coef, _shape_product(t1.shape, t2.shape), powers)
+                for t1 in entries[k]
+                for t2 in entries[l]
+            )
     return ContributionVector(labels=labels, ea=ea, eaa=eaa)
 
 

@@ -24,7 +24,7 @@ from .core import (
     validate_theta,
 )
 from .lstm_cell_sampler import correlated_cell_pairs
-from .quadrature import DEFAULT_ORDER, GaussianPairSpec, expect1, expect2
+from .quadrature import DEFAULT_ORDER, GaussianPairSpec, _expect_moments
 
 __all__ = [
     "DegenerateCorrelation",
@@ -118,6 +118,11 @@ def preactivation_stats(
     """
 
     validate_theta(theta, arch)
+    return _gate_stats(theta, arch, state, inputs, order)
+
+
+def _gate_stats(theta, arch, state, inputs, order):
+    """preactivation_stats without validating theta."""
     q_s = state.q_s
     rho_s = _rho_s(state)
 
@@ -133,10 +138,7 @@ def preactivation_stats(
         p = theta[gid.label]
         inner = out[gid.gated_by]
         g = _GATE_FUNCS[gid.g_name][0]
-        gg = lambda u, _g=g: _g(u) * _g(u)
-        e_g2 = expect1(gg, inner.mu, inner.sigma2_pre, order)
-        inner_pair = GaussianPairSpec(inner.mu, inner.sigma2_pre, 0.0 if inner.c is None else inner.c)
-        e_gg = expect2(g, g, inner_pair, order)
+        _, e_g2, e_gg = _expect_moments(g, inner.mu, inner.sigma2_pre, 0.0 if inner.c is None else inner.c, order)
         q_k = p.sigma2 * e_g2 * q_s + p.nu2 * inputs.R + p.rho2 + p.mu * p.mu
         s2 = p.sigma2 * e_g2 * q_s + p.nu2 * inputs.R + p.rho2
         cov = p.sigma2 * e_gg * rho_s + p.nu2 * inputs.R * inputs.sigma_z + p.rho2
@@ -169,6 +171,18 @@ def _step(theta, arch, state, inputs, cell, order):
             "(see correlated_cell_pairs)"
         )
     return MomentState(mu_n, q_n, _correlation_from(rho_n, mu_n, q_n)), cell_new
+
+
+def _moment_step(theta, arch, mu: float, q: float, R: float, order) -> tuple:
+    """(mu', Q') of step_moments for a quadrature cell at state moments
+    (mu, Q) and input second moment R, the map solve_moments iterates. Theta
+    is not validated again. The step is taken at C = 1 and sigma_z = 1, which
+    (mu', Q') do not depend on; there every gate's pair collapses (c = 1), so
+    its pair integral is E[g^2], already in hand: no pair grid is evaluated,
+    in the gates or in preactivation_stats."""
+    full = MomentState(mu, q, 1.0)
+    stats = _gate_stats(theta, arch, full, InputStats(R, 1.0), order)
+    return CELLS[arch.name].step(theta, stats, full, None, order)[:2]
 
 
 def step_moments(

@@ -1,7 +1,6 @@
 """Gaussian expectation engine.
 
-1D and correlated-pair 2D expectations by Gauss-Hermite quadrature, plus
-seeded Monte Carlo sampling of correlated Gaussian pairs. The pair
+1D and correlated-pair 2D expectations by Gauss-Hermite quadrature. The pair
 parameterization is the Cholesky one: u_a = mu + Sigma z_a,
 u_b = mu + Sigma (c z_a + sqrt(1 - c^2) z_b).
 """
@@ -9,8 +8,9 @@ u_b = mu + Sigma (c z_a + sqrt(1 - c^2) z_b).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "COLLAPSE_TOL",
     "expect1",
     "expect2",
-    "sample_pair",
 ]
 
 DEFAULT_ORDER = 64
@@ -70,6 +69,26 @@ def _check_finite(vals, g):
         raise NonFiniteIntegrand(f"integrand {name} returned a non-finite value")
 
 
+def _pair_nodes(x, mu: float, sig: float, c: float):
+    """u_b on the pair grid: row i pairs with u_a = mu + sig x_i."""
+    root = math.sqrt(max(1.0 - c * c, 0.0))
+    return mu + sig * (c * x[:, None] + root * x[None, :])
+
+
+def _node_values(g, mu: float, sigma2: float, order: int):
+    """g at expect1's points for N(mu, sigma2): mu + sqrt(sigma2) x at the
+    nodes x, or mu itself at a point mass."""
+    x = _nodes(order)[0]  # an unsupported order raises here, also at a point mass
+    if sigma2 > 0.0:
+        return np.asarray(g(mu + math.sqrt(sigma2) * x), dtype=float)
+    return np.asarray(g(np.asarray(mu, dtype=float)), dtype=float)
+
+
+def _node_sum(vals, sigma2: float, order: int) -> float:
+    """expect1's sum of node values from _node_values."""
+    return float(_nodes(order)[1] @ vals) if sigma2 > 0.0 else float(vals)
+
+
 def expect1(g, mu: float, sigma2: float, order: int = DEFAULT_ORDER) -> float:
     """E[g(X)] for X ~ N(mu, sigma2). Exact (g(mu)) when sigma2 = 0.
 
@@ -78,15 +97,22 @@ def expect1(g, mu: float, sigma2: float, order: int = DEFAULT_ORDER) -> float:
 
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    x, w = _nodes(order)
-    if sigma2 == 0.0:
-        v = float(np.asarray(g(np.asarray(mu, dtype=float))))
-        if not math.isfinite(v):
-            _check_finite(np.asarray(v), g)
-        return v
-    vals = np.asarray(g(mu + math.sqrt(sigma2) * x), dtype=float)
-    _check_finite(vals, g)
-    return float(w @ vals)
+    vals = _node_values(g, mu, sigma2, order)
+    out = _node_sum(vals, sigma2, order)
+    if not math.isfinite(out):  # a non-finite node makes the sum non-finite
+        _check_finite(vals, g)
+    return out
+
+
+def _expect_node_product(factors, g, mu: float, sigma2: float, order: int) -> float:
+    """expect1(g, mu, sigma2, order) for g the product of functions whose
+    _node_values are factors, multiplied left to right as g multiplies them;
+    expect1 itself when the sum is not finite."""
+    if sigma2 >= 0.0:
+        out = _node_sum(reduce(operator.mul, factors), sigma2, order)
+        if math.isfinite(out):
+            return out
+    return expect1(g, mu, sigma2, order)
 
 
 def expect2(g1, g2, pair: GaussianPairSpec, order: int = DEFAULT_ORDER) -> float:
@@ -110,28 +136,38 @@ def expect2(g1, g2, pair: GaussianPairSpec, order: int = DEFAULT_ORDER) -> float
     ua = mu + sig * x
     v1 = np.asarray(g1(ua), dtype=float)
     _check_finite(v1, g1)
-    root = math.sqrt(max(1.0 - c * c, 0.0))
-    ub = mu + sig * (c * x[:, None] + root * x[None, :])
-    v2 = np.asarray(g2(ub), dtype=float)
-    _check_finite(v2, g2)
-    return float(w @ ((v1[:, None] * v2) @ w))
+    v2 = np.asarray(g2(_pair_nodes(x, mu, sig, c)), dtype=float)
+    out = float(w @ ((v1[:, None] * v2) @ w))
+    if not math.isfinite(out):
+        _check_finite(v2, g2)
+    return out
 
 
-def sample_pair(pair: GaussianPairSpec, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """n i.i.d. draws of the correlated pair; deterministic given seed."""
+def _expect_moments(g, mu: float, sigma2: float, c: float, order: int) -> tuple:
+    """(E[g(U)], E[g(U)^2], E[g(U_a) g(U_b)]) for U ~ N(mu, sigma2) and the
+    pair GaussianPairSpec(mu, sigma2, c), from one evaluation of g on the
+    nodes plus one on the pair grid (none for c >= 1 - COLLAPSE_TOL). Bit
+    for bit expect1(g, mu, sigma2), expect2(g, g, c = 1) and
+    expect2(g, g, c), which it falls back to at a point mass, an
+    anticorrelated pair or a non-finite integral.
+    """
 
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    rng = np.random.default_rng(seed)
-    za = rng.standard_normal(n)
-    zb = rng.standard_normal(n)
-    sig = math.sqrt(pair.sigma2)
-    ua = pair.mu + sig * za
-    if pair.c >= 1.0 - COLLAPSE_TOL:
-        ub = ua.copy()
-    elif pair.c <= -1.0 + COLLAPSE_TOL:
-        ub = 2.0 * pair.mu - ua
-    else:
-        root = math.sqrt(max(1.0 - pair.c * pair.c, 0.0))
-        ub = pair.mu + sig * (pair.c * za + root * zb)
-    return ua, ub
+    if sigma2 > 0.0:
+        x, w = _nodes(order)
+        sig = math.sqrt(sigma2)
+        v = np.asarray(g(mu + sig * x), dtype=float)
+        e1, e2 = float(w @ v), float(w @ (v * v))
+        if math.isfinite(e1) and math.isfinite(e2):
+            pair = GaussianPairSpec(mu, sigma2, c)
+            if c >= 1.0 - COLLAPSE_TOL:
+                return e1, e2, e2
+            if c <= -1.0 + COLLAPSE_TOL:
+                return e1, e2, expect2(g, g, pair, order)
+            # expect2's pair sum, its first factor's values reused
+            vb = np.asarray(g(_pair_nodes(x, mu, sig, c)), dtype=float)
+            epair = float(w @ ((v[:, None] * vb) @ w))
+            if math.isfinite(epair):
+                return e1, e2, epair
+    e1 = expect1(g, mu, sigma2, order)
+    e2 = expect2(g, g, GaussianPairSpec(mu, sigma2, 1.0), order)
+    return e1, e2, expect2(g, g, GaussianPairSpec(mu, sigma2, c), order)

@@ -12,6 +12,7 @@ from rnnmf import (
     ContributionVector,
     InputStats,
     JacobianMoments,
+    MomentState,
     chi_at,
     contribution_vector,
     expect1,
@@ -22,6 +23,10 @@ from rnnmf import (
     preactivation_stats,
     solve_moments,
 )
+from rnnmf.cells import CELLS, _prod_func, _shape_product, _Term, _tmul
+from rnnmf.jacobian import _EvalCtx
+from rnnmf.moment_maps import GateStats, PreActivationStats
+from rnnmf.quadrature import NonFiniteIntegrand
 
 from conftest import make_theta, random_theta, zero_variance_theta
 
@@ -217,3 +222,48 @@ def test_report_residuals_reconstruct_the_moments():
     assert doc["residuals"]["m1"] == pytest.approx(mom.m1 - 1.0)
     assert doc["residuals"]["chi"] == pytest.approx(-0.1)
     assert doc["m2"] == mom.m2
+
+
+def test_cached_term_products_equal_tmul(quadrature_arch):
+    # the shape cache is shared across thetas: the second theta reuses the
+    # first one's entries, with its own coefficients
+    for theta in (make_theta(quadrature_arch), random_theta(quadrature_arch, np.random.default_rng(3))):
+        entries = CELLS[quadrature_arch.name].entries(theta)
+        for k in entries:
+            for l in entries:
+                for t1 in entries[k]:
+                    for t2 in entries[l]:
+                        shape = _shape_product(t1.shape, t2.shape)
+                        assert _Term(t1.coef * t2.coef, *shape) == _tmul(t1, t2)
+
+
+_PRIM_PRODUCTS = [
+    ("sig",),
+    ("sig", "sig", "omsig"),
+    ("omsig", "sig", "sig"),
+    ("dsig", "dsig", "tanh", "tanh"),
+    ("dtanh", "dtanh"),
+    ("tanh",) * 4,
+]
+
+
+def test_gate_expectations_reuse_node_values_bitwise(quadrature_arch):
+    arch = quadrature_arch
+    for theta in (make_theta(arch), random_theta(arch, np.random.default_rng(4)), zero_variance_theta(arch)):
+        stats = preactivation_stats(theta, arch, MomentState(0.1, 0.4, 1.0), UNIT)
+        ctx = _EvalCtx(stats, 64)
+        for gate in stats.gates:
+            for prims in _PRIM_PRODUCTS:
+                want = expect1(_prod_func(prims), stats.mu(gate), stats.sigma2_pre(gate))
+                assert ctx.gate_expect(gate, prims).hex() == want.hex()
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.5])
+def test_non_finite_gate_expectation_raises_as_expect1(sigma2):
+    # a non-finite node sum falls back to expect1, which names the integrand
+    stats = PreActivationStats({"f": GateStats(q=math.nan, mu=math.nan, sigma2_pre=sigma2, c=None)})
+    prims = ("sig", "tanh")
+    with pytest.raises(NonFiniteIntegrand, match="integrand g returned"):
+        expect1(_prod_func(prims), math.nan, sigma2)
+    with pytest.raises(NonFiniteIntegrand, match="integrand g returned"):
+        _EvalCtx(stats, 64).gate_expect("f", prims)

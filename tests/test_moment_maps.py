@@ -21,6 +21,7 @@ from rnnmf import (
     step_correlation,
     step_moments,
 )
+from rnnmf.moment_maps import _moment_step
 
 from conftest import make_theta, random_theta, zero_variance_theta
 
@@ -227,3 +228,15 @@ def test_lstm_zero_variance_trajectory_is_deterministic_chain():
         h = sig(0.1) * math.tanh(c)
         assert traj[t].mu_s == pytest.approx(h, abs=1e-12)
         assert traj[t].q_s == pytest.approx(h * h, abs=1e-12)
+
+
+_STATES = [ZERO_STATE, MomentState(0.1, 0.4, 0.5), MomentState(-0.3, 1.2, 0.0), MomentState(0.6, 0.36, 1.0)]
+
+
+def test_moment_only_step_is_bitwise_step_moments(quadrature_arch):
+    arch = quadrature_arch
+    for theta in (make_theta(arch), random_theta(arch, np.random.default_rng(5)), zero_variance_theta(arch)):
+        for state in _STATES:
+            want = step_moments(theta, arch, state, UNIT)
+            got = _moment_step(theta, arch, state.mu_s, state.q_s, UNIT.R, 64)
+            assert [v.hex() for v in got] == [want.mu_s.hex(), want.q_s.hex()]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rnnmf import GaussianPairSpec, NonFiniteIntegrand, expect1, expect2, sample_pair
+from rnnmf import GaussianPairSpec, NonFiniteIntegrand, expect1, expect2
+from rnnmf.core import sigmoid
+from rnnmf.quadrature import DEFAULT_ORDER, _expect_moments
 
 # Monte Carlo reference for E[tanh^2(Z)], Z ~ N(0,1): 10^6 samples at
 # default_rng(12345), frozen before the quadrature tests were written.
@@ -60,6 +62,56 @@ def test_non_finite_integrand_raises():
         expect1(lambda x: np.where(x > 0, np.inf, 0.0), 0.0, 1.0)
 
 
+def _poisoned(value):
+    """tanh with one node (the sixth, in either layout) set to value."""
+
+    def bad(u):
+        out = np.array(np.tanh(u), dtype=float)
+        out.flat[5] = value
+        return out
+
+    return bad
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_one_non_finite_node_raises_naming_the_integrand(value):
+    bad = _poisoned(value)
+    pair = GaussianPairSpec(0.2, 0.9, 0.3)
+    with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
+        expect1(bad, 0.2, 0.9)
+    with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
+        expect2(bad, np.tanh, pair)
+    with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
+        expect2(np.tanh, bad, pair)
+    with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
+        _expect_moments(bad, 0.2, 0.9, 0.3, DEFAULT_ORDER)
+
+
+def test_finite_nodes_whose_product_overflows_integrate_to_inf():
+    def huge(u):
+        return np.full_like(u, 1e200)
+
+    with np.errstate(over="ignore"):
+        assert expect2(huge, huge, GaussianPairSpec(0.0, 1.0, 0.3)) == math.inf
+
+
+_CORRELATIONS = [-1.0, -1.0 + 1e-13, -0.5, 0.0, 0.3, 1.0 - 1e-13, 1.0]
+
+
+@pytest.mark.parametrize("g", [sigmoid, np.tanh])
+@pytest.mark.parametrize("sigma2", [0.0, 0.8])
+@pytest.mark.parametrize("c", _CORRELATIONS)
+def test_expect_moments_is_bitwise_the_three_separate_integrals(g, sigma2, c):
+    mu = -0.4
+    want = (
+        expect1(g, mu, sigma2),
+        expect2(g, g, GaussianPairSpec(mu, sigma2, 1.0)),
+        expect2(g, g, GaussianPairSpec(mu, sigma2, c)),
+    )
+    got = _expect_moments(g, mu, sigma2, c, DEFAULT_ORDER)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 @pytest.mark.parametrize("order", [0, 400])
 def test_unsupported_order_raises_naming_the_order(order):
     # numpy's Gauss-Hermite weights are not finite at order 400; the error
@@ -68,26 +120,8 @@ def test_unsupported_order_raises_naming_the_order(order):
         expect1(np.tanh, 0.3, 1.0, order=order)
     with pytest.raises(ValueError, match=f"order {order}"):
         expect2(np.tanh, np.tanh, GaussianPairSpec(0.3, 1.0, 0.5), order=order)
-
-
-def test_sample_pair_statistics():
-    pair = GaussianPairSpec(0.5, 2.0, 0.6)
-    a, b = sample_pair(pair, 200_000, seed=7)
-    assert np.mean(a) == pytest.approx(0.5, abs=0.02)
-    assert np.var(b) == pytest.approx(2.0, abs=0.05)
-    r = np.corrcoef(a, b)[0, 1]
-    assert r == pytest.approx(0.6, abs=0.01)
-
-
-def test_sample_pair_collapse_is_bitwise():
-    a, b = sample_pair(GaussianPairSpec(0.0, 1.0, 1.0), 100, seed=3)
-    assert np.array_equal(a, b)
-
-
-def test_sample_pair_deterministic():
-    a1, b1 = sample_pair(GaussianPairSpec(0.0, 1.0, 0.3), 50, seed=11)
-    a2, b2 = sample_pair(GaussianPairSpec(0.0, 1.0, 0.3), 50, seed=11)
-    assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+    with pytest.raises(ValueError, match=f"order {order}"):
+        _expect_moments(np.tanh, 0.3, 1.0, 0.5, order)
 
 
 _mu = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)

@@ -7,7 +7,9 @@ two outputs: a line that differs names an output that changed.
 
 Every entry point is run for the five cells at three thetas each
 (`verify.make_theta`, a `verify.random_theta` draw, `verify.zero_variance_theta`),
-plus the quadrature engine, sweeps, a search and the presets; then each
+plus the quadrature engine, sweeps, a search and the presets, and the
+private fast paths (`quadrature._expect_moments`, the moment-only step
+`moment_maps._moment_step`); then each
 command of the benchmark's cli-battery set (`perfbench/workloads.py`) runs
 in process at seeds 1 and 2 and its stdout is hashed. Scalars print as
 `float.hex`, arrays and stdout as the SHA-256 of their bytes; a call that
@@ -30,6 +32,8 @@ import rnnmf as R
 import rnnmf.cli
 from rnnmf.cells import CELLS
 from rnnmf.core import sigmoid
+from rnnmf.moment_maps import _moment_step
+from rnnmf.quadrature import _expect_moments
 from rnnmf.verify import make_theta, random_theta, zero_variance_theta
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,7 +92,7 @@ def library():
     for order in (16, 64, 128):
         emit(f"expect1[{order}]", lambda: R.expect1(np.tanh, 0.3, 0.7, order))
         emit(f"expect2[{order}]", lambda: R.expect2(np.tanh, sigmoid, pair, order))
-    emit("sample_pair", lambda: R.sample_pair(pair, 64, 5))
+        emit(f"_expect_moments[{order}]", lambda: _expect_moments(np.tanh, pair.mu, pair.sigma2, pair.c, order))
     for name in R.PRESET_NAMES:
         emit(f"preset_init[{name}]", lambda: R.preset_init(name, N=64))
 
@@ -117,6 +121,7 @@ def _one_theta(tag, arch, theta):
         emit(f"{tag} lstm_chi_frame", lambda: R.lstm_chi_frame(theta, stats, **sk))
     else:
         emit(f"{tag} step_moments", lambda: R.step_moments(theta, arch, state, UNIT))
+        emit(f"{tag} _moment_step", lambda: _moment_step(theta, arch, state.mu_s, state.q_s, UNIT.R, R.DEFAULT_ORDER))
     msol = emit(f"{tag} solve_moments", lambda: R.solve_moments(theta, arch, UNIT, **sk))
     if msol is not None:
         for c in CORRELATIONS:
