@@ -10,6 +10,7 @@ not an error, since criticality is the regime of interest.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,9 +29,9 @@ from .core import (
 from .lstm_cell_sampler import CellStateEnsemble, sample_cell_distribution
 from .moment_maps import (
     _DEG_TOL,
+    _correlation_step,
     _moment_step,
     preactivation_stats,
-    step_correlation,
 )
 from .quadrature import DEFAULT_ORDER
 from . import jacobian as _jacobian
@@ -345,8 +346,11 @@ def chi_at(
     if _degenerate(st):
         return _jacobian.moments(theta, arch, st, inputs=inputs, order=order).m1
 
+    validate_theta(theta, arch)
+
+    @functools.cache  # the one-sided stencils at eps and eps/2 share two points
     def M(cv: float) -> float:
-        return step_correlation(theta, arch, st, cv, inputs, order=order)
+        return _correlation_step(theta, arch, st, cv, inputs, None, order, n_s, n_iters, seed)
 
     def slope(h: float) -> float:
         if c + h > 1.0:
@@ -412,10 +416,13 @@ def solve_correlation(
     if _degenerate(st):  # no correlation direction: C* = 1 by convention
         c, resid_c, err_c, it, traj, cell = 1.0, 0.0, 0.0, 0, [1.0], None
     else:
-        kw = dict(order=order, n_s=n_s, n_iters=n_iters, seed=seed, cell=cell)
+        validate_theta(theta, arch)
+
+        def G(x):
+            return np.array([_correlation_step(theta, arch, st, float(x[0]), inputs, cell, order, n_s, n_iters, seed)])
+
         c, resid_c, err_c, it, traj = _iterate(
-            lambda x: np.array([step_correlation(theta, arch, st, float(x[0]), inputs, **kw)]),
-            c0, lambda x: np.clip(x, -1.0, 1.0), lambda x: float(x[0]), tol, max_iter, "correlation",
+            G, c0, lambda x: np.clip(x, -1.0, 1.0), lambda x: float(x[0]), tol, max_iter, "correlation"
         )
     chi = chi_at(theta, arch, inputs, st, c, order=order, n_s=n_s, n_iters=n_iters, seed=seed, cell=cell)
     return FixedPointReport(

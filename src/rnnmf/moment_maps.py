@@ -234,8 +234,16 @@ def step_correlation(
         )
     if abs(c_s) > 1.0:
         raise ValueError(f"|C| must be <= 1, got {c_s}")
+    validate_theta(theta, arch)
+    return _correlation_step(theta, arch, fixed, c_s, inputs, cell, order, n_s, n_iters, seed)
+
+
+def _correlation_step(theta, arch, fixed, c_s, inputs, cell, order, n_s, n_iters, seed) -> float:
+    """step_correlation without its checks: theta valid, (mu*, Q*) not
+    degenerate and |c_s| <= 1, as the correlation solve and chi_at ensure."""
+    sigma2_star = fixed.q_s - fixed.mu_s * fixed.mu_s
     state = MomentState(fixed.mu_s, fixed.q_s, c_s)
-    stats = preactivation_stats(theta, arch, state, inputs, order)
+    stats = _gate_stats(theta, arch, state, inputs, order)
     rules = CELLS[arch.name]
     if rules.correlate is None:
         rho_n = rules.step(theta, stats, state, cell, order)[2]

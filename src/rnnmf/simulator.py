@@ -6,6 +6,14 @@ for the comparison experiments). Provides coupled-pair moment trajectories,
 a one-step state-to-state Jacobian assembled from the displayed derivative
 formula, the same map as a callable for finite-difference checks, and raw
 stationary cell samples.
+
+Untied steps never build the weights. A fresh W makes the rows of
+(W s_a, W s_b) independent Gaussian pairs with covariance (sigma2/N)
+Gram(s_a, s_b), and likewise for U and the inputs, so each step draws the
+pre-activations from that exact law in O(N) per gate (_gram_preactivations):
+untied simulate_pair, simulate_cell_distribution and jacobian_frame's
+burn-in. Dense N x N draws (_draw_step) remain where real matrices are
+needed: tied simulate_pair and the one frozen step of a JacobianFrame.
 """
 
 from __future__ import annotations
@@ -114,19 +122,55 @@ def _advance(arch, u: dict, s: np.ndarray, c: Optional[np.ndarray]):
     return CELLS[arch.name].update(s, u, c)
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a 1 x 1 or 2 x 2 covariance, singular or not."""
+    l11 = math.sqrt(a[0, 0])
+    if a.shape[0] == 1:
+        return np.array([[l11]])
+    l21 = a[1, 0] / l11 if l11 > 0.0 else 0.0
+    return np.array([[l11, 0.0], [l21, math.sqrt(max(a[1, 1] - l21 * l21, 0.0))]])
+
+
+def _gram_preactivations(rng, theta: Hyperparameters, arch: ArchitectureSpec, S: np.ndarray, Z: np.ndarray) -> dict:
+    """One untied step's pre-activations of K = 1 or 2 copies that share the
+    step's fresh weights, given their states S and inputs Z (K x N).
+
+    Unit i of gate k sees W_i . x_a, W_i . x_b for a fresh row W_i, a
+    Gaussian pair with covariance (sigma2_k / N) Gram(x_a, x_b); U adds
+    (nu2_k / N) Gram(z_a, z_b) and the shared bias mu_k + sqrt(rho2_k) xi_i;
+    rows and gates are independent. So u_k = L g + b with L the Cholesky
+    factor of the summed Gram terms, exactly the dense step's law. x is S,
+    or g(u_inner) * S for a gated gate. Copies equal in S and Z share one
+    draw, so they stay bit-identical.
+    """
+
+    K, N = S.shape
+    if K == 2 and np.array_equal(S[0], S[1]) and np.array_equal(Z[0], Z[1]):
+        one = _gram_preactivations(rng, theta, arch, S[:1], Z[:1])
+        return {k: np.broadcast_to(v, S.shape) for k, v in one.items()}
+    zz = Z @ Z.T
+    u: dict = {}
+    for g in arch.gates:
+        k = g.label
+        x = _GATE_FUNCS[g.g_name][0](u[g.gated_by]) * S if g.form == "gated" else S
+        L = _cholesky((theta.sigma2(k) * (x @ x.T) + theta.nu2(k) * zz) / N)
+        u[k] = L @ rng.standard_normal((K, N)) + (theta.mu(k) + math.sqrt(theta.rho2(k)) * rng.standard_normal(N))
+    return u
+
+
 def _run_single(theta, arch, config, seed, inputs, steps):
-    """steps updates of one width-N network from zero on i.i.d. inputs, then
-    the generator, the input scale and (s, c, u) of the last update."""
+    """steps untied updates of one width-N network from zero on i.i.d.
+    inputs, then the generator, the input scale and (s, c, u) of the last
+    update, u's gates as 1 x N rows."""
     validate_theta(theta, arch)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed if seed is None else seed))
-    N, labels, sqrtR = config.N, arch.labels(), math.sqrt(inputs.R)
-    s, c, u = np.zeros(N), (np.zeros(N) if arch.needs_cell else None), None
+    N, sqrtR = config.N, math.sqrt(inputs.R)
+    S, C, u = np.zeros((1, N)), (np.zeros((1, N)) if arch.needs_cell else None), None
     for t in range(1, steps + 1):
-        draw = _draw_step(rng, theta, labels, N, N)
-        u = _preactivations(arch, draw, s, sqrtR * rng.standard_normal(N))
-        s, c = _advance(arch, u, s, c)
-        _check_finite(s, t)
-    return rng, sqrtR, (s, c, u)
+        u = _gram_preactivations(rng, theta, arch, S, sqrtR * rng.standard_normal((1, N)))
+        S, C = _advance(arch, u, S, C)
+        _check_finite(S, t)
+    return rng, sqrtR, (S[0], None if C is None else C[0], u)
 
 
 def _empirical(sa, sb, t) -> TrajectoryPoint:
@@ -183,32 +227,26 @@ def simulate_pair(
     s0 = np.full(N, config.d0_mean, dtype=float)
     if config.d0_var > 0.0:
         s0 = s0 + rng.standard_normal(N) * math.sqrt(config.d0_var)
-    sa = s0.copy()
-    sb = s0.copy()
-    ca = np.zeros(N) if arch.needs_cell else None
-    cb = np.zeros(N) if arch.needs_cell else None
+    S = np.stack([s0, s0])  # rows: copies a and b
+    C = np.zeros((2, N)) if arch.needs_cell else None
     sqrtR = math.sqrt(inputs.R)
-    out = [_empirical(sa, sb, 0)]
-    draw0 = None
+    out = [_empirical(S[0], S[1], 0)]
+    draw = _draw_step(rng, theta, labels, N, N) if tied else None
     for t in range(1, T + 1):
-        if tied:
-            if draw0 is None:
-                draw0 = _draw_step(rng, theta, labels, N, N)
-            draw = draw0
-        else:
-            draw = _draw_step(rng, theta, labels, N, N)
         sz = float(sched[t - 1])
         g1 = rng.standard_normal(N)
         g2 = rng.standard_normal(N)
         za = sqrtR * g1
         zb = sqrtR * (sz * g1 + math.sqrt(max(1.0 - sz * sz, 0.0)) * g2) if sz != 1.0 else za.copy()
-        ua = _preactivations(arch, draw, sa, za)
-        ub = _preactivations(arch, draw, sb, zb)
-        sa, ca = _advance(arch, ua, sa, ca)
-        sb, cb = _advance(arch, ub, sb, cb)
-        _check_finite(sa, t)
-        _check_finite(sb, t)
-        out.append(_empirical(sa, sb, t))
+        if tied:
+            ua = _preactivations(arch, draw, S[0], za)
+            ub = _preactivations(arch, draw, S[1], zb)
+            u = {k: np.stack([ua[k], ub[k]]) for k in labels}
+        else:
+            u = _gram_preactivations(rng, theta, arch, S, np.stack([za, zb]))
+        S, C = _advance(arch, u, S, C)
+        _check_finite(S, t)
+        out.append(_empirical(S[0], S[1], t))
     return out
 
 
@@ -254,7 +292,7 @@ def jacobian_frame(
     rng, sqrtR, (s, c, u) = _run_single(theta, arch, config, seed, inputs, burn_in)
     if arch.needs_cell and u is None:
         raise ValueError("burn_in must be >= 1 for the cell-carrying architecture")
-    u_o = u["o"] if arch.needs_cell else None
+    u_o = u["o"][0] if arch.needs_cell else None
     draw = _draw_step(rng, theta, arch.labels(), config.N, config.N)
     z = sqrtR * rng.standard_normal(config.N)
     u = _preactivations(arch, draw, s, z)

@@ -1,6 +1,7 @@
 """Finite-width untied simulator: trajectories, Jacobians, cell samples."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rnnmf import (
     simulate_cell_distribution,
     simulate_pair,
 )
+from rnnmf.simulator import _draw_step, _gram_preactivations, _preactivations
 
 from conftest import make_theta, zero_variance_theta
 
@@ -80,14 +82,86 @@ def test_zero_variance_network_tracks_the_mean_field(any_arch):
         assert abs(p.q - st.q_s) < 1e-12
 
 
+def _two_sample_z(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-column z of the difference of two sample means (rows: draws)."""
+    return (a.mean(0) - b.mean(0)) / np.sqrt(a.var(0, ddof=1) / len(a) + b.var(0, ddof=1) / len(b))
+
+
+def _sidak_z(family_alpha: float, m: int) -> float:
+    """Two-sided |z| bound that m independent normal z-scores all stay
+    within with probability 1 - family_alpha."""
+    return NormalDist().inv_cdf(1.0 - (1.0 - (1.0 - family_alpha) ** (1.0 / m)) / 2.0)
+
+
 def test_tied_weights_diverge_from_untied_after_the_first_step():
+    # the first step of both runs is one fresh draw of the same law, so over
+    # seeds its Q agrees in mean; from the second step on the tied run
+    # reuses that draw and its Q pulls away (z about 8 at step 10 over 200
+    # seeds of this setup)
     arch = get_architecture("GRU")
     theta = make_theta(arch)
-    cfg = SimulationConfig(N=64, T=10, seed=2)
-    untied = simulate_pair(theta, arch, cfg, UNIT)
-    tied = simulate_pair(theta, arch, cfg, UNIT, tied=True)
-    assert untied[1].q == tied[1].q  # same first draw
-    assert untied[-1].q != tied[-1].q
+    seeds = range(200)
+    q = {
+        tied: np.array(
+            [[p.q for p in simulate_pair(theta, arch, SimulationConfig(N=64, T=10, seed=s), UNIT, tied=tied)] for s in seeds]
+        )
+        for tied in (False, True)
+    }
+    z_first, z_last = _two_sample_z(q[False][:, [1, 10]], q[True][:, [1, 10]])
+    bound = _sidak_z(1e-3, 1)
+    assert abs(z_first) < bound
+    assert abs(z_last) > bound
+    assert q[False][2, -1] != q[True][2, -1]
+
+
+def test_exact_law_step_matches_the_dense_draws():
+    # Fixed states S and inputs Z of two copies: per draw, each gate's unit
+    # averages of u_a, u_b, u_a^2, u_a u_b, u_b^2 (and of u, u^2 for one
+    # network) from the exact-law step and from dense weights must agree in
+    # mean over n independent draws. The 21 z-scores are held to a Sidak
+    # bound at family false-alarm 1e-3. The cross moment carries the shared
+    # bias (rho2 = 0.3) and the shared U (nu2 z_a.z_b / N, about 0.3), each
+    # about 20 SE, and r2's moments the inner gating sig(u_r) * s. Over 60
+    # disjoint seed sets the largest |z| was 3.70.
+    arch = get_architecture("GRU")
+    theta = make_theta(arch, sigma2=0.8, nu2=0.6, rho2=0.3, mu_f=1.0, mu_other=-0.5)
+    labels = arch.labels()
+    N, n = 16, 2000
+    rng = np.random.default_rng(0)
+    S = 0.7 * rng.standard_normal((2, N))
+    g = rng.standard_normal((2, N))
+    Z = np.stack([g[0], 0.5 * g[0] + math.sqrt(0.75) * g[1]])
+
+    def pair_stats(u):
+        return [m for k in labels for m in (*u[k].mean(1), *(u[k] * u[k]).mean(1), (u[k][0] * u[k][1]).mean())]
+
+    def single_stats(u):
+        return [m for k in labels for m in (u[k].mean(), (u[k] * u[k]).mean())]
+
+    exact_pair, exact_single, dense_pair, dense_single = [], [], [], []
+    for i in range(n):
+        exact_pair.append(pair_stats(_gram_preactivations(np.random.default_rng([1, i]), theta, arch, S, Z)))
+        exact_single.append(single_stats(_gram_preactivations(np.random.default_rng([2, i]), theta, arch, S[:1], Z[:1])))
+        draw = _draw_step(np.random.default_rng([3, i]), theta, labels, N, N)
+        ua, ub = (_preactivations(arch, draw, S[j], Z[j]) for j in (0, 1))
+        dense_pair.append(pair_stats({k: np.stack([ua[k], ub[k]]) for k in labels}))
+        dense_single.append(single_stats(ua))
+    z = np.concatenate(
+        [
+            _two_sample_z(np.array(exact_pair), np.array(dense_pair)),
+            _two_sample_z(np.array(exact_single), np.array(dense_single)),
+        ]
+    )
+    assert np.max(np.abs(z)) < _sidak_z(1e-3, z.size)
+
+
+def test_jacobian_frame_freezes_one_dense_step(any_arch):
+    theta = make_theta(any_arch)
+    frame = jacobian_frame(theta, any_arch, SimulationConfig(N=24, T=1, seed=6), burn_in=20)
+    u = _preactivations(any_arch, frame.draw, frame.state, frame.z)
+    for k in any_arch.labels():
+        assert frame.draw.W[k].shape == (24, 24) and frame.draw.U[k].shape == (24, 24)
+        assert np.array_equal(u[k], frame.u[k])
 
 
 def test_schedule_validation():
