@@ -26,7 +26,7 @@ from .core import (
     theta_to_json_dict,
     validate_theta,
 )
-from .fixed_point import NoConvergence, _derived_seed, solve_correlation, solve_moments
+from .fixed_point import NoConvergence, _correlation_report, _derived_seed, solve_moments
 from .jacobian import IsometryGap, isometry_gap
 from .quadrature import DEFAULT_ORDER
 
@@ -182,13 +182,12 @@ def _golden_min(f, lo, hi, tol=1e-4, max_iter=80):
 
 def _pipeline_eval(theta, arch, inputs, order, n_s, n_iters, seed):
     msol = solve_moments(theta, arch, inputs, order=order, n_s=n_s, n_iters=n_iters, seed=seed)
-    rep = solve_correlation(
-        theta, arch, inputs, msol, order=order, n_s=n_s, n_iters=n_iters, seed=seed
-    )
-    mom = _jacobian.moments(
-        theta, arch, msol.state, cell=msol.cell, inputs=inputs,
-        order=order, n_s=n_s, n_iters=n_iters, seed=seed,
-    )
+    rep, mom = _correlation_report(theta, arch, inputs, msol, order=order, n_s=n_s, n_iters=n_iters, seed=seed)
+    if mom is None:  # chi did not come from the Jacobian moments
+        mom = _jacobian.moments(
+            theta, arch, msol.state, cell=msol.cell, inputs=inputs,
+            order=order, n_s=n_s, n_iters=n_iters, seed=seed,
+        )
     return rep, mom, isometry_gap(mom, rep.chi)
 
 

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _WINDOW = 10  # sampled-map convergence window (iterations)
+_EPS = 1e-4  # chi_at's default finite-difference step
 
 
 class NoConvergence(ArithmeticError):
@@ -131,7 +132,7 @@ def _as_state(fixed) -> MomentState:
 
 
 def _state(x) -> MomentState:
-    return MomentState(float(x[0]), float(x[1]), 0.0)
+    return MomentState(x[0], x[1], 0.0)
 
 
 def _derived_seed(seed: int, index: int) -> int:
@@ -181,59 +182,99 @@ def _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters,
 
 _DEPTH = 2  # Anderson history: differences mixed into each step (at most dim x)
 _DAMPING = 0.5  # relaxation of the plain step that follows a rejected one
+_MAX_STRETCH = 1024.0  # cap of the forward factor while the map expands
 
 
-def _norm(v) -> float:
-    return float(np.max(np.abs(v)))
+def _dist(a, b) -> float:
+    return max(abs(p - q) for p, q in zip(a, b))
+
+
+def _along(x, d, t):
+    return tuple(p + t * q for p, q in zip(x, d))
 
 
 def _iterate(G, x0, project, point, tol, max_iter, what):
     """Solve x = project(G(x)) by safeguarded Anderson iteration.
 
-    rate, the largest secant slope |G(x) - G(x_j)| / |x - x_j| over the
-    history, estimates the contraction rate. While rate < 1 the next
-    iterate mixes the last _DEPTH differences (Anderson type II, Walker & Ni
-    2011); otherwise it is the plain step G(x). An Anderson iterate that
-    raises the residual g = G(x) - x is rejected for a plain step damped by
-    _DAMPING from the last accepted one, and the history is cleared. The
-    error estimate is twice the larger of |g| / (1 - rate) and the next
+    Iterates are tuples of floats and G returns one. rate, the largest
+    secant slope |G(x) - G(x_j)| / |x - x_j| over the history, estimates
+    the contraction rate. While rate < 1 the next iterate mixes the last
+    _DEPTH differences (Anderson type II, Walker & Ni 2011), its step capped
+    at a trust radius that doubles after every accepted iterate. An
+    Anderson iterate that raises the residual g = G(x) - x is rejected: the
+    radius drops to half the rejected step, and a step that long is retried
+    along the same direction from the last accepted iterate; once the
+    radius is below |g| a plain step damped by _DAMPING is taken instead,
+    and the history is cleared. With no history, or while the map expands
+    along it (rate >= 1), the step is the plain one, G(x), stretched to x +
+    s g by a factor s that doubles on each such step in a row, up to
+    _MAX_STRETCH, and drops back to 1 when g changes direction. The error
+    estimate is twice the larger of |g| / (1 - rate) and the uncapped
     Anderson step, (I - J)^-1 g for the secant Jacobian J: the factor covers
-    the change of slope across the last step. Stops when it is <= tol
-    (max norms). Returns (point(x), |g|, estimate, map evaluations,
-    accepted iterates); NoConvergence carries the accepted iterates.
+    the change of slope across the last step. Stops when it is <= tol (max
+    norms). Returns (point(x), G(x), |g|, estimate, map evaluations,
+    accepted iterates); NoConvergence carries the accepted iterates. The
+    map runs with numpy's overflow warnings off: far probes can send a
+    sigmoid's exp past the float range, where the sigmoid is exactly 0 or 1
+    either way.
     """
 
-    x = project(np.atleast_1d(np.array(x0, dtype=float)))
-    depth = min(_DEPTH, x.size)
+    x = project(tuple(float(v) for v in x0))
+    depth = min(_DEPTH, len(x))
     xs, fs, traj = [], [], []  # last depth + 1 accepted iterates, their map values; every accepted one
-    mixed = False  # x is an Anderson candidate, not a plain step
+    base = None  # (last accepted iterate, step direction, its length) while x is a trial step
     r = err = math.inf
-    for it in range(1, max_iter + 1):
-        f = project(G(x))
-        r_new = _norm(f - x)
-        if mixed and r_new > r:
-            xs, fs = xs[-1:], fs[-1:]
-            x, mixed = project(xs[0] + _DAMPING * (fs[0] - xs[0])), False
-            continue
-        r = r_new
-        xs, fs = xs[-depth:] + [x], fs[-depth:] + [f]
-        traj.append(point(x))
-        rate = max(
-            (_norm(f - fj) / d for xj, fj in zip(xs[:-1], fs[:-1]) if (d := _norm(x - xj)) > 0.0),
-            default=math.inf,
-        )
-        if rate < 1.0:
-            dx = np.diff(xs, axis=0).T
-            dg = np.diff(fs, axis=0).T - dx
-            gamma = np.linalg.lstsq(dg, f - x, rcond=None)[0]
-            nxt = project(f - (dx + dg) @ gamma)
-            err = 2.0 * max(r / (1.0 - rate), _norm(nxt - x))
-        else:  # no history yet, or the map expands along it: plain step
-            nxt = f
-            err = 0.0 if r == 0.0 else math.inf
-        if err <= tol:
-            return point(x), r, err, it, traj
-        x, mixed = nxt, rate < 1.0
+    radius = math.inf
+    stretch, g_prev = 1.0, None
+    with np.errstate(over="ignore"):
+        for it in range(1, max_iter + 1):
+            gx = G(x)
+            f = project(gx)
+            g = tuple(p - q for p, q in zip(f, x))
+            r_new = max(map(abs, g))
+            if base is not None and r_new > r:
+                x_acc, d, length = base
+                radius = 0.5 * _dist(x, x_acc)
+                if radius >= r:  # retry a shorter step the same way
+                    x = project(_along(x_acc, d, radius / length))
+                else:
+                    xs, fs = xs[-1:], fs[-1:]
+                    x, base = project(_along(x_acc, g_prev, _DAMPING)), None
+                continue
+            r = r_new
+            radius *= 2.0
+            xs, fs = xs[-depth:] + [x], fs[-depth:] + [f]
+            traj.append(point(x))
+            rate = max(
+                (_dist(f, fj) / d for xj, fj in zip(xs[:-1], fs[:-1]) if (d := _dist(x, xj)) > 0.0),
+                default=math.inf,
+            )
+            base = None
+            if rate < 1.0:
+                dx = [[b - a for a, b in zip(xa, xb)] for xa, xb in zip(xs, xs[1:])]
+                dg = [
+                    [(fq - fp) - dq for fp, fq, dq in zip(fa, fb, dxa)]
+                    for fa, fb, dxa in zip(fs, fs[1:], dx)
+                ]
+                dgt = np.array(dg).T
+                gamma = np.linalg.lstsq(dgt, g, rcond=None)[0]
+                nxt = project(tuple(p - q for p, q in zip(f, ((np.array(dx).T + dgt) @ gamma).tolist())))
+                step = tuple(p - q for p, q in zip(nxt, x))
+                length = max(map(abs, step))
+                err = 2.0 * max(r / (1.0 - rate), length)
+                if length > radius:
+                    nxt = project(_along(x, step, radius / length))
+                base = (x, step, length)
+                stretch = 1.0
+            else:  # no history yet, or the map expands along it: plain step, stretched
+                if g_prev is None or sum(p * q for p, q in zip(g, g_prev)) <= 0.0:
+                    stretch = 1.0
+                nxt = f if stretch == 1.0 else project(_along(x, g, stretch))
+                stretch = min(2.0 * stretch, _MAX_STRETCH)
+                err = 0.0 if r == 0.0 else math.inf
+            if err <= tol:
+                return point(x), gx, r, err, it, traj
+            x, g_prev = nxt, g
     raise NoConvergence(
         f"{what} residual {r:.3e}, error estimate {err:.3e} > tol {tol:g} "
         f"after {max_iter} map evaluations",
@@ -278,13 +319,13 @@ def solve_moments(
         return _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters, seed)
 
     def G(x):
-        return np.array(_moment_step(theta, arch, *x.tolist(), inputs.R, order))
+        return _moment_step(theta, arch, x[0], x[1], inputs.R, order)
 
     def project(x):
-        return np.array([x[0], max(x[1], x[0] * x[0])])
+        return x[0], max(x[1], x[0] * x[0])
 
     start = start if start is not None else ZERO_STATE
-    state, r, err, it, traj = _iterate(G, (start.mu_s, start.q_s), project, _state, tol, max_iter, "moment")
+    state, _, r, err, it, traj = _iterate(G, (start.mu_s, start.q_s), project, _state, tol, max_iter, "moment")
     return MomentsSolution(
         state=state,
         trajectory=tuple(traj),
@@ -308,7 +349,7 @@ def chi_at(
     state,
     c: float,
     order: int = DEFAULT_ORDER,
-    eps: float = 1e-4,
+    eps: float = _EPS,
     n_s: int = 200,
     n_iters: int = 200,
     seed: int = 0,
@@ -318,7 +359,9 @@ def chi_at(
 
     Quadrature architectures: central finite difference with step eps plus a
     Richardson pass at eps/2 (the extrapolated value is returned; the two raw
-    estimates must agree to 1e-4 relative or DerivativeUnstable is raised).
+    estimates must agree to 1e-4 relative or DerivativeUnstable is raised,
+    as it is when the result is negative beyond 1e-8: the map's rounding
+    over a tiny sigma*^2 then swamps the slope).
     At c = 1 a one-sided second-order stencil is used since correlations
     cannot exceed 1. The LSTM evaluates the slope directly as the mean total
     contribution on a coupled stationary cell frame (same functional as m1,
@@ -345,12 +388,20 @@ def chi_at(
 
     if _degenerate(st):
         return _jacobian.moments(theta, arch, st, inputs=inputs, order=order).m1
-
     validate_theta(theta, arch)
+    return _stencil_slope(theta, arch, inputs, st, c, order, eps, {})
+
+
+def _stencil_slope(theta, arch, inputs, st, c, order, eps, known) -> float:
+    """chi_at's finite-difference slope for a quadrature cell at a valid
+    theta and a non-degenerate state. known maps correlations to map values
+    already in hand (the correlation solve's last one, M(C*))."""
 
     @functools.cache  # the one-sided stencils at eps and eps/2 share two points
     def M(cv: float) -> float:
-        return _correlation_step(theta, arch, st, cv, inputs, None, order, n_s, n_iters, seed)
+        if cv in known:
+            return known[cv]
+        return _correlation_step(theta, arch, st, cv, inputs, None, order, 0, 0, 0)  # no cell, no sampling
 
     def slope(h: float) -> float:
         if c + h > 1.0:
@@ -362,14 +413,15 @@ def chi_at(
 
     s1 = slope(eps)
     s2 = slope(eps / 2.0)
+    evidence = f"slope estimates {s1!r} (eps = {eps:g}) and {s2!r} (eps/2) at sigma*^2 = {st.sigma2_s!r}"
     if abs(s1 - s2) > 1e-4 * max(1.0, abs(s2)):
-        raise DerivativeUnstable(
-            f"slope estimates {s1!r} (eps) and {s2!r} (eps/2) disagree beyond 1e-4 relative"
-        )
+        raise DerivativeUnstable(f"{evidence} disagree beyond 1e-4 relative")
     out = (4.0 * s2 - s1) / 3.0
     if out < 0.0:
         if out < -1e-8:
-            raise ArithmeticError(f"chi = {out} negative beyond numerical noise (bug)")
+            # the map is nondecreasing in c, so a negative slope is stencil
+            # noise: rounding of the map divided by a tiny sigma*^2
+            raise DerivativeUnstable(f"chi = {out!r} < 0 from {evidence}: the stencil resolves no slope")
         out = 0.0
     return out
 
@@ -407,25 +459,42 @@ def solve_correlation(
     from the contribution functional.
     """
 
+    return _correlation_report(theta, arch, inputs, fixed, c0, order, tol, max_iter, n_s, n_iters, seed)[0]
+
+
+def _correlation_report(
+    theta, arch, inputs, fixed, c0=0.0, order=DEFAULT_ORDER, tol=1e-9, max_iter=10000, n_s=200, n_iters=200, seed=0
+):
+    """solve_correlation, plus the Jacobian moments when its chi came from
+    them (a degenerate quadrature state), else None."""
+
     st = _as_state(fixed)
     if not -1.0 <= c0 <= 1.0:
         raise ValueError(f"start correlation c0 = {c0} outside [-1, 1]")
     mu_res, mu_err = (fixed.residual, fixed.error_estimate) if isinstance(fixed, MomentsSolution) else (0.0, 0.0)
     cell = fixed.cell if isinstance(fixed, MomentsSolution) else None
 
-    if _degenerate(st):  # no correlation direction: C* = 1 by convention
+    degenerate = _degenerate(st)
+    if degenerate:  # no correlation direction: C* = 1 by convention
         c, resid_c, err_c, it, traj, cell = 1.0, 0.0, 0.0, 0, [1.0], None
     else:
         validate_theta(theta, arch)
 
         def G(x):
-            return np.array([_correlation_step(theta, arch, st, float(x[0]), inputs, cell, order, n_s, n_iters, seed)])
+            return (_correlation_step(theta, arch, st, x[0], inputs, cell, order, n_s, n_iters, seed),)
 
-        c, resid_c, err_c, it, traj = _iterate(
-            G, c0, lambda x: np.clip(x, -1.0, 1.0), lambda x: float(x[0]), tol, max_iter, "correlation"
+        c, (m_c,), resid_c, err_c, it, traj = _iterate(
+            G, (c0,), lambda x: (min(max(x[0], -1.0), 1.0),), lambda x: x[0], tol, max_iter, "correlation"
         )
-    chi = chi_at(theta, arch, inputs, st, c, order=order, n_s=n_s, n_iters=n_iters, seed=seed, cell=cell)
-    return FixedPointReport(
+    mom = None
+    if arch.needs_cell:
+        chi = chi_at(theta, arch, inputs, st, c, order=order, n_s=n_s, n_iters=n_iters, seed=seed, cell=cell)
+    elif degenerate:
+        mom = _jacobian.moments(theta, arch, st, inputs=inputs, order=order)
+        chi = mom.m1
+    else:
+        chi = _stencil_slope(theta, arch, inputs, st, c, order, _EPS, {c: m_c})
+    report = FixedPointReport(
         arch=arch.name,
         mu_star=st.mu_s,
         q_star=st.q_s,
@@ -439,3 +508,4 @@ def solve_correlation(
         trajectory=tuple(traj),
         error_estimates={"mu": mu_err, "q": mu_err, "c": err_c},
     )
+    return report, mom

@@ -94,12 +94,22 @@ def test_computation_failure_exits_1_with_json_error(tmp_path, capsys):
     }
     path = tmp_path / "divergent.json"
     path.write_text(json.dumps(doc))
-    # this theta converges (slowly: its moment map expands for Q below
-    # about 1000), so a small iteration budget forces the failure
-    assert run(["fixed-point", "--theta", str(path), "--seed", "0", "--max-iter", "50"]) == 1
+    # this theta converges in about 29 map evaluations (its moment map
+    # expands for Q below about 1000), so a budget of 10 forces the failure
+    assert run(["fixed-point", "--theta", str(path), "--seed", "0", "--max-iter", "10"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoConvergence"
     assert isinstance(err["message"], str)
+
+
+def test_unresolved_chi_exits_1_with_json_error(tmp_path, capsys):
+    # sigmoid(8) saturates the gate: sigma*^2 = 5.9e-7, and the chi stencil
+    # differences rounding noise into a negative slope
+    path = _write_theta(tmp_path, "vanillaRNN", sigma2=0.5, nu2=0.5, rho2=0.05, mu_f=8.0)
+    assert run(["fixed-point", "--theta", str(path), "--seed", "0"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DerivativeUnstable"
+    assert "sigma*^2" in err["message"]
 
 
 def test_omitted_seed_is_drawn_echoed_and_reproducible(tmp_path, capsys):

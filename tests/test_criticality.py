@@ -15,13 +15,18 @@ from rnnmf import (
     UnknownPreset,
     direction_from_json_dict,
     get_architecture,
+    isometry_gap,
+    moments,
     preset_default_arch,
     preset_init,
     search_critical,
+    solve_correlation,
+    solve_moments,
     sweep_phase_diagram,
     theta_from_json_dict,
     theta_to_json_dict,
 )
+from rnnmf import jacobian
 
 from conftest import make_theta
 
@@ -115,6 +120,36 @@ def test_search_respects_constraints():
     )
     assert theta.gates["r"].nu2 == 0.25
     assert rep.xi == pytest.approx(10.0, rel=0.1)
+
+
+@pytest.mark.parametrize(
+    "constraints",
+    [None, {"r": {"nu2": 1.0}, "r2": {"sigma2": 0.5, "nu2": 1.0}}],
+    ids=["degenerate", "interior"],
+)
+def test_search_computes_the_jacobian_moments_once_per_evaluation(monkeypatch, constraints):
+    # on the zero-variance family the fixed state is degenerate and chi is
+    # the Jacobian moments' m1; the search reuses them rather than asking
+    # for them twice. With these constraints the state is not degenerate
+    # and chi comes from the correlation map instead.
+    calls = []
+    contribution_vector = jacobian.contribution_vector
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return contribution_vector(*args, **kwargs)
+
+    monkeypatch.setattr(jacobian, "contribution_vector", spy)
+    theta, rep = search_critical("GRU", constraints=constraints)
+    assert len(calls) == rep.evaluations
+    monkeypatch.undo()
+    # the report matches the public pipeline at its theta, bit for bit
+    arch = get_architecture("GRU")
+    msol = solve_moments(theta, arch, UNIT)
+    fp = solve_correlation(theta, arch, UNIT, msol)
+    mom = moments(theta, arch, msol.state, inputs=UNIT)
+    assert (rep.chi, rep.xi, rep.m1, rep.m2, rep.sigma) == (fp.chi, fp.xi, mom.m1, mom.m2, mom.sigma)
+    assert rep.gap == isometry_gap(mom, fp.chi)
 
 
 def test_search_validates_free_parameters():

@@ -8,6 +8,7 @@ import importlib.resources as ir
 import jsonschema
 
 from rnnmf import (
+    DerivativeUnstable,
     GateParams,
     Hyperparameters,
     InputStats,
@@ -22,6 +23,7 @@ from rnnmf import (
     step_correlation,
     step_moments,
 )
+from rnnmf import fixed_point
 
 from conftest import make_theta, random_theta, zero_variance_theta
 from test_moment_maps import PEEPHOLE_DRIVE_Q, peephole_drive_theta
@@ -74,11 +76,13 @@ def _slow_peephole_theta():
 def test_no_convergence_has_monotone_trajectory():
     arch = get_architecture("peepholeLSTM")
     with pytest.raises(NoConvergence) as exc:
-        solve_moments(_slow_peephole_theta(), arch, UNIT, max_iter=50)
+        # ten evaluations stay in the expanding phase (Q ends near 104)
+        solve_moments(_slow_peephole_theta(), arch, UNIT, max_iter=10)
     traj = exc.value.trajectory
     q = np.array([s.q_s for s in traj])
-    # while the map expands every step is a plain one, and each is accepted
-    assert len(traj) == 50
+    # while the map expands every step is a stretched plain one, and each
+    # is accepted
+    assert len(traj) == 10
     assert traj[0] == ZERO_STATE
     assert np.all(np.diff(q) > 0.0)
 
@@ -87,6 +91,9 @@ def test_slow_peephole_reaches_a_verified_fixed_point():
     arch = get_architecture("peepholeLSTM")
     theta = _slow_peephole_theta()
     msol = solve_moments(theta, arch, UNIT)
+    # stretched steps cross the expanding phase, where plain steps alone
+    # take 1,969 evaluations
+    assert msol.iterations <= 100
     assert msol.error_estimate <= 1e-9
     assert msol.q_star == pytest.approx(5472.38, abs=0.01)
     nxt = step_moments(theta, arch, msol.state, UNIT)
@@ -125,6 +132,71 @@ def test_fixed_point_is_within_tol_and_its_error_estimate_bounds_the_error(arch_
         assert err <= bound, (k, err, bound)
     assert rep.error_estimates["mu"] == rep.error_estimates["q"] == msol.error_estimate <= 1e-9
     assert rep.error_estimates["c"] <= 1e-9
+
+
+def _peephole_ray_theta(mu_f):
+    arch = get_architecture("peepholeLSTM")
+    return arch, make_theta(arch, sigma2=0.5, nu2=0.5, rho2=0.05, mu_f=mu_f)
+
+
+def _spy_moment_map(monkeypatch):
+    """Record every (mu, Q) the moment solve evaluates its map at."""
+    points = []
+    step = fixed_point._moment_step
+
+    def spy(theta, arch, mu, q, R, order):
+        points.append((mu, q))
+        return step(theta, arch, mu, q, R, order)
+
+    monkeypatch.setattr(fixed_point, "_moment_step", spy)
+    return points
+
+
+@pytest.mark.parametrize("mu_f", [4.0, 4.5, 5.0])
+def test_peephole_near_transition_solves_in_few_evaluations(monkeypatch, mu_f):
+    # the map's secant slope nears 1 here: Anderson steps overshoot Q* many
+    # times over, and plain steps crawl
+    points = _spy_moment_map(monkeypatch)
+    arch, theta = _peephole_ray_theta(mu_f)
+    msol = solve_moments(theta, arch, UNIT)
+    assert len(points) == msol.iterations <= 30
+    assert msol.error_estimate <= 1e-9
+
+
+def test_rejected_candidate_is_retried_shorter_along_its_direction(monkeypatch):
+    # at mu_f = 5 the Anderson step from Q = 3.0 lands at Q = 6.7, where
+    # the residual is larger; the retry goes half as far the same way and
+    # is accepted, instead of a damped plain step
+    points = _spy_moment_map(monkeypatch)
+    arch, theta = _peephole_ray_theta(5.0)
+    msol = solve_moments(theta, arch, UNIT)
+    accepted = [(s.mu_s, s.q_s) for s in msol.trajectory]
+    k = next(i for i, p in enumerate(points) if p not in accepted)
+    base, rejected, retry = points[k - 1], points[k], points[k + 1]
+    assert retry in accepted
+    for b, p, r in zip(base, rejected, retry):
+        assert r - b == pytest.approx(0.5 * (p - b), rel=1e-12, abs=1e-30)
+
+
+@pytest.mark.parametrize("tag", ["make", "random"])
+def test_reported_chi_equals_a_fresh_chi_at(quadrature_arch, tag):
+    # the solve hands its last map value M(C*) to the stencil; chi_at
+    # evaluates it afresh, and both must agree to the last bit
+    rng = np.random.default_rng(11)
+    theta = make_theta(quadrature_arch) if tag == "make" else random_theta(quadrature_arch, rng)
+    msol = solve_moments(theta, quadrature_arch, UNIT)
+    rep = solve_correlation(theta, quadrature_arch, UNIT, msol)
+    assert rep.chi == chi_at(theta, quadrature_arch, UNIT, msol.state, rep.c_star)
+
+
+def test_stencil_noise_is_reported_as_an_unstable_derivative():
+    # sigmoid(8) saturates the gate: sigma*^2 = 5.9e-7, and the correlation
+    # map's rounding swamps the finite-difference stencil
+    arch = get_architecture("vanillaRNN")
+    theta = make_theta(arch, sigma2=0.5, nu2=0.5, rho2=0.05, mu_f=8.0)
+    msol = solve_moments(theta, arch, UNIT)
+    with pytest.raises(DerivativeUnstable, match=r"chi = .* < 0 from slope estimates .* sigma\*\^2 = 5\.89"):
+        solve_correlation(theta, arch, UNIT, msol)
 
 
 def test_lstm_solver_rejects_start():

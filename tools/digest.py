@@ -9,9 +9,11 @@ Every entry point is run for the five cells at three thetas each
 (`verify.make_theta`, a `verify.random_theta` draw, `verify.zero_variance_theta`),
 plus the quadrature engine, sweeps, a search and the presets, and the
 private fast paths (`quadrature._expect_moments`, the moment-only step
-`moment_maps._moment_step`); then each
-command of the benchmark's cli-battery set (`perfbench/workloads.py`) runs
-in process at seeds 1 and 2 and its stdout is hashed. Scalars print as
+`moment_maps._moment_step`), and the solvers' slow paths (fixed points,
+iteration counts and error estimates at thetas whose maps expand, overshoot
+or swamp the chi stencil); then each command of the benchmark's cli-battery
+set (`perfbench/workloads.py`) runs in process at seeds 1 and 2 and its
+stdout is hashed. Scalars print as
 `float.hex`, arrays and stdout as the SHA-256 of their bytes; a call that
 raises prints its exception type and message.
 """
@@ -39,6 +41,10 @@ from rnnmf.verify import make_theta, random_theta, zero_variance_theta
 ROOT = Path(__file__).resolve().parent.parent
 UNIT = R.InputStats(1.0, 1.0)
 CORRELATIONS = (-0.5, 0.0, 0.3, 0.8, 1.0)
+# the solver-path lines leave out the trajectories, which a change of
+# iteration rule changes while the fixed point stays within tol
+SOLVE_FIELDS = ("mu_star", "q_star", "iterations", "residual", "error_estimate")
+CORRELATION_FIELDS = ("c_star", "chi", "xi", "iterations", "residuals", "error_estimates")
 
 
 def _sha(data: bytes) -> str:
@@ -70,13 +76,15 @@ def _leaves(value, path):
         yield path, repr(value)
 
 
-def emit(label, call):
+def emit(label, call, fields=None):
+    """Print the digest of call()'s value, or only of the named fields."""
     try:
         value = call()
     except Exception as e:  # a raised error is an output too
         print(f"{label} raises {type(e).__name__}: {e}")
         return None
-    for path, enc in _leaves(value, label):
+    shown = value if fields is None else {k: getattr(value, k) for k in fields}
+    for path, enc in _leaves(shown, label):
         print(path, enc)
     return value
 
@@ -143,6 +151,24 @@ def _one_theta(tag, arch, theta):
         emit(f"{tag} simulate_cell_distribution", lambda: R.simulate_cell_distribution(theta, arch, config, seed=3))
 
 
+def solver_paths():
+    """The solvers' slow paths: the expanding phase of the forget-bias-10
+    peephole, the peephole near its transition (mu_f 3.9 to 5), and a chi
+    stencil that rounding swamps (vanillaRNN at mu_f = 8)."""
+    peep, vanilla = R.get_architecture("peepholeLSTM"), R.get_architecture("vanillaRNN")
+    drive = R.GateParams(0.1, 1.0, 0.0, 0.0)
+    forget_bias_10 = {"i": drive, "f": R.GateParams(0.0, 0.0, 0.0, 10.0), "r": drive, "o": drive}
+    cases = [(peep, "forget_bias_10", R.Hyperparameters(forget_bias_10))]
+    for arch, mu_f in ((peep, 3.9), (peep, 4.5), (peep, 5.0), (vanilla, 8.0)):
+        cases.append((arch, f"mu_f={mu_f}", make_theta(arch, sigma2=0.5, nu2=0.5, rho2=0.05, mu_f=mu_f)))
+    for arch, name, theta in cases:
+        tag = f"solver/{arch.name}/{name}"
+        msol = emit(f"{tag} solve_moments", lambda: R.solve_moments(theta, arch, UNIT), SOLVE_FIELDS)
+        if msol is not None:
+            emit(f"{tag} solve_correlation", lambda: R.solve_correlation(theta, arch, UNIT, msol),
+                 CORRELATION_FIELDS)
+
+
 def cli(seed: int):
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import CliBattery
@@ -158,6 +184,7 @@ def cli(seed: int):
 
 def main():
     library()
+    solver_paths()
     cli(1)
     cli(2)
 
