@@ -30,6 +30,7 @@ from .core import (
 )
 from .criticality import (
     SWEEP_COLUMNS,
+    _pipeline_eval,
     direction_from_json_dict,
     preset_default_arch,
     preset_init,
@@ -37,7 +38,7 @@ from .criticality import (
     sweep_phase_diagram,
 )
 from .fixed_point import solve_correlation, solve_moments
-from .jacobian import jacobian_report_dict, moments
+from .jacobian import jacobian_report_dict
 from .lstm_cell_sampler import sample_cell_distribution
 from .moment_maps import preactivation_stats
 from .quadrature import DEFAULT_ORDER
@@ -102,22 +103,29 @@ def _write_csv(columns, rows) -> None:
         w.writerow([_fmt(v) for v in row])
 
 
-def _pipeline(args, arch, theta, inputs, seed):
+def _solve(args, arch, theta, inputs, seed):
     msol = solve_moments(
         theta, arch, inputs, order=args.order, tol=args.tol, max_iter=args.max_iter,
         n_s=args.n_s, n_iters=args.n_iters, seed=seed,
     )
-    rep = solve_correlation(
+    return solve_correlation(
         theta, arch, inputs, msol, c0=args.c0, order=args.order, tol=args.tol,
         max_iter=args.max_iter, n_s=args.n_s, n_iters=args.n_iters, seed=seed,
     )
-    return msol, rep
+
+
+def _report_and_moments(args, arch, theta, inputs, seed):
+    rep, mom, _ = _pipeline_eval(
+        theta, arch, inputs, args.order, args.n_s, args.n_iters, seed,
+        c0=args.c0, tol=args.tol, max_iter=args.max_iter,
+    )
+    return rep, mom
 
 
 def _cmd_fixed_point(args) -> int:
     arch, theta = _resolve_theta(args)
     seed = _resolve_seed(args)
-    msol, rep = _pipeline(args, arch, theta, _inputs(args), seed)
+    rep = _solve(args, arch, theta, _inputs(args), seed)
     _print_json(rep.to_json_dict())
     if args.highlight:
         xi_s = "inf" if math.isinf(rep.xi) else f"{rep.xi:.6g}"
@@ -131,12 +139,7 @@ def _cmd_fixed_point(args) -> int:
 def _cmd_jacobian(args) -> int:
     arch, theta = _resolve_theta(args)
     seed = _resolve_seed(args)
-    inputs = _inputs(args)
-    msol, rep = _pipeline(args, arch, theta, inputs, seed)
-    mom = moments(
-        theta, arch, msol.state, cell=msol.cell, inputs=inputs,
-        order=args.order, n_s=args.n_s, n_iters=args.n_iters, seed=seed,
-    )
+    rep, mom = _report_and_moments(args, arch, theta, _inputs(args), seed)
     _print_json(jacobian_report_dict(mom, rep.chi))
     return 0
 
@@ -238,11 +241,7 @@ def _cmd_spectrum(args) -> int:
     inputs = _inputs(args)
     config = SimulationConfig(N=args.N, T=args.burn_in, seed=seed)
     _, sr = build_jacobian(theta, arch, config, seed=seed, inputs=inputs, burn_in=args.burn_in)
-    msol, rep = _pipeline(args, arch, theta, inputs, seed)
-    mom = moments(
-        theta, arch, msol.state, cell=msol.cell, inputs=inputs,
-        order=args.order, n_s=args.n_s, n_iters=args.n_iters, seed=seed,
-    )
+    _, mom = _report_and_moments(args, arch, theta, inputs, seed)
     _write_csv(
         ("rank", "squared_singular_value"),
         ([i, v] for i, v in enumerate(sr.squared_singular_values, start=1)),
@@ -305,11 +304,10 @@ def _cmd_verify(args) -> int:
 # parser
 
 
-def _add_common(p, theta=True, arch_required=False):
+def _add_common(p, theta=True):
     if theta:
         p.add_argument("--theta", required=True, help="theta JSON file")
-    p.add_argument("--arch", required=arch_required, choices=sorted(ARCHITECTURES),
-                   help="architecture name")
+    p.add_argument("--arch", choices=sorted(ARCHITECTURES), help="architecture name")
     p.add_argument("--R", type=float, default=1.0, help="input second moment (default 1)")
     p.add_argument("--sigma-z", dest="sigma_z", type=float, default=1.0,
                    help="input cross-correlation (default 1)")
@@ -365,13 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta0", required=True, help="base theta JSON file")
     p.add_argument("--direction", required=True, help="direction JSON file (same shape)")
     p.add_argument("--alphas", required=True, help="grid a:b:n (linspace)")
-    p.add_argument("--arch", default=None, choices=sorted(ARCHITECTURES))
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--sigma-z", dest="sigma_z", type=float, default=1.0)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-s", dest="n_s", type=int, default=200)
-    p.add_argument("--n-iters", dest="n_iters", type=int, default=200)
+    _add_common(p, theta=False)
     p.add_argument("--workers", type=int, default=None,
                    help="parallel workers (default: RNNMF_WORKERS or all cores)")
     p.set_defaults(func=_cmd_sweep)

@@ -180,9 +180,11 @@ def _golden_min(f, lo, hi, tol=1e-4, max_iter=80):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _pipeline_eval(theta, arch, inputs, order, n_s, n_iters, seed):
-    msol = solve_moments(theta, arch, inputs, order=order, n_s=n_s, n_iters=n_iters, seed=seed)
-    rep, mom = _correlation_report(theta, arch, inputs, msol, order=order, n_s=n_s, n_iters=n_iters, seed=seed)
+def _pipeline_eval(theta, arch, inputs, order, n_s, n_iters, seed, c0=0.0, tol=1e-9, max_iter=10000):
+    """(report, Jacobian moments, isometry gap) at theta's fixed point, the
+    moments computed once also when chi is their m1."""
+    msol = solve_moments(theta, arch, inputs, order, tol, max_iter, n_s=n_s, n_iters=n_iters, seed=seed)
+    rep, mom = _correlation_report(theta, arch, inputs, msol, c0, order, tol, max_iter, n_s, n_iters, seed)
     if mom is None:  # chi did not come from the Jacobian moments
         mom = _jacobian.moments(
             theta, arch, msol.state, cell=msol.cell, inputs=inputs,

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 _WINDOW = 10  # sampled-map convergence window (iterations)
-_EPS = 1e-4  # chi_at's default finite-difference step
+_EPS = 1e-4  # chi_at's finite-difference step
 
 
 class NoConvergence(ArithmeticError):
@@ -349,7 +349,6 @@ def chi_at(
     state,
     c: float,
     order: int = DEFAULT_ORDER,
-    eps: float = _EPS,
     n_s: int = 200,
     n_iters: int = 200,
     seed: int = 0,
@@ -357,11 +356,12 @@ def chi_at(
 ) -> float:
     """Slope of the correlation map at correlation c around the fixed state.
 
-    Quadrature architectures: central finite difference with step eps plus a
-    Richardson pass at eps/2 (the extrapolated value is returned; the two raw
-    estimates must agree to 1e-4 relative or DerivativeUnstable is raised,
-    as it is when the result is negative beyond 1e-8: the map's rounding
-    over a tiny sigma*^2 then swamps the slope).
+    Quadrature architectures: central finite difference with step
+    eps = 1e-4 plus a Richardson pass at eps/2 (the extrapolated value is
+    returned; the two raw estimates must agree to 1e-4 relative or
+    DerivativeUnstable is raised, as it is when the result is negative
+    beyond 1e-8: the map's rounding over a tiny sigma*^2 then swamps the
+    slope).
     At c = 1 a one-sided second-order stencil is used since correlations
     cannot exceed 1. The LSTM evaluates the slope directly as the mean total
     contribution on a coupled stationary cell frame (same functional as m1,
@@ -374,6 +374,17 @@ def chi_at(
     st = _as_state(state)
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"correlation c = {c} outside [-1, 1]")
+    if not (arch.needs_cell or _degenerate(st)):
+        validate_theta(theta, arch)
+    return _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, cell, {})[0]
+
+
+def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, cell, known):
+    """chi_at's slope, paired with the Jacobian moments when the slope is
+    their m1 (a degenerate quadrature state), else with None. A stencil's
+    theta must be validated already; known maps correlations to map values
+    in hand."""
+
     if arch.needs_cell:
         frame_state = MomentState(st.mu_s, max(st.q_s, st.mu_s**2), c)
         stats = preactivation_stats(theta, arch, frame_state, inputs, order)
@@ -384,15 +395,14 @@ def chi_at(
         # mean each contribution, then sum in label order: the same
         # accumulation the moment assembly uses, so common random numbers
         # make chi and m1 agree to the last bit at c = 1
-        return float(sum(float(np.mean(v)) for v in frame.values()))
-
+        return float(sum(float(np.mean(v)) for v in frame.values())), None
     if _degenerate(st):
-        return _jacobian.moments(theta, arch, st, inputs=inputs, order=order).m1
-    validate_theta(theta, arch)
-    return _stencil_slope(theta, arch, inputs, st, c, order, eps, {})
+        mom = _jacobian.moments(theta, arch, st, inputs=inputs, order=order)
+        return mom.m1, mom
+    return _stencil_slope(theta, arch, inputs, st, c, order, known), None
 
 
-def _stencil_slope(theta, arch, inputs, st, c, order, eps, known) -> float:
+def _stencil_slope(theta, arch, inputs, st, c, order, known) -> float:
     """chi_at's finite-difference slope for a quadrature cell at a valid
     theta and a non-degenerate state. known maps correlations to map values
     already in hand (the correlation solve's last one, M(C*))."""
@@ -411,9 +421,9 @@ def _stencil_slope(theta, arch, inputs, st, c, order, eps, known) -> float:
             return (-3.0 * M(c) + 4.0 * M(c + h) - M(c + 2.0 * h)) / (2.0 * h)
         return (M(c + h) - M(c - h)) / (2.0 * h)
 
-    s1 = slope(eps)
-    s2 = slope(eps / 2.0)
-    evidence = f"slope estimates {s1!r} (eps = {eps:g}) and {s2!r} (eps/2) at sigma*^2 = {st.sigma2_s!r}"
+    s1 = slope(_EPS)
+    s2 = slope(_EPS / 2.0)
+    evidence = f"slope estimates {s1!r} (eps = {_EPS:g}) and {s2!r} (eps/2) at sigma*^2 = {st.sigma2_s!r}"
     if abs(s1 - s2) > 1e-4 * max(1.0, abs(s2)):
         raise DerivativeUnstable(f"{evidence} disagree beyond 1e-4 relative")
     out = (4.0 * s2 - s1) / 3.0
@@ -476,7 +486,7 @@ def _correlation_report(
 
     degenerate = _degenerate(st)
     if degenerate:  # no correlation direction: C* = 1 by convention
-        c, resid_c, err_c, it, traj, cell = 1.0, 0.0, 0.0, 0, [1.0], None
+        c, resid_c, err_c, it, traj, cell, known = 1.0, 0.0, 0.0, 0, [1.0], None, {}
     else:
         validate_theta(theta, arch)
 
@@ -486,14 +496,8 @@ def _correlation_report(
         c, (m_c,), resid_c, err_c, it, traj = _iterate(
             G, (c0,), lambda x: (min(max(x[0], -1.0), 1.0),), lambda x: x[0], tol, max_iter, "correlation"
         )
-    mom = None
-    if arch.needs_cell:
-        chi = chi_at(theta, arch, inputs, st, c, order=order, n_s=n_s, n_iters=n_iters, seed=seed, cell=cell)
-    elif degenerate:
-        mom = _jacobian.moments(theta, arch, st, inputs=inputs, order=order)
-        chi = mom.m1
-    else:
-        chi = _stencil_slope(theta, arch, inputs, st, c, order, _EPS, {c: m_c})
+        known = {c: m_c}
+    chi, mom = _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, cell, known)
     report = FixedPointReport(
         arch=arch.name,
         mu_star=st.mu_s,

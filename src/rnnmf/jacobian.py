@@ -19,8 +19,10 @@ map slope chi equals m1, which is the identity the tests pin down.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Optional
 
 import numpy as np
@@ -37,7 +39,7 @@ from .core import (
 )
 from .lstm_cell_sampler import CellStateEnsemble, correlated_cell_pairs, recorded_step
 from .moment_maps import PreActivationStats, preactivation_stats
-from .quadrature import DEFAULT_ORDER, _expect_node_product, _node_values
+from .quadrature import DEFAULT_ORDER, _points, _weighted_sum
 
 __all__ = [
     "ContributionVector",
@@ -57,8 +59,8 @@ CRITICAL_TOL = 1e-2  # per-component threshold for calling a point critical
 class _EvalCtx:
     """Gate expectations E[prod of prims(u_gate)] and term values at one set
     of gate statistics. Each primitive is evaluated once per gate, at
-    expect1's points, and a product multiplies those values in _prod_func's
-    order: bit for bit expect1(_prod_func(prims))."""
+    quadrature._points, and a product multiplies those values in
+    _prod_func's order: bit for bit expect1(_prod_func(prims))."""
 
     def __init__(self, stats: PreActivationStats, order: int):
         self.stats = stats
@@ -68,21 +70,15 @@ class _EvalCtx:
 
     def _prim(self, gate: str, prim: str):
         if (gate, prim) not in self._values:
-            self._values[(gate, prim)] = _node_values(
-                _PRIMS[prim], self.stats.mu(gate), self.stats.sigma2_pre(gate), self.order
-            )
+            u = _points(self.stats.mu(gate), self.stats.sigma2_pre(gate), self.order)
+            self._values[(gate, prim)] = np.asarray(_PRIMS[prim](u), dtype=float)
         return self._values[(gate, prim)]
 
     def gate_expect(self, gate: str, prims: tuple) -> float:
         key = (gate, prims)
         if key not in self._memo:
-            self._memo[key] = _expect_node_product(
-                [self._prim(gate, p) for p in prims],
-                _prod_func(prims),
-                self.stats.mu(gate),
-                self.stats.sigma2_pre(gate),
-                self.order,
-            )
+            vals = reduce(operator.mul, [self._prim(gate, p) for p in prims])
+            self._memo[key] = _weighted_sum(self.order, _prod_func(prims), vals)
         return self._memo[key]
 
     def term(self, coef: float, shape: tuple, powers) -> float:

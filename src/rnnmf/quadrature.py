@@ -8,9 +8,8 @@ u_b = mu + Sigma (c z_a + sqrt(1 - c^2) z_b).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,30 +62,47 @@ def _nodes(order: int):
     return x * math.sqrt(2.0), w / math.sqrt(math.pi)
 
 
-def _check_finite(vals, g):
-    if not np.all(np.isfinite(vals)):
-        name = getattr(g, "__name__", repr(g))
-        raise NonFiniteIntegrand(f"integrand {name} returned a non-finite value")
-
-
-def _pair_nodes(x, mu: float, sig: float, c: float):
-    """u_b on the pair grid: row i pairs with u_a = mu + sig x_i."""
-    root = math.sqrt(max(1.0 - c * c, 0.0))
-    return mu + sig * (c * x[:, None] + root * x[None, :])
-
-
-def _node_values(g, mu: float, sigma2: float, order: int):
-    """g at expect1's points for N(mu, sigma2): mu + sqrt(sigma2) x at the
-    nodes x, or mu itself at a point mass."""
+def _points(mu: float, sigma2: float, order: int):
+    """Where an expectation over N(mu, sigma2) evaluates its integrand:
+    mu + sqrt(sigma2) x at the nodes x, or mu alone (0-d) at a point mass."""
+    if not sigma2 >= 0.0:
+        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
     x = _nodes(order)[0]  # an unsupported order raises here, also at a point mass
     if sigma2 > 0.0:
-        return np.asarray(g(mu + math.sqrt(sigma2) * x), dtype=float)
-    return np.asarray(g(np.asarray(mu, dtype=float)), dtype=float)
+        return mu + math.sqrt(sigma2) * x
+    return np.asarray(mu, dtype=float)
 
 
-def _node_sum(vals, sigma2: float, order: int) -> float:
-    """expect1's sum of node values from _node_values."""
-    return float(_nodes(order)[1] @ vals) if sigma2 > 0.0 else float(vals)
+def _partner(u, mu: float, sigma2: float, c: float, order: int):
+    """u_b of the pair GaussianPairSpec(mu, sigma2, c) for u_a at
+    u = _points(mu, sigma2, order): u itself at a point mass or a collapsed
+    pair, 2 mu - u for an anticorrelated one, else the pair grid, whose
+    row i pairs with u[i]."""
+    if sigma2 == 0.0 or c >= 1.0 - COLLAPSE_TOL:
+        return u
+    if c <= -1.0 + COLLAPSE_TOL:
+        return 2.0 * mu - u
+    x = _nodes(order)[0]
+    root = math.sqrt(max(1.0 - c * c, 0.0))
+    return mu + math.sqrt(sigma2) * (c * x[:, None] + root * x[None, :])
+
+
+def _weighted_sum(order: int, g, vals, first=None) -> float:
+    """The quadrature sum of g's values vals, laid out as _points or
+    _partner lays out g's arguments, each times the value of first at the
+    same _points node when first is given. A point mass's 0-d value is
+    returned as is, keeping the sign of a zero. A sum that is not finite
+    raises NonFiniteIntegrand naming g if one of vals is not finite; with
+    every value finite it is the product's overflow and is returned."""
+    prod = vals if first is None else (first[:, None] if vals.ndim == 2 else first) * vals
+    w = _nodes(order)[1]
+    if prod.ndim == 2:
+        out = float(w @ (prod @ w))
+    else:
+        out = float(w @ prod) if prod.ndim else float(prod)
+    if not (math.isfinite(out) or np.all(np.isfinite(vals))):
+        raise NonFiniteIntegrand(f"integrand {getattr(g, '__name__', repr(g))} returned a non-finite value")
+    return out
 
 
 def expect1(g, mu: float, sigma2: float, order: int = DEFAULT_ORDER) -> float:
@@ -95,79 +111,31 @@ def expect1(g, mu: float, sigma2: float, order: int = DEFAULT_ORDER) -> float:
     g must accept numpy arrays elementwise.
     """
 
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    vals = _node_values(g, mu, sigma2, order)
-    out = _node_sum(vals, sigma2, order)
-    if not math.isfinite(out):  # a non-finite node makes the sum non-finite
-        _check_finite(vals, g)
-    return out
-
-
-def _expect_node_product(factors, g, mu: float, sigma2: float, order: int) -> float:
-    """expect1(g, mu, sigma2, order) for g the product of functions whose
-    _node_values are factors, multiplied left to right as g multiplies them;
-    expect1 itself when the sum is not finite."""
-    if sigma2 >= 0.0:
-        out = _node_sum(reduce(operator.mul, factors), sigma2, order)
-        if math.isfinite(out):
-            return out
-    return expect1(g, mu, sigma2, order)
+    return _weighted_sum(order, g, np.asarray(g(_points(mu, sigma2, order)), dtype=float))
 
 
 def expect2(g1, g2, pair: GaussianPairSpec, order: int = DEFAULT_ORDER) -> float:
     """E[g1(U_a) g2(U_b)] for the correlated pair described by `pair`."""
 
-    mu, sigma2, c = pair.mu, pair.sigma2, pair.c
-    if sigma2 == 0.0:
-        return expect1(lambda u: np.asarray(g1(u), dtype=float) * np.asarray(g2(u), dtype=float), mu, 0.0, order)
-    if c >= 1.0 - COLLAPSE_TOL:
-        return expect1(lambda u: np.asarray(g1(u), dtype=float) * np.asarray(g2(u), dtype=float), mu, sigma2, order)
-    if c <= -1.0 + COLLAPSE_TOL:
-        # u_b = 2 mu - u_a exactly for a perfectly anticorrelated pair
-        return expect1(
-            lambda u: np.asarray(g1(u), dtype=float) * np.asarray(g2(2.0 * mu - u), dtype=float),
-            mu,
-            sigma2,
-            order,
-        )
-    x, w = _nodes(order)
-    sig = math.sqrt(sigma2)
-    ua = mu + sig * x
-    v1 = np.asarray(g1(ua), dtype=float)
-    _check_finite(v1, g1)
-    v2 = np.asarray(g2(_pair_nodes(x, mu, sig, c)), dtype=float)
-    out = float(w @ ((v1[:, None] * v2) @ w))
-    if not math.isfinite(out):
-        _check_finite(v2, g2)
-    return out
+    u = _points(pair.mu, pair.sigma2, order)
+    v1 = np.asarray(g1(u), dtype=float)
+    _weighted_sum(order, g1, v1)  # names g1 before its values enter the product
+    v2 = np.asarray(g2(_partner(u, pair.mu, pair.sigma2, pair.c, order)), dtype=float)
+    return _weighted_sum(order, g2, v2, v1)
 
 
 def _expect_moments(g, mu: float, sigma2: float, c: float, order: int) -> tuple:
     """(E[g(U)], E[g(U)^2], E[g(U_a) g(U_b)]) for U ~ N(mu, sigma2) and the
-    pair GaussianPairSpec(mu, sigma2, c), from one evaluation of g on the
-    nodes plus one on the pair grid (none for c >= 1 - COLLAPSE_TOL). Bit
-    for bit expect1(g, mu, sigma2), expect2(g, g, c = 1) and
-    expect2(g, g, c), which it falls back to at a point mass, an
-    anticorrelated pair or a non-finite integral.
+    pair GaussianPairSpec(mu, sigma2, c), bit for bit expect1(g, mu, sigma2),
+    expect2(g, g, c = 1) and expect2(g, g, c), from one evaluation of g at
+    _points plus one at _partner's points unless those are the same.
     """
 
-    if sigma2 > 0.0:
-        x, w = _nodes(order)
-        sig = math.sqrt(sigma2)
-        v = np.asarray(g(mu + sig * x), dtype=float)
-        e1, e2 = float(w @ v), float(w @ (v * v))
-        if math.isfinite(e1) and math.isfinite(e2):
-            pair = GaussianPairSpec(mu, sigma2, c)
-            if c >= 1.0 - COLLAPSE_TOL:
-                return e1, e2, e2
-            if c <= -1.0 + COLLAPSE_TOL:
-                return e1, e2, expect2(g, g, pair, order)
-            # expect2's pair sum, its first factor's values reused
-            vb = np.asarray(g(_pair_nodes(x, mu, sig, c)), dtype=float)
-            epair = float(w @ ((v[:, None] * vb) @ w))
-            if math.isfinite(epair):
-                return e1, e2, epair
-    e1 = expect1(g, mu, sigma2, order)
-    e2 = expect2(g, g, GaussianPairSpec(mu, sigma2, 1.0), order)
-    return e1, e2, expect2(g, g, GaussianPairSpec(mu, sigma2, c), order)
+    u = _points(mu, sigma2, order)
+    v = np.asarray(g(u), dtype=float)
+    e1 = _weighted_sum(order, g, v)  # also checks v before it enters a product
+    e2 = _weighted_sum(order, g, v, v)
+    ub = _partner(u, mu, sigma2, c, order)
+    if ub is u:
+        return e1, e2, e2
+    return e1, e2, _weighted_sum(order, g, np.asarray(g(ub), dtype=float), v)

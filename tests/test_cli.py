@@ -10,10 +10,10 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
-from rnnmf import SWEEP_COLUMNS, get_architecture, theta_to_json_dict
+from rnnmf import SWEEP_COLUMNS, get_architecture, jacobian, theta_to_json_dict
 from rnnmf.cli import run
 
-from conftest import make_theta
+from conftest import make_theta, zero_variance_theta
 
 
 def _schema(name):
@@ -257,6 +257,27 @@ def test_spectrum_csv_and_theory_line(tmp_path, capsys):
     values = [float(r[1]) for r in rows[1:]]
     assert values == sorted(values, reverse=True)
     assert "empirical mean" in captured.err and "predicted m1" in captured.err
+
+
+@pytest.mark.parametrize("command", [["jacobian"], ["spectrum", "--N", "8", "--burn-in", "5"]], ids=["jacobian", "spectrum"])
+@pytest.mark.parametrize("degenerate", [False, True], ids=["make_theta", "zero_variance"])
+def test_jacobian_commands_compute_the_moments_once(tmp_path, capsys, monkeypatch, command, degenerate):
+    # at a zero-variance fixed point chi is the Jacobian moments' m1, and the
+    # commands reuse those moments rather than asking for them again
+    arch = get_architecture("GRU")
+    theta = zero_variance_theta(arch) if degenerate else make_theta(arch)
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(theta_to_json_dict(theta, "GRU")))
+    calls = []
+    contribution_vector = jacobian.contribution_vector
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return contribution_vector(*args, **kwargs)
+
+    monkeypatch.setattr(jacobian, "contribution_vector", spy)
+    assert run([*command, "--theta", str(path), "--seed", "0"]) == 0
+    assert len(calls) == 1
 
 
 def test_cell_dist_sampler_csv(tmp_path, capsys):

@@ -29,6 +29,15 @@ def test_expect1_zero_variance_is_point_evaluation():
     assert expect1(np.tanh, 0.4, 0.0) == math.tanh(0.4)
 
 
+@pytest.mark.parametrize("sigma2", [-0.1, math.nan])
+def test_invalid_variance_raises(sigma2):
+    # a NaN variance is no point mass
+    with pytest.raises(ValueError, match="sigma2 must be >= 0"):
+        expect1(np.tanh, 0.4, sigma2)
+    with pytest.raises(ValueError, match="sigma2 must be >= 0"):
+        _expect_moments(np.tanh, 0.4, sigma2, 0.5, DEFAULT_ORDER)
+
+
 def test_expect2_independent_factorizes():
     pair = GaussianPairSpec(0.3, 0.8, 0.0)
     prod = expect2(np.tanh, np.tanh, pair)
@@ -63,36 +72,44 @@ def test_non_finite_integrand_raises():
 
 
 def _poisoned(value):
-    """tanh with one node (the sixth, in either layout) set to value."""
+    """tanh with one node (the sixth, in either layout; the only one at a
+    point mass) set to value."""
 
     def bad(u):
         out = np.array(np.tanh(u), dtype=float)
-        out.flat[5] = value
+        out.flat[min(5, out.size - 1)] = value
         return out
 
     return bad
 
 
+# a point mass, an anticorrelated and a collapsed pair, and the pair grid
+_LAYOUTS = [(0.0, 0.3), (0.9, -1.0), (0.9, 1.0), (0.9, 0.3)]
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_one_non_finite_node_raises_naming_the_integrand(value):
     bad = _poisoned(value)
-    pair = GaussianPairSpec(0.2, 0.9, 0.3)
-    with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
-        expect1(bad, 0.2, 0.9)
-    with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
-        expect2(bad, np.tanh, pair)
-    with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
-        expect2(np.tanh, bad, pair)
-    with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
-        _expect_moments(bad, 0.2, 0.9, 0.3, DEFAULT_ORDER)
+    for sigma2, c in _LAYOUTS:
+        pair = GaussianPairSpec(0.2, sigma2, c)
+        with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
+            expect1(bad, 0.2, sigma2)
+        with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
+            expect2(bad, np.tanh, pair)
+        with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
+            expect2(np.tanh, bad, pair)
+        with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
+            _expect_moments(bad, 0.2, sigma2, c, DEFAULT_ORDER)
 
 
 def test_finite_nodes_whose_product_overflows_integrate_to_inf():
     def huge(u):
         return np.full_like(u, 1e200)
 
-    with np.errstate(over="ignore"):
-        assert expect2(huge, huge, GaussianPairSpec(0.0, 1.0, 0.3)) == math.inf
+    for sigma2, c in _LAYOUTS:
+        with np.errstate(over="ignore"):
+            assert expect2(huge, huge, GaussianPairSpec(0.0, sigma2, c)) == math.inf
+            assert _expect_moments(huge, 0.0, sigma2, c, DEFAULT_ORDER)[1:] == (math.inf, math.inf)
 
 
 _CORRELATIONS = [-1.0, -1.0 + 1e-13, -0.5, 0.0, 0.3, 1.0 - 1e-13, 1.0]

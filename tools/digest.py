@@ -7,7 +7,8 @@ two outputs: a line that differs names an output that changed.
 
 Every entry point is run for the five cells at three thetas each
 (`verify.make_theta`, a `verify.random_theta` draw, `verify.zero_variance_theta`),
-plus the quadrature engine, sweeps, a search and the presets, and the
+plus the quadrature engine (also at a point mass and in every pair layout,
+with a NaN-poisoned integrand too), sweeps, a search and the presets, and the
 private fast paths (`quadrature._expect_moments`, the moment-only step
 `moment_maps._moment_step`), and the solvers' slow paths (fixed points,
 iteration counts and error estimates at thetas whose maps expand, overshoot
@@ -41,6 +42,8 @@ from rnnmf.verify import make_theta, random_theta, zero_variance_theta
 ROOT = Path(__file__).resolve().parent.parent
 UNIT = R.InputStats(1.0, 1.0)
 CORRELATIONS = (-0.5, 0.0, 0.3, 0.8, 1.0)
+# anticorrelated, nearly anticorrelated, grid and (nearly) collapsed pairs
+LAYOUT_CORRELATIONS = (-1.0, -1.0 + 1e-13, -0.5, 0.4, 1.0 - 1e-13, 1.0)
 # the solver-path lines leave out the trajectories, which a change of
 # iteration rule changes while the fixed point stays within tol
 SOLVE_FIELDS = ("mu_star", "q_star", "iterations", "residual", "error_estimate")
@@ -114,6 +117,28 @@ def library():
     emit("search[peepholeLSTM]", lambda: R.search_critical("peepholeLSTM", target_xi=50.0, seed=1))
 
 
+def nan_tanh(u):
+    """tanh with its sixth node (its only one at a point mass) set to NaN."""
+    out = np.array(np.tanh(u), dtype=float)
+    out.flat[min(5, out.size - 1)] = np.nan
+    return out
+
+
+def quadrature_layouts():
+    """expect1, expect2 and _expect_moments at a point mass and at
+    sigma2 = 0.7, over every pair layout, plain and with nan_tanh."""
+    for sigma2 in (0.0, 0.7):
+        for g in (np.tanh, nan_tanh):
+            emit(f"layout[{sigma2}] expect1[{g.__name__}]", lambda: R.expect1(g, 0.3, sigma2))
+        for c in LAYOUT_CORRELATIONS:
+            pair = R.GaussianPairSpec(0.3, sigma2, c)
+            tag = f"layout[{sigma2}, {c!r}]"
+            for g1, g2 in ((np.tanh, sigmoid), (nan_tanh, sigmoid), (sigmoid, nan_tanh)):
+                emit(f"{tag} expect2[{g1.__name__}, {g2.__name__}]", lambda: R.expect2(g1, g2, pair))
+            for g in (np.tanh, nan_tanh):
+                emit(f"{tag} _expect_moments[{g.__name__}]", lambda: _expect_moments(g, 0.3, sigma2, c, R.DEFAULT_ORDER))
+
+
 def _one_theta(tag, arch, theta):
     state = R.MomentState(0.1, 0.4, 0.5)
     stats = emit(f"{tag} preactivation_stats", lambda: R.preactivation_stats(theta, arch, state, UNIT))
@@ -184,6 +209,7 @@ def cli(seed: int):
 
 def main():
     library()
+    quadrature_layouts()
     solver_paths()
     cli(1)
     cli(2)
