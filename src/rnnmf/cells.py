@@ -279,9 +279,8 @@ def _lstm_step(theta, stats, state, cell, order):
     return _lstm_output_moments(stats, cell_new, _lstm_gate_o(stats, order), order) + (cell_new,)
 
 
-def _lstm_correlate(theta, stats, cell, order, n_s, n_iters, seed):
-    init = cell if (cell is not None and getattr(cell, "paired", False)) else None
-    pairs = correlated_cell_pairs(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed, init=init)
+def _lstm_correlate(theta, stats, order, n_s, n_iters, seed):
+    pairs = correlated_cell_pairs(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed)
     e_opair = expect2(sigmoid, sigmoid, stats.pair("o"), order)
     return e_opair * float(np.mean(np.tanh(pairs.samples) * np.tanh(pairs.samples_b)))
 
@@ -300,11 +299,11 @@ class CellRules:
     """One cell's rules.
 
     step(theta, stats, state, cell, order) -> (mu', Q', rho', cell').
-    correlate(theta, stats, cell, order, n_s, n_iters, seed) -> rho' is the
-    sampled correlation step; None means rho' of step. entries(theta) gives
-    the contribution terms by label, factors(ev) the state-power factors
-    (a, b), with ev(k, prims) = E[prod of prims(u_k)]; both are None for
-    the sampled LSTM. update(s, u, c) -> (s', c') is the width-N update, c
+    correlate(theta, stats, order, n_s, n_iters, seed) -> rho' is the
+    sampled correlation step, on pairs equilibrated from zero; None means
+    rho' of step. entries(theta) gives the contribution terms by label,
+    factors(ev) the state-power factors (a, b), with ev(k, prims) =
+    E[prod of prims(u_k)]; both are None for the sampled LSTM. update(s, u, c) -> (s', c') is the width-N update, c
     the carried cell or None. d0(s, u, c)
     is the derivative through the carried state (ds'/ds, or dh'/dc_prev for
     the LSTM) and dk[k](s, u, c) the derivative by u_k, for every gate that

@@ -253,28 +253,30 @@ def search_critical(
         bnds.append((bounds or {}).get(key, default_bounds[field]))
 
     evals = 0
-    cache = {}
+    cache = {}  # key -> (objective, (theta, report, moments, gap) or None)
 
-    def objective(values):
+    def score(key, theta):
+        """The objective at theta, memoized under key: inf where the
+        evaluation raises."""
         nonlocal evals
-        key = tuple(float(v) for v in values)
-        if key in cache:
-            return cache[key][0]
         evals += 1
-        theta = _apply_free(base, free_keys, key)
         try:
             rep, mom, gap = _pipeline_eval(theta, arch, inputs, order, n_s, n_iters, seed)
-            if target_xi is not None:
-                obj = abs(rep.xi - target_xi)
-                if math.isinf(rep.xi) and math.isinf(target_xi):
-                    obj = 0.0
-            else:
-                obj = gap.norm
-        except (NoConvergence, ArithmeticError):
+        except ArithmeticError:
             cache[key] = (math.inf, None)
             return math.inf
+        if target_xi is None:
+            obj = gap.norm
+        elif math.isinf(rep.xi) and math.isinf(target_xi):
+            obj = 0.0
+        else:
+            obj = abs(rep.xi - target_xi)
         cache[key] = (obj, (theta, rep, mom, gap))
         return obj
+
+    def objective(values):
+        key = tuple(float(v) for v in values)
+        return cache[key][0] if key in cache else score(key, _apply_free(base, free_keys, key))
 
     current = [0.5 * (lo + hi) for lo, hi in bnds]
     sweeps = 1 if len(free_keys) == 1 else 3
@@ -298,23 +300,11 @@ def search_critical(
         if parch != arch.name or pname == "standard":
             continue
         ptheta = preset_init(pname, arch.name)
-        ok = all(
-            math.isclose(getattr(ptheta.gates[g], f), v, rel_tol=0, abs_tol=0)
-            for g, entry in constraints.items()
-            for f, v in entry.items()
-        )
-        if not ok:
+        if any(getattr(ptheta.gates[g], f) != v for g, entry in constraints.items() for f, v in entry.items()):
             continue
-        pkey = ("preset", pname)
-        try:
-            rep, mom, gap = _pipeline_eval(ptheta, arch, inputs, order, n_s, n_iters, seed)
-            evals += 1
-            obj = abs(rep.xi - target_xi) if target_xi is not None else gap.norm
-            cache[pkey] = (obj, (ptheta, rep, mom, gap))
-            if obj < best_obj:
-                best_obj, best_key, source = obj, pkey, "preset"
-        except (NoConvergence, ArithmeticError):
-            pass
+        obj = score(("preset", pname), ptheta)
+        if obj < best_obj:
+            best_obj, best_key, source = obj, ("preset", pname), "preset"
 
     def _report(key, obj, src):
         theta, rep, mom, gap = cache[key][1]
@@ -333,7 +323,6 @@ def search_critical(
             f"best xi = {report.xi} misses target {target_xi} by more than 10%",
             best=(theta, report),
         )
-    validate_theta(theta, get_architecture(arch.name))
     return theta, report
 
 

@@ -27,12 +27,7 @@ from .core import (
     validate_theta,
 )
 from .lstm_cell_sampler import CellStateEnsemble, sample_cell_distribution
-from .moment_maps import (
-    _DEG_TOL,
-    _correlation_step,
-    _moment_step,
-    preactivation_stats,
-)
+from .moment_maps import _correlation_step, _degenerate, _moment_step, preactivation_stats
 from .quadrature import DEFAULT_ORDER
 from . import jacobian as _jacobian
 
@@ -338,10 +333,6 @@ def solve_moments(
     )
 
 
-def _degenerate(state: MomentState) -> bool:
-    return state.sigma2_s <= _DEG_TOL * max(1.0, abs(state.q_s))
-
-
 def chi_at(
     theta: Hyperparameters,
     arch: ArchitectureSpec,
@@ -352,7 +343,6 @@ def chi_at(
     n_s: int = 200,
     n_iters: int = 200,
     seed: int = 0,
-    cell: Optional[CellStateEnsemble] = None,
 ) -> float:
     """Slope of the correlation map at correlation c around the fixed state.
 
@@ -364,22 +354,22 @@ def chi_at(
     slope).
     At c = 1 a one-sided second-order stencil is used since correlations
     cannot exceed 1. The LSTM evaluates the slope directly as the mean total
-    contribution on a coupled stationary cell frame (same functional as m1,
-    evaluated at the gate correlations induced by c), which sidesteps
-    differencing a sampled map. A degenerate fixed state (zero variance) has
-    no correlation direction; the slope then falls back to the contribution
-    functional m1 evaluated at the fixed point.
+    contribution on a coupled stationary cell frame equilibrated from zero
+    (same functional as m1, evaluated at the gate correlations induced by
+    c), which sidesteps differencing a sampled map. A degenerate fixed state
+    (zero variance) has no correlation direction; the slope then falls back
+    to the contribution functional m1 evaluated at the fixed point.
     """
 
     st = _as_state(state)
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"correlation c = {c} outside [-1, 1]")
-    if not (arch.needs_cell or _degenerate(st)):
+    if not (arch.needs_cell or _degenerate(st.mu_s, st.q_s)):
         validate_theta(theta, arch)
-    return _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, cell, {})[0]
+    return _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, {})[0]
 
 
-def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, cell, known):
+def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, known):
     """chi_at's slope, paired with the Jacobian moments when the slope is
     their m1 (a degenerate quadrature state), else with None. A stencil's
     theta must be validated already; known maps correlations to map values
@@ -388,15 +378,12 @@ def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, cell, known):
     if arch.needs_cell:
         frame_state = MomentState(st.mu_s, max(st.q_s, st.mu_s**2), c)
         stats = preactivation_stats(theta, arch, frame_state, inputs, order)
-        init = None
-        if cell is not None and cell.paired:
-            init = cell
-        frame = _jacobian.lstm_chi_frame(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed, init=init)
+        frame = _jacobian.lstm_chi_frame(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed)
         # mean each contribution, then sum in label order: the same
         # accumulation the moment assembly uses, so common random numbers
         # make chi and m1 agree to the last bit at c = 1
         return float(sum(float(np.mean(v)) for v in frame.values())), None
-    if _degenerate(st):
+    if _degenerate(st.mu_s, st.q_s):
         mom = _jacobian.moments(theta, arch, st, inputs=inputs, order=order)
         return mom.m1, mom
     return _stencil_slope(theta, arch, inputs, st, c, order, known), None
@@ -411,7 +398,7 @@ def _stencil_slope(theta, arch, inputs, st, c, order, known) -> float:
     def M(cv: float) -> float:
         if cv in known:
             return known[cv]
-        return _correlation_step(theta, arch, st, cv, inputs, None, order, 0, 0, 0)  # no cell, no sampling
+        return _correlation_step(theta, arch, st, cv, inputs, order, 0, 0, 0)  # no sampling
 
     def slope(h: float) -> float:
         if c + h > 1.0:
@@ -482,22 +469,20 @@ def _correlation_report(
     if not -1.0 <= c0 <= 1.0:
         raise ValueError(f"start correlation c0 = {c0} outside [-1, 1]")
     mu_res, mu_err = (fixed.residual, fixed.error_estimate) if isinstance(fixed, MomentsSolution) else (0.0, 0.0)
-    cell = fixed.cell if isinstance(fixed, MomentsSolution) else None
 
-    degenerate = _degenerate(st)
-    if degenerate:  # no correlation direction: C* = 1 by convention
-        c, resid_c, err_c, it, traj, cell, known = 1.0, 0.0, 0.0, 0, [1.0], None, {}
+    if _degenerate(st.mu_s, st.q_s):  # no correlation direction: C* = 1 by convention
+        c, resid_c, err_c, it, traj, known = 1.0, 0.0, 0.0, 0, [1.0], {}
     else:
         validate_theta(theta, arch)
 
         def G(x):
-            return (_correlation_step(theta, arch, st, x[0], inputs, cell, order, n_s, n_iters, seed),)
+            return (_correlation_step(theta, arch, st, x[0], inputs, order, n_s, n_iters, seed),)
 
         c, (m_c,), resid_c, err_c, it, traj = _iterate(
             G, (c0,), lambda x: (min(max(x[0], -1.0), 1.0),), lambda x: x[0], tol, max_iter, "correlation"
         )
         known = {c: m_c}
-    chi, mom = _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, cell, known)
+    chi, mom = _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, known)
     report = FixedPointReport(
         arch=arch.name,
         mu_star=st.mu_s,

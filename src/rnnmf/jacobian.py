@@ -27,7 +27,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cells import _PRIMS, CELLS, _prod_func, _shape_product
+from .cells import _PRIMS, CELLS, _shape_product
 from .core import (
     ArchitectureSpec,
     Hyperparameters,
@@ -60,7 +60,8 @@ class _EvalCtx:
     """Gate expectations E[prod of prims(u_gate)] and term values at one set
     of gate statistics. Each primitive is evaluated once per gate, at
     quadrature._points, and a product multiplies those values in
-    _prod_func's order: bit for bit expect1(_prod_func(prims))."""
+    _prod_func's order: bit for bit expect1(_prod_func(prims)). A sum that
+    is not finite names its integrand by the primitives, as in sig*tanh."""
 
     def __init__(self, stats: PreActivationStats, order: int):
         self.stats = stats
@@ -78,7 +79,7 @@ class _EvalCtx:
         key = (gate, prims)
         if key not in self._memo:
             vals = reduce(operator.mul, [self._prim(gate, p) for p in prims])
-            self._memo[key] = _weighted_sum(self.order, _prod_func(prims), vals)
+            self._memo[key] = _weighted_sum(self.order, "*".join(prims), vals)
         return self._memo[key]
 
     def term(self, coef: float, shape: tuple, powers) -> float:

@@ -52,14 +52,17 @@ class MissingCellEnsemble(ValueError):
 
 @dataclass(frozen=True)
 class GateStats:
-    q: float
+    """One gate pre-activation's mean mu, variance sigma2_pre and pair
+    correlation c, which is 0 at a point mass (sigma2_pre = 0): any value
+    works there, the pair collapses to the mean."""
+
     mu: float
     sigma2_pre: float
-    c: Optional[float]  # None when the pre-activation is a point mass
+    c: float
 
 
 class PreActivationStats:
-    """Per-gate Gaussian statistics (Q_k, mu_k, Sigma_k^2, C_k)."""
+    """Per-gate Gaussian statistics (mu_k, Sigma_k^2, C_k)."""
 
     def __init__(self, gates: Mapping[str, GateStats]):
         self._gates = MappingProxyType(dict(gates))
@@ -68,40 +71,34 @@ class PreActivationStats:
     def gates(self) -> Mapping[str, GateStats]:
         return self._gates
 
-    def q(self, k: str) -> float:
-        return self._gates[k].q
-
     def mu(self, k: str) -> float:
         return self._gates[k].mu
 
     def sigma2_pre(self, k: str) -> float:
         return self._gates[k].sigma2_pre
 
-    def c(self, k: str) -> float:
-        v = self._gates[k].c
-        if v is None:
-            raise DegenerateCorrelation(
-                f"gate {k!r} has zero pre-activation variance; its correlation is undefined"
-            )
-        return v
-
     def pair_c(self, k: str) -> float:
-        """Correlation for pair expectations; 0 for point masses (any value
-        works there, the pair collapses to the mean)."""
-        v = self._gates[k].c
-        return 0.0 if v is None else v
+        return self._gates[k].c
 
     def pair(self, k: str) -> GaussianPairSpec:
         g = self._gates[k]
-        return GaussianPairSpec(g.mu, g.sigma2_pre, self.pair_c(k))
+        return GaussianPairSpec(g.mu, g.sigma2_pre, g.c)
 
 
-def _finish_corr(cov: float, denom: float) -> Optional[float]:
-    if denom <= 0.0:
-        return None
-    c = cov / denom
+def _degenerate(mu: float, q: float) -> bool:
+    """Whether moments (mu, Q) are a point mass: Q - mu^2 at most a relative
+    _DEG_TOL, where no correlation is defined."""
+    return q - mu * mu <= _DEG_TOL * max(1.0, abs(q))
+
+
+def _finish_corr(cov: float, var: float) -> float:
+    """The correlation cov / var clamped to [-1, 1], 0 when var <= 0; beyond
+    1 + 1e-9 the moments were not those of a pair (a bug)."""
+    if var <= 0.0:
+        return 0.0
+    c = cov / var
     if abs(c) > 1.0 + 1e-9:
-        raise ArithmeticError(f"pre-activation correlation {c} out of range (bug)")
+        raise ArithmeticError(f"correlation {c} out of range (bug)")
     return min(max(c, -1.0), 1.0)
 
 
@@ -129,32 +126,24 @@ def _gate_stats(theta, arch, state, inputs, order):
     out: dict[str, GateStats] = {}
     for gid in arch.linear_gates():
         p = theta[gid.label]
-        q_k = p.sigma2 * q_s + p.nu2 * inputs.R + p.rho2 + p.mu * p.mu
         s2 = p.sigma2 * q_s + p.nu2 * inputs.R + p.rho2
         cov = p.sigma2 * rho_s + p.nu2 * inputs.R * inputs.sigma_z + p.rho2
-        out[gid.label] = GateStats(q=q_k, mu=p.mu, sigma2_pre=s2, c=_finish_corr(cov, s2))
+        out[gid.label] = GateStats(mu=p.mu, sigma2_pre=s2, c=_finish_corr(cov, s2))
 
     for gid in arch.gated_gates():
         p = theta[gid.label]
         inner = out[gid.gated_by]
         g = _GATE_FUNCS[gid.g_name][0]
-        _, e_g2, e_gg = _expect_moments(g, inner.mu, inner.sigma2_pre, 0.0 if inner.c is None else inner.c, order)
-        q_k = p.sigma2 * e_g2 * q_s + p.nu2 * inputs.R + p.rho2 + p.mu * p.mu
+        _, e_g2, e_gg = _expect_moments(g, inner.mu, inner.sigma2_pre, inner.c, order)
         s2 = p.sigma2 * e_g2 * q_s + p.nu2 * inputs.R + p.rho2
         cov = p.sigma2 * e_gg * rho_s + p.nu2 * inputs.R * inputs.sigma_z + p.rho2
-        out[gid.label] = GateStats(q=q_k, mu=p.mu, sigma2_pre=s2, c=_finish_corr(cov, s2))
+        out[gid.label] = GateStats(mu=p.mu, sigma2_pre=s2, c=_finish_corr(cov, s2))
 
     return PreActivationStats(out)
 
 
 def _correlation_from(rho: float, mu: float, q: float) -> float:
-    s2 = q - mu * mu
-    if s2 <= _DEG_TOL * max(1.0, abs(q)):
-        return 0.0
-    c = (rho - mu * mu) / s2
-    if abs(c) > 1.0 + 1e-9:
-        raise ArithmeticError(f"state correlation {c} out of range (bug)")
-    return min(max(c, -1.0), 1.0)
+    return 0.0 if _degenerate(mu, q) else _finish_corr(rho - mu * mu, q - mu * mu)
 
 
 def _step(theta, arch, state, inputs, cell, order):
@@ -164,7 +153,7 @@ def _step(theta, arch, state, inputs, cell, order):
     stats = preactivation_stats(theta, arch, state, inputs, order)
     mu_n, q_n, rho_n, cell_new = CELLS[arch.name].step(theta, stats, state, cell, order)
     if rho_n is None:  # sampled step on an unpaired ensemble
-        if q_n - mu_n * mu_n <= _DEG_TOL * max(1.0, abs(q_n)):
+        if _degenerate(mu_n, q_n):
             return MomentState(mu_n, max(q_n, mu_n * mu_n), 0.0), cell_new
         raise MissingCellEnsemble(
             f"correlation stepping for the {arch.name} needs a paired ensemble "
@@ -211,7 +200,6 @@ def step_correlation(
     fixed: MomentState,
     c_s: float,
     inputs: InputStats,
-    cell=None,
     order: int = DEFAULT_ORDER,
     n_s: int = 200,
     n_iters: int = 200,
@@ -221,24 +209,22 @@ def step_correlation(
 
     Normalization uses the fixed (mu*, Q*), so at the moment fixed point the
     map is exactly one dimensional in C. For the LSTM the value is computed
-    on stationary coupled cell pairs re-equilibrated at the gate
+    on stationary coupled cell pairs equilibrated from zero at the gate
     correlations implied by C (deterministic in C for a fixed seed, which
-    keeps finite differences and fixed-point iteration well posed); a
-    supplied paired ensemble seeds the initialization.
+    keeps finite differences and fixed-point iteration well posed).
     """
 
-    sigma2_star = fixed.q_s - fixed.mu_s * fixed.mu_s
-    if sigma2_star <= _DEG_TOL * max(1.0, abs(fixed.q_s)):
+    if _degenerate(fixed.mu_s, fixed.q_s):
         raise DegenerateCorrelation(
             "correlation map undefined at a degenerate (point mass) state"
         )
     if abs(c_s) > 1.0:
         raise ValueError(f"|C| must be <= 1, got {c_s}")
     validate_theta(theta, arch)
-    return _correlation_step(theta, arch, fixed, c_s, inputs, cell, order, n_s, n_iters, seed)
+    return _correlation_step(theta, arch, fixed, c_s, inputs, order, n_s, n_iters, seed)
 
 
-def _correlation_step(theta, arch, fixed, c_s, inputs, cell, order, n_s, n_iters, seed) -> float:
+def _correlation_step(theta, arch, fixed, c_s, inputs, order, n_s, n_iters, seed) -> float:
     """step_correlation without its checks: theta valid, (mu*, Q*) not
     degenerate and |c_s| <= 1, as the correlation solve and chi_at ensure."""
     sigma2_star = fixed.q_s - fixed.mu_s * fixed.mu_s
@@ -246,9 +232,9 @@ def _correlation_step(theta, arch, fixed, c_s, inputs, cell, order, n_s, n_iters
     stats = _gate_stats(theta, arch, state, inputs, order)
     rules = CELLS[arch.name]
     if rules.correlate is None:
-        rho_n = rules.step(theta, stats, state, cell, order)[2]
+        rho_n = rules.step(theta, stats, state, None, order)[2]
     else:
-        rho_n = rules.correlate(theta, stats, cell, order, n_s, n_iters, seed)
+        rho_n = rules.correlate(theta, stats, order, n_s, n_iters, seed)
     return (rho_n - fixed.mu_s * fixed.mu_s) / sigma2_star
 
 

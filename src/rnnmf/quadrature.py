@@ -92,8 +92,9 @@ def _weighted_sum(order: int, g, vals, first=None) -> float:
     _partner lays out g's arguments, each times the value of first at the
     same _points node when first is given. A point mass's 0-d value is
     returned as is, keeping the sign of a zero. A sum that is not finite
-    raises NonFiniteIntegrand naming g if one of vals is not finite; with
-    every value finite it is the product's overflow and is returned."""
+    raises NonFiniteIntegrand naming g (the integrand, or its name as a
+    string) if one of vals is not finite; with every value finite it is the
+    product's overflow and is returned."""
     prod = vals if first is None else (first[:, None] if vals.ndim == 2 else first) * vals
     w = _nodes(order)[1]
     if prod.ndim == 2:
@@ -101,7 +102,8 @@ def _weighted_sum(order: int, g, vals, first=None) -> float:
     else:
         out = float(w @ prod) if prod.ndim else float(prod)
     if not (math.isfinite(out) or np.all(np.isfinite(vals))):
-        raise NonFiniteIntegrand(f"integrand {getattr(g, '__name__', repr(g))} returned a non-finite value")
+        name = g if isinstance(g, str) else getattr(g, "__name__", repr(g))
+        raise NonFiniteIntegrand(f"integrand {name} returned a non-finite value")
     return out
 
 

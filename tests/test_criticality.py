@@ -26,7 +26,7 @@ from rnnmf import (
     theta_from_json_dict,
     theta_to_json_dict,
 )
-from rnnmf import jacobian
+from rnnmf import criticality, jacobian
 
 from conftest import make_theta
 
@@ -150,6 +150,26 @@ def test_search_computes_the_jacobian_moments_once_per_evaluation(monkeypatch, c
     mom = moments(theta, arch, msol.state, inputs=UNIT)
     assert (rep.chi, rep.xi, rep.m1, rep.m2, rep.sigma) == (fp.chi, fp.xi, mom.m1, mom.m2, mom.sigma)
     assert rep.gap == isometry_gap(mom, fp.chi)
+
+
+def test_search_counts_a_preset_whose_evaluation_raises(monkeypatch):
+    # a preset is scored like a searched point: an evaluation that raises
+    # scores inf and still counts
+    preset = preset_init("peephole_critical", "peepholeLSTM")
+    calls = []
+    pipeline_eval = criticality._pipeline_eval
+
+    def planted(theta, *args, **kwargs):
+        calls.append(theta)
+        if theta == preset:
+            raise ArithmeticError("planted failure")
+        return pipeline_eval(theta, *args, **kwargs)
+
+    monkeypatch.setattr(criticality, "_pipeline_eval", planted)
+    theta, rep = search_critical("peepholeLSTM")
+    assert preset in calls
+    assert rep.evaluations == len(calls)
+    assert rep.source == "search"
 
 
 def test_search_validates_free_parameters():

@@ -260,10 +260,11 @@ def test_gate_expectations_reuse_node_values_bitwise(quadrature_arch):
 
 @pytest.mark.parametrize("sigma2", [0.0, 0.5])
 def test_non_finite_gate_expectation_raises_as_expect1(sigma2):
-    # a non-finite node sum falls back to expect1, which names the integrand
-    stats = PreActivationStats({"f": GateStats(q=math.nan, mu=math.nan, sigma2_pre=sigma2, c=None)})
+    # a non-finite node sum raises as expect1 does, naming the product by
+    # its primitives
+    stats = PreActivationStats({"f": GateStats(mu=math.nan, sigma2_pre=sigma2, c=0.0)})
     prims = ("sig", "tanh")
     with pytest.raises(NonFiniteIntegrand, match="integrand g returned"):
         expect1(_prod_func(prims), math.nan, sigma2)
-    with pytest.raises(NonFiniteIntegrand, match="integrand g returned"):
+    with pytest.raises(NonFiniteIntegrand, match=r"integrand sig\*tanh returned"):
         _EvalCtx(stats, 64).gate_expect("f", prims)

@@ -81,6 +81,16 @@ def test_fully_correlated_pair_collapses():
     assert stats.pair_c("f") == pytest.approx(1.0, abs=1e-15)
 
 
+def test_point_mass_gates_read_zero_correlation(any_arch):
+    # a zero-variance pre-activation has no correlation: its pair collapses
+    # to the mean whatever c is, and c reads 0.0
+    stats = preactivation_stats(zero_variance_theta(any_arch), any_arch, MomentState(0.1, 0.4, 0.5), UNIT)
+    for k, gate in stats.gates.items():
+        assert gate.sigma2_pre == 0.0
+        assert gate.c == 0.0 and stats.pair_c(k) == 0.0
+        assert stats.pair(k).c == 0.0
+
+
 def test_vanilla_self_consistency():
     # fixed point of Q -> E tanh^2(u), u ~ N(mu_f, s2 Q + n2 R + r2),
     # found by direct 200-step iteration, must be stationary under the map

@@ -8,7 +8,7 @@ two outputs: a line that differs names an output that changed.
 Every entry point is run for the five cells at three thetas each
 (`verify.make_theta`, a `verify.random_theta` draw, `verify.zero_variance_theta`),
 plus the quadrature engine (also at a point mass and in every pair layout,
-with a NaN-poisoned integrand too), sweeps, a search and the presets, and the
+with a NaN-poisoned integrand too), sweeps, searches and the presets, and the
 private fast paths (`quadrature._expect_moments`, the moment-only step
 `moment_maps._moment_step`), and the solvers' slow paths (fixed points,
 iteration counts and error estimates at thetas whose maps expand, overshoot
@@ -115,6 +115,9 @@ def library():
         emit(f"{arch_name}/sweep", lambda: R.sweep_phase_diagram(
             arch_name, theta, direction, [0.0, 0.5, 1.0], UNIT, seed=1, workers=1, n_s=64, n_iters=40))
     emit("search[peepholeLSTM]", lambda: R.search_critical("peepholeLSTM", target_xi=50.0, seed=1))
+    # the isometry objective, and the preset-scoring path
+    emit("search[GRU, isometry]", lambda: R.search_critical("GRU"))
+    emit("search[peepholeLSTM, isometry]", lambda: R.search_critical("peepholeLSTM"))
 
 
 def nan_tanh(u):
