@@ -107,7 +107,7 @@ def _rho_s(state) -> float:
 def _moment_pair(g, stats, k: str, order: int):
     """(E[g], E[g^2], E[g_a g_b]) of g(u_k) over the correlated pair, from
     one evaluation of g per node set (none more for a collapsed pair)."""
-    return _expect_moments(g, stats.mu(k), stats.sigma2_pre(k), stats.pair_c(k), order)
+    return _expect_moments(g, stats[k].mu, stats[k].sigma2, stats[k].c, order)
 
 
 def _gate_powers(prim: str, ev, k: str) -> list:
@@ -250,7 +250,7 @@ def _peephole_factors(ev):
 
 def _lstm_gate_o(stats, order):
     """(E[sig(u_o)], E[sig(u_o)^2])."""
-    return _expect_moments(sigmoid, stats.mu("o"), stats.sigma2_pre("o"), 1.0, order)[:2]
+    return _expect_moments(sigmoid, stats["o"].mu, stats["o"].sigma2, 1.0, order)[:2]
 
 
 def _lstm_output_moments(stats, cell_new, gate_o, order):
@@ -265,7 +265,7 @@ def _lstm_output_moments(stats, cell_new, gate_o, order):
     q_n = e_o2 * float(np.mean(th * th))
     rho_n = None
     if cell_new.paired:
-        e_opair = expect2(sigmoid, sigmoid, stats.pair("o"), order)
+        e_opair = expect2(sigmoid, sigmoid, stats["o"], order)
         th_b = np.tanh(cell_new.samples_b)
         mu_b = e_o * float(np.mean(th_b))
         var_a, var_b = q_n - mu_n * mu_n, e_o2 * float(np.mean(th_b * th_b)) - mu_b * mu_b
@@ -281,7 +281,7 @@ def _lstm_step(theta, stats, state, cell, order):
 
 def _lstm_correlate(theta, stats, order, n_s, n_iters, seed):
     pairs = correlated_cell_pairs(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed)
-    e_opair = expect2(sigmoid, sigmoid, stats.pair("o"), order)
+    e_opair = expect2(sigmoid, sigmoid, stats["o"], order)
     return e_opair * float(np.mean(np.tanh(pairs.samples) * np.tanh(pairs.samples_b)))
 
 

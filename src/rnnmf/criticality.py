@@ -15,6 +15,7 @@ from typing import Mapping, Optional
 
 from . import jacobian as _jacobian
 from .core import (
+    _GATE_KEYS,
     GateParams,
     Hyperparameters,
     InputStats,
@@ -46,8 +47,6 @@ __all__ = [
 
 SIGMA2_FLOOR = 1e-5  # small recurrent variance standing in for "exactly 0"
 SWEEP_COLUMNS = ("alpha", "chi", "xi", "m1", "m2", "sigma", "status", "xi3", "xi6")
-
-_FIELDS = ("sigma2", "nu2", "rho2", "mu")
 
 
 class UnknownPreset(ValueError):
@@ -155,7 +154,7 @@ def _apply_free(theta: Hyperparameters, free_keys, values) -> Hyperparameters:
 
 def _parse_free_key(key: str):
     field, _, gate = key.partition(":")
-    if field not in _FIELDS or not gate:
+    if field not in _GATE_KEYS or not gate:
         raise ValueError(f"free parameter {key!r} is not of the form field:gate")
     return field, gate
 
@@ -234,7 +233,7 @@ def search_critical(
         if gate not in labels:
             raise ValueError(f"constraint on unknown gate {gate!r}")
         for field in entry:
-            if field not in _FIELDS:
+            if field not in _GATE_KEYS:
                 raise ValueError(f"constraint on unknown field {field!r}")
             if (field, gate) in free_keys:
                 raise ValueError(f"{field}:{gate} is both constrained and free")
@@ -315,8 +314,15 @@ def search_critical(
             target_xi=target_xi, source=src,
         )
 
-    if not math.isfinite(best_obj) or cache[best_key][1] is None:
-        raise SearchFailed("no feasible point found (every evaluation failed)", best=None)
+    if not math.isfinite(best_obj):
+        raised = sum(1 for _, found in cache.values() if found is None)
+        if raised == evals:
+            raise SearchFailed("no feasible point found (every evaluation failed)", best=None)
+        raise SearchFailed(
+            f"no evaluation reached a finite objective ({evals - raised} returned a report, "
+            f"{raised} raised)",
+            best=None,
+        )
     theta, report = _report(best_key, best_obj, source)
     if target_xi is not None and best_obj > 0.1 * max(1.0, abs(target_xi)):
         raise SearchFailed(
@@ -334,16 +340,16 @@ def direction_from_json_dict(obj: dict):
         raise InvalidTheta('direction document needs a "gates" object')
     gates = {}
     for label, entry in obj["gates"].items():
-        if not isinstance(entry, dict) or set(entry) - set(_FIELDS):
-            raise InvalidTheta(f"direction gate {label!r}: expected keys {_FIELDS}")
-        gates[label] = {f: float(entry.get(f, 0.0)) for f in _FIELDS}
+        if not isinstance(entry, dict) or set(entry) - set(_GATE_KEYS):
+            raise InvalidTheta(f"direction gate {label!r}: expected keys {_GATE_KEYS}")
+        gates[label] = {f: float(entry.get(f, 0.0)) for f in _GATE_KEYS}
     return obj.get("arch"), gates
 
 
 def _combine(theta0: Hyperparameters, direction, alpha: float) -> Hyperparameters:
     gates = {}
     for k, p in theta0.gates.items():
-        d = direction.get(k, {f: 0.0 for f in _FIELDS})
+        d = direction.get(k, {f: 0.0 for f in _GATE_KEYS})
         gates[k] = GateParams(
             sigma2=p.sigma2 + alpha * d["sigma2"],
             nu2=p.nu2 + alpha * d["nu2"],

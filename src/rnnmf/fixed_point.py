@@ -284,7 +284,6 @@ def solve_moments(
     order: int = DEFAULT_ORDER,
     tol: float = 1e-9,
     max_iter: int = 10000,
-    start: Optional[MomentState] = None,
     n_s: int = 200,
     n_iters: int = 200,
     seed: int = 0,
@@ -307,8 +306,6 @@ def solve_moments(
 
     validate_theta(theta, arch)
     if arch.needs_cell:
-        if start is not None:
-            raise ValueError("start state not supported for the sampled map")
         if n_s < 2:
             raise ValueError(f"n_s = {n_s}: the sampled map's standard errors need n_s >= 2")
         return _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters, seed)
@@ -319,8 +316,7 @@ def solve_moments(
     def project(x):
         return x[0], max(x[1], x[0] * x[0])
 
-    start = start if start is not None else ZERO_STATE
-    state, _, r, err, it, traj = _iterate(G, (start.mu_s, start.q_s), project, _state, tol, max_iter, "moment")
+    state, _, r, err, it, traj = _iterate(G, (0.0, 0.0), project, _state, tol, max_iter, "moment")
     return MomentsSolution(
         state=state,
         trajectory=tuple(traj),

@@ -38,8 +38,8 @@ from .core import (
     sigmoid,
 )
 from .lstm_cell_sampler import CellStateEnsemble, correlated_cell_pairs, recorded_step
-from .moment_maps import PreActivationStats, preactivation_stats
-from .quadrature import DEFAULT_ORDER, _points, _weighted_sum
+from .moment_maps import preactivation_stats
+from .quadrature import DEFAULT_ORDER, GaussianPairSpec, _points, _weighted_sum
 
 __all__ = [
     "ContributionVector",
@@ -63,7 +63,7 @@ class _EvalCtx:
     _prod_func's order: bit for bit expect1(_prod_func(prims)). A sum that
     is not finite names its integrand by the primitives, as in sig*tanh."""
 
-    def __init__(self, stats: PreActivationStats, order: int):
+    def __init__(self, stats: Mapping[str, GaussianPairSpec], order: int):
         self.stats = stats
         self.order = order
         self._memo: dict = {}
@@ -71,7 +71,7 @@ class _EvalCtx:
 
     def _prim(self, gate: str, prim: str):
         if (gate, prim) not in self._values:
-            u = _points(self.stats.mu(gate), self.stats.sigma2_pre(gate), self.order)
+            u = _points(self.stats[gate].mu, self.stats[gate].sigma2, self.order)
             self._values[(gate, prim)] = np.asarray(_PRIMS[prim](u), dtype=float)
         return self._values[(gate, prim)]
 
@@ -135,19 +135,6 @@ class ContributionVector:
             if v < -1e-10:
                 raise ArithmeticError(f"contribution entry {k} = {v} < 0 (bug)")
 
-    @property
-    def a0(self) -> float:
-        return self.ea["a_0"]
-
-    def a(self, k: str) -> float:
-        return self.ea[k]
-
-    def cross(self, k: str, l: str) -> float:
-        return self.eaa[(k, l)]
-
-    def as_tuple(self) -> tuple:
-        return tuple(max(self.ea[k], 0.0) for k in self.labels)
-
 
 @dataclass(frozen=True)
 class JacobianMoments:
@@ -185,7 +172,7 @@ def _fixed_inputs(fixed, inputs) -> InputStats:
 
 def lstm_chi_frame(
     theta: Hyperparameters,
-    stats: PreActivationStats,
+    stats: Mapping[str, GaussianPairSpec],
     n_s: int = 200,
     n_iters: int = 200,
     seed: int = 0,
@@ -210,9 +197,9 @@ def lstm_chi_frame(
     nxt, za, zb = recorded_step(theta, stats, pairs)
     ca, cb, cna, cnb = pairs.samples, pairs.samples_b, nxt.samples, nxt.samples_b
     labels = ("i", "f", "r", "o")
-    mus = np.array([stats.mu(k) for k in labels])
-    sigs = np.array([math.sqrt(stats.sigma2_pre(k)) for k in labels])
-    cs = np.array([stats.pair_c(k) for k in labels])
+    mus = np.array([stats[k].mu for k in labels])
+    sigs = np.array([math.sqrt(stats[k].sigma2) for k in labels])
+    cs = np.array([stats[k].c for k in labels])
     roots = np.sqrt(np.maximum(1.0 - cs * cs, 0.0))
     ua = mus + sigs * za
     ub = mus + sigs * (cs * za + roots * zb)

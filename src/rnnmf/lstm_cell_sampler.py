@@ -1,8 +1,11 @@
 """Monte Carlo sampler for the stationary LSTM cell-state distribution.
 
 The cell update c' = sigmoid(u_f) c + sigmoid(u_i) tanh(u_r) with i.i.d.
-Gaussian gates is a perpetuity; its stationary law has no closed form (and
-is typically heavy tailed), so moments are estimated from sampled chains.
+Gaussian gates is a perpetuity; its stationary law has no closed form, so
+moments are estimated from sampled chains. It is not heavy tailed: the
+multiplier sigmoid(u_f) lies in (0, 1) and the additive term in (-1, 1), so
+E[sigmoid(u_f)^p] < 1 and every moment is finite (Vervaat 1979); Kesten's
+power tails need a multiplier above 1 with positive probability.
 Each call draws from two generators derived from its entropy (the seed,
 or the seed and step index of an ensemble's lineage): one for chain a and
 one for the independent part of the coupled chain b. Draws are made step
@@ -34,8 +37,10 @@ _GATE_ORDER = ("i", "f", "r")  # column order of the per-step Gaussian draws
 
 
 class NonFiniteSample(ArithmeticError):
-    """A cell chain diverged (the perpetuity has no reachable stationary
-    law for this Theta, or overflow occurred)."""
+    """A cell chain became non-finite or left the divergence limit. With
+    finite gate statistics this cannot happen (|c'| < |c| + 1, so a chain
+    started at 0 stays below its step count in absolute value): it flags
+    non-finite gate statistics, or a warm start already beyond the limit."""
 
 
 @dataclass(frozen=True)
@@ -106,10 +111,10 @@ def _run(theta, stats, c_a, c_b, entropy, steps, extra=0):
     or not c_b is carried; at C_k = 1 the chains coincide. Returns both
     chains and the last step's draws (z_a, z_b)."""
     rng_a, rng_b = _streams(entropy)
-    mus = np.array([stats.mu(k) for k in _GATE_ORDER])
-    sigs = np.array([math.sqrt(stats.sigma2_pre(k)) for k in _GATE_ORDER])
+    mus = np.array([stats[k].mu for k in _GATE_ORDER])
+    sigs = np.array([math.sqrt(stats[k].sigma2) for k in _GATE_ORDER])
     if c_b is not None:
-        cs = np.array([stats.pair_c(k) for k in _GATE_ORDER])
+        cs = np.array([stats[k].c for k in _GATE_ORDER])
         roots = np.sqrt(np.maximum(1.0 - cs * cs, 0.0))
     z_a = z_b = None
     for _ in range(steps):
@@ -139,10 +144,11 @@ def sample_cell_distribution(
     n_iters: int = 200,
     seed=None,
 ) -> CellStateEnsemble:
-    """n_iters cell updates of n_s chains started at 0; stats supplies the
-    (mu_k, Sigma_k^2) of the i, f, r gates through mu(k) and sigma2_pre(k).
-    Deterministic given the seed, and chain a of correlated_cell_pairs at
-    the same seed. Raw samples: no clipping, heavy tails included."""
+    """n_iters cell updates of n_s chains started at 0; stats maps the i, f
+    and r gates to their GaussianPairSpec (preactivation_stats), of which
+    the mean mu and variance sigma2 are used. Deterministic given the seed,
+    and chain a of correlated_cell_pairs at the same seed. Raw samples, not
+    clipped."""
 
     if n_s < 1 or n_iters < 0:
         raise ValueError("n_s >= 1 and n_iters >= 0 required")

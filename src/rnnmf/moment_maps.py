@@ -9,9 +9,8 @@ depend on the cell-state distribution, supplied here as a sampled ensemble.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .cells import CELLS, _rho_s
 from .core import (
@@ -29,8 +28,6 @@ from .quadrature import DEFAULT_ORDER, GaussianPairSpec, _expect_moments
 __all__ = [
     "DegenerateCorrelation",
     "MissingCellEnsemble",
-    "GateStats",
-    "PreActivationStats",
     "preactivation_stats",
     "step_moments",
     "step_correlation",
@@ -48,41 +45,6 @@ class DegenerateCorrelation(ArithmeticError):
 class MissingCellEnsemble(ValueError):
     """The LSTM moment map needs a sampled cell ensemble and none (or the
     wrong kind) was supplied."""
-
-
-@dataclass(frozen=True)
-class GateStats:
-    """One gate pre-activation's mean mu, variance sigma2_pre and pair
-    correlation c, which is 0 at a point mass (sigma2_pre = 0): any value
-    works there, the pair collapses to the mean."""
-
-    mu: float
-    sigma2_pre: float
-    c: float
-
-
-class PreActivationStats:
-    """Per-gate Gaussian statistics (mu_k, Sigma_k^2, C_k)."""
-
-    def __init__(self, gates: Mapping[str, GateStats]):
-        self._gates = MappingProxyType(dict(gates))
-
-    @property
-    def gates(self) -> Mapping[str, GateStats]:
-        return self._gates
-
-    def mu(self, k: str) -> float:
-        return self._gates[k].mu
-
-    def sigma2_pre(self, k: str) -> float:
-        return self._gates[k].sigma2_pre
-
-    def pair_c(self, k: str) -> float:
-        return self._gates[k].c
-
-    def pair(self, k: str) -> GaussianPairSpec:
-        g = self._gates[k]
-        return GaussianPairSpec(g.mu, g.sigma2_pre, g.c)
 
 
 def _degenerate(mu: float, q: float) -> bool:
@@ -108,10 +70,15 @@ def preactivation_stats(
     state: MomentState,
     inputs: InputStats,
     order: int = DEFAULT_ORDER,
-) -> PreActivationStats:
+) -> Mapping[str, GaussianPairSpec]:
     """Gaussian statistics of every gate pre-activation given the state
-    moments. Linear gates are closed-form; gated pre-activations integrate
-    the inner gate's nonlinearity over its (correlated pair) distribution.
+    moments, as a read-only mapping from gate label to the pair
+    GaussianPairSpec(mu, sigma2, c) of its pre-activations on the two
+    coupled sequences: mean mu, variance sigma2 and correlation c, which is
+    0 at a point mass (sigma2 = 0), where any value works and the pair
+    collapses to the mean. Linear gates are closed-form; gated
+    pre-activations integrate the inner gate's nonlinearity over its
+    (correlated pair) distribution.
     """
 
     validate_theta(theta, arch)
@@ -123,23 +90,23 @@ def _gate_stats(theta, arch, state, inputs, order):
     q_s = state.q_s
     rho_s = _rho_s(state)
 
-    out: dict[str, GateStats] = {}
+    out: dict[str, GaussianPairSpec] = {}
     for gid in arch.linear_gates():
         p = theta[gid.label]
         s2 = p.sigma2 * q_s + p.nu2 * inputs.R + p.rho2
         cov = p.sigma2 * rho_s + p.nu2 * inputs.R * inputs.sigma_z + p.rho2
-        out[gid.label] = GateStats(mu=p.mu, sigma2_pre=s2, c=_finish_corr(cov, s2))
+        out[gid.label] = GaussianPairSpec(p.mu, s2, _finish_corr(cov, s2))
 
     for gid in arch.gated_gates():
         p = theta[gid.label]
         inner = out[gid.gated_by]
         g = _GATE_FUNCS[gid.g_name][0]
-        _, e_g2, e_gg = _expect_moments(g, inner.mu, inner.sigma2_pre, inner.c, order)
+        _, e_g2, e_gg = _expect_moments(g, inner.mu, inner.sigma2, inner.c, order)
         s2 = p.sigma2 * e_g2 * q_s + p.nu2 * inputs.R + p.rho2
         cov = p.sigma2 * e_gg * rho_s + p.nu2 * inputs.R * inputs.sigma_z + p.rho2
-        out[gid.label] = GateStats(mu=p.mu, sigma2_pre=s2, c=_finish_corr(cov, s2))
+        out[gid.label] = GaussianPairSpec(p.mu, s2, _finish_corr(cov, s2))
 
-    return PreActivationStats(out)
+    return MappingProxyType(out)
 
 
 def _correlation_from(rho: float, mu: float, q: float) -> float:
@@ -248,7 +215,6 @@ def moment_trajectory(
     n_iters: int = 0,
     seed: int = 0,
     sigma_z_schedule=None,
-    start: Optional[MomentState] = None,
 ) -> list:
     """T steps of the moment map from the zero state, as a list of states.
 
@@ -258,7 +224,7 @@ def moment_trajectory(
     the true transient) and is advanced in lockstep with the moments.
     """
 
-    state = start if start is not None else ZERO_STATE
+    state = ZERO_STATE
     traj = [state]
     cell = None
     if arch.needs_cell:

@@ -195,6 +195,22 @@ def test_search_failure_attaches_the_best_point():
     assert rep.xi < 1e9
 
 
+def test_search_failure_counts_returned_and_raised_evaluations(monkeypatch):
+    # every finite xi misses an infinite target by inf: the evaluations
+    # returned, and the message says so instead of calling them failed
+    returned = r"no evaluation reached a finite objective \(\d+ returned a report, 0 raised\)"
+    with pytest.raises(SearchFailed, match=returned) as exc:
+        search_critical("peepholeLSTM", target_xi=math.inf)
+    assert exc.value.best is None
+
+    def planted(*args, **kwargs):
+        raise ArithmeticError("planted failure")
+
+    monkeypatch.setattr(criticality, "_pipeline_eval", planted)
+    with pytest.raises(SearchFailed, match=r"every evaluation failed"):
+        search_critical("peepholeLSTM", target_xi=math.inf)
+
+
 def _gru_ray():
     theta0 = make_theta(get_architecture("GRU"), sigma2=0.4, nu2=0.4, rho2=0.02, mu_f=0.0)
     direction = {"f": {"sigma2": 0.0, "nu2": 0.0, "rho2": 0.0, "mu": 1.0}}

@@ -199,12 +199,6 @@ def test_stencil_noise_is_reported_as_an_unstable_derivative():
         solve_correlation(theta, arch, UNIT, msol)
 
 
-def test_lstm_solver_rejects_start():
-    arch = get_architecture("LSTM")
-    with pytest.raises(ValueError):
-        solve_moments(make_theta(arch), arch, UNIT, start=MomentState(0.0, 0.5, 0.0))
-
-
 def test_lstm_standard_errors_need_two_samples():
     # one sample has no standard deviation, so the LSTM solve's noise-window
     # test could never pass; both sampled paths reject it before sampling

@@ -25,8 +25,7 @@ from rnnmf import (
 )
 from rnnmf.cells import CELLS, _prod_func, _shape_product, _Term, _tmul
 from rnnmf.jacobian import _EvalCtx
-from rnnmf.moment_maps import GateStats, PreActivationStats
-from rnnmf.quadrature import NonFiniteIntegrand
+from rnnmf.quadrature import GaussianPairSpec, NonFiniteIntegrand
 
 from conftest import make_theta, random_theta, zero_variance_theta
 
@@ -61,13 +60,6 @@ def test_contribution_labels_match_architecture(any_arch):
     assert cv.labels == EXPECTED_LABELS[any_arch.name]
 
 
-def test_a0_is_an_attribute_equal_to_the_direct_entry(quadrature_arch):
-    _, _, cv = _solved_cv(quadrature_arch)
-    assert cv.a0 == cv.ea["a_0"]
-    assert cv.a("f") == cv.ea["f"]
-    assert cv.cross("a_0", "f") == cv.eaa[("a_0", "f")]
-
-
 def test_entries_are_nonnegative(any_arch):
     _, _, cv = _solved_cv(any_arch)
     for k in cv.labels:
@@ -86,8 +78,8 @@ def test_minimal_a0_equals_mean_squared_forget_gate():
     def sig(u):
         return 1.0 / (1.0 + np.exp(-u))
 
-    direct = expect1(lambda u: sig(u) ** 2, stats.mu("f"), stats.sigma2_pre("f"))
-    assert cv.a0 == pytest.approx(direct, rel=1e-12)
+    direct = expect1(lambda u: sig(u) ** 2, stats["f"].mu, stats["f"].sigma2)
+    assert cv.ea["a_0"] == pytest.approx(direct, rel=1e-12)
 
 
 def test_m1_is_the_sum_of_mean_entries(quadrature_arch):
@@ -128,7 +120,7 @@ def test_vanilla_moments_match_closed_form():
         s = 1.0 / (1.0 + np.exp(-u))
         return s * (1.0 - s)
 
-    mu, s2 = stats.mu("f"), stats.sigma2_pre("f")
+    mu, s2 = stats["f"].mu, stats["f"].sigma2
     s2f = theta.sigma2("f")
     e_d2 = expect1(lambda u: dsig(u) ** 2, mu, s2)
     e_d4 = expect1(lambda u: dsig(u) ** 4, mu, s2)
@@ -252,9 +244,9 @@ def test_gate_expectations_reuse_node_values_bitwise(quadrature_arch):
     for theta in (make_theta(arch), random_theta(arch, np.random.default_rng(4)), zero_variance_theta(arch)):
         stats = preactivation_stats(theta, arch, MomentState(0.1, 0.4, 1.0), UNIT)
         ctx = _EvalCtx(stats, 64)
-        for gate in stats.gates:
+        for gate, pair in stats.items():
             for prims in _PRIM_PRODUCTS:
-                want = expect1(_prod_func(prims), stats.mu(gate), stats.sigma2_pre(gate))
+                want = expect1(_prod_func(prims), pair.mu, pair.sigma2)
                 assert ctx.gate_expect(gate, prims).hex() == want.hex()
 
 
@@ -262,7 +254,7 @@ def test_gate_expectations_reuse_node_values_bitwise(quadrature_arch):
 def test_non_finite_gate_expectation_raises_as_expect1(sigma2):
     # a non-finite node sum raises as expect1 does, naming the product by
     # its primitives
-    stats = PreActivationStats({"f": GateStats(mu=math.nan, sigma2_pre=sigma2, c=0.0)})
+    stats = {"f": GaussianPairSpec(math.nan, sigma2, 0.0)}
     prims = ("sig", "tanh")
     with pytest.raises(NonFiniteIntegrand, match="integrand g returned"):
         expect1(_prod_func(prims), math.nan, sigma2)

@@ -37,6 +37,16 @@ def test_zero_variance_limit_is_geometric_sum():
     assert np.allclose(ens.samples, limit, rtol=0, atol=1e-9)
 
 
+def test_chains_from_zero_stay_below_their_step_count():
+    # |c'| <= sig(u_f) |c| + |sig(u_i) tanh(u_r)| < |c| + 1: with the forget
+    # gate saturated the chains drift like a random walk, yet never diverge
+    theta = make_theta(ARCH, sigma2=0.5, nu2=0.5, rho2=0.5, mu_f=40.0)
+    stats = stats_for(theta)
+    pairs = correlated_cell_pairs(theta, stats, n_s=64, n_iters=50, seed=1)
+    for chain in (pairs.samples, pairs.samples_b):
+        assert 1.0 < np.max(np.abs(chain)) < 50
+
+
 def test_sampler_deterministic_in_seed():
     theta = make_theta(ARCH)
     stats = stats_for(theta)
@@ -135,7 +145,7 @@ def test_chi_frame_records_the_advance_cell_step():
     assert np.array_equal(recorded.samples_b, step.samples_b)
     assert recorded.meta == step.meta
     # the frame's forget-gate product is built from exactly these draws
-    mu, sd, c = stats.mu("f"), math.sqrt(stats.sigma2_pre("f")), stats.pair_c("f")
+    mu, sd, c = stats["f"].mu, math.sqrt(stats["f"].sigma2), stats["f"].c
     u_a = mu + sd * z_a[:, 1]
     u_b = mu + sd * (c * z_a[:, 1] + math.sqrt(1.0 - c * c) * z_b[:, 1])
     frame = lstm_chi_frame(theta, stats, n_s=32, n_iters=10, seed=4)

@@ -21,7 +21,10 @@ from rnnmf import (
     step_correlation,
     step_moments,
 )
+from rnnmf.cells import _moment_pair
+from rnnmf.core import sigmoid
 from rnnmf.moment_maps import _moment_step
+from rnnmf.quadrature import GaussianPairSpec, expect2
 
 from conftest import make_theta, random_theta, zero_variance_theta
 
@@ -49,8 +52,8 @@ def test_preactivation_variance_decomposition():
     arch = get_architecture("minimalRNN")
     theta = make_theta(arch, sigma2=0.3, nu2=0.25, rho2=0.02)
     stats = preactivation_stats(theta, arch, MomentState(0.2, 0.5, 0.0), InputStats(1.5, 1.0))
-    assert stats.sigma2_pre("f") == pytest.approx(0.3 * 0.5 + 0.25 * 1.5 + 0.02, rel=1e-14)
-    assert stats.mu("f") == 1.0
+    assert stats["f"].sigma2 == pytest.approx(0.3 * 0.5 + 0.25 * 1.5 + 0.02, rel=1e-14)
+    assert stats["f"].mu == 1.0
 
 
 def test_preactivation_pair_correlation_components():
@@ -60,7 +63,7 @@ def test_preactivation_pair_correlation_components():
     stats = preactivation_stats(theta, arch, state, InputStats(1.0, 0.8))
     rho_s = 0.4 * (0.5 - 0.04) + 0.04
     cov = 0.3 * rho_s + 0.3 * 0.8 * 1.0 + 0.01
-    assert stats.pair_c("f") == pytest.approx(cov / stats.sigma2_pre("f"), rel=1e-14)
+    assert stats["f"].c == pytest.approx(cov / stats["f"].sigma2, rel=1e-14)
 
 
 def test_gated_gate_variance_uses_squared_gate():
@@ -69,26 +72,40 @@ def test_gated_gate_variance_uses_squared_gate():
     state = MomentState(0.2, 0.5, 0.4)
     stats = preactivation_stats(theta, arch, state, UNIT)
     sig2 = lambda x: 1.0 / (1.0 + np.exp(-x)) ** 2
-    eg2 = expect1(sig2, stats.mu("r"), stats.sigma2_pre("r"))
+    eg2 = expect1(sig2, stats["r"].mu, stats["r"].sigma2)
     expected = 0.3 * eg2 * 0.5 + 0.3 * 1.0 + 0.01
-    assert stats.sigma2_pre("r2") == pytest.approx(expected, rel=1e-12)
+    assert stats["r2"].sigma2 == pytest.approx(expected, rel=1e-12)
 
 
 def test_fully_correlated_pair_collapses():
     arch = get_architecture("vanillaRNN")
     theta = make_theta(arch)
     stats = preactivation_stats(theta, arch, MomentState(0.1, 0.4, 1.0), UNIT)
-    assert stats.pair_c("f") == pytest.approx(1.0, abs=1e-15)
+    assert stats["f"].c == pytest.approx(1.0, abs=1e-15)
 
 
 def test_point_mass_gates_read_zero_correlation(any_arch):
     # a zero-variance pre-activation has no correlation: its pair collapses
     # to the mean whatever c is, and c reads 0.0
     stats = preactivation_stats(zero_variance_theta(any_arch), any_arch, MomentState(0.1, 0.4, 0.5), UNIT)
-    for k, gate in stats.gates.items():
-        assert gate.sigma2_pre == 0.0
-        assert gate.c == 0.0 and stats.pair_c(k) == 0.0
-        assert stats.pair(k).c == 0.0
+    for gate in stats.values():
+        assert gate.sigma2 == 0.0
+        assert gate.c == 0.0
+
+
+@pytest.mark.parametrize("name", ["peepholeLSTM", "LSTM"])
+def test_preactivation_stats_map_gates_to_gaussian_pairs(name):
+    # one read-only record per gate, the one expect2 takes as is
+    arch = get_architecture(name)
+    theta = make_theta(arch, sigma2=0.4, nu2=0.3, rho2=0.05, mu_f=1.2)
+    stats = preactivation_stats(theta, arch, MomentState(0.1, 0.4, 0.3), UNIT)
+    assert set(stats) == set(arch.labels())
+    assert all(isinstance(pair, GaussianPairSpec) for pair in stats.values())
+    with pytest.raises(TypeError):
+        stats["o"] = stats["f"]
+    assert 0.0 < stats["o"].c < 1.0  # the pair grid, not a collapsed pair
+    direct = expect2(sigmoid, sigmoid, stats["o"])
+    assert direct.hex() == _moment_pair(sigmoid, stats, "o", 64)[2].hex()
 
 
 def test_vanilla_self_consistency():

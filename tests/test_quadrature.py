@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rnnmf import GaussianPairSpec, NonFiniteIntegrand, expect1, expect2
 from rnnmf.core import sigmoid
-from rnnmf.quadrature import DEFAULT_ORDER, _expect_moments
+from rnnmf.quadrature import DEFAULT_ORDER, _expect_moments, _points
 
 # Monte Carlo reference for E[tanh^2(Z)], Z ~ N(0,1): 10^6 samples at
 # default_rng(12345), frozen before the quadrature tests were written.
@@ -36,6 +36,17 @@ def test_invalid_variance_raises(sigma2):
         expect1(np.tanh, 0.4, sigma2)
     with pytest.raises(ValueError, match="sigma2 must be >= 0"):
         _expect_moments(np.tanh, 0.4, sigma2, 0.5, DEFAULT_ORDER)
+
+
+@pytest.mark.parametrize("sigma2", [-0.1, math.nan])
+def test_pair_record_rejects_a_variance_as_points_does(sigma2):
+    # preactivation_stats builds these records, so a bad gate variance
+    # raises there with the message the integrals would give
+    with pytest.raises(ValueError) as at_points:
+        _points(0.4, sigma2, DEFAULT_ORDER)
+    with pytest.raises(ValueError) as at_record:
+        GaussianPairSpec(0.4, sigma2, 0.0)
+    assert str(at_record.value) == str(at_points.value)
 
 
 def test_expect2_independent_factorizes():

@@ -27,6 +27,7 @@ import hashlib
 import io
 import sys
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +60,7 @@ def _leaves(value, path):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         for f in dataclasses.fields(value):
             yield from _leaves(getattr(value, f.name), f"{path}.{f.name}")
-    elif isinstance(value, R.PreActivationStats):
-        yield from _leaves(dict(value.gates), path)
-    elif isinstance(value, dict):
+    elif isinstance(value, Mapping):  # dicts and read-only mappings alike
         for k in sorted(value, key=repr):
             yield from _leaves(value[k], f"{path}[{k!r}]")
     elif isinstance(value, (list, tuple)):
