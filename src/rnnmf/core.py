@@ -130,6 +130,9 @@ class Hyperparameters:
     def __init__(self, gates: Mapping[str, GateParams]):
         self._gates = MappingProxyType(dict(gates))
 
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return Hyperparameters, (dict(self._gates),)
+
     @property
     def gates(self) -> Mapping[str, GateParams]:
         return self._gates
@@ -214,9 +217,10 @@ class MomentState:
     c_s: float
 
     def __post_init__(self):
-        if self.q_s < self.mu_s * self.mu_s - _Q_TOL * max(1.0, abs(self.q_s)):
+        # written so that a NaN fails them
+        if not (self.q_s >= self.mu_s * self.mu_s - _Q_TOL * max(1.0, abs(self.q_s))):
             raise ValueError(f"Q_s = {self.q_s} < mu_s^2 = {self.mu_s ** 2}")
-        if abs(self.c_s) > 1 + 1e-9:
+        if not (abs(self.c_s) <= 1 + 1e-9):
             raise ValueError(f"|C_s| = {abs(self.c_s)} > 1")
 
     @property
@@ -225,6 +229,17 @@ class MomentState:
 
 
 ZERO_STATE = MomentState(0.0, 0.0, 0.0)
+
+
+def _as_state(fixed) -> MomentState:
+    """The state a fixed-point object stands for: a MomentState itself, a
+    solution's .state, or a report's (mu_star, q_star, c_star), c_star
+    defaulting to 0."""
+    if isinstance(fixed, MomentState):
+        return fixed
+    if hasattr(fixed, "state"):  # a MomentsSolution
+        return fixed.state
+    return MomentState(fixed.mu_star, fixed.q_star, getattr(fixed, "c_star", 0.0))
 
 
 @dataclass(frozen=True)
@@ -241,13 +256,6 @@ class ArchitectureSpec:
     name: str
     gates: tuple[GateId, ...]
     needs_cell: bool = False
-    state_symbol: str = "s"
-
-    def gate(self, label: str) -> GateId:
-        for g in self.gates:
-            if g.label == label:
-                return g
-        raise UnknownGate(f"{self.name} has no gate {label!r}")
 
     def labels(self) -> tuple[str, ...]:
         return tuple(g.label for g in self.gates)
@@ -270,13 +278,11 @@ ARCHITECTURES: Mapping[str, ArchitectureSpec] = MappingProxyType(
         "peepholeLSTM": ArchitectureSpec(
             name="peepholeLSTM",
             gates=(GateId("i"), GateId("f"), GateId("r"), GateId("o")),
-            state_symbol="c",
         ),
         "LSTM": ArchitectureSpec(
             name="LSTM",
             gates=(GateId("i"), GateId("f"), GateId("r"), GateId("o")),
             needs_cell=True,
-            state_symbol="h",
         ),
     }
 )

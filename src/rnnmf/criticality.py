@@ -1,9 +1,9 @@
 """Critical initializations: presets, residual search, phase-diagram sweeps.
 
 Presets encode the published critical and standard initialization values.
-search_critical hunts for hyperparameters satisfying the isometry conditions
-(or hitting a requested timescale) along the zero-variance forget-gate
-family, and sweep_phase_diagram maps chi/xi/m1/sigma over a one-parameter
+search_critical tunes the forget-gate mean along the zero-variance family
+until the isometry conditions hold (or a requested timescale is hit), and
+sweep_phase_diagram maps chi/xi/m1/sigma over a one-parameter
 hyperparameter ray for phase-diagram overlays.
 """
 
@@ -20,11 +20,8 @@ from .core import (
     Hyperparameters,
     InputStats,
     InvalidTheta,
-    NegativeVariance,
     UnknownGate,
     get_architecture,
-    theta_from_json_dict,
-    theta_to_json_dict,
     validate_theta,
 )
 from .fixed_point import NoConvergence, _correlation_report, _derived_seed, solve_moments
@@ -46,6 +43,8 @@ __all__ = [
 ]
 
 SIGMA2_FLOOR = 1e-5  # small recurrent variance standing in for "exactly 0"
+MU_F_BOUNDS = (0.0, 10.0)  # search_critical's forget-gate mean interval
+MU_F_TOL = 1e-4  # bracket width at which that golden section stops
 SWEEP_COLUMNS = ("alpha", "chi", "xi", "m1", "m2", "sigma", "status", "xi3", "xi6")
 
 
@@ -146,19 +145,6 @@ class SearchReport:
     source: str  # "search" or "preset"
 
 
-def _apply_free(theta: Hyperparameters, free_keys, values) -> Hyperparameters:
-    for (field, gate), v in zip(free_keys, values):
-        theta = theta.replace(gate, **{field: v})
-    return theta
-
-
-def _parse_free_key(key: str):
-    field, _, gate = key.partition(":")
-    if field not in _GATE_KEYS or not gate:
-        raise ValueError(f"free parameter {key!r} is not of the form field:gate")
-    return field, gate
-
-
 def _golden_min(f, lo, hi, tol=1e-4, max_iter=80):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -192,42 +178,45 @@ def _pipeline_eval(theta, arch, inputs, order, n_s, n_iters, seed, c0=0.0, tol=1
     return rep, mom, isometry_gap(mom, rep.chi)
 
 
+def _evaluate(theta, arch, inputs, order, n_s, n_iters, seed):
+    """_pipeline_eval's (report, moments, gap) at theta, or the error it
+    raised: the one failure rule of searches and sweeps."""
+    try:
+        return _pipeline_eval(theta, arch, inputs, order, n_s, n_iters, seed)
+    except (ArithmeticError, ValueError) as e:
+        return e
+
+
 def search_critical(
     arch_name: str,
     constraints: Optional[Mapping] = None,
     target_xi: Optional[float] = None,
-    free: tuple = ("mu:f",),
     inputs: Optional[InputStats] = None,
-    bounds: Optional[Mapping] = None,
-    tol: float = 1e-4,
     order: int = DEFAULT_ORDER,
     n_s: int = 200,
     n_iters: int = 200,
     seed: int = 0,
 ):
-    """Derivative-free search for a critical initialization.
+    """Golden-section search over the forget-gate mean for a critical
+    initialization.
 
     Works along the zero-variance family: every gate starts at
     (sigma2 = SIGMA2_FLOOR, nu2 = rho2 = 0, mu = 0), `constraints`
-    ({gate: {field: value}}) pins entries, and the `free` parameters
-    ("field:gate" strings, mu:f always among them, at most 3) are optimized
-    by golden section (coordinate descent when several are free). The
-    objective is |xi - target_xi| when a target is given, otherwise the
-    isometry-gap norm. Matching presets are scored as candidates too, so an
-    unconstrained search never does worse than the published values.
-    Returns (theta, SearchReport); raises SearchFailed (best attached) if
-    the objective never came out finite, or a target xi was missed by more
-    than 10% relative.
+    ({gate: {field: value}}, never mu on f) pins entries, and mu:f is
+    searched on MU_F_BOUNDS to MU_F_TOL. The objective is |xi - target_xi|
+    when a target is given, otherwise the isometry-gap norm. Matching
+    presets are scored as candidates too, so an unconstrained search never
+    does worse than the published values. An evaluation that raises an
+    ArithmeticError or ValueError scores inf, as the same failure marks a
+    sweep row. Returns (theta, SearchReport); raises SearchFailed (best
+    attached) if the objective never came out finite, naming the first
+    failure's type and message when every evaluation failed, or if a target
+    xi was missed by more than 10% relative.
     """
 
     arch = get_architecture(arch_name)
     inputs = inputs if inputs is not None else InputStats(1.0, 1.0)
     constraints = dict(constraints or {})
-    free_keys = tuple(_parse_free_key(k) for k in free)
-    if ("mu", "f") not in free_keys:
-        raise ValueError("the forget-gate mean mu:f must be among the free parameters")
-    if len(free_keys) > 3:
-        raise ValueError("at most 3 free parameters are supported")
     labels = set(arch.labels())
     for gate, entry in constraints.items():
         if gate not in labels:
@@ -235,63 +224,35 @@ def search_critical(
         for field in entry:
             if field not in _GATE_KEYS:
                 raise ValueError(f"constraint on unknown field {field!r}")
-            if (field, gate) in free_keys:
-                raise ValueError(f"{field}:{gate} is both constrained and free")
+        if gate == "f" and "mu" in entry:
+            raise ValueError("mu:f is the searched parameter and cannot be constrained")
 
-    base_gates = {}
-    for k in arch.labels():
-        vals = {"sigma2": SIGMA2_FLOOR, "nu2": 0.0, "rho2": 0.0, "mu": 0.0}
-        vals.update(constraints.get(k, {}))
-        base_gates[k] = GateParams(**vals)
-    base = Hyperparameters(base_gates)
+    floor = {"sigma2": SIGMA2_FLOOR, "nu2": 0.0, "rho2": 0.0, "mu": 0.0}
+    base = Hyperparameters({k: GateParams(**{**floor, **constraints.get(k, {})}) for k in arch.labels()})
 
-    default_bounds = {"mu": (0.0, 10.0), "sigma2": (0.0, 2.0), "nu2": (0.0, 2.0), "rho2": (0.0, 2.0)}
-    bnds = []
-    for field, gate in free_keys:
-        key = f"{field}:{gate}"
-        bnds.append((bounds or {}).get(key, default_bounds[field]))
-
-    evals = 0
-    cache = {}  # key -> (objective, (theta, report, moments, gap) or None)
+    scored = {}  # mu_f or preset name -> (objective, (theta, report, moments, gap) or the error)
 
     def score(key, theta):
-        """The objective at theta, memoized under key: inf where the
-        evaluation raises."""
-        nonlocal evals
-        evals += 1
-        try:
-            rep, mom, gap = _pipeline_eval(theta, arch, inputs, order, n_s, n_iters, seed)
-        except ArithmeticError:
-            cache[key] = (math.inf, None)
-            return math.inf
-        if target_xi is None:
-            obj = gap.norm
-        elif math.isinf(rep.xi) and math.isinf(target_xi):
-            obj = 0.0
+        """The objective at theta, recorded under key: inf where the
+        evaluation failed."""
+        got = _evaluate(theta, arch, inputs, order, n_s, n_iters, seed)
+        if isinstance(got, Exception):
+            scored[key] = (math.inf, got)
         else:
-            obj = abs(rep.xi - target_xi)
-        cache[key] = (obj, (theta, rep, mom, gap))
-        return obj
+            rep, _, gap = got
+            if target_xi is None:
+                obj = gap.norm
+            elif math.isinf(rep.xi) and math.isinf(target_xi):
+                obj = 0.0
+            else:
+                obj = abs(rep.xi - target_xi)
+            scored[key] = (obj, (theta, *got))
+        return scored[key][0]
 
-    def objective(values):
-        key = tuple(float(v) for v in values)
-        return cache[key][0] if key in cache else score(key, _apply_free(base, free_keys, key))
+    def score_mu(mu):
+        return scored[mu][0] if mu in scored else score(mu, base.replace("f", mu=mu))
 
-    current = [0.5 * (lo + hi) for lo, hi in bnds]
-    sweeps = 1 if len(free_keys) == 1 else 3
-    for _ in range(sweeps):
-        for i, (lo, hi) in enumerate(bnds):
-
-            def f1d(x, i=i):
-                vals = list(current)
-                vals[i] = x
-                return objective(vals)
-
-            x_best, _ = _golden_min(f1d, lo, hi, tol=tol)
-            current[i] = x_best
-
-    best_key = tuple(float(v) for v in current)
-    best_obj = objective(current)
+    best_key, best_obj = _golden_min(score_mu, *MU_F_BOUNDS, tol=MU_F_TOL)
     source = "search"
 
     # score matching presets under the same objective
@@ -301,29 +262,30 @@ def search_critical(
         ptheta = preset_init(pname, arch.name)
         if any(getattr(ptheta.gates[g], f) != v for g, entry in constraints.items() for f, v in entry.items()):
             continue
-        obj = score(("preset", pname), ptheta)
+        obj = score(pname, ptheta)
         if obj < best_obj:
-            best_obj, best_key, source = obj, ("preset", pname), "preset"
-
-    def _report(key, obj, src):
-        theta, rep, mom, gap = cache[key][1]
-        # residuals re-evaluated above at theta itself, not cached search internals
-        return theta, SearchReport(
-            theta=theta, arch=arch.name, objective=obj, chi=rep.chi, xi=rep.xi,
-            m1=mom.m1, m2=mom.m2, sigma=mom.sigma, gap=gap, evaluations=evals,
-            target_xi=target_xi, source=src,
-        )
+            best_obj, best_key, source = obj, pname, "preset"
 
     if not math.isfinite(best_obj):
-        raised = sum(1 for _, found in cache.values() if found is None)
-        if raised == evals:
-            raise SearchFailed("no feasible point found (every evaluation failed)", best=None)
+        errors = [got for _, got in scored.values() if isinstance(got, Exception)]
+        if len(errors) == len(scored):
+            first = errors[0]
+            raise SearchFailed(
+                f"no feasible point found (every evaluation failed; the first raised "
+                f"{type(first).__name__}: {first})",
+                best=None,
+            ) from first
         raise SearchFailed(
-            f"no evaluation reached a finite objective ({evals - raised} returned a report, "
-            f"{raised} raised)",
+            f"no evaluation reached a finite objective ({len(scored) - len(errors)} returned a report, "
+            f"{len(errors)} raised)",
             best=None,
         )
-    theta, report = _report(best_key, best_obj, source)
+    theta, rep, mom, gap = scored[best_key][1]
+    report = SearchReport(
+        theta=theta, arch=arch.name, objective=best_obj, chi=rep.chi, xi=rep.xi,
+        m1=mom.m1, m2=mom.m2, sigma=mom.sigma, gap=gap, evaluations=len(scored),
+        target_xi=target_xi, source=source,
+    )
     if target_xi is not None and best_obj > 0.1 * max(1.0, abs(target_xi)):
         raise SearchFailed(
             f"best xi = {report.xi} misses target {target_xi} by more than 10%",
@@ -360,32 +322,27 @@ def _combine(theta0: Hyperparameters, direction, alpha: float) -> Hyperparameter
 
 
 def _sweep_point(payload):
-    (index, arch_name, theta0_doc, direction, alpha, R, sigma_z, seed, order, n_s, n_iters) = payload
+    index, arch, theta0, direction, alpha, inputs, seed, order, n_s, n_iters = payload
     row = {c: math.nan for c in SWEEP_COLUMNS}
     row["alpha"] = alpha
-    arch = get_architecture(arch_name)
-    _, theta0 = theta_from_json_dict(theta0_doc)
     try:
         theta = _combine(theta0, direction, alpha)
         validate_theta(theta, arch)
-    except (NegativeVariance, InvalidTheta, ValueError):
+    except ValueError:
         row["status"] = "invalid_theta"
-        return index, row
-    inputs = InputStats(R, sigma_z)
-    pseed = _derived_seed(seed, index)
-    try:
-        rep, mom, _gap = _pipeline_eval(theta, arch, inputs, order, n_s, n_iters, pseed)
-    except NoConvergence:
+        return row
+    got = _evaluate(theta, arch, inputs, order, n_s, n_iters, _derived_seed(seed, index))
+    if isinstance(got, NoConvergence):
         row["status"] = "no_convergence"
-        return index, row
-    except (ArithmeticError, ValueError) as e:
-        row["status"] = f"error:{type(e).__name__}"
-        return index, row
-    row.update(
-        chi=rep.chi, xi=rep.xi, m1=mom.m1, m2=mom.m2, sigma=mom.sigma,
-        status="ok", xi3=3.0 * rep.xi, xi6=6.0 * rep.xi,
-    )
-    return index, row
+    elif isinstance(got, Exception):
+        row["status"] = f"error:{type(got).__name__}"
+    else:
+        rep, mom, _gap = got
+        row.update(
+            chi=rep.chi, xi=rep.xi, m1=mom.m1, m2=mom.m2, sigma=mom.sigma,
+            status="ok", xi3=3.0 * rep.xi, xi6=6.0 * rep.xi,
+        )
+    return row
 
 
 def sweep_phase_diagram(
@@ -402,35 +359,33 @@ def sweep_phase_diagram(
 ):
     """chi/xi/m1/m2/sigma along the ray theta0 + alpha * direction.
 
-    A direction naming a gate the architecture lacks raises UnknownGate.
-    Per-point failures are recorded in the row's status column and the sweep
-    continues. Points get independent derived seeds, so the grid is
-    deterministic for a given seed regardless of worker count. Returns rows
-    sorted by alpha, each a dict over SWEEP_COLUMNS (xi3/xi6 are the 3 xi
-    and 6 xi overlay columns).
+    `direction` maps gate labels to {field: step} dicts, as
+    direction_from_json_dict returns them; a gate it names that the
+    architecture lacks raises UnknownGate. A point off the valid theta
+    region is marked invalid_theta; a point whose evaluation raises is
+    marked by the rule search_critical scores inf: no_convergence for
+    NoConvergence, error:<Type> for any other ArithmeticError or
+    ValueError. The sweep continues past both. Points get independent
+    derived seeds, so the grid is deterministic for a given seed regardless
+    of worker count (workers > 1 evaluates the points in a process pool).
+    Returns rows sorted by alpha, each a dict over SWEEP_COLUMNS (xi3/xi6
+    are the 3 xi and 6 xi overlay columns).
     """
 
     arch = get_architecture(arch_name)
     validate_theta(theta0, arch)
-    theta0_doc = theta_to_json_dict(theta0, arch.name)
-    if isinstance(direction, Hyperparameters):
-        direction = {k: {"sigma2": p.sigma2, "nu2": p.nu2, "rho2": p.rho2, "mu": p.mu}
-                     for k, p in direction.gates.items()}
     unknown = set(direction) - set(arch.labels())
     if unknown:
         raise UnknownGate(f"{arch.name}: direction names unknown gates {sorted(unknown)}")
     payloads = [
-        (i, arch.name, theta0_doc, dict(direction), float(a), inputs.R, inputs.sigma_z,
-         seed, order, n_s, n_iters)
+        (i, arch, theta0, dict(direction), float(a), inputs, seed, order, n_s, n_iters)
         for i, a in enumerate(alphas)
     ]
     if workers is not None and workers > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: 16 ms of import per process
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, payloads))
+            rows = list(pool.map(_sweep_point, payloads))
     else:
-        results = [_sweep_point(p) for p in payloads]
-    rows = [row for _, row in sorted(results, key=lambda t: t[0])]
-    rows.sort(key=lambda r: r["alpha"])
-    return rows
+        rows = [_sweep_point(p) for p in payloads]
+    return sorted(rows, key=lambda r: r["alpha"])  # stable: equal alphas keep grid order

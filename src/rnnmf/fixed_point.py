@@ -24,6 +24,7 @@ from .core import (
     Hyperparameters,
     InputStats,
     MomentState,
+    _as_state,
     validate_theta,
 )
 from .lstm_cell_sampler import CellStateEnsemble, sample_cell_distribution
@@ -99,10 +100,6 @@ class FixedPointReport:
     trajectory: tuple = field(default=(), repr=False)
     error_estimates: dict = field(default_factory=dict)
 
-    @property
-    def stable(self) -> bool:
-        return self.chi <= 1.0
-
     def to_json_dict(self) -> dict:
         return {
             "arch": self.arch,
@@ -116,14 +113,6 @@ class FixedPointReport:
             "converged": self.converged,
             "inputs": {"R": self.inputs.R, "sigma_z": self.inputs.sigma_z},
         }
-
-
-def _as_state(fixed) -> MomentState:
-    if isinstance(fixed, MomentState):
-        return fixed
-    if isinstance(fixed, MomentsSolution):
-        return fixed.state
-    return MomentState(fixed.mu_star, fixed.q_star, getattr(fixed, "c_star", 0.0))
 
 
 def _state(x) -> MomentState:

@@ -33,6 +33,7 @@ from .core import (
     Hyperparameters,
     InputStats,
     MomentState,
+    _as_state,
     dsigmoid,
     dtanh,
     sigmoid,
@@ -155,21 +156,6 @@ class IsometryGap:
     critical: bool
 
 
-def _fixed_state(fixed) -> MomentState:
-    if isinstance(fixed, MomentState):
-        return MomentState(fixed.mu_s, fixed.q_s, 1.0)
-    return MomentState(fixed.mu_star, fixed.q_star, 1.0)
-
-
-def _fixed_inputs(fixed, inputs) -> InputStats:
-    if inputs is not None:
-        return inputs
-    got = getattr(fixed, "inputs", None)
-    if got is None:
-        raise ValueError("pass inputs= (the fixed-point object does not carry them)")
-    return got
-
-
 def lstm_chi_frame(
     theta: Hyperparameters,
     stats: Mapping[str, GaussianPairSpec],
@@ -260,8 +246,11 @@ def contribution_vector(
     warm-started from `cell` when given.
     """
 
-    state = _fixed_state(fixed)
-    inp = _fixed_inputs(fixed, inputs)
+    st = _as_state(fixed)
+    state = MomentState(st.mu_s, st.q_s, 1.0)
+    inp = inputs if inputs is not None else getattr(fixed, "inputs", None)
+    if inp is None:
+        raise ValueError("pass inputs= (the fixed-point object does not carry them)")
     if arch.needs_cell:
         return _sampled_contribution(theta, arch, state, inp, order, n_s, n_iters, seed, cell)
     rules = CELLS[arch.name]

@@ -30,8 +30,6 @@ def test_registry_contents():
     assert get_architecture("GRU").labels() == ("f", "r", "r2")
     assert get_architecture("LSTM").needs_cell
     assert not get_architecture("peepholeLSTM").needs_cell
-    assert get_architecture("peepholeLSTM").state_symbol == "c"
-    assert get_architecture("LSTM").state_symbol == "h"
 
 
 def test_every_architecture_has_a_cell_record():
@@ -43,7 +41,7 @@ def test_every_architecture_has_a_cell_record():
         assert set(rules.dk) == set(arch.labels()) - inner
         # the sampled cell has no closed-form contribution terms
         assert (rules.entries is None) == (rules.factors is None) == arch.needs_cell
-        assert rules.has_cell == (arch.state_symbol != "s")
+        assert rules.has_cell == (name in {"peepholeLSTM", "LSTM"})
 
 
 def test_unknown_architecture():
@@ -89,6 +87,12 @@ def test_replace_returns_new_theta():
 def test_moment_state_sigma2():
     st_ = MomentState(0.5, 1.0, 0.3)
     assert math.isclose(st_.sigma2_s, 0.75)
+
+
+@pytest.mark.parametrize("moments", [(0.1, 0.4, math.nan), (0.0, math.nan, 0.0), (math.nan, 0.4, 0.0)])
+def test_moment_state_rejects_nan(moments):
+    with pytest.raises(ValueError):
+        MomentState(*moments)
 
 
 def test_json_round_trip():

@@ -174,15 +174,31 @@ def test_search_counts_a_preset_whose_evaluation_raises(monkeypatch):
 
 def test_search_validates_free_parameters():
     with pytest.raises(ValueError):
-        search_critical("peepholeLSTM", free=("sigma2:f",))  # mu:f missing
-    with pytest.raises(ValueError):
-        search_critical("peepholeLSTM", free=("mu:f", "not-a-key"))
-    with pytest.raises(ValueError):
-        search_critical("peepholeLSTM", free=("mu:f", "nu2:i", "nu2:r", "nu2:o"))
-    with pytest.raises(ValueError):
-        search_critical("peepholeLSTM", constraints={"f": {"mu": 3.0}}, free=("mu:f",))
+        search_critical("peepholeLSTM", constraints={"f": {"mu": 3.0}})  # mu:f is searched
     with pytest.raises(ValueError):
         search_critical("peepholeLSTM", constraints={"zz": {"mu": 3.0}})
+
+
+# r's pre-activation variance overflows to inf, so every evaluation of
+# this family raises a ValueError (|c| = nan) inside the pipeline
+_OVERFLOWING = {"r": {"nu2": 1e308, "rho2": 1e308}}
+
+
+def test_search_and_sweep_share_one_failure_rule():
+    with pytest.raises(SearchFailed, match=r"every evaluation failed; the first raised ValueError") as exc:
+        search_critical("GRU", constraints=_OVERFLOWING)
+    assert exc.value.best is None
+    assert isinstance(exc.value.__cause__, ValueError)
+    theta0 = make_theta(get_architecture("GRU"), sigma2=SIGMA2_FLOOR, nu2=0.0, rho2=0.0, mu_f=0.0)
+    theta0 = theta0.replace("r", **_OVERFLOWING["r"])
+    direction = {"f": {"sigma2": 0.0, "nu2": 0.0, "rho2": 0.0, "mu": 1.0}}
+    rows = sweep_phase_diagram("GRU", theta0, direction, [0.0, 1.0], UNIT, seed=0)
+    assert [r["status"] for r in rows] == ["error:ValueError"] * 2
+
+
+def test_search_names_an_argument_error_every_evaluation_raised():
+    with pytest.raises(SearchFailed, match=r"first raised ValueError: n_s = 1"):
+        search_critical("LSTM", n_s=1)
 
 
 def test_search_failure_attaches_the_best_point():

