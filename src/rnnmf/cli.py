@@ -62,6 +62,16 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _resolve_seed(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
@@ -198,7 +208,11 @@ def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("RNNMF_WORKERS", os.cpu_count() or 1))
+        raw = os.environ.get("RNNMF_WORKERS")
+        try:
+            workers = (os.cpu_count() or 1) if raw is None else int(raw)
+        except ValueError:
+            raise _UsageError(f"RNNMF_WORKERS must be an integer, got {raw!r}") from None
     try:
         rows = sweep_phase_diagram(
             file_arch, theta0, direction, alphas, _inputs(args), seed=seed,
@@ -312,7 +326,7 @@ def _add_common(p, theta=True):
     p.add_argument("--sigma-z", dest="sigma_z", type=float, default=1.0,
                    help="input cross-correlation (default 1)")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="quadrature order")
-    p.add_argument("--seed", type=int, default=None, help="seed (omitted: drawn and printed)")
+    p.add_argument("--seed", type=_seed, default=None, help="seed (omitted: drawn and printed)")
     p.add_argument("--n-s", dest="n_s", type=int, default=200, help="cell ensemble size")
     p.add_argument("--n-iters", dest="n_iters", type=int, default=200,
                    help="cell equilibration steps")
@@ -354,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=512, help="width for the standard preset")
     p.add_argument("--input-dim", dest="input_dim", type=int, default=None)
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--n-s", dest="n_s", type=int, default=200)
     p.add_argument("--n-iters", dest="n_iters", type=int, default=200)
     p.set_defaults(func=_cmd_critical_init)

@@ -122,6 +122,14 @@ def test_omitted_seed_is_drawn_echoed_and_reproducible(tmp_path, capsys):
     assert capsys.readouterr().out == captured.out
 
 
+def test_negative_seed_is_a_usage_error_naming_the_flag(tmp_path, capsys):
+    theta = _write_theta(tmp_path, "LSTM")
+    assert run(["fixed-point", "--theta", str(theta), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any("error:" in l and "--seed" in l for l in captured.err.splitlines())
+
+
 def test_timescale_highlights_xi_on_stderr(tmp_path, capsys):
     theta = _write_theta(tmp_path, "GRU")
     assert run(["timescale", "--theta", str(theta), "--seed", "0"]) == 0
@@ -221,6 +229,19 @@ def test_sweep_rejects_a_direction_without_a_gates_object(tmp_path, capsys):
     )
     assert code == 2
     assert "gates" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_non_integer_worker_count_from_the_environment(tmp_path, capsys, monkeypatch):
+    theta0, direction = _sweep_files(tmp_path)
+    monkeypatch.setenv("RNNMF_WORKERS", "abc")
+    code = run(
+        ["sweep", "--theta0", str(theta0), "--direction", str(direction),
+         "--alphas", "0:2:3", "--seed", "0"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(l.startswith("error:") and "RNNMF_WORKERS" in l for l in captured.err.splitlines())
 
 
 def test_simulate_trajectory_csv(tmp_path, capsys):
@@ -327,6 +348,20 @@ def test_cli_start_up_loads_neither_scipy_nor_the_process_pool():
         "import sys, rnnmf.cli; print(sorted(m for m in sys.modules"
         " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
     )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_start_up_loads_every_traced_layer():
+    # perfbench/tracer.py and perfbench/defects.py import rnnmf.cli and then
+    # look up each layer in sys.modules; the package namespace is lazy, so
+    # only the CLI's own imports guarantee they are there
+    layers = (
+        "core", "quadrature", "moment_maps", "lstm_cell_sampler",
+        "fixed_point", "jacobian", "criticality", "simulator",
+    )
+    code = f"import sys, rnnmf.cli; print([m for m in {layers!r} if 'rnnmf.' + m not in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
