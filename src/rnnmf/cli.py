@@ -63,10 +63,7 @@ def _print_json(obj) -> None:
 
 
 def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
+    seed = int(text)
     if seed < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return seed
