@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .core import dsigmoid, dtanh, sigmoid
-from .lstm_cell_sampler import CellStateEnsemble, advance_cell, correlated_cell_pairs
+from .lstm_cell_sampler import CellStateEnsemble, _lstm_cell, advance_cell, correlated_cell_pairs
 from .quadrature import _expect_moments, expect2
 
 __all__ = ["CellRules", "CELLS"]
@@ -212,11 +212,8 @@ def _convex(x: str, entries) -> "CellRules":
 
 
 # ---------------------------------------------------------------------------
-# peepholeLSTM and LSTM share the cell update c' = sig(u_f) c + sig(u_i) tanh(u_r)
-
-
-def _lstm_cell(u, c_prev):
-    return sigmoid(u["f"]) * c_prev + sigmoid(u["i"]) * np.tanh(u["r"])
+# peepholeLSTM and LSTM share the cell update c' = sig(u_f) c + sig(u_i) tanh(u_r),
+# lstm_cell_sampler._lstm_cell
 
 
 def _peephole_step(theta, stats, state, cell, order):
@@ -254,35 +251,40 @@ def _lstm_gate_o(stats, order):
 
 
 def _lstm_output_moments(stats, cell_new, gate_o, order):
-    """(mu', Q', rho') of h = sig(u_o) tanh(c) on a sampled cell ensemble,
-    given gate_o = _lstm_gate_o(stats, order); rho' is None for an unpaired
-    ensemble. rho' standardizes chain b to chain a's mean and variance, so
-    (rho' - mu'^2) / (Q' - mu'^2) is the chain correlation, in [-1, 1]."""
+    """(mu', Q', pair) of h = sig(u_o) tanh(c) on a sampled cell ensemble,
+    given gate_o = _lstm_gate_o(stats, order); pair = (cov, var_a, var_b)
+    holds the two chains' output covariance and each chain's own output
+    variance, the one pair estimator of the sampled LSTM, and is None for an
+    unpaired ensemble."""
     assert isinstance(cell_new, CellStateEnsemble)
     e_o, e_o2 = gate_o
     th = np.tanh(cell_new.samples)
     mu_n = e_o * float(np.mean(th))
     q_n = e_o2 * float(np.mean(th * th))
-    rho_n = None
-    if cell_new.paired:
-        e_opair = expect2(sigmoid, sigmoid, stats["o"], order)
-        th_b = np.tanh(cell_new.samples_b)
-        mu_b = e_o * float(np.mean(th_b))
-        var_a, var_b = q_n - mu_n * mu_n, e_o2 * float(np.mean(th_b * th_b)) - mu_b * mu_b
-        cov = e_opair * float(np.mean(th * th_b)) - mu_n * mu_b
-        rho_n = mu_n * mu_n + (cov * math.sqrt(var_a / var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
-    return mu_n, q_n, rho_n
+    if not cell_new.paired:
+        return mu_n, q_n, None
+    e_opair = expect2(sigmoid, sigmoid, stats["o"], order)
+    th_b = np.tanh(cell_new.samples_b)
+    mu_b = e_o * float(np.mean(th_b))
+    var_a, var_b = q_n - mu_n * mu_n, e_o2 * float(np.mean(th_b * th_b)) - mu_b * mu_b
+    return mu_n, q_n, (e_opair * float(np.mean(th * th_b)) - mu_n * mu_b, var_a, var_b)
 
 
 def _lstm_step(theta, stats, state, cell, order):
     cell_new = advance_cell(theta, stats, cell)
-    return _lstm_output_moments(stats, cell_new, _lstm_gate_o(stats, order), order) + (cell_new,)
+    mu_n, q_n, pair = _lstm_output_moments(stats, cell_new, _lstm_gate_o(stats, order), order)
+    rho_n = None
+    if pair is not None:
+        # chain b standardized to chain a's mean and variance, so that
+        # (rho' - mu'^2) / (Q' - mu'^2) is the chains' correlation
+        cov, var_a, var_b = pair
+        rho_n = mu_n * mu_n + (cov * math.sqrt(var_a / var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
+    return mu_n, q_n, rho_n, cell_new
 
 
 def _lstm_correlate(theta, stats, order, n_s, n_iters, seed):
     pairs = correlated_cell_pairs(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed)
-    e_opair = expect2(sigmoid, sigmoid, stats["o"], order)
-    return e_opair * float(np.mean(np.tanh(pairs.samples) * np.tanh(pairs.samples_b)))
+    return _lstm_output_moments(stats, pairs, _lstm_gate_o(stats, order), order)[2]
 
 
 def _lstm_update(h, u, c):
@@ -299,16 +301,21 @@ class CellRules:
     """One cell's rules.
 
     step(theta, stats, state, cell, order) -> (mu', Q', rho', cell').
-    correlate(theta, stats, order, n_s, n_iters, seed) -> rho' is the
-    sampled correlation step, on pairs equilibrated from zero; None means
-    rho' of step. entries(theta) gives the contribution terms by label,
+    correlate(theta, stats, order, n_s, n_iters, seed) -> (cov, var_a,
+    var_b) is the sampled correlation step: the output covariance and the
+    two output variances of pairs equilibrated from zero, which the
+    correlation map divides as cov / sqrt(var_a var_b), so identical chains
+    give exactly 1; None means rho' of step, normalized by the fixed
+    (mu*, Q*). entries(theta) gives the contribution terms by label,
     factors(ev) the state-power factors (a, b), with ev(k, prims) =
-    E[prod of prims(u_k)]; both are None for the sampled LSTM. update(s, u, c) -> (s', c') is the width-N update, c
-    the carried cell or None. d0(s, u, c)
-    is the derivative through the carried state (ds'/ds, or dh'/dc_prev for
-    the LSTM) and dk[k](s, u, c) the derivative by u_k, for every gate that
-    reaches the state directly. has_cell marks a cell state, whether it is
-    the tracked state (peephole) or carried beside it (LSTM).
+    E[prod of prims(u_k)]; both are None for the sampled LSTM.
+    update(s, u, c) -> (s', c') is the width-N update, c the carried cell
+    or None. d0(s, u, c) is the derivative through the carried state
+    (ds'/ds, or dh'/dc_prev for the LSTM) and dk[k](s, u, c) the derivative
+    by u_k, for every gate that reaches the state directly; the LSTM's
+    Jacobian frame multiplies them chain by chain. has_cell marks a cell
+    state, whether it is the tracked state (peephole) or carried beside it
+    (LSTM).
     """
 
     step: Callable

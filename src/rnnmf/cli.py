@@ -69,6 +69,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _resolve_seed(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
@@ -362,8 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search", action="store_true", help="residual search along mu_f")
     p.add_argument("--arch", default=None, choices=sorted(ARCHITECTURES))
     p.add_argument("--target-xi", dest="target_xi", type=float, default=None)
-    p.add_argument("--N", type=int, default=512, help="width for the standard preset")
-    p.add_argument("--input-dim", dest="input_dim", type=int, default=None)
+    p.add_argument("--N", type=_positive, default=512, help="width for the standard preset")
+    p.add_argument("--input-dim", dest="input_dim", type=_positive, default=None)
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--n-s", dest="n_s", type=int, default=200)
@@ -381,8 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="coupled-pair trajectory CSV from the simulator")
     _add_common(p)
-    p.add_argument("--N", type=int, required=True, help="width")
-    p.add_argument("--T", type=int, required=True, help="steps")
+    p.add_argument("--N", type=_positive, required=True, help="width")
+    p.add_argument("--T", type=_positive, required=True, help="steps")
     p.add_argument("--tied", action="store_true", help="reuse step-0 weights every step")
     p.add_argument("--sigma-z-schedule", dest="sigma_z_schedule", default=None,
                    help="file with one sigma_z per step")
@@ -391,15 +398,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="empirical squared-SV spectrum + theory comparison")
     _add_common(p)
     _add_solver(p)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=100)
+    p.add_argument("--N", type=_positive, required=True)
+    p.add_argument("--burn-in", dest="burn_in", type=_positive, default=100)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("cell-dist", help="stationary cell samples (sampler or simulator)")
     _add_common(p)
     p.add_argument("--simulate", action="store_true", help="use the width-N simulator instead")
-    p.add_argument("--N", type=int, default=200, help="simulator width")
-    p.add_argument("--T", type=int, default=200, help="simulator steps")
+    p.add_argument("--N", type=_positive, default=200, help="simulator width")
+    p.add_argument("--T", type=_positive, default=200, help="simulator steps")
     p.set_defaults(func=_cmd_cell_dist)
 
     p = sub.add_parser("verify", help="run the built-in property battery")

@@ -117,11 +117,15 @@ def preset_init(
     """Named initialization, resolved over the given architecture's gates.
 
     `standard` depends on the widths: recurrent variance 1/N and input
-    variance 2/(input_dim + N), input_dim defaulting to N.
+    variance 2/(input_dim + N), input_dim defaulting to N. A width below 1
+    raises ValueError naming it.
     """
 
     if name not in _PRESETS:
         raise UnknownPreset(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    for label, width in (("N", N), ("input_dim", input_dim)):
+        if width is not None and width < 1:
+            raise ValueError(f"{label} must be a positive integer, got {width!r}")
     default_arch, builder = _PRESETS[name]
     arch = get_architecture(arch_name or default_arch)
     theta = builder(arch, N, input_dim if input_dim is not None else N)

@@ -436,7 +436,9 @@ def solve_correlation(
     residual at C*, error_estimates["c"] the distance estimate to the fixed
     point at the given (mu*, Q*), iterations the map evaluations. For the
     LSTM each evaluation reuses the same seed, so the sampled map is a
-    fixed deterministic function. When the fixed state is degenerate the
+    fixed deterministic function; it normalizes on its own chains, so
+    M(1) = 1 exactly and fully correlated inputs (sigma_z = 1) give C* = 1
+    in the ordered phase. When the fixed state is degenerate the
     correlation is undefined and C* = 1 is reported by convention, with chi
     from the contribution functional.
     """

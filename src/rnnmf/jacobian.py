@@ -28,17 +28,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .cells import _PRIMS, CELLS, _shape_product
-from .core import (
-    ArchitectureSpec,
-    Hyperparameters,
-    InputStats,
-    MomentState,
-    _as_state,
-    dsigmoid,
-    dtanh,
-    sigmoid,
-)
-from .lstm_cell_sampler import CellStateEnsemble, correlated_cell_pairs, recorded_step
+from .core import ArchitectureSpec, Hyperparameters, InputStats, MomentState, _as_state, sigmoid
+from .lstm_cell_sampler import CellStateEnsemble, _gate_values, correlated_cell_pairs, recorded_step
 from .moment_maps import preactivation_stats
 from .quadrature import DEFAULT_ORDER, GaussianPairSpec, _points, _weighted_sum
 
@@ -169,7 +160,9 @@ def lstm_chi_frame(
     Chains are equilibrated for n_iters - 1 steps at the gate correlations
     carried by stats, then one recorded update produces the fresh gate draws
     and updated cells entering the contribution formulas. Returns a dict of
-    per-sample arrays keyed 'a_0', 'i', 'f', 'r', 'o'. With all C_k = 1 the
+    per-sample arrays keyed 'a_0', 'i', 'f', 'r', 'o': a_0 is
+    sig(u_f,a) sig(u_f,b), and gate k's entry sigma_k^2 dk_k(a) dk_k(b), with
+    dk the LSTM's derivative table (CELLS) on each chain. With all C_k = 1 the
     two chains coincide and the arrays are the single-network contributions,
     whose mean is m1; at general C the mean of their sum is the correlation
     map slope chi. Same seed means the same frame for both uses.
@@ -180,42 +173,22 @@ def lstm_chi_frame(
     pairs = correlated_cell_pairs(theta, stats, n_s=n_s, n_iters=n_iters - 1, seed=seed, init=init)
     # recorded update: advance_cell's step of this frame, its i, f, r draws
     # and an output-gate draw made after them from the same streams
-    nxt, za, zb = recorded_step(theta, stats, pairs)
-    ca, cb, cna, cnb = pairs.samples, pairs.samples_b, nxt.samples, nxt.samples_b
-    labels = ("i", "f", "r", "o")
-    mus = np.array([stats[k].mu for k in labels])
-    sigs = np.array([math.sqrt(stats[k].sigma2) for k in labels])
-    cs = np.array([stats[k].c for k in labels])
-    roots = np.sqrt(np.maximum(1.0 - cs * cs, 0.0))
-    ua = mus + sigs * za
-    ub = mus + sigs * (cs * za + roots * zb)
-    u_ia, u_fa, u_ra, u_oa = ua.T
-    u_ib, u_fb, u_rb, u_ob = ub.T
-    oo = sigmoid(u_oa) * sigmoid(u_ob)
-    dth = dtanh(cna) * dtanh(cnb)
-    out = {
-        "a_0": sigmoid(u_fa) * sigmoid(u_fb),
-        "i": theta.sigma2("i") * oo * dth * dsigmoid(u_ia) * dsigmoid(u_ib) * np.tanh(u_ra) * np.tanh(u_rb),
-        "f": theta.sigma2("f") * oo * dth * ca * cb * dsigmoid(u_fa) * dsigmoid(u_fb),
-        "r": theta.sigma2("r") * oo * dth * sigmoid(u_ia) * sigmoid(u_ib) * dtanh(u_ra) * dtanh(u_rb),
-        "o": theta.sigma2("o") * dsigmoid(u_oa) * dsigmoid(u_ob) * np.tanh(cna) * np.tanh(cnb),
-    }
+    za, zb = recorded_step(theta, stats, pairs)[1:]
+    ua, ub = _gate_values(stats, za), _gate_values(stats, za, zb)
+    out = {"a_0": sigmoid(ua["f"]) * sigmoid(ub["f"])}
+    for k, dk in CELLS["LSTM"].dk.items():
+        out[k] = theta.sigma2(k) * dk(None, ua, pairs.samples) * dk(None, ub, pairs.samples_b)
     return out
 
 
 def _sampled_contribution(theta, arch, fixed_state, inputs, order, n_s, n_iters, seed, cell):
     inputs_m1 = InputStats(inputs.R, 1.0)  # m1/sigma are single-network quantities
     stats = preactivation_stats(theta, arch, fixed_state, inputs_m1, order)
-    init = None
     if cell is not None:
-        if cell.paired:
-            init = cell
-        else:
-            init = CellStateEnsemble(samples=cell.samples, meta=cell.meta, samples_b=cell.samples.copy())
-        n_s = init.meta.n_s
+        n_s = cell.meta.n_s
     if n_s < 2:
         raise ValueError(f"n_s = {n_s}: the standard error of m1 needs n_s >= 2")
-    frame = lstm_chi_frame(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed, init=init)
+    frame = lstm_chi_frame(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed, init=cell)
     labels = tuple(frame)
     ea = {k: float(np.mean(frame[k])) for k in labels}
     eaa = {}

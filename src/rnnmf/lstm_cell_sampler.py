@@ -10,6 +10,12 @@ Each call draws from two generators derived from its entropy (the seed,
 or the seed and step index of an ensemble's lineage): one for chain a and
 one for the independent part of the coupled chain b. Draws are made step
 by step, so memory stays O(n_s).
+
+This module is the one home of the sampled LSTM's rules: the cell update
+(_lstm_cell, which the cell table's peephole and LSTM rules use too) and
+the map from draws to gate values (_gate_values, which the Jacobian frame
+reuses).
+Finiteness is checked once, when an ensemble is built, on both chains.
 """
 
 from __future__ import annotations
@@ -32,15 +38,14 @@ __all__ = [
     "recorded_step",
 ]
 
-_DIVERGENCE_LIMIT = 1e12
-_GATE_ORDER = ("i", "f", "r")  # column order of the per-step Gaussian draws
+_GATES = ("i", "f", "r", "o")  # column order of the per-step Gaussian draws
 
 
 class NonFiniteSample(ArithmeticError):
-    """A cell chain became non-finite or left the divergence limit. With
-    finite gate statistics this cannot happen (|c'| < |c| + 1, so a chain
-    started at 0 stays below its step count in absolute value): it flags
-    non-finite gate statistics, or a warm start already beyond the limit."""
+    """A sampled ensemble holds a non-finite cell value, in either chain.
+    With finite gate statistics a chain cannot leave the finite range
+    (|c'| < |c| + 1): it flags non-finite gate statistics or a non-finite
+    warm start."""
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,11 @@ class CellStateEnsemble:
             raise ValueError("n_s >= 1 required")
         if self.samples.shape != (self.meta.n_s,):
             raise ValueError("samples shape does not match n_s")
-        if not np.all(np.isfinite(self.samples)):
-            raise NonFiniteSample("ensemble contains non-finite samples")
         if self.samples_b is not None and self.samples_b.shape != self.samples.shape:
             raise ValueError("paired samples must match in shape")
+        for chain in (self.samples, self.samples_b):
+            if chain is not None and not np.all(np.isfinite(chain)):
+                raise NonFiniteSample(f"ensemble contains non-finite samples (theta {self.meta.theta_digest})")
 
     @property
     def paired(self) -> bool:
@@ -89,42 +95,38 @@ def _streams(entropy):
     return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
 
 
-def _check_divergence(c, theta: Hyperparameters):
-    m = float(np.max(np.abs(c)))
-    if not math.isfinite(m) or m > _DIVERGENCE_LIMIT:
-        raise NonFiniteSample(
-            f"cell chain diverged (max |c| = {m:.3g}) for theta {theta_hash(theta)}"
-        )
+def _lstm_cell(u, c_prev):
+    """The LSTM cell update c' = sig(u_f) c + sig(u_i) tanh(u_r)."""
+    return sigmoid(u["f"]) * c_prev + sigmoid(u["i"]) * np.tanh(u["r"])
 
 
-def _update(c, z, mus, sigs):
-    u_i = mus[0] + sigs[0] * z[..., 0]
-    u_f = mus[1] + sigs[1] * z[..., 1]
-    u_r = mus[2] + sigs[2] * z[..., 2]
-    return sigmoid(u_f) * c + sigmoid(u_i) * np.tanh(u_r)
+def _gate_values(stats, z_a, z_b=None):
+    """Gate pre-activations {k: u_k} of chain a from its draws z_a, one
+    column per gate in _GATES order, or of the coupled chain b given its
+    independent part z_b: gate k of chain b sees C_k z_a + sqrt(1 - C_k^2) z_b."""
+    u = {}
+    for j, k in enumerate(_GATES[: z_a.shape[1]]):
+        s, z = stats[k], z_a[:, j]
+        if z_b is not None:
+            z = s.c * z + math.sqrt(max(1.0 - s.c * s.c, 0.0)) * z_b[:, j]
+        u[k] = s.mu + math.sqrt(s.sigma2) * z
+    return u
 
 
-def _run(theta, stats, c_a, c_b, entropy, steps, extra=0):
+def _run(stats, c_a, c_b, entropy, steps, extra=0):
     """`steps` cell updates of chain c_a and, unless c_b is None, of the
-    coupled chain c_b, whose gate k sees C_k z_a + sqrt(1 - C_k^2) z_b.
-    z_a comes from chain a's generator alone, so chain a is the same whether
-    or not c_b is carried; at C_k = 1 the chains coincide. Returns both
-    chains and the last step's draws (z_a, z_b)."""
+    coupled chain c_b (_gate_values). z_a comes from chain a's generator
+    alone, so chain a is the same whether or not c_b is carried; at C_k = 1
+    the chains coincide. Returns both chains and the last step's draws
+    (z_a, z_b)."""
     rng_a, rng_b = _streams(entropy)
-    mus = np.array([stats[k].mu for k in _GATE_ORDER])
-    sigs = np.array([math.sqrt(stats[k].sigma2) for k in _GATE_ORDER])
-    if c_b is not None:
-        cs = np.array([stats[k].c for k in _GATE_ORDER])
-        roots = np.sqrt(np.maximum(1.0 - cs * cs, 0.0))
     z_a = z_b = None
     for _ in range(steps):
         z_a = rng_a.standard_normal((c_a.size, 3))
-        c_a = _update(c_a, z_a, mus, sigs)
-        _check_divergence(c_a, theta)
+        c_a = _lstm_cell(_gate_values(stats, z_a), c_a)
         if c_b is not None:
             z_b = rng_b.standard_normal(z_a.shape)
-            c_b = _update(c_b, cs * z_a + roots * z_b, mus, sigs)
-            _check_divergence(c_b, theta)
+            c_b = _lstm_cell(_gate_values(stats, z_a, z_b), c_b)
     if extra:  # more standard normal columns, drawn after the last step
         z_a = np.column_stack([z_a, rng_a.standard_normal((c_a.size, extra))])
         if c_b is not None:
@@ -153,7 +155,7 @@ def sample_cell_distribution(
     if n_s < 1 or n_iters < 0:
         raise ValueError("n_s >= 1 and n_iters >= 0 required")
     seed = _resolve_seed(seed)
-    c = _run(theta, stats, np.zeros(n_s), None, seed, n_iters)[0]
+    c = _run(stats, np.zeros(n_s), None, seed, n_iters)[0]
     return _ensemble(theta, c, None, n_iters, seed)
 
 
@@ -166,19 +168,20 @@ def correlated_cell_pairs(
     init: Optional[CellStateEnsemble] = None,
 ) -> CellStateEnsemble:
     """Coupled chains (c_a, c_b) with Cholesky-correlated gate draws at the
-    pair correlations C_k of stats; at C_k = 1 they coincide exactly. A
-    paired `init` of length n_s warm-starts the chains."""
+    pair correlations C_k of stats; at C_k = 1 they coincide exactly. An
+    `init` ensemble of n_s samples warm-starts the chains; an unpaired one
+    starts chain b as a copy of chain a."""
 
     if n_s < 1 or n_iters < 0:
         raise ValueError("n_s >= 1 and n_iters >= 0 required")
     seed = _resolve_seed(seed)
     if init is None:
         c_a, c_b = np.zeros(n_s), np.zeros(n_s)
-    elif init.paired and init.meta.n_s == n_s:
-        c_a, c_b = init.samples.copy(), init.samples_b.copy()
+    elif init.meta.n_s == n_s:
+        c_a, c_b = init.samples.copy(), (init.samples_b if init.paired else init.samples).copy()
     else:
-        raise ValueError("init must be a paired ensemble of matching size")
-    return _ensemble(theta, *_run(theta, stats, c_a, c_b, seed, n_iters)[:2], n_iters, seed)
+        raise ValueError(f"init holds {init.meta.n_s} samples, not n_s = {n_s}")
+    return _ensemble(theta, *_run(stats, c_a, c_b, seed, n_iters)[:2], n_iters, seed)
 
 
 def _step(theta, stats, cell, extra):
@@ -188,7 +191,7 @@ def _step(theta, stats, cell, extra):
     # would replay the stream of SeedSequence(seed) that built the ensemble;
     # the trailing 1 keeps every step's draws apart from it
     meta, entropy = cell.meta, [cell.meta.seed, cell.meta.step_index, 1]
-    c_a, c_b, z_a, z_b = _run(theta, stats, cell.samples, cell.samples_b, entropy, 1, extra)
+    c_a, c_b, z_a, z_b = _run(stats, cell.samples, cell.samples_b, entropy, 1, extra)
     return CellStateEnsemble(c_a, replace(meta, step_index=meta.step_index + 1), c_b), z_a, z_b
 
 

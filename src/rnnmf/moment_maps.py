@@ -9,6 +9,7 @@ depend on the cell-state distribution, supplied here as a sampled ensemble.
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 from typing import Mapping
 
@@ -174,11 +175,14 @@ def step_correlation(
 ) -> float:
     """The scalar correlation map C -> M_C(C) at a converged (mu*, Q*).
 
-    Normalization uses the fixed (mu*, Q*), so at the moment fixed point the
-    map is exactly one dimensional in C. For the LSTM the value is computed
-    on stationary coupled cell pairs equilibrated from zero at the gate
-    correlations implied by C (deterministic in C for a fixed seed, which
-    keeps finite differences and fixed-point iteration well posed).
+    For the quadrature cells the normalization uses the fixed (mu*, Q*), so
+    at the moment fixed point the map is exactly one dimensional in C. For
+    the LSTM the value is the correlation of the outputs of stationary
+    coupled cell pairs equilibrated from zero at the gate correlations
+    implied by C, divided by those same chains' output variances
+    (deterministic in C for a fixed seed, which keeps fixed-point iteration
+    well posed). Identical chains give exactly 1, so M(1) = 1 as for the
+    other cells.
     """
 
     if _degenerate(fixed.mu_s, fixed.q_s):
@@ -194,15 +198,14 @@ def step_correlation(
 def _correlation_step(theta, arch, fixed, c_s, inputs, order, n_s, n_iters, seed) -> float:
     """step_correlation without its checks: theta valid, (mu*, Q*) not
     degenerate and |c_s| <= 1, as the correlation solve and chi_at ensure."""
-    sigma2_star = fixed.q_s - fixed.mu_s * fixed.mu_s
     state = MomentState(fixed.mu_s, fixed.q_s, c_s)
     stats = _gate_stats(theta, arch, state, inputs, order)
     rules = CELLS[arch.name]
-    if rules.correlate is None:
-        rho_n = rules.step(theta, stats, state, None, order)[2]
-    else:
-        rho_n = rules.correlate(theta, stats, order, n_s, n_iters, seed)
-    return (rho_n - fixed.mu_s * fixed.mu_s) / sigma2_star
+    if rules.correlate is not None:  # sampled pairs, normalized on their own variances
+        cov, var_a, var_b = rules.correlate(theta, stats, order, n_s, n_iters, seed)
+        return _finish_corr(cov, math.sqrt(var_a * var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
+    rho_n = rules.step(theta, stats, state, None, order)[2]
+    return (rho_n - fixed.mu_s * fixed.mu_s) / (fixed.q_s - fixed.mu_s * fixed.mu_s)
 
 
 def moment_trajectory(

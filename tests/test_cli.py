@@ -130,6 +130,26 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(tmp_path, capsys):
     assert any("error:" in l and "--seed" in l for l in captured.err.splitlines())
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["critical-init", "--preset", "standard", "--N", "0"], "--N"),
+        (["critical-init", "--preset", "standard", "--N", "-5"], "--N"),
+        (["critical-init", "--preset", "standard", "--N", "4", "--input-dim", "-4"], "--input-dim"),
+        (["spectrum", "--theta", "THETA", "--N", "8", "--burn-in", "0"], "--burn-in"),
+        (["simulate", "--theta", "THETA", "--N", "0", "--T", "5"], "--N"),
+        (["simulate", "--theta", "THETA", "--N", "8", "--T", "0"], "--T"),
+        (["cell-dist", "--theta", "THETA", "--simulate", "--N", "0"], "--N"),
+    ],
+)
+def test_width_and_step_flags_below_one_are_usage_errors(tmp_path, capsys, argv, flag):
+    theta = str(_write_theta(tmp_path, "LSTM"))
+    assert run([theta if a == "THETA" else a for a in argv] + ["--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: expected a positive integer" in captured.err
+
+
 def test_timescale_highlights_xi_on_stderr(tmp_path, capsys):
     theta = _write_theta(tmp_path, "GRU")
     assert run(["timescale", "--theta", str(theta), "--seed", "0"]) == 0

@@ -81,6 +81,15 @@ def test_standard_preset_scales_with_width():
     assert narrow.gates["o"].nu2 == 2.0 / (64 + 256)
 
 
+@pytest.mark.parametrize(
+    "widths, name",
+    [({"N": 0}, "N"), ({"N": -5}, "N"), ({"N": 4, "input_dim": -4}, "input_dim"), ({"input_dim": 0}, "input_dim")],
+)
+def test_preset_rejects_a_width_below_one(widths, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+        preset_init("standard", **widths)
+
+
 def test_preset_resolves_over_another_architecture():
     theta = preset_init("peephole_critical", arch_name="GRU")
     assert set(theta.gates) == set(get_architecture("GRU").labels())

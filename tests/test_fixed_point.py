@@ -231,6 +231,19 @@ def test_full_correlation_is_fixed_point_and_classified(quadrature_arch):
     assert rep.converged
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_lstm_correlation_map_keeps_full_correlation_fixed(seed):
+    # identical inputs keep two copies identical, so M(1) = 1 and C* = 1;
+    # normalizing the pairs by the moment solve's (mu*, Q*), another
+    # estimator, gave M(1) = 0.909 and C* = 0.906 at seed 0
+    arch = get_architecture("LSTM")
+    theta = make_theta(arch)
+    msol = solve_moments(theta, arch, UNIT, seed=seed)
+    assert step_correlation(theta, arch, msol.state, 1.0, UNIT, seed=seed) == 1.0
+    rep = solve_correlation(theta, arch, UNIT, msol, seed=seed)
+    assert abs(rep.c_star - 1.0) <= 1e-9
+
+
 def test_correlation_starts_converge_to_same_point():
     arch = get_architecture("peepholeLSTM")
     theta = make_theta(arch, sigma2=0.4, nu2=0.4, rho2=0.02)

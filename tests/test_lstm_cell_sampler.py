@@ -15,7 +15,7 @@ from rnnmf import (
     preactivation_stats,
     sample_cell_distribution,
 )
-from rnnmf.lstm_cell_sampler import recorded_step
+from rnnmf.lstm_cell_sampler import CellStateEnsemble, EnsembleMeta, NonFiniteSample, recorded_step
 
 from conftest import make_theta, zero_variance_theta
 
@@ -159,6 +159,30 @@ def test_warm_start_adopts_init_samples():
     base = correlated_cell_pairs(theta, stats, n_s=32, n_iters=20, seed=6)
     warm = correlated_cell_pairs(theta, stats, n_s=32, n_iters=0, seed=6, init=base)
     assert np.array_equal(warm.samples, base.samples)
+
+
+def test_unpaired_warm_start_copies_chain_a_into_chain_b():
+    theta = make_theta(ARCH)
+    stats = stats_for(theta, MomentState(0.0, 0.1, 0.5))
+    base = sample_cell_distribution(theta, stats, n_s=32, n_iters=20, seed=6)
+    start = correlated_cell_pairs(theta, stats, n_s=32, n_iters=0, seed=6, init=base)
+    assert np.array_equal(start.samples, base.samples)
+    assert np.array_equal(start.samples_b, base.samples)
+    # and it continues as the explicitly paired copy would
+    twin = CellStateEnsemble(base.samples, base.meta, base.samples.copy())
+    warm = correlated_cell_pairs(theta, stats, n_s=32, n_iters=3, seed=6, init=base)
+    warm_twin = correlated_cell_pairs(theta, stats, n_s=32, n_iters=3, seed=6, init=twin)
+    assert np.array_equal(warm.samples, warm_twin.samples)
+    assert np.array_equal(warm.samples_b, warm_twin.samples_b)
+
+
+def test_ensemble_rejects_a_non_finite_chain_b():
+    meta = EnsembleMeta(n_s=3, n_iters=0, seed=0, theta_digest="test")
+    CellStateEnsemble(np.zeros(3), meta, np.zeros(3))
+    with pytest.raises(NonFiniteSample):
+        CellStateEnsemble(np.zeros(3), meta, np.array([0.0, np.nan, 0.0]))
+    with pytest.raises(NonFiniteSample):
+        CellStateEnsemble(np.array([0.0, np.inf, 0.0]), meta, np.zeros(3))
 
 
 def test_sampler_mean_tracks_drive():

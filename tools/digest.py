@@ -13,7 +13,8 @@ searches (one constrained, one whose every evaluation fails) and the
 presets, and the private fast paths (`quadrature._expect_moments`, the moment-only step
 `moment_maps._moment_step`), and the solvers' slow paths (fixed points,
 iteration counts and error estimates at thetas whose maps expand, overshoot
-or swamp the chi stencil); then each command of the benchmark's cli-battery
+or swamp the chi stencil), and the LSTM correlation solve at two input
+correlations and four seeds; then each command of the benchmark's cli-battery
 set (`perfbench/workloads.py`) runs in process at seeds 1 and 2 and its
 stdout is hashed. Scalars print as
 `float.hex`, arrays and stdout as the SHA-256 of their bytes; a call that
@@ -206,6 +207,22 @@ def solver_paths():
                  CORRELATION_FIELDS)
 
 
+def lstm_correlation_solves():
+    """The LSTM correlation solve at make_theta, seeds 0-3, at sigma_z = 0.5,
+    where C* lies inside (0, 1), and at sigma_z = 1, where identical inputs
+    keep the copies identical and C* = 1."""
+    arch = R.get_architecture("LSTM")
+    theta = make_theta(arch)
+    for sigma_z in (0.5, 1.0):
+        inputs = R.InputStats(1.0, sigma_z)
+        for seed in range(4):
+            tag = f"lstm_solve[sigma_z={sigma_z}, seed={seed}]"
+            msol = emit(f"{tag} solve_moments", lambda: R.solve_moments(theta, arch, inputs, seed=seed), SOLVE_FIELDS)
+            if msol is not None:
+                emit(f"{tag} solve_correlation", lambda: R.solve_correlation(
+                    theta, arch, inputs, msol, seed=seed), CORRELATION_FIELDS)
+
+
 def cli(seed: int):
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import CliBattery
@@ -223,6 +240,7 @@ def main():
     library()
     quadrature_layouts()
     solver_paths()
+    lstm_correlation_solves()
     cli(1)
     cli(2)
 
