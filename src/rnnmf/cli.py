@@ -42,7 +42,7 @@ from .jacobian import jacobian_report_dict
 from .lstm_cell_sampler import sample_cell_distribution
 from .moment_maps import preactivation_stats
 from .quadrature import DEFAULT_ORDER
-from .simulator import build_jacobian, simulate_cell_distribution, simulate_pair
+from .simulator import InvalidSchedule, build_jacobian, simulate_cell_distribution, simulate_pair
 from .verify import CHECKS
 
 __all__ = ["run", "main"]
@@ -62,17 +62,30 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return seed
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer >= low, else a usage error naming the
+    flag and what it expects."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    parse.__name__ = "integer"  # argparse: "invalid integer value: 'x'"
+    return parse
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+_non_negative = _int_at_least(0, "a non-negative integer")
+_positive = _int_at_least(1, "a positive integer")
+# the sampled LSTM moment solve needs n_s >= 2 for its standard errors
+_ensemble_size = _int_at_least(2, "an integer >= 2")
+
+
+def _correlation(text: str) -> float:
+    value = float(text)
+    if not -1.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a correlation in [-1, 1], got {text!r}")
     return value
 
 
@@ -107,7 +120,10 @@ def _resolve_theta(args):
 
 
 def _inputs(args) -> InputStats:
-    return InputStats(args.R, args.sigma_z)
+    try:
+        return InputStats(args.R, args.sigma_z)
+    except ValueError as e:
+        raise _UsageError(f"argument --R/--sigma-z: {e}") from None
 
 
 def _write_csv(columns, rows) -> None:
@@ -128,14 +144,6 @@ def _solve(args, arch, theta, inputs, seed):
     )
 
 
-def _report_and_moments(args, arch, theta, inputs, seed):
-    rep, mom, _ = _pipeline_eval(
-        theta, arch, inputs, args.order, args.n_s, args.n_iters, seed,
-        c0=args.c0, tol=args.tol, max_iter=args.max_iter,
-    )
-    return rep, mom
-
-
 def _cmd_fixed_point(args) -> int:
     arch, theta = _resolve_theta(args)
     seed = _resolve_seed(args)
@@ -153,7 +161,10 @@ def _cmd_fixed_point(args) -> int:
 def _cmd_jacobian(args) -> int:
     arch, theta = _resolve_theta(args)
     seed = _resolve_seed(args)
-    rep, mom = _report_and_moments(args, arch, theta, _inputs(args), seed)
+    rep, mom, _ = _pipeline_eval(
+        theta, arch, _inputs(args), args.order, args.n_s, args.n_iters, seed,
+        c0=args.c0, tol=args.tol, max_iter=args.max_iter,
+    )
     _print_json(jacobian_report_dict(mom, rep.chi))
     return 0
 
@@ -204,9 +215,12 @@ def _parse_alphas(spec: str):
 def _cmd_sweep(args) -> int:
     try:
         file_arch, theta0 = theta_from_json_dict(_load_json(args.theta0))
+    except ValueError as e:
+        raise _UsageError(f"bad theta file {args.theta0}: {e}") from None
+    try:
         _, direction = direction_from_json_dict(_load_json(args.direction))
     except ValueError as e:
-        raise _UsageError(str(e)) from None
+        raise _UsageError(f"bad direction file {args.direction}: {e}") from None
     _check_arch(args, file_arch, args.theta0)
     alphas = _parse_alphas(args.alphas)
     seed = _resolve_seed(args)
@@ -237,17 +251,13 @@ def _cmd_simulate(args) -> int:
             schedule = np.loadtxt(args.sigma_z_schedule, ndmin=1)
         except (OSError, ValueError) as e:
             raise _UsageError(f"cannot read schedule {args.sigma_z_schedule}: {e}") from None
-        if schedule.size < args.T:
-            raise _UsageError(
-                f"schedule {args.sigma_z_schedule} has {schedule.size} entries < T = {args.T}"
-            )
-        if np.any(np.abs(schedule) > 1.0):
-            raise _UsageError("schedule entries must lie in [-1, 1]")
-    config = SimulationConfig(N=args.N, T=args.T, seed=seed)
-    traj = simulate_pair(
-        theta, arch, config, _inputs(args), tied=args.tied, seed=seed,
-        sigma_z_schedule=schedule,
-    )
+    config, inputs = SimulationConfig(N=args.N, T=args.T, seed=seed), _inputs(args)
+    try:
+        traj = simulate_pair(
+            theta, arch, config, inputs, tied=args.tied, seed=seed, sigma_z_schedule=schedule,
+        )
+    except InvalidSchedule as e:
+        raise _UsageError(f"bad schedule {args.sigma_z_schedule}: {e}") from None
     cols = ("t", "mu", "q", "c", "se_mu", "se_q", "se_c")
     _write_csv(cols, ([p.t, p.mu, p.q, p.c, p.se_mu, p.se_q, p.se_c] for p in traj))
     return 0
@@ -259,7 +269,10 @@ def _cmd_spectrum(args) -> int:
     inputs = _inputs(args)
     config = SimulationConfig(N=args.N, T=args.burn_in, seed=seed)
     _, sr = build_jacobian(theta, arch, config, seed=seed, inputs=inputs, burn_in=args.burn_in)
-    _, mom = _report_and_moments(args, arch, theta, inputs, seed)
+    _, mom, _ = _pipeline_eval(
+        theta, arch, inputs, args.order, args.n_s, args.n_iters, seed,
+        c0=args.c0, tol=args.tol, max_iter=args.max_iter,
+    )
     _write_csv(
         ("rank", "squared_singular_value"),
         ([i, v] for i, v in enumerate(sr.squared_singular_values, start=1)),
@@ -329,17 +342,21 @@ def _add_common(p, theta=True):
     p.add_argument("--R", type=float, default=1.0, help="input second moment (default 1)")
     p.add_argument("--sigma-z", dest="sigma_z", type=float, default=1.0,
                    help="input cross-correlation (default 1)")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="quadrature order")
-    p.add_argument("--seed", type=_seed, default=None, help="seed (omitted: drawn and printed)")
-    p.add_argument("--n-s", dest="n_s", type=int, default=200, help="cell ensemble size")
-    p.add_argument("--n-iters", dest="n_iters", type=int, default=200,
+    _add_sampling(p)
+
+
+def _add_sampling(p):
+    p.add_argument("--order", type=_positive, default=DEFAULT_ORDER, help="quadrature order")
+    p.add_argument("--seed", type=_non_negative, default=None, help="seed (omitted: drawn and printed)")
+    p.add_argument("--n-s", dest="n_s", type=_ensemble_size, default=200, help="cell ensemble size")
+    p.add_argument("--n-iters", dest="n_iters", type=_non_negative, default=200,
                    help="cell equilibration steps")
 
 
 def _add_solver(p):
-    p.add_argument("--c0", type=float, default=0.0, help="correlation start (default 0)")
+    p.add_argument("--c0", type=_correlation, default=0.0, help="correlation start (default 0)")
     p.add_argument("--tol", type=float, default=1e-9, help="fixed-point tolerance")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=10000)
+    p.add_argument("--max-iter", dest="max_iter", type=_positive, default=10000)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,10 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-xi", dest="target_xi", type=float, default=None)
     p.add_argument("--N", type=_positive, default=512, help="width for the standard preset")
     p.add_argument("--input-dim", dest="input_dim", type=_positive, default=None)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--n-s", dest="n_s", type=int, default=200)
-    p.add_argument("--n-iters", dest="n_iters", type=int, default=200)
+    _add_sampling(p)
     p.set_defaults(func=_cmd_critical_init)
 
     p = sub.add_parser("sweep", help="chi/xi/m1/m2/sigma along theta0 + alpha * direction")

@@ -125,9 +125,17 @@ class GateParams:
 
 
 class Hyperparameters:
-    """Mapping from gate label to GateParams for one architecture."""
+    """Mapping from gate label to GateParams for one architecture.
+
+    Every value must be a GateParams (InvalidTheta otherwise), so the
+    per-gate rules of GateParams hold for every theta; validate_theta adds
+    the one rule that needs the architecture, its gate set.
+    """
 
     def __init__(self, gates: Mapping[str, GateParams]):
+        for label, p in gates.items():
+            if not isinstance(p, GateParams):
+                raise InvalidTheta(f"gate {label!r}: expected GateParams, got {type(p).__name__}")
         self._gates = MappingProxyType(dict(gates))
 
     def __reduce__(self):  # a mappingproxy does not pickle
@@ -318,8 +326,9 @@ class SimulationConfig:
 
 
 def validate_theta(theta: Hyperparameters, arch: ArchitectureSpec) -> None:
-    """Checks that theta covers exactly the gates of arch with nonnegative
-    variances. Raises MissingGate, UnknownGate or NegativeVariance."""
+    """Checks that theta covers exactly the gates of arch. Raises MissingGate
+    or UnknownGate; the per-gate rules (finite values, nonnegative
+    variances) hold already, GateParams enforces them."""
 
     want = set(arch.labels())
     have = set(theta.labels())
@@ -329,11 +338,6 @@ def validate_theta(theta: Hyperparameters, arch: ArchitectureSpec) -> None:
     extra = have - want
     if extra:
         raise UnknownGate(f"{arch.name}: unexpected gate entries {sorted(extra)}")
-    for k in arch.labels():
-        p = theta[k]
-        for name in ("sigma2", "nu2", "rho2"):
-            if getattr(p, name) < 0:
-                raise NegativeVariance(f"gate {k!r}: {name} = {getattr(p, name)} < 0")
 
 
 _GATE_KEYS = ("sigma2", "nu2", "rho2", "mu")
@@ -347,6 +351,29 @@ def theta_to_json_dict(theta: Hyperparameters, arch_name: str) -> dict:
             for k, p in theta.gates.items()
         },
     }
+
+
+def _gate_entry(label, entry, complete: bool = True) -> dict:
+    """One gate's JSON entry as {key: float} over _GATE_KEYS, the parser of
+    theta documents and sweep directions alike. Values must be numbers (not
+    bools or strings); a complete entry names every key, an incomplete one
+    reads 0 for the keys it omits. Raises InvalidTheta naming the gate."""
+
+    if not isinstance(entry, dict):
+        raise InvalidTheta(f"gate {label!r} entry must be an object")
+    bad = set(entry) - set(_GATE_KEYS)
+    if bad:
+        raise InvalidTheta(f"gate {label!r}: unknown keys {sorted(bad)}")
+    missing = set(_GATE_KEYS) - set(entry)
+    if missing and complete:
+        raise InvalidTheta(f"gate {label!r}: missing keys {sorted(missing)}")
+    vals = {}
+    for key in _GATE_KEYS:
+        v = entry.get(key, 0.0)
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise InvalidTheta(f"gate {label!r}: {key} must be a number")
+        vals[key] = float(v)
+    return vals
 
 
 def theta_from_json_dict(obj: dict) -> tuple[str, Hyperparameters]:
@@ -365,24 +392,9 @@ def theta_from_json_dict(obj: dict) -> tuple[str, Hyperparameters]:
     gates_obj = obj["gates"]
     if not isinstance(gates_obj, dict):
         raise InvalidTheta('"gates" must be an object')
-    gates = {}
-    for label, entry in gates_obj.items():
-        if not isinstance(entry, dict):
-            raise InvalidTheta(f"gate {label!r} entry must be an object")
-        bad = set(entry) - set(_GATE_KEYS)
-        if bad:
-            raise InvalidTheta(f"gate {label!r}: unknown keys {sorted(bad)}")
-        missing = set(_GATE_KEYS) - set(entry)
-        if missing:
-            raise InvalidTheta(f"gate {label!r}: missing keys {sorted(missing)}")
-        vals = {}
-        for key in _GATE_KEYS:
-            v = entry[key]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise InvalidTheta(f"gate {label!r}: {key} must be a number")
-            vals[key] = float(v)
-        gates[label] = GateParams(**vals)
-    theta = Hyperparameters(gates)
+    theta = Hyperparameters(
+        {label: GateParams(**_gate_entry(label, entry)) for label, entry in gates_obj.items()}
+    )
     arch = get_architecture(arch_name)
     validate_theta(theta, arch)
     return arch_name, theta

@@ -16,6 +16,7 @@ from typing import Mapping, Optional
 from . import jacobian as _jacobian
 from .core import (
     _GATE_KEYS,
+    _gate_entry,
     GateParams,
     Hyperparameters,
     InputStats,
@@ -128,9 +129,8 @@ def preset_init(
             raise ValueError(f"{label} must be a positive integer, got {width!r}")
     default_arch, builder = _PRESETS[name]
     arch = get_architecture(arch_name or default_arch)
-    theta = builder(arch, N, input_dim if input_dim is not None else N)
-    validate_theta(theta, arch)
-    return theta
+    # a GateParams for each of arch's gates: valid by construction
+    return builder(arch, N, input_dim if input_dim is not None else N)
 
 
 @dataclass(frozen=True)
@@ -299,16 +299,14 @@ def search_critical(
 
 
 def direction_from_json_dict(obj: dict):
-    """Parse a sweep direction: same shape as a theta document, but entries
-    may be negative (it is a ray direction, not a valid initialization)."""
+    """Parse a sweep direction: same shape as a theta document, parsed by
+    the same per-gate entry rule, but a gate entry may omit keys (they read
+    0) and hold negative steps (it is a ray direction, not a valid
+    initialization)."""
 
     if not isinstance(obj, dict) or not isinstance(obj.get("gates"), dict):
         raise InvalidTheta('direction document needs a "gates" object')
-    gates = {}
-    for label, entry in obj["gates"].items():
-        if not isinstance(entry, dict) or set(entry) - set(_GATE_KEYS):
-            raise InvalidTheta(f"direction gate {label!r}: expected keys {_GATE_KEYS}")
-        gates[label] = {f: float(entry.get(f, 0.0)) for f in _GATE_KEYS}
+    gates = {label: _gate_entry(label, entry, complete=False) for label, entry in obj["gates"].items()}
     return obj.get("arch"), gates
 
 
@@ -329,9 +327,8 @@ def _sweep_point(payload):
     index, arch, theta0, direction, alpha, inputs, seed, order, n_s, n_iters = payload
     row = {c: math.nan for c in SWEEP_COLUMNS}
     row["alpha"] = alpha
-    try:
+    try:  # GateParams rejects a point off the valid region; theta0's gate set is checked
         theta = _combine(theta0, direction, alpha)
-        validate_theta(theta, arch)
     except ValueError:
         row["status"] = "invalid_theta"
         return row

@@ -28,7 +28,7 @@ from .core import (
     validate_theta,
 )
 from .lstm_cell_sampler import CellStateEnsemble, sample_cell_distribution
-from .moment_maps import _correlation_step, _degenerate, _moment_step, preactivation_stats
+from .moment_maps import _degenerate, _moment_step, preactivation_stats, step_correlation
 from .quadrature import DEFAULT_ORDER
 from . import jacobian as _jacobian
 
@@ -282,12 +282,11 @@ def solve_moments(
     Quadrature architectures use safeguarded Anderson iteration on (mu, Q),
     projected onto Q >= mu^2, with a damped plain-step fallback (see
     _iterate). The map is the moment-only step: step_moments' (mu', Q')
-    without the copies' pair integrals and without re-validating theta,
-    which is validated once here. It stops when the estimated distance to
-    the fixed point, about residual / (1 - rate), is <= tol: residual is
-    max(|dmu|, |dQ|) of the map at the returned point, error_estimate that
-    distance, iterations the map evaluations and trajectory the accepted
-    iterates. The LSTM resamples its cell ensemble every iteration and stops
+    without the copies' pair integrals. It stops when the estimated
+    distance to the fixed point, about residual / (1 - rate), is <= tol:
+    residual is max(|dmu|, |dQ|) of the map at the returned point,
+    error_estimate that distance, iterations the map evaluations and
+    trajectory the accepted iterates. The LSTM resamples its cell ensemble every iteration and stops
     on a noise-aware window criterion (residual: the change across it;
     error_estimate: None). Raises NoConvergence with the trajectory after
     max_iter.
@@ -349,16 +348,14 @@ def chi_at(
     st = _as_state(state)
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"correlation c = {c} outside [-1, 1]")
-    if not (arch.needs_cell or _degenerate(st.mu_s, st.q_s)):
-        validate_theta(theta, arch)
+    validate_theta(theta, arch)
     return _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, {})[0]
 
 
 def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, known):
     """chi_at's slope, paired with the Jacobian moments when the slope is
-    their m1 (a degenerate quadrature state), else with None. A stencil's
-    theta must be validated already; known maps correlations to map values
-    in hand."""
+    their m1 (a degenerate quadrature state), else with None. known maps
+    correlations to map values in hand."""
 
     if arch.needs_cell:
         frame_state = MomentState(st.mu_s, max(st.q_s, st.mu_s**2), c)
@@ -375,15 +372,15 @@ def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, known):
 
 
 def _stencil_slope(theta, arch, inputs, st, c, order, known) -> float:
-    """chi_at's finite-difference slope for a quadrature cell at a valid
-    theta and a non-degenerate state. known maps correlations to map values
+    """chi_at's finite-difference slope of step_correlation for a quadrature
+    cell at a non-degenerate state. known maps correlations to map values
     already in hand (the correlation solve's last one, M(C*))."""
 
     @functools.cache  # the one-sided stencils at eps and eps/2 share two points
     def M(cv: float) -> float:
         if cv in known:
             return known[cv]
-        return _correlation_step(theta, arch, st, cv, inputs, order, 0, 0, 0)  # no sampling
+        return step_correlation(theta, arch, st, cv, inputs, order, 0, 0, 0)  # no sampling
 
     def slope(h: float) -> float:
         if c + h > 1.0:
@@ -460,10 +457,8 @@ def _correlation_report(
     if _degenerate(st.mu_s, st.q_s):  # no correlation direction: C* = 1 by convention
         c, resid_c, err_c, it, traj, known = 1.0, 0.0, 0.0, 0, [1.0], {}
     else:
-        validate_theta(theta, arch)
-
         def G(x):
-            return (_correlation_step(theta, arch, st, x[0], inputs, order, n_s, n_iters, seed),)
+            return (step_correlation(theta, arch, st, x[0], inputs, order, n_s, n_iters, seed),)
 
         c, (m_c,), resid_c, err_c, it, traj = _iterate(
             G, (c0,), lambda x: (min(max(x[0], -1.0), 1.0),), lambda x: x[0], tol, max_iter, "correlation"

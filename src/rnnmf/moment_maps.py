@@ -83,11 +83,6 @@ def preactivation_stats(
     """
 
     validate_theta(theta, arch)
-    return _gate_stats(theta, arch, state, inputs, order)
-
-
-def _gate_stats(theta, arch, state, inputs, order):
-    """preactivation_stats without validating theta."""
     q_s = state.q_s
     rho_s = _rho_s(state)
 
@@ -132,13 +127,13 @@ def _step(theta, arch, state, inputs, cell, order):
 
 def _moment_step(theta, arch, mu: float, q: float, R: float, order) -> tuple:
     """(mu', Q') of step_moments for a quadrature cell at state moments
-    (mu, Q) and input second moment R, the map solve_moments iterates. Theta
-    is not validated again. The step is taken at C = 1 and sigma_z = 1, which
-    (mu', Q') do not depend on; there every gate's pair collapses (c = 1), so
-    its pair integral is E[g^2], already in hand: no pair grid is evaluated,
-    in the gates or in preactivation_stats."""
+    (mu, Q) and input second moment R, the map solve_moments iterates. The
+    step is taken at C = 1 and sigma_z = 1, which (mu', Q') do not depend
+    on; there every gate's pair collapses (c = 1), so its pair integral is
+    E[g^2], already in hand: no pair grid is evaluated, in the gates or in
+    preactivation_stats."""
     full = MomentState(mu, q, 1.0)
-    stats = _gate_stats(theta, arch, full, InputStats(R, 1.0), order)
+    stats = preactivation_stats(theta, arch, full, InputStats(R, 1.0), order)
     return CELLS[arch.name].step(theta, stats, full, None, order)[:2]
 
 
@@ -191,15 +186,8 @@ def step_correlation(
         )
     if abs(c_s) > 1.0:
         raise ValueError(f"|C| must be <= 1, got {c_s}")
-    validate_theta(theta, arch)
-    return _correlation_step(theta, arch, fixed, c_s, inputs, order, n_s, n_iters, seed)
-
-
-def _correlation_step(theta, arch, fixed, c_s, inputs, order, n_s, n_iters, seed) -> float:
-    """step_correlation without its checks: theta valid, (mu*, Q*) not
-    degenerate and |c_s| <= 1, as the correlation solve and chi_at ensure."""
     state = MomentState(fixed.mu_s, fixed.q_s, c_s)
-    stats = _gate_stats(theta, arch, state, inputs, order)
+    stats = preactivation_stats(theta, arch, state, inputs, order)
     rules = CELLS[arch.name]
     if rules.correlate is not None:  # sampled pairs, normalized on their own variances
         cov, var_a, var_b = rules.correlate(theta, stats, order, n_s, n_iters, seed)

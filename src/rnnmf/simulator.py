@@ -38,6 +38,7 @@ from .core import (
 
 __all__ = [
     "NonFiniteState",
+    "InvalidSchedule",
     "WeightDraw",
     "SpectrumReport",
     "TrajectoryPoint",
@@ -54,6 +55,11 @@ _MAX_SVD_N = 2048  # dense SVD guardrail
 
 class NonFiniteState(ArithmeticError):
     pass
+
+
+class InvalidSchedule(ValueError):
+    """A sigma_z schedule shorter than the horizon, or with an entry outside
+    [-1, 1] (NaN included)."""
 
 
 @dataclass(frozen=True)
@@ -118,10 +124,6 @@ def _check_finite(x: np.ndarray, t: int):
         raise NonFiniteState(f"state became non-finite at step {t}")
 
 
-def _advance(arch, u: dict, s: np.ndarray, c: Optional[np.ndarray]):
-    return CELLS[arch.name].update(s, u, c)
-
-
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a 1 x 1 or 2 x 2 covariance, singular or not."""
     l11 = math.sqrt(a[0, 0])
@@ -168,7 +170,7 @@ def _run_single(theta, arch, config, seed, inputs, steps):
     S, C, u = np.zeros((1, N)), (np.zeros((1, N)) if arch.needs_cell else None), None
     for t in range(1, steps + 1):
         u = _gram_preactivations(rng, theta, arch, S, sqrtR * rng.standard_normal((1, N)))
-        S, C = _advance(arch, u, S, C)
+        S, C = CELLS[arch.name].update(S, u, C)
         _check_finite(S, t)
     return rng, sqrtR, (S[0], None if C is None else C[0], u)
 
@@ -209,7 +211,9 @@ def simulate_pair(
     draws every step (fresh per step unless tied); their inputs are i.i.d.
     per-coordinate Gaussian pairs with covariance R [[1, sz], [sz, 1]],
     where sz is inputs.sigma_z or, when given, sigma_z_schedule[t]. Returns
-    TrajectoryPoints for t = 0..T with single-copy standard errors.
+    TrajectoryPoints for t = 0..T with single-copy standard errors. A
+    schedule with fewer than T entries, or with an entry outside [-1, 1]
+    (NaN included), raises InvalidSchedule.
     """
 
     validate_theta(theta, arch)
@@ -217,9 +221,10 @@ def simulate_pair(
     if sigma_z_schedule is not None:
         sched = np.asarray(sigma_z_schedule, dtype=float)
         if sched.size < T:
-            raise ValueError(f"schedule has {sched.size} entries < T = {T}")
-        if np.any(np.abs(sched) > 1.0):
-            raise ValueError("schedule entries must lie in [-1, 1]")
+            raise InvalidSchedule(f"schedule has {sched.size} entries < T = {T}")
+        bad = np.flatnonzero(~(np.abs(sched) <= 1.0))  # NaN fails the comparison too
+        if bad.size:
+            raise InvalidSchedule(f"schedule entry {bad[0]} = {float(sched.flat[bad[0]])!r} outside [-1, 1]")
     else:
         sched = np.full(T, inputs.sigma_z)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed if seed is None else seed))
@@ -244,7 +249,7 @@ def simulate_pair(
             u = {k: np.stack([ua[k], ub[k]]) for k in labels}
         else:
             u = _gram_preactivations(rng, theta, arch, S, np.stack([za, zb]))
-        S, C = _advance(arch, u, S, C)
+        S, C = CELLS[arch.name].update(S, u, C)
         _check_finite(S, t)
         out.append(_empirical(S[0], S[1], t))
     return out
@@ -275,7 +280,7 @@ class JacobianFrame:
 
     def one_step(self, s: np.ndarray) -> np.ndarray:
         u = _preactivations(self.arch, self.draw, s, self.z)
-        return _advance(self.arch, u, s, self._prev_cell(s))[0]
+        return CELLS[self.arch.name].update(s, u, self._prev_cell(s))[0]
 
 
 def jacobian_frame(

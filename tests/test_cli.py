@@ -130,6 +130,17 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(tmp_path, capsys):
     assert any("error:" in l and "--seed" in l for l in captured.err.splitlines())
 
 
+# the numeric flags whose usage error is not "expected a positive integer";
+# --R and --sigma-z report InputStats' own message
+_FLAG_ERRORS = {
+    "--n-iters": "argument --n-iters: expected a non-negative integer",
+    "--n-s": "argument --n-s: expected an integer >= 2",
+    "--c0": "argument --c0: expected a correlation in [-1, 1]",
+    "--R": "argument --R/--sigma-z: R must be >= 0",
+    "--sigma-z": "argument --R/--sigma-z: |sigma_z| must be <= 1",
+}
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -140,6 +151,18 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(tmp_path, capsys):
         (["simulate", "--theta", "THETA", "--N", "0", "--T", "5"], "--N"),
         (["simulate", "--theta", "THETA", "--N", "8", "--T", "0"], "--T"),
         (["cell-dist", "--theta", "THETA", "--simulate", "--N", "0"], "--N"),
+        (["fixed-point", "--theta", "THETA", "--order", "0"], "--order"),
+        (["critical-init", "--search", "--arch", "LSTM", "--order", "0"], "--order"),
+        (["fixed-point", "--theta", "THETA", "--max-iter", "0"], "--max-iter"),
+        (["fixed-point", "--theta", "THETA", "--n-iters", "-1"], "--n-iters"),
+        (["critical-init", "--search", "--arch", "LSTM", "--n-iters", "-1"], "--n-iters"),
+        (["fixed-point", "--theta", "THETA", "--n-s", "0"], "--n-s"),
+        (["jacobian", "--theta", "THETA", "--n-s", "1"], "--n-s"),
+        (["critical-init", "--search", "--arch", "LSTM", "--n-s", "1"], "--n-s"),
+        (["fixed-point", "--theta", "THETA", "--R", "-1"], "--R"),
+        (["simulate", "--theta", "THETA", "--N", "8", "--T", "2", "--sigma-z", "2"], "--sigma-z"),
+        (["fixed-point", "--theta", "THETA", "--c0", "2"], "--c0"),
+        (["fixed-point", "--theta", "THETA", "--c0", "nan"], "--c0"),
     ],
 )
 def test_width_and_step_flags_below_one_are_usage_errors(tmp_path, capsys, argv, flag):
@@ -147,7 +170,9 @@ def test_width_and_step_flags_below_one_are_usage_errors(tmp_path, capsys, argv,
     assert run([theta if a == "THETA" else a for a in argv] + ["--seed", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: argument {flag}: expected a positive integer" in captured.err
+    expected = _FLAG_ERRORS.get(flag, f"argument {flag}: expected a positive integer")
+    assert f"error: {expected}" in captured.err
+
 
 
 def test_timescale_highlights_xi_on_stderr(tmp_path, capsys):
@@ -251,6 +276,20 @@ def test_sweep_rejects_a_direction_without_a_gates_object(tmp_path, capsys):
     assert "gates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["\"1\"", "true", "null", "[1]"])
+def test_sweep_direction_entries_must_be_numbers(tmp_path, capsys, value):
+    theta0, direction = _sweep_files(tmp_path)
+    direction.write_text('{"gates": {"f": {"mu": %s}}}' % value)
+    code = run(
+        ["sweep", "--theta0", str(theta0), "--direction", str(direction),
+         "--alphas", "0:2:3", "--seed", "0", "--workers", "1"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: bad direction file {direction}: gate 'f': mu must be a number" in captured.err
+
+
 def test_sweep_rejects_a_non_integer_worker_count_from_the_environment(tmp_path, capsys, monkeypatch):
     theta0, direction = _sweep_files(tmp_path)
     monkeypatch.setenv("RNNMF_WORKERS", "abc")
@@ -286,6 +325,21 @@ def test_simulate_schedule_length_is_checked(tmp_path, capsys):
          "--seed", "0", "--sigma-z-schedule", str(sched)]
     )
     assert code == 2
+
+
+def test_simulate_schedule_entries_are_checked(tmp_path, capsys):
+    # a NaN entry fails |s| <= 1 like 1.5 does, rather than poisoning the state
+    theta = _write_theta(tmp_path, "minimalRNN")
+    sched = tmp_path / "sched.txt"
+    sched.write_text("0.0\nnan\n1.0\n")
+    code = run(
+        ["simulate", "--theta", str(theta), "--N", "16", "--T", "3",
+         "--seed", "0", "--sigma-z-schedule", str(sched)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: bad schedule" in captured.err and "entry 1 = nan" in captured.err
 
 
 def test_spectrum_csv_and_theory_line(tmp_path, capsys):

@@ -63,6 +63,13 @@ def test_negative_variance_rejected():
         GateParams(sigma2=0.0, nu2=-0.5, rho2=0.0, mu=0.0)
 
 
+@pytest.mark.parametrize("value", [(0.1, 0.1, 0.0, 0.0), {"sigma2": 0.1, "nu2": 0.1, "rho2": 0.0, "mu": 0.0}, None])
+def test_hyperparameters_accept_only_gate_params(value):
+    # a theta is valid by construction: the per-gate rules live in GateParams
+    with pytest.raises(InvalidTheta, match="gate 'f': expected GateParams"):
+        Hyperparameters({"f": value})
+
+
 def test_validate_theta_gate_mismatch():
     arch = get_architecture("minimalRNN")
     with pytest.raises(MissingGate):

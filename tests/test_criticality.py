@@ -298,3 +298,12 @@ def test_direction_parser_defaults_and_rejects():
         direction_from_json_dict({"no_gates": {}})
     with pytest.raises(InvalidTheta):
         direction_from_json_dict({"gates": {"f": {"weird": 1.0}}})
+
+
+@pytest.mark.parametrize("value", ["1", True, None, [1]], ids=["string", "bool", "null", "list"])
+def test_direction_entries_must_be_numbers(value):
+    # directions and theta documents share one per-gate entry rule
+    with pytest.raises(InvalidTheta, match="gate 'f': mu must be a number"):
+        direction_from_json_dict({"gates": {"f": {"mu": value}}})
+    with pytest.raises(InvalidTheta, match="gate 'f': mu must be a number"):
+        theta_from_json_dict({"arch": "vanillaRNN", "gates": {"f": {"sigma2": 0.0, "nu2": 0.0, "rho2": 0.0, "mu": value}}})

@@ -189,6 +189,31 @@ def test_reported_chi_equals_a_fresh_chi_at(quadrature_arch, tag):
     assert rep.chi == chi_at(theta, quadrature_arch, UNIT, msol.state, rep.c_star)
 
 
+def test_correlation_solve_and_stencil_evaluate_step_correlation(monkeypatch):
+    # the solve iterates the public map and the chi stencil differences it:
+    # every map evaluation, and nothing else, goes through step_correlation
+    arch = get_architecture("GRU")
+    theta = make_theta(arch)
+    inputs = InputStats(1.0, 0.5)  # C* inside (0, 1): a central stencil
+    msol = solve_moments(theta, arch, inputs)
+    seen = []
+
+    def spy(theta, arch, fixed, c_s, *args):
+        seen.append(c_s)
+        return step_correlation(theta, arch, fixed, c_s, *args)
+
+    monkeypatch.setattr(fixed_point, "step_correlation", spy)
+    rep = solve_correlation(theta, arch, inputs, msol)
+    assert 0.0 < rep.c_star < 1.0
+    c, eps = rep.c_star, fixed_point._EPS
+    stencil = [c + eps, c - eps, c + eps / 2.0, c - eps / 2.0]
+    assert len(seen) == rep.iterations + 4
+    assert seen[rep.iterations:] == stencil
+    seen.clear()
+    assert chi_at(theta, arch, inputs, msol.state, c) == rep.chi
+    assert seen == stencil
+
+
 def test_stencil_noise_is_reported_as_an_unstable_derivative():
     # sigmoid(8) saturates the gate: sigma*^2 = 5.9e-7, and the correlation
     # map's rounding swamps the finite-difference stencil

@@ -18,7 +18,7 @@ from rnnmf import (
     simulate_cell_distribution,
     simulate_pair,
 )
-from rnnmf.simulator import _draw_step, _gram_preactivations, _preactivations
+from rnnmf.simulator import InvalidSchedule, _draw_step, _gram_preactivations, _preactivations
 
 from conftest import make_theta, zero_variance_theta
 
@@ -172,6 +172,18 @@ def test_schedule_validation():
         simulate_pair(theta, arch, cfg, UNIT, sigma_z_schedule=[0.0, 0.0])
     with pytest.raises(ValueError):
         simulate_pair(theta, arch, cfg, UNIT, sigma_z_schedule=[0.0, 0.5, 1.5, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "schedule, match",
+    [([0.0, 0.0], "2 entries < T = 5"), ([0.0, math.nan, 0.0, 0.0, 0.0], "entry 1 = nan outside")],
+    ids=["short", "nan"],
+)
+def test_schedule_rule_raises_invalid_schedule(schedule, match):
+    # NaN fails |s| <= 1: it never reaches the state as a non-finite input
+    arch = get_architecture("vanillaRNN")
+    with pytest.raises(InvalidSchedule, match=match):
+        simulate_pair(make_theta(arch), arch, SimulationConfig(N=16, T=5, seed=0), UNIT, sigma_z_schedule=schedule)
 
 
 def test_schedule_switches_input_correlation_mid_run():

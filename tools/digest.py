@@ -13,8 +13,9 @@ searches (one constrained, one whose every evaluation fails) and the
 presets, and the private fast paths (`quadrature._expect_moments`, the moment-only step
 `moment_maps._moment_step`), and the solvers' slow paths (fixed points,
 iteration counts and error estimates at thetas whose maps expand, overshoot
-or swamp the chi stencil), and the LSTM correlation solve at two input
-correlations and four seeds; then each command of the benchmark's cli-battery
+or swamp the chi stencil), the LSTM correlation solve at two input
+correlations and four seeds, and the inputs that the theta, direction and
+schedule rules reject; then each command of the benchmark's cli-battery
 set (`perfbench/workloads.py`) runs in process at seeds 1 and 2 and its
 stdout is hashed. Scalars print as
 `float.hex`, arrays and stdout as the SHA-256 of their bytes; a call that
@@ -223,6 +224,21 @@ def lstm_correlation_solves():
                     theta, arch, inputs, msol, seed=seed), CORRELATION_FIELDS)
 
 
+def rule_paths():
+    """Inputs that a theta, direction or schedule rule rejects: a gate entry
+    that is not a GateParams, four direction entries that are not numbers,
+    and a NaN and a short sigma_z schedule through simulate_pair."""
+    vanilla = R.get_architecture("vanillaRNN")
+    emit("rule/theta[tuple entry] solve_moments", lambda: R.solve_moments(
+        R.Hyperparameters({"f": (0.5, 0.5, 0.05, 1.0)}), vanilla, UNIT))
+    for value in ("1", True, None, [1]):
+        emit(f"rule/direction[mu = {value!r}]", lambda: R.direction_from_json_dict({"gates": {"f": {"mu": value}}}))
+    theta, config = make_theta(vanilla), R.SimulationConfig(N=16, T=5)
+    for name, schedule in (("nan", [0.0, np.nan, 0.0, 0.0, 0.0]), ("short", [0.0, 0.0])):
+        emit(f"rule/simulate_pair[{name} schedule]", lambda: R.simulate_pair(
+            theta, vanilla, config, UNIT, seed=3, sigma_z_schedule=schedule))
+
+
 def cli(seed: int):
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import CliBattery
@@ -241,6 +257,7 @@ def main():
     quadrature_layouts()
     solver_paths()
     lstm_correlation_solves()
+    rule_paths()
     cli(1)
     cli(2)
 
