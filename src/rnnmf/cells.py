@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .core import dsigmoid, dtanh, sigmoid
+from .core import _PRIMS, ARCHITECTURES, dsigmoid, dtanh, sigmoid
 from .lstm_cell_sampler import CellStateEnsemble, _lstm_cell, advance_cell, correlated_cell_pairs
 from .quadrature import _expect_moments, expect2
 
@@ -37,15 +37,6 @@ __all__ = ["CellRules", "CELLS"]
 
 # ---------------------------------------------------------------------------
 # Jacobian contribution term algebra
-
-_PRIMS = {
-    "sig": sigmoid,
-    "dsig": dsigmoid,
-    "tanh": np.tanh,
-    "dtanh": dtanh,
-    "omsig": lambda u: 1.0 - sigmoid(u),
-}
-
 
 def _prod_func(names):
     fs = tuple(_PRIMS[n] for n in names)
@@ -166,13 +157,16 @@ def _minimal_entries(theta):
 
 
 def _gru_entries(theta):
-    out = _convex_entries(theta, "r2")
-    s22 = theta.sigma2("r2")
-    outer = (("f", ("omsig", "omsig")), ("r2", ("dtanh", "dtanh")))
+    # the gated gate x = r2 reads g(u_k), k = r, from its GateId
+    gated = ARCHITECTURES["GRU"].gated_gates()[0]
+    x, k, g = gated.label, gated.gated_by, gated.g_name
+    out = _convex_entries(theta, x)
+    s22 = theta.sigma2(x)
+    outer = (("f", ("omsig", "omsig")), (x, ("dtanh", "dtanh")))
     # the inner-chain factors enter pre-averaged: unit-level fluctuations of
     # the inner matrix's column profile wash out of the trace at large width
-    out["r"] = [_mk(theta.sigma2("r") * s22, funcs=outer, avg=((2, (("r", ("dsig", "dsig")),)),))]
-    out["r2"] = [_mk(s22, funcs=outer, avg=((0, (("r", ("sig", "sig")),)),))]
+    out[k] = [_mk(theta.sigma2(k) * s22, funcs=outer, avg=((2, ((k, (f"d{g}",) * 2),)),))]
+    out[x] = [_mk(s22, funcs=outer, avg=((0, ((k, (g, g)),)),))]
     return out
 
 

@@ -22,6 +22,7 @@ from .cells import CELLS
 from .core import (
     ARCHITECTURES,
     InputStats,
+    InvalidSchedule,
     SimulationConfig,
     UnknownGate,
     get_architecture,
@@ -42,7 +43,7 @@ from .jacobian import jacobian_report_dict
 from .lstm_cell_sampler import sample_cell_distribution
 from .moment_maps import preactivation_stats
 from .quadrature import DEFAULT_ORDER
-from .simulator import InvalidSchedule, build_jacobian, simulate_cell_distribution, simulate_pair
+from .simulator import build_jacobian, simulate_cell_distribution, simulate_pair
 from .verify import CHECKS
 
 __all__ = ["run", "main"]
@@ -105,17 +106,15 @@ def _load_json(path):
         raise _UsageError(f"cannot read {path}: {e}") from None
 
 
-def _check_arch(args, file_arch: str, path) -> None:
-    if args.arch and args.arch != file_arch:
-        raise _UsageError(f"--arch {args.arch} contradicts the arch {file_arch} of {path}")
-
-
-def _resolve_theta(args):
+def _resolve_theta(args, path):
+    """(arch, theta) of the theta file at path; a bad file, or an --arch
+    that contradicts it, is a usage error."""
     try:
-        arch_name, theta = theta_from_json_dict(_load_json(args.theta))
+        arch_name, theta = theta_from_json_dict(_load_json(path))
     except ValueError as e:
-        raise _UsageError(f"bad theta file {args.theta}: {e}") from None
-    _check_arch(args, arch_name, args.theta)
+        raise _UsageError(f"bad theta file {path}: {e}") from None
+    if args.arch and args.arch != arch_name:
+        raise _UsageError(f"--arch {args.arch} contradicts the arch {arch_name} of {path}")
     return get_architecture(arch_name), theta
 
 
@@ -145,7 +144,7 @@ def _solve(args, arch, theta, inputs, seed):
 
 
 def _cmd_fixed_point(args) -> int:
-    arch, theta = _resolve_theta(args)
+    arch, theta = _resolve_theta(args, args.theta)
     seed = _resolve_seed(args)
     rep = _solve(args, arch, theta, _inputs(args), seed)
     _print_json(rep.to_json_dict())
@@ -159,7 +158,7 @@ def _cmd_fixed_point(args) -> int:
 
 
 def _cmd_jacobian(args) -> int:
-    arch, theta = _resolve_theta(args)
+    arch, theta = _resolve_theta(args, args.theta)
     seed = _resolve_seed(args)
     rep, mom, _ = _pipeline_eval(
         theta, arch, _inputs(args), args.order, args.n_s, args.n_iters, seed,
@@ -213,15 +212,11 @@ def _parse_alphas(spec: str):
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        file_arch, theta0 = theta_from_json_dict(_load_json(args.theta0))
-    except ValueError as e:
-        raise _UsageError(f"bad theta file {args.theta0}: {e}") from None
+    arch, theta0 = _resolve_theta(args, args.theta0)
     try:
         _, direction = direction_from_json_dict(_load_json(args.direction))
     except ValueError as e:
         raise _UsageError(f"bad direction file {args.direction}: {e}") from None
-    _check_arch(args, file_arch, args.theta0)
     alphas = _parse_alphas(args.alphas)
     seed = _resolve_seed(args)
     workers = args.workers
@@ -233,7 +228,7 @@ def _cmd_sweep(args) -> int:
             raise _UsageError(f"RNNMF_WORKERS must be an integer, got {raw!r}") from None
     try:
         rows = sweep_phase_diagram(
-            file_arch, theta0, direction, alphas, _inputs(args), seed=seed,
+            arch.name, theta0, direction, alphas, _inputs(args), seed=seed,
             workers=workers, order=args.order, n_s=args.n_s, n_iters=args.n_iters,
         )
     except UnknownGate as e:
@@ -243,7 +238,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    arch, theta = _resolve_theta(args)
+    arch, theta = _resolve_theta(args, args.theta)
     seed = _resolve_seed(args)
     schedule = None
     if args.sigma_z_schedule:
@@ -264,7 +259,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    arch, theta = _resolve_theta(args)
+    arch, theta = _resolve_theta(args, args.theta)
     seed = _resolve_seed(args)
     inputs = _inputs(args)
     config = SimulationConfig(N=args.N, T=args.burn_in, seed=seed)
@@ -295,7 +290,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_cell_dist(args) -> int:
-    arch, theta = _resolve_theta(args)
+    arch, theta = _resolve_theta(args, args.theta)
     seed = _resolve_seed(args)
     inputs = _inputs(args)
     if args.simulate:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -21,6 +22,7 @@ __all__ = [
     "UnknownGate",
     "UnknownArchitecture",
     "InvalidTheta",
+    "InvalidSchedule",
     "sigmoid",
     "dsigmoid",
     "dtanh",
@@ -79,8 +81,15 @@ def dtanh(x):
     return 1.0 - t * t
 
 
-# a gated pre-activation's inner nonlinearity g and its derivative, by GateId.g_name
-_GATE_FUNCS = {"sigmoid": (sigmoid, dsigmoid), "tanh": (np.tanh, dtanh)}
+# the gate nonlinearities by name, "d" + name its derivative: the primitives
+# of the Jacobian term algebra, and GateId.g_name's table
+_PRIMS = {
+    "sig": sigmoid,
+    "dsig": dsigmoid,
+    "tanh": np.tanh,
+    "dtanh": dtanh,
+    "omsig": lambda u: 1.0 - sigmoid(u),
+}
 
 
 @dataclass(frozen=True)
@@ -95,13 +104,13 @@ class GateId:
     label: str
     form: str = "linear"
     gated_by: Optional[str] = None
-    g_name: Optional[str] = None  # nonlinearity applied to the inner gate
+    g_name: Optional[str] = None  # _PRIMS name of the nonlinearity applied to the inner gate
 
     def __post_init__(self):
         if self.form not in ("linear", "gated"):
             raise ValueError(f"unknown gate form {self.form!r}")
-        if self.form == "gated" and (self.gated_by is None or self.g_name is None):
-            raise ValueError("gated gate needs gated_by and g_name")
+        if self.form == "gated" and (self.gated_by is None or f"d{self.g_name}" not in _PRIMS):
+            raise ValueError("gated gate needs gated_by and a g_name that _PRIMS holds with its derivative")
 
 
 @dataclass(frozen=True)
@@ -208,6 +217,29 @@ class InputStats:
             raise ValueError(f"|sigma_z| must be <= 1, got {self.sigma_z}")
 
 
+class InvalidSchedule(ValueError):
+    """A sigma_z schedule shorter than the horizon, or with an entry outside
+    [-1, 1] (NaN included)."""
+
+
+def _sigma_z_schedule(inputs: InputStats, T: int, schedule=None) -> np.ndarray:
+    """The input correlation of steps 1..T as an array whose entry t - 1 is
+    step t's: inputs.sigma_z throughout, or the given per-step schedule. The
+    one schedule rule of the finite-width and the mean-field trajectory: a
+    schedule with fewer than T entries, or with an entry outside [-1, 1]
+    (NaN included), raises InvalidSchedule."""
+
+    if schedule is None:
+        return np.full(T, inputs.sigma_z)
+    sched = np.asarray(schedule, dtype=float)
+    if sched.size < T:
+        raise InvalidSchedule(f"schedule has {sched.size} entries < T = {T}")
+    bad = np.flatnonzero(~(np.abs(sched) <= 1.0))  # NaN fails the comparison too
+    if bad.size:
+        raise InvalidSchedule(f"schedule entry {bad[0]} = {float(sched.flat[bad[0]])!r} outside [-1, 1]")
+    return sched
+
+
 _Q_TOL = 1e-12
 
 
@@ -281,7 +313,7 @@ ARCHITECTURES: Mapping[str, ArchitectureSpec] = MappingProxyType(
         "minimalRNN": ArchitectureSpec(name="minimalRNN", gates=(GateId("f"), GateId("r"))),
         "GRU": ArchitectureSpec(
             name="GRU",
-            gates=(GateId("f"), GateId("r"), GateId("r2", form="gated", gated_by="r", g_name="sigmoid")),
+            gates=(GateId("f"), GateId("r"), GateId("r2", form="gated", gated_by="r", g_name="sig")),
         ),
         "peepholeLSTM": ArchitectureSpec(
             name="peepholeLSTM",
@@ -307,13 +339,11 @@ def get_architecture(name: str) -> ArchitectureSpec:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Finite-width simulation settings: width, horizon, initial-state
-    distribution parameters and the RNG seed."""
+    """Finite-width simulation settings: width, horizon and the RNG seed.
+    Every run starts from the zero state, as the mean-field trajectory does."""
 
     N: int
     T: int
-    d0_mean: float = 0.0
-    d0_var: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -321,8 +351,6 @@ class SimulationConfig:
             raise ValueError("N >= 1 required")
         if self.T < 1:
             raise ValueError("T >= 1 required")
-        if self.d0_var < 0:
-            raise ValueError("d0_var >= 0 required")
 
 
 def validate_theta(theta: Hyperparameters, arch: ArchitectureSpec) -> None:
@@ -353,27 +381,48 @@ def theta_to_json_dict(theta: Hyperparameters, arch_name: str) -> dict:
     }
 
 
-def _gate_entry(label, entry, complete: bool = True) -> dict:
-    """One gate's JSON entry as {key: float} over _GATE_KEYS, the parser of
-    theta documents and sweep directions alike. Values must be numbers (not
-    bools or strings); a complete entry names every key, an incomplete one
-    reads 0 for the keys it omits. Raises InvalidTheta naming the gate."""
+def _gate_entry(label, entry, defaults=None) -> dict:
+    """One gate's entry as {key: float} over _GATE_KEYS. Values must be
+    numbers (not bools or strings) that fit a float; a key the entry omits
+    reads defaults[key], and without defaults every key is required.
+    Raises InvalidTheta naming the gate and key."""
 
-    if not isinstance(entry, dict):
+    if not isinstance(entry, Mapping):
         raise InvalidTheta(f"gate {label!r} entry must be an object")
     bad = set(entry) - set(_GATE_KEYS)
     if bad:
         raise InvalidTheta(f"gate {label!r}: unknown keys {sorted(bad)}")
     missing = set(_GATE_KEYS) - set(entry)
-    if missing and complete:
+    if missing and defaults is None:
         raise InvalidTheta(f"gate {label!r}: missing keys {sorted(missing)}")
     vals = {}
     for key in _GATE_KEYS:
-        v = entry.get(key, 0.0)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+        v = entry[key] if key in entry else defaults[key]
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
             raise InvalidTheta(f"gate {label!r}: {key} must be a number")
-        vals[key] = float(v)
+        try:
+            vals[key] = float(v)
+        except OverflowError:  # an integer beyond the float range
+            raise InvalidTheta(f"gate {label!r}: {key} does not fit a float") from None
     return vals
+
+
+def _gate_entries(gates, defaults=None, arch: Optional[ArchitectureSpec] = None) -> dict:
+    """The one reader of {gate: entry} maps: theta documents (no defaults),
+    sweep directions (omitted keys read 0) and search constraints (omitted
+    keys read the zero-variance floor). Returns {gate: {key: float}}, each
+    entry read by _gate_entry. Given arch, a gate it lacks raises
+    UnknownGate and a gate the map omits reads defaults in full."""
+
+    if not isinstance(gates, Mapping):
+        raise InvalidTheta(f"gate entries must be an object, got {type(gates).__name__}")
+    labels = tuple(gates)
+    if arch is not None:
+        unknown = set(gates) - set(arch.labels())
+        if unknown:
+            raise UnknownGate(f"{arch.name}: unexpected gate entries {sorted(unknown)}")
+        labels = arch.labels()
+    return {label: _gate_entry(label, gates.get(label, {}), defaults) for label in labels}
 
 
 def theta_from_json_dict(obj: dict) -> tuple[str, Hyperparameters]:
@@ -392,9 +441,7 @@ def theta_from_json_dict(obj: dict) -> tuple[str, Hyperparameters]:
     gates_obj = obj["gates"]
     if not isinstance(gates_obj, dict):
         raise InvalidTheta('"gates" must be an object')
-    theta = Hyperparameters(
-        {label: GateParams(**_gate_entry(label, entry)) for label, entry in gates_obj.items()}
-    )
+    theta = Hyperparameters({label: GateParams(**entry) for label, entry in _gate_entries(gates_obj).items()})
     arch = get_architecture(arch_name)
     validate_theta(theta, arch)
     return arch_name, theta

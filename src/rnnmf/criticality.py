@@ -16,12 +16,11 @@ from typing import Mapping, Optional
 from . import jacobian as _jacobian
 from .core import (
     _GATE_KEYS,
-    _gate_entry,
+    _gate_entries,
     GateParams,
     Hyperparameters,
     InputStats,
     InvalidTheta,
-    UnknownGate,
     get_architecture,
     validate_theta,
 )
@@ -44,6 +43,10 @@ __all__ = [
 ]
 
 SIGMA2_FLOOR = 1e-5  # small recurrent variance standing in for "exactly 0"
+# what an entry's omitted keys read: in a search constraint the
+# zero-variance family, in a sweep direction no step
+_FLOOR = {"sigma2": SIGMA2_FLOOR, "nu2": 0.0, "rho2": 0.0, "mu": 0.0}
+_NO_STEP = dict.fromkeys(_GATE_KEYS, 0.0)
 MU_F_BOUNDS = (0.0, 10.0)  # search_critical's forget-gate mean interval
 MU_F_TOL = 1e-4  # bracket width at which that golden section stops
 SWEEP_COLUMNS = ("alpha", "chi", "xi", "m1", "m2", "sigma", "status", "xi3", "xi6")
@@ -207,12 +210,14 @@ def search_critical(
     Works along the zero-variance family: every gate starts at
     (sigma2 = SIGMA2_FLOOR, nu2 = rho2 = 0, mu = 0), `constraints`
     ({gate: {field: value}}, never mu on f) pins entries, and mu:f is
-    searched on MU_F_BOUNDS to MU_F_TOL. The objective is |xi - target_xi|
-    when a target is given, otherwise the isometry-gap norm. Matching
-    presets are scored as candidates too, so an unconstrained search never
-    does worse than the published values. An evaluation that raises an
-    ArithmeticError or ValueError scores inf, as the same failure marks a
-    sweep row. Returns (theta, SearchReport); raises SearchFailed (best
+    searched on MU_F_BOUNDS to MU_F_TOL. Constraints are read by the theta
+    documents' entry reader: a gate the architecture lacks raises
+    UnknownGate, an unknown field or a value that is not a number
+    InvalidTheta. The objective is |xi - target_xi| when a target is
+    given, otherwise the isometry-gap norm. Matching presets are scored as
+    candidates too, so an unconstrained search never does worse than the
+    published values. An evaluation that raises an ArithmeticError or
+    ValueError scores inf, as the same failure marks a sweep row. Returns (theta, SearchReport); raises SearchFailed (best
     attached) if the objective never came out finite, naming the first
     failure's type and message when every evaluation failed, or if a target
     xi was missed by more than 10% relative.
@@ -220,19 +225,11 @@ def search_critical(
 
     arch = get_architecture(arch_name)
     inputs = inputs if inputs is not None else InputStats(1.0, 1.0)
-    constraints = dict(constraints or {})
-    labels = set(arch.labels())
-    for gate, entry in constraints.items():
-        if gate not in labels:
-            raise ValueError(f"constraint on unknown gate {gate!r}")
-        for field in entry:
-            if field not in _GATE_KEYS:
-                raise ValueError(f"constraint on unknown field {field!r}")
-        if gate == "f" and "mu" in entry:
-            raise ValueError("mu:f is the searched parameter and cannot be constrained")
-
-    floor = {"sigma2": SIGMA2_FLOOR, "nu2": 0.0, "rho2": 0.0, "mu": 0.0}
-    base = Hyperparameters({k: GateParams(**{**floor, **constraints.get(k, {})}) for k in arch.labels()})
+    constraints = constraints or {}
+    pinned = _gate_entries(constraints, _FLOOR, arch)
+    if "mu" in constraints.get("f", {}):
+        raise ValueError("mu:f is the searched parameter and cannot be constrained")
+    base = Hyperparameters({k: GateParams(**entry) for k, entry in pinned.items()})
 
     scored = {}  # mu_f or preset name -> (objective, (theta, report, moments, gap) or the error)
 
@@ -264,7 +261,7 @@ def search_critical(
         if parch != arch.name or pname == "standard":
             continue
         ptheta = preset_init(pname, arch.name)
-        if any(getattr(ptheta.gates[g], f) != v for g, entry in constraints.items() for f, v in entry.items()):
+        if any(getattr(ptheta.gates[g], f) != pinned[g][f] for g, entry in constraints.items() for f in entry):
             continue
         obj = score(pname, ptheta)
         if obj < best_obj:
@@ -299,27 +296,21 @@ def search_critical(
 
 
 def direction_from_json_dict(obj: dict):
-    """Parse a sweep direction: same shape as a theta document, parsed by
-    the same per-gate entry rule, but a gate entry may omit keys (they read
+    """Parse a sweep direction: same shape as a theta document, read by the
+    same per-gate entry reader, but a gate entry may omit keys (they read
     0) and hold negative steps (it is a ray direction, not a valid
     initialization)."""
 
     if not isinstance(obj, dict) or not isinstance(obj.get("gates"), dict):
         raise InvalidTheta('direction document needs a "gates" object')
-    gates = {label: _gate_entry(label, entry, complete=False) for label, entry in obj["gates"].items()}
-    return obj.get("arch"), gates
+    return obj.get("arch"), _gate_entries(obj["gates"], _NO_STEP)
 
 
 def _combine(theta0: Hyperparameters, direction, alpha: float) -> Hyperparameters:
+    """theta0 + alpha * direction, the direction holding every gate's entry."""
     gates = {}
     for k, p in theta0.gates.items():
-        d = direction.get(k, {f: 0.0 for f in _GATE_KEYS})
-        gates[k] = GateParams(
-            sigma2=p.sigma2 + alpha * d["sigma2"],
-            nu2=p.nu2 + alpha * d["nu2"],
-            rho2=p.rho2 + alpha * d["rho2"],
-            mu=p.mu + alpha * d["mu"],
-        )
+        gates[k] = GateParams(**{f: getattr(p, f) + alpha * direction[k][f] for f in _GATE_KEYS})
     return Hyperparameters(gates)
 
 
@@ -361,12 +352,14 @@ def sweep_phase_diagram(
     """chi/xi/m1/m2/sigma along the ray theta0 + alpha * direction.
 
     `direction` maps gate labels to {field: step} dicts, as
-    direction_from_json_dict returns them; a gate it names that the
-    architecture lacks raises UnknownGate. A point off the valid theta
-    region is marked invalid_theta; a point whose evaluation raises is
-    marked by the rule search_critical scores inf: no_convergence for
-    NoConvergence, error:<Type> for any other ArithmeticError or
-    ValueError. The sweep continues past both. Points get independent
+    direction_from_json_dict returns them, read by the theta documents'
+    entry reader: an omitted gate or field steps by 0, a gate the
+    architecture lacks raises UnknownGate, and a step that is not a number
+    raises InvalidTheta, before any point is evaluated. A point off the
+    valid theta region is marked invalid_theta; a point whose evaluation
+    raises is marked by the rule search_critical scores inf:
+    no_convergence for NoConvergence, error:<Type> for any other
+    ArithmeticError or ValueError. The sweep continues past both. Points get independent
     derived seeds, so the grid is deterministic for a given seed regardless
     of worker count (workers > 1 evaluates the points in a process pool).
     Returns rows sorted by alpha, each a dict over SWEEP_COLUMNS (xi3/xi6
@@ -375,11 +368,9 @@ def sweep_phase_diagram(
 
     arch = get_architecture(arch_name)
     validate_theta(theta0, arch)
-    unknown = set(direction) - set(arch.labels())
-    if unknown:
-        raise UnknownGate(f"{arch.name}: direction names unknown gates {sorted(unknown)}")
+    direction = _gate_entries(direction, _NO_STEP, arch)
     payloads = [
-        (i, arch, theta0, dict(direction), float(a), inputs, seed, order, n_s, n_iters)
+        (i, arch, theta0, direction, float(a), inputs, seed, order, n_s, n_iters)
         for i, a in enumerate(alphas)
     ]
     if workers is not None and workers > 1 and len(payloads) > 1:

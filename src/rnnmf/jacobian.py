@@ -27,8 +27,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cells import _PRIMS, CELLS, _shape_product
-from .core import ArchitectureSpec, Hyperparameters, InputStats, MomentState, _as_state, sigmoid
+from .cells import CELLS, _shape_product
+from .core import _PRIMS, ArchitectureSpec, Hyperparameters, InputStats, MomentState, _as_state, sigmoid
 from .lstm_cell_sampler import CellStateEnsemble, _gate_values, correlated_cell_pairs, recorded_step
 from .moment_maps import preactivation_stats
 from .quadrature import DEFAULT_ORDER, GaussianPairSpec, _points, _weighted_sum

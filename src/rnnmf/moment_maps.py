@@ -15,12 +15,13 @@ from typing import Mapping
 
 from .cells import CELLS, _rho_s
 from .core import (
-    _GATE_FUNCS,
+    _PRIMS,
     ZERO_STATE,
     ArchitectureSpec,
     Hyperparameters,
     InputStats,
     MomentState,
+    _sigma_z_schedule,
     validate_theta,
 )
 from .lstm_cell_sampler import correlated_cell_pairs
@@ -96,8 +97,7 @@ def preactivation_stats(
     for gid in arch.gated_gates():
         p = theta[gid.label]
         inner = out[gid.gated_by]
-        g = _GATE_FUNCS[gid.g_name][0]
-        _, e_g2, e_gg = _expect_moments(g, inner.mu, inner.sigma2, inner.c, order)
+        _, e_g2, e_gg = _expect_moments(_PRIMS[gid.g_name], inner.mu, inner.sigma2, inner.c, order)
         s2 = p.sigma2 * e_g2 * q_s + p.nu2 * inputs.R + p.rho2
         cov = p.sigma2 * e_gg * rho_s + p.nu2 * inputs.R * inputs.sigma_z + p.rho2
         out[gid.label] = GaussianPairSpec(p.mu, s2, _finish_corr(cov, s2))
@@ -203,27 +203,28 @@ def moment_trajectory(
     T: int,
     order: int = DEFAULT_ORDER,
     n_s: int = 200,
-    n_iters: int = 0,
     seed: int = 0,
     sigma_z_schedule=None,
 ) -> list:
     """T steps of the moment map from the zero state, as a list of states.
 
     Mirrors the simulator's transient: index t is the prediction after t
-    updates. A per-step sigma_z schedule overrides inputs.sigma_z. For the
-    LSTM the cell ensemble starts at zero (n_iters = 0 equilibration, i.e.
-    the true transient) and is advanced in lockstep with the moments.
+    updates. A per-step sigma_z schedule overrides inputs.sigma_z, under
+    simulate_pair's rule: fewer than T entries, or an entry outside [-1, 1]
+    (NaN included), raises InvalidSchedule. For the LSTM the cell ensemble
+    starts at zero, the true transient, and is advanced in lockstep with
+    the moments.
     """
 
+    sched = _sigma_z_schedule(inputs, T, sigma_z_schedule)
     state = ZERO_STATE
     traj = [state]
     cell = None
     if arch.needs_cell:
         stats0 = preactivation_stats(theta, arch, state, inputs, order)
-        cell = correlated_cell_pairs(theta, stats0, n_s=n_s, n_iters=n_iters, seed=seed)
+        cell = correlated_cell_pairs(theta, stats0, n_s=n_s, n_iters=0, seed=seed)
     for t in range(T):
-        sz = inputs.sigma_z if sigma_z_schedule is None else float(sigma_z_schedule[t])
-        step_inputs = InputStats(inputs.R, sz)
+        step_inputs = InputStats(inputs.R, float(sched[t]))
         if cell is None:
             state = step_moments(theta, arch, state, step_inputs, order=order)
         else:

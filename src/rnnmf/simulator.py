@@ -26,11 +26,13 @@ import numpy as np
 
 from .cells import CELLS
 from .core import (
-    _GATE_FUNCS,
+    _PRIMS,
     ArchitectureSpec,
     Hyperparameters,
     InputStats,
+    InvalidSchedule,
     SimulationConfig,
+    _sigma_z_schedule,
     dtanh,
     sigmoid,
     validate_theta,
@@ -55,11 +57,6 @@ _MAX_SVD_N = 2048  # dense SVD guardrail
 
 class NonFiniteState(ArithmeticError):
     pass
-
-
-class InvalidSchedule(ValueError):
-    """A sigma_z schedule shorter than the horizon, or with an entry outside
-    [-1, 1] (NaN included)."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ def _preactivations(arch: ArchitectureSpec, draw: WeightDraw, s: np.ndarray, z: 
     u: dict = {}
     for g in arch.gates:
         if g.form == "gated":
-            inner = _GATE_FUNCS[g.g_name][0](u[g.gated_by])
+            inner = _PRIMS[g.g_name](u[g.gated_by])
             u[g.label] = draw.W[g.label] @ (inner * s) + draw.U[g.label] @ z + draw.b[g.label]
         else:
             u[g.label] = draw.W[g.label] @ s + draw.U[g.label] @ z + draw.b[g.label]
@@ -154,7 +151,7 @@ def _gram_preactivations(rng, theta: Hyperparameters, arch: ArchitectureSpec, S:
     u: dict = {}
     for g in arch.gates:
         k = g.label
-        x = _GATE_FUNCS[g.g_name][0](u[g.gated_by]) * S if g.form == "gated" else S
+        x = _PRIMS[g.g_name](u[g.gated_by]) * S if g.form == "gated" else S
         L = _cholesky((theta.sigma2(k) * (x @ x.T) + theta.nu2(k) * zz) / N)
         u[k] = L @ rng.standard_normal((K, N)) + (theta.mu(k) + math.sqrt(theta.rho2(k)) * rng.standard_normal(N))
     return u
@@ -207,32 +204,22 @@ def simulate_pair(
 ) -> list:
     """Trajectory of empirical (mu, Q, C) for two weight-sharing copies.
 
-    Both copies start from the same initial state and see the same weight
+    Both copies start from the zero state and see the same weight
     draws every step (fresh per step unless tied); their inputs are i.i.d.
     per-coordinate Gaussian pairs with covariance R [[1, sz], [sz, 1]],
     where sz is inputs.sigma_z or, when given, sigma_z_schedule[t]. Returns
     TrajectoryPoints for t = 0..T with single-copy standard errors. A
     schedule with fewer than T entries, or with an entry outside [-1, 1]
-    (NaN included), raises InvalidSchedule.
+    (NaN included), raises InvalidSchedule, the rule moment_trajectory
+    shares.
     """
 
     validate_theta(theta, arch)
     N, T = config.N, config.T
-    if sigma_z_schedule is not None:
-        sched = np.asarray(sigma_z_schedule, dtype=float)
-        if sched.size < T:
-            raise InvalidSchedule(f"schedule has {sched.size} entries < T = {T}")
-        bad = np.flatnonzero(~(np.abs(sched) <= 1.0))  # NaN fails the comparison too
-        if bad.size:
-            raise InvalidSchedule(f"schedule entry {bad[0]} = {float(sched.flat[bad[0]])!r} outside [-1, 1]")
-    else:
-        sched = np.full(T, inputs.sigma_z)
+    sched = _sigma_z_schedule(inputs, T, sigma_z_schedule)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed if seed is None else seed))
     labels = arch.labels()
-    s0 = np.full(N, config.d0_mean, dtype=float)
-    if config.d0_var > 0.0:
-        s0 = s0 + rng.standard_normal(N) * math.sqrt(config.d0_var)
-    S = np.stack([s0, s0])  # rows: copies a and b
+    S = np.zeros((2, N))  # rows: copies a and b, both starting at zero
     C = np.zeros((2, N)) if arch.needs_cell else None
     sqrtR = math.sqrt(inputs.R)
     out = [_empirical(S[0], S[1], 0)]
@@ -268,7 +255,6 @@ class JacobianFrame:
 
     arch: ArchitectureSpec = field(repr=False)
     state: np.ndarray
-    cell: Optional[np.ndarray]
     u_o_prev: Optional[np.ndarray]
     draw: WeightDraw = field(repr=False)
     z: np.ndarray
@@ -294,14 +280,14 @@ def jacobian_frame(
     """Burn the network in for burn_in steps, then freeze one step's draws."""
 
     inputs = inputs if inputs is not None else InputStats(1.0, 1.0)
-    rng, sqrtR, (s, c, u) = _run_single(theta, arch, config, seed, inputs, burn_in)
+    rng, sqrtR, (s, _, u) = _run_single(theta, arch, config, seed, inputs, burn_in)
     if arch.needs_cell and u is None:
         raise ValueError("burn_in must be >= 1 for the cell-carrying architecture")
     u_o = u["o"][0] if arch.needs_cell else None
     draw = _draw_step(rng, theta, arch.labels(), config.N, config.N)
     z = sqrtR * rng.standard_normal(config.N)
     u = _preactivations(arch, draw, s, z)
-    return JacobianFrame(arch=arch, state=s, cell=c, u_o_prev=u_o, draw=draw, z=z, u=u)
+    return JacobianFrame(arch=arch, state=s, u_o_prev=u_o, draw=draw, z=z, u=u)
 
 
 def assemble_jacobian(theta: Hyperparameters, frame: JacobianFrame) -> np.ndarray:
@@ -319,7 +305,7 @@ def assemble_jacobian(theta: Hyperparameters, frame: JacobianFrame) -> np.ndarra
     J = np.diag(np.broadcast_to(np.asarray(diag, dtype=float), (N,)))
     for g in arch.gates:
         if g.form == "gated":
-            gfun, dgfun = _GATE_FUNCS[g.g_name]
+            gfun, dgfun = _PRIMS[g.g_name], _PRIMS[f"d{g.g_name}"]
             uk = u[g.gated_by]
             outer = rules.dk[g.label](s, u, c)[:, None] * draw.W[g.label]
             J += outer * gfun(uk)[None, :]

@@ -65,6 +65,9 @@ def test_malformed_theta_json_is_a_usage_error(tmp_path, capsys):
     assert run(["fixed-point", "--theta", str(bad)]) == 2
 
 
+_HUGE_INT = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
 def _gate(sigma2=0.0, nu2=0.0, rho2=0.0, mu=0.0):
     return {"sigma2": sigma2, "nu2": nu2, "rho2": rho2, "mu": mu}
 
@@ -75,6 +78,10 @@ def test_invalid_theta_values_are_a_usage_error(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run(["fixed-point", "--theta", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+    # an integer too large for a float is a bad file too, not a failed computation
+    bad.write_text(json.dumps(doc).replace("-0.5", _HUGE_INT))
+    assert run(["fixed-point", "--theta", str(bad)]) == 2
+    assert f"error: bad theta file {bad}: gate 'f': sigma2 does not fit a float" in capsys.readouterr().err
 
 
 def test_arch_flag_must_match_the_file(tmp_path, capsys):
@@ -276,8 +283,13 @@ def test_sweep_rejects_a_direction_without_a_gates_object(tmp_path, capsys):
     assert "gates" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["\"1\"", "true", "null", "[1]"])
-def test_sweep_direction_entries_must_be_numbers(tmp_path, capsys, value):
+@pytest.mark.parametrize(
+    "value, problem",
+    [("\"1\"", "must be a number"), ("true", "must be a number"), ("null", "must be a number"),
+     ("[1]", "must be a number"), (_HUGE_INT, "does not fit a float")],
+    ids=["\"1\"", "true", "null", "[1]", "huge_int"],
+)
+def test_sweep_direction_entries_must_be_numbers(tmp_path, capsys, value, problem):
     theta0, direction = _sweep_files(tmp_path)
     direction.write_text('{"gates": {"f": {"mu": %s}}}' % value)
     code = run(
@@ -287,7 +299,7 @@ def test_sweep_direction_entries_must_be_numbers(tmp_path, capsys, value):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: bad direction file {direction}: gate 'f': mu must be a number" in captured.err
+    assert f"error: bad direction file {direction}: gate 'f': mu {problem}" in captured.err
 
 
 def test_sweep_rejects_a_non_integer_worker_count_from_the_environment(tmp_path, capsys, monkeypatch):

@@ -27,6 +27,7 @@ from rnnmf import (
     theta_to_json_dict,
 )
 from rnnmf import criticality, jacobian
+from rnnmf.core import UnknownGate
 
 from conftest import make_theta
 
@@ -184,8 +185,11 @@ def test_search_counts_a_preset_whose_evaluation_raises(monkeypatch):
 def test_search_validates_free_parameters():
     with pytest.raises(ValueError):
         search_critical("peepholeLSTM", constraints={"f": {"mu": 3.0}})  # mu:f is searched
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownGate, match=r"unexpected gate entries \['zz'\]"):  # as in a direction
         search_critical("peepholeLSTM", constraints={"zz": {"mu": 3.0}})
+    for value in ("0.25", True):  # read as theta entries are: neither is a number
+        with pytest.raises(InvalidTheta, match="gate 'r': nu2 must be a number"):
+            search_critical("peepholeLSTM", constraints={"r": {"nu2": value}})
 
 
 # r's pre-activation variance overflows to inf, so every evaluation of
@@ -300,10 +304,32 @@ def test_direction_parser_defaults_and_rejects():
         direction_from_json_dict({"gates": {"f": {"weird": 1.0}}})
 
 
-@pytest.mark.parametrize("value", ["1", True, None, [1]], ids=["string", "bool", "null", "list"])
-def test_direction_entries_must_be_numbers(value):
-    # directions and theta documents share one per-gate entry rule
-    with pytest.raises(InvalidTheta, match="gate 'f': mu must be a number"):
+_NOT_A_NUMBER = "gate 'f': mu must be a number"
+
+
+@pytest.mark.parametrize(
+    "value, match",
+    [("1", _NOT_A_NUMBER), (True, _NOT_A_NUMBER), (None, _NOT_A_NUMBER), ([1], _NOT_A_NUMBER),
+     (10**400, "gate 'f': mu does not fit a float")],
+    ids=["string", "bool", "null", "list", "huge_int"],
+)
+def test_direction_entries_must_be_numbers(monkeypatch, value, match):
+    # directions, theta documents and search constraints share one reader,
+    # and a sweep or search reads its entries before evaluating any point
+    monkeypatch.setattr(criticality, "_evaluate", lambda *args: pytest.fail("a point was evaluated"))
+    with pytest.raises(InvalidTheta, match=match):
         direction_from_json_dict({"gates": {"f": {"mu": value}}})
-    with pytest.raises(InvalidTheta, match="gate 'f': mu must be a number"):
+    with pytest.raises(InvalidTheta, match=match):
         theta_from_json_dict({"arch": "vanillaRNN", "gates": {"f": {"sigma2": 0.0, "nu2": 0.0, "rho2": 0.0, "mu": value}}})
+    theta0, _ = _gru_ray()
+    with pytest.raises(InvalidTheta, match=match):
+        sweep_phase_diagram("GRU", theta0, {"f": {"mu": value}}, [0.0], UNIT, seed=0)
+    with pytest.raises(InvalidTheta, match=match.replace("'f': mu", "'r': mu")):
+        search_critical("GRU", constraints={"r": {"mu": value}})
+
+
+def test_a_partial_library_direction_steps_its_omitted_fields_by_zero():
+    theta0, full = _gru_ray()
+    partial = sweep_phase_diagram("GRU", theta0, {"f": {"mu": 1.0}}, [0.0, 1.0], UNIT, seed=0)
+    assert partial == sweep_phase_diagram("GRU", theta0, full, [0.0, 1.0], UNIT, seed=0)
+    assert [r["status"] for r in partial] == ["ok", "ok"]

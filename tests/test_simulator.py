@@ -179,11 +179,22 @@ def test_schedule_validation():
     [([0.0, 0.0], "2 entries < T = 5"), ([0.0, math.nan, 0.0, 0.0, 0.0], "entry 1 = nan outside")],
     ids=["short", "nan"],
 )
-def test_schedule_rule_raises_invalid_schedule(schedule, match):
-    # NaN fails |s| <= 1: it never reaches the state as a non-finite input
+@pytest.mark.parametrize(
+    "trajectory",
+    [
+        lambda theta, arch, sched: simulate_pair(
+            theta, arch, SimulationConfig(N=16, T=5, seed=0), UNIT, sigma_z_schedule=sched
+        ),
+        lambda theta, arch, sched: moment_trajectory(theta, arch, UNIT, 5, sigma_z_schedule=sched),
+    ],
+    ids=["simulate_pair", "moment_trajectory"],
+)
+def test_schedule_rule_raises_invalid_schedule(trajectory, schedule, match):
+    # one rule for the finite-width run and its mean-field twin; NaN fails
+    # |s| <= 1, so it never reaches the state as a non-finite input
     arch = get_architecture("vanillaRNN")
     with pytest.raises(InvalidSchedule, match=match):
-        simulate_pair(make_theta(arch), arch, SimulationConfig(N=16, T=5, seed=0), UNIT, sigma_z_schedule=schedule)
+        trajectory(make_theta(arch), arch, schedule)
 
 
 def test_schedule_switches_input_correlation_mid_run():
@@ -201,8 +212,6 @@ def test_simulation_config_rejects_bad_values():
         SimulationConfig(N=0, T=5)
     with pytest.raises(ValueError):
         SimulationConfig(N=5, T=0)
-    with pytest.raises(ValueError):
-        SimulationConfig(N=5, T=5, d0_var=-1.0)
 
 
 def test_assembled_jacobian_matches_finite_differences(any_arch):

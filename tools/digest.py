@@ -14,8 +14,8 @@ presets, and the private fast paths (`quadrature._expect_moments`, the moment-on
 `moment_maps._moment_step`), and the solvers' slow paths (fixed points,
 iteration counts and error estimates at thetas whose maps expand, overshoot
 or swamp the chi stencil), the LSTM correlation solve at two input
-correlations and four seeds, and the inputs that the theta, direction and
-schedule rules reject; then each command of the benchmark's cli-battery
+correlations and four seeds, and the inputs that the theta, direction,
+constraint and schedule rules reject or complete; then each command of the benchmark's cli-battery
 set (`perfbench/workloads.py`) runs in process at seeds 1 and 2 and its
 stdout is hashed. Scalars print as
 `float.hex`, arrays and stdout as the SHA-256 of their bytes; a call that
@@ -182,7 +182,7 @@ def _one_theta(tag, arch, theta):
     emit(f"{tag} moment_trajectory", lambda: R.moment_trajectory(theta, arch, UNIT, 12, n_s=64, seed=2))
     emit(f"{tag} moment_trajectory[schedule]", lambda: R.moment_trajectory(
         theta, arch, UNIT, 12, n_s=64, seed=2, sigma_z_schedule=[0.0] * 5 + [1.0] * 7))
-    config = R.SimulationConfig(N=64, T=10, d0_var=0.1)
+    config = R.SimulationConfig(N=64, T=10)
     for tied in (False, True):
         emit(f"{tag} simulate_pair[tied={tied}]", lambda: R.simulate_pair(theta, arch, config, UNIT, tied=tied, seed=3))
     emit(f"{tag} build_jacobian", lambda: R.build_jacobian(theta, arch, R.SimulationConfig(N=32, T=1), seed=3, burn_in=10))
@@ -225,18 +225,32 @@ def lstm_correlation_solves():
 
 
 def rule_paths():
-    """Inputs that a theta, direction or schedule rule rejects: a gate entry
-    that is not a GateParams, four direction entries that are not numbers,
-    and a NaN and a short sigma_z schedule through simulate_pair."""
+    """Inputs that a theta, direction, constraint or schedule rule rejects
+    or completes: a gate entry that is not a GateParams, four direction
+    entries that are not numbers, an integer too large for a float in a
+    theta document and in a direction, a partial library direction, a
+    string and a bool search constraint, and a NaN and a short sigma_z
+    schedule through simulate_pair and moment_trajectory."""
     vanilla = R.get_architecture("vanillaRNN")
     emit("rule/theta[tuple entry] solve_moments", lambda: R.solve_moments(
         R.Hyperparameters({"f": (0.5, 0.5, 0.05, 1.0)}), vanilla, UNIT))
     for value in ("1", True, None, [1]):
         emit(f"rule/direction[mu = {value!r}]", lambda: R.direction_from_json_dict({"gates": {"f": {"mu": value}}}))
+    huge = 10**400
+    emit("rule/theta[mu = 10**400]", lambda: R.theta_from_json_dict(
+        {"arch": "vanillaRNN", "gates": {"f": {"sigma2": 0.5, "nu2": 0.5, "rho2": 0.05, "mu": huge}}}))
+    emit("rule/direction[mu = 10**400]", lambda: R.direction_from_json_dict({"gates": {"f": {"mu": huge}}}))
+    emit("rule/sweep[partial library direction]", lambda: R.sweep_phase_diagram(
+        "GRU", make_theta(R.get_architecture("GRU")), {"f": {"mu": 1.0}}, [0.0, 0.5, 1.0], UNIT, seed=1, workers=1))
+    for value in ("0.25", True):
+        emit(f"rule/search[r nu2 = {value!r}]", lambda: R.search_critical(
+            "peepholeLSTM", constraints={"r": {"nu2": value}}, target_xi=10.0))
     theta, config = make_theta(vanilla), R.SimulationConfig(N=16, T=5)
     for name, schedule in (("nan", [0.0, np.nan, 0.0, 0.0, 0.0]), ("short", [0.0, 0.0])):
         emit(f"rule/simulate_pair[{name} schedule]", lambda: R.simulate_pair(
             theta, vanilla, config, UNIT, seed=3, sigma_z_schedule=schedule))
+        emit(f"rule/moment_trajectory[{name} schedule]", lambda: R.moment_trajectory(
+            theta, vanilla, UNIT, 5, sigma_z_schedule=schedule))
 
 
 def cli(seed: int):
