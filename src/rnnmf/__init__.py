@@ -43,7 +43,7 @@ _EXPORTS = {
         "lstm_chi_frame", "moments",
     ),
     "fixed_point": (
-        "DerivativeUnstable", "FixedPointReport", "MomentsSolution", "NoConvergence",
+        "FixedPointReport", "MomentsSolution", "NoConvergence",
         "chi_at", "solve_correlation", "solve_moments",
     ),
     "criticality": (

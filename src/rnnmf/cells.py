@@ -3,10 +3,11 @@
 The generic code (moment maps, Jacobian moments, the width-N simulator)
 looks a cell up in CELLS by architecture name and calls through its record;
 nothing outside this module branches on a cell. Record functions call the
-traced library functions (expect2, advance_cell, ...) through this module's
-globals, never through stored references.
+traced library functions (advance_cell, ...) through this module's globals,
+never through stored references.
 
-Moment steps map the gate statistics of the current state to
+Moment steps map the gates of the current state (the mapping
+preactivation_stats returns, which also evaluates the gate expectations) to
 (mu', Q', rho', cell'), with rho' = E[s_a' s_b'] the cross moment of the two
 coupled copies and cell' the advanced LSTM ensemble (None elsewhere).
 Contribution entries are lists of _Term products, one list per label, in
@@ -30,7 +31,6 @@ import numpy as np
 
 from .core import _PRIMS, ARCHITECTURES, dsigmoid, dtanh, sigmoid
 from .lstm_cell_sampler import CellStateEnsemble, _lstm_cell, advance_cell, correlated_cell_pairs
-from .quadrature import _expect_moments, expect2
 
 __all__ = ["CellRules", "CELLS"]
 
@@ -95,12 +95,6 @@ def _rho_s(state) -> float:
     return state.q_s if state.c_s == 1.0 else state.c_s * state.sigma2_s + state.mu_s * state.mu_s
 
 
-def _moment_pair(g, stats, k: str, order: int):
-    """(E[g], E[g^2], E[g_a g_b]) of g(u_k) over the correlated pair, from
-    one evaluation of g per node set (none more for a collapsed pair)."""
-    return _expect_moments(g, stats[k].mu, stats[k].sigma2, stats[k].c, order)
-
-
 def _gate_powers(prim: str, ev, k: str) -> list:
     """[1, E[g(u_k)], ..., E[g(u_k)^4]] for the primitive g."""
     return [1.0] + [ev(k, (prim,) * m) for m in (1, 2, 3, 4)]
@@ -118,8 +112,8 @@ def _zeros(s, u, c):
 # vanillaRNN: s' = sig(u_f)
 
 
-def _vanilla_step(theta, stats, state, cell, order):
-    return _moment_pair(sigmoid, stats, "f", order) + (None,)
+def _vanilla_step(theta, gates, state, cell):
+    return gates.moments("f", "sig") + (None,)
 
 
 def _vanilla_entries(theta):
@@ -171,9 +165,9 @@ def _gru_entries(theta):
 
 
 def _convex(x: str, entries) -> "CellRules":
-    def step(theta, stats, state, cell, order):
-        e_gam, e_gam2, e_gampair = _moment_pair(sigmoid, stats, "f", order)
-        e_x, e_x2, e_xpair = _moment_pair(np.tanh, stats, x, order)
+    def step(theta, gates, state, cell):
+        e_gam, e_gam2, e_gampair = gates.moments("f", "sig")
+        e_x, e_x2, e_xpair = gates.moments(x, "tanh")
         # gamma, x and s are independent
         mu_n = e_gam * state.mu_s + (1.0 - e_gam) * e_x
         q_n = e_gam2 * state.q_s + 2.0 * (e_gam - e_gam2) * state.mu_s * e_x + (1.0 - 2.0 * e_gam + e_gam2) * e_x2
@@ -210,10 +204,10 @@ def _convex(x: str, entries) -> "CellRules":
 # lstm_cell_sampler._lstm_cell
 
 
-def _peephole_step(theta, stats, state, cell, order):
-    e_gam, e_gam2, e_gampair = _moment_pair(sigmoid, stats, "f", order)
-    e_i, e_i2, e_ipair = _moment_pair(sigmoid, stats, "i", order)
-    e_t, e_t2, e_tpair = _moment_pair(np.tanh, stats, "r", order)
+def _peephole_step(theta, gates, state, cell):
+    e_gam, e_gam2, e_gampair = gates.moments("f", "sig")
+    e_i, e_i2, e_ipair = gates.moments("i", "sig")
+    e_t, e_t2, e_tpair = gates.moments("r", "tanh")
     mu_c, q_c = state.mu_s, state.q_s
     mu_n = e_gam * mu_c + e_i * e_t
     q_n = e_gam2 * q_c + 2.0 * e_gam * mu_c * e_i * e_t + e_i2 * e_t2
@@ -239,14 +233,14 @@ def _peephole_factors(ev):
     return (lambda j, m: eg[j]), ew.__getitem__
 
 
-def _lstm_gate_o(stats, order):
+def _lstm_gate_o(gates):
     """(E[sig(u_o)], E[sig(u_o)^2])."""
-    return _expect_moments(sigmoid, stats["o"].mu, stats["o"].sigma2, 1.0, order)[:2]
+    return gates.expect("o", ("sig",)), gates.expect("o", ("sig", "sig"))
 
 
-def _lstm_output_moments(stats, cell_new, gate_o, order):
+def _lstm_output_moments(gates, cell_new, gate_o):
     """(mu', Q', pair) of h = sig(u_o) tanh(c) on a sampled cell ensemble,
-    given gate_o = _lstm_gate_o(stats, order); pair = (cov, var_a, var_b)
+    given gate_o = _lstm_gate_o(gates); pair = (cov, var_a, var_b)
     holds the two chains' output covariance and each chain's own output
     variance, the one pair estimator of the sampled LSTM, and is None for an
     unpaired ensemble."""
@@ -257,16 +251,16 @@ def _lstm_output_moments(stats, cell_new, gate_o, order):
     q_n = e_o2 * float(np.mean(th * th))
     if not cell_new.paired:
         return mu_n, q_n, None
-    e_opair = expect2(sigmoid, sigmoid, stats["o"], order)
+    e_opair = gates.pair("o", "sig", "sig")
     th_b = np.tanh(cell_new.samples_b)
     mu_b = e_o * float(np.mean(th_b))
     var_a, var_b = q_n - mu_n * mu_n, e_o2 * float(np.mean(th_b * th_b)) - mu_b * mu_b
     return mu_n, q_n, (e_opair * float(np.mean(th * th_b)) - mu_n * mu_b, var_a, var_b)
 
 
-def _lstm_step(theta, stats, state, cell, order):
-    cell_new = advance_cell(theta, stats, cell)
-    mu_n, q_n, pair = _lstm_output_moments(stats, cell_new, _lstm_gate_o(stats, order), order)
+def _lstm_step(theta, gates, state, cell):
+    cell_new = advance_cell(theta, gates, cell)
+    mu_n, q_n, pair = _lstm_output_moments(gates, cell_new, _lstm_gate_o(gates))
     rho_n = None
     if pair is not None:
         # chain b standardized to chain a's mean and variance, so that
@@ -276,9 +270,9 @@ def _lstm_step(theta, stats, state, cell, order):
     return mu_n, q_n, rho_n, cell_new
 
 
-def _lstm_correlate(theta, stats, order, n_s, n_iters, seed):
-    pairs = correlated_cell_pairs(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed)
-    return _lstm_output_moments(stats, pairs, _lstm_gate_o(stats, order), order)[2]
+def _lstm_correlate(theta, gates, n_s, n_iters, seed):
+    pairs = correlated_cell_pairs(theta, gates, n_s=n_s, n_iters=n_iters, seed=seed)
+    return _lstm_output_moments(gates, pairs, _lstm_gate_o(gates))[2]
 
 
 def _lstm_update(h, u, c):
@@ -294,15 +288,20 @@ def _lstm_update(h, u, c):
 class CellRules:
     """One cell's rules.
 
-    step(theta, stats, state, cell, order) -> (mu', Q', rho', cell').
-    correlate(theta, stats, order, n_s, n_iters, seed) -> (cov, var_a,
+    step(theta, gates, state, cell) -> (mu', Q', rho', cell'), gates the
+    mapping preactivation_stats returns for state.
+    correlate(theta, gates, n_s, n_iters, seed) -> (cov, var_a,
     var_b) is the sampled correlation step: the output covariance and the
     two output variances of pairs equilibrated from zero, which the
     correlation map divides as cov / sqrt(var_a var_b), so identical chains
     give exactly 1; None means rho' of step, normalized by the fixed
     (mu*, Q*). entries(theta) gives the contribution terms by label,
     factors(ev) the state-power factors (a, b), with ev(k, prims) =
-    E[prod of prims(u_k)]; both are None for the sampled LSTM.
+    E[prod of prims(u_k)]; both are None for the sampled LSTM. In an entry,
+    a two-primitive gate factor holds one primitive per copy and s^2
+    stands for E[s_a s_b]: at full correlation these are single-network
+    expectations (m1), at a correlation C pair ones whose sum is chi
+    (jacobian._correlation_slope).
     update(s, u, c) -> (s', c') is the width-N update, c the carried cell
     or None. d0(s, u, c) is the derivative through the carried state
     (ds'/ds, or dh'/dc_prev for the LSTM) and dk[k](s, u, c) the derivative

@@ -146,6 +146,10 @@ class Hyperparameters:
             if not isinstance(p, GateParams):
                 raise InvalidTheta(f"gate {label!r}: expected GateParams, got {type(p).__name__}")
         self._gates = MappingProxyType(dict(gates))
+        # what other modules derive from this theta and keep with it (the
+        # moment maps' gate tables, the Jacobian's contribution terms); not
+        # part of its value, so equality, hashing and pickling ignore it
+        self._memo: dict = {}
 
     def __reduce__(self):  # a mappingproxy does not pickle
         return Hyperparameters, (dict(self._gates),)
@@ -383,15 +387,16 @@ def theta_to_json_dict(theta: Hyperparameters, arch_name: str) -> dict:
 
 def _gate_entry(label, entry, defaults=None) -> dict:
     """One gate's entry as {key: float} over _GATE_KEYS. Values must be
-    numbers (not bools or strings) that fit a float; a key the entry omits
-    reads defaults[key], and without defaults every key is required.
-    Raises InvalidTheta naming the gate and key."""
+    numbers (not bools or strings) that fit a float and are finite; a key
+    the entry omits reads defaults[key], and without defaults every key is
+    required. Raises InvalidTheta naming the gate and key; unknown keys are
+    listed sorted by their text, so keys of mixed types can be named."""
 
     if not isinstance(entry, Mapping):
         raise InvalidTheta(f"gate {label!r} entry must be an object")
     bad = set(entry) - set(_GATE_KEYS)
     if bad:
-        raise InvalidTheta(f"gate {label!r}: unknown keys {sorted(bad)}")
+        raise InvalidTheta(f"gate {label!r}: unknown keys {sorted(bad, key=str)}")
     missing = set(_GATE_KEYS) - set(entry)
     if missing and defaults is None:
         raise InvalidTheta(f"gate {label!r}: missing keys {sorted(missing)}")
@@ -404,6 +409,8 @@ def _gate_entry(label, entry, defaults=None) -> dict:
             vals[key] = float(v)
         except OverflowError:  # an integer beyond the float range
             raise InvalidTheta(f"gate {label!r}: {key} does not fit a float") from None
+        if not math.isfinite(vals[key]):  # a JSON literal such as 1e400 parses to inf
+            raise InvalidTheta(f"gate {label!r}: {key} must be finite")
     return vals
 
 
@@ -412,7 +419,8 @@ def _gate_entries(gates, defaults=None, arch: Optional[ArchitectureSpec] = None)
     sweep directions (omitted keys read 0) and search constraints (omitted
     keys read the zero-variance floor). Returns {gate: {key: float}}, each
     entry read by _gate_entry. Given arch, a gate it lacks raises
-    UnknownGate and a gate the map omits reads defaults in full."""
+    UnknownGate (its message lists the unknown labels sorted by their
+    text) and a gate the map omits reads defaults in full."""
 
     if not isinstance(gates, Mapping):
         raise InvalidTheta(f"gate entries must be an object, got {type(gates).__name__}")
@@ -420,7 +428,7 @@ def _gate_entries(gates, defaults=None, arch: Optional[ArchitectureSpec] = None)
     if arch is not None:
         unknown = set(gates) - set(arch.labels())
         if unknown:
-            raise UnknownGate(f"{arch.name}: unexpected gate entries {sorted(unknown)}")
+            raise UnknownGate(f"{arch.name}: unexpected gate entries {sorted(unknown, key=str)}")
         labels = arch.labels()
     return {label: _gate_entry(label, gates.get(label, {}), defaults) for label in labels}
 

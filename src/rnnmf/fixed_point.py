@@ -10,7 +10,6 @@ not an error, since criticality is the regime of interest.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,7 +33,6 @@ from . import jacobian as _jacobian
 
 __all__ = [
     "NoConvergence",
-    "DerivativeUnstable",
     "MomentsSolution",
     "FixedPointReport",
     "solve_moments",
@@ -43,7 +41,6 @@ __all__ = [
 ]
 
 _WINDOW = 10  # sampled-map convergence window (iterations)
-_EPS = 1e-4  # chi_at's finite-difference step
 
 
 class NoConvergence(ArithmeticError):
@@ -52,10 +49,6 @@ class NoConvergence(ArithmeticError):
     def __init__(self, msg, trajectory=()):
         super().__init__(msg)
         self.trajectory = tuple(trajectory)
-
-
-class DerivativeUnstable(ArithmeticError):
-    """Finite-difference slope estimates at two step sizes disagree."""
 
 
 @dataclass(frozen=True)
@@ -136,10 +129,10 @@ def _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters,
     hist = []  # (mu, q, se_mu, se_q)
     cell = None
     for it in range(1, max_iter + 1):
-        stats = preactivation_stats(theta, arch, MomentState(mu, q, 0.0), inputs, order)
-        cell = sample_cell_distribution(theta, stats, n_s=n_s, n_iters=n_iters, seed=_derived_seed(seed, it))
-        e_o, e_o2 = gate_o = _lstm_gate_o(stats, order)
-        mu, q, _ = _lstm_output_moments(stats, cell, gate_o, order)
+        gates = preactivation_stats(theta, arch, MomentState(mu, q, 0.0), inputs, order)
+        cell = sample_cell_distribution(theta, gates, n_s=n_s, n_iters=n_iters, seed=_derived_seed(seed, it))
+        e_o, e_o2 = gate_o = _lstm_gate_o(gates)
+        mu, q, _ = _lstm_output_moments(gates, cell, gate_o)
         th = np.tanh(cell.samples)
         se_mu = e_o * float(np.std(th, ddof=1)) / math.sqrt(n_s)
         se_q = e_o2 * float(np.std(th * th, ddof=1)) / math.sqrt(n_s)
@@ -196,8 +189,8 @@ def _iterate(G, x0, project, point, tol, max_iter, what):
     estimate is twice the larger of |g| / (1 - rate) and the uncapped
     Anderson step, (I - J)^-1 g for the secant Jacobian J: the factor covers
     the change of slope across the last step. Stops when it is <= tol (max
-    norms). Returns (point(x), G(x), |g|, estimate, map evaluations,
-    accepted iterates); NoConvergence carries the accepted iterates. The
+    norms). Returns (point(x), |g|, estimate, map evaluations, accepted
+    iterates); NoConvergence carries the accepted iterates. The
     map runs with numpy's overflow warnings off: far probes can send a
     sigmoid's exp past the float range, where the sigmoid is exactly 0 or 1
     either way.
@@ -212,8 +205,7 @@ def _iterate(G, x0, project, point, tol, max_iter, what):
     stretch, g_prev = 1.0, None
     with np.errstate(over="ignore"):
         for it in range(1, max_iter + 1):
-            gx = G(x)
-            f = project(gx)
+            f = project(G(x))
             g = tuple(p - q for p, q in zip(f, x))
             r_new = max(map(abs, g))
             if base is not None and r_new > r:
@@ -257,7 +249,7 @@ def _iterate(G, x0, project, point, tol, max_iter, what):
                 stretch = min(2.0 * stretch, _MAX_STRETCH)
                 err = 0.0 if r == 0.0 else math.inf
             if err <= tol:
-                return point(x), gx, r, err, it, traj
+                return point(x), r, err, it, traj
             x, g_prev = nxt, g
     raise NoConvergence(
         f"{what} residual {r:.3e}, error estimate {err:.3e} > tol {tol:g} "
@@ -304,7 +296,7 @@ def solve_moments(
     def project(x):
         return x[0], max(x[1], x[0] * x[0])
 
-    state, _, r, err, it, traj = _iterate(G, (0.0, 0.0), project, _state, tol, max_iter, "moment")
+    state, r, err, it, traj = _iterate(G, (0.0, 0.0), project, _state, tol, max_iter, "moment")
     return MomentsSolution(
         state=state,
         trajectory=tuple(traj),
@@ -330,14 +322,14 @@ def chi_at(
 ) -> float:
     """Slope of the correlation map at correlation c around the fixed state.
 
-    Quadrature architectures: central finite difference with step
-    eps = 1e-4 plus a Richardson pass at eps/2 (the extrapolated value is
-    returned; the two raw estimates must agree to 1e-4 relative or
-    DerivativeUnstable is raised, as it is when the result is negative
-    beyond 1e-8: the map's rounding over a tiny sigma*^2 then swamps the
-    slope).
-    At c = 1 a one-sided second-order stencil is used since correlations
-    cannot exceed 1. The LSTM evaluates the slope directly as the mean total
+    Quadrature architectures: exact, by Price's theorem, d/dC E[g(u_a)
+    g(u_b)] = Sigma^2 E[g'(u_a) g'(u_b)]: the contribution functional whose
+    mean is m1, with every two-primitive gate factor taken over the gate's
+    pair at the correlation C_k that c implies, and the state powers s and
+    s^2 read as mu* and E[s_a s_b] = c sigma*^2 + mu*^2 (see
+    jacobian._correlation_slope). At c = 1 with fully correlated inputs
+    every pair collapses and chi is m1 to the last bit. The LSTM evaluates
+    the slope directly as the mean total
     contribution on a coupled stationary cell frame equilibrated from zero
     (same functional as m1, evaluated at the gate correlations induced by
     c), which sidesteps differencing a sampled map. A degenerate fixed state
@@ -349,18 +341,17 @@ def chi_at(
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"correlation c = {c} outside [-1, 1]")
     validate_theta(theta, arch)
-    return _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, {})[0]
+    return _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed)[0]
 
 
-def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, known):
+def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed):
     """chi_at's slope, paired with the Jacobian moments when the slope is
-    their m1 (a degenerate quadrature state), else with None. known maps
-    correlations to map values in hand."""
+    their m1 (a degenerate quadrature state), else with None."""
 
     if arch.needs_cell:
         frame_state = MomentState(st.mu_s, max(st.q_s, st.mu_s**2), c)
-        stats = preactivation_stats(theta, arch, frame_state, inputs, order)
-        frame = _jacobian.lstm_chi_frame(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed)
+        gates = preactivation_stats(theta, arch, frame_state, inputs, order)
+        frame = _jacobian.lstm_chi_frame(theta, gates, n_s=n_s, n_iters=n_iters, seed=seed)
         # mean each contribution, then sum in label order: the same
         # accumulation the moment assembly uses, so common random numbers
         # make chi and m1 agree to the last bit at c = 1
@@ -368,41 +359,7 @@ def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, known):
     if _degenerate(st.mu_s, st.q_s):
         mom = _jacobian.moments(theta, arch, st, inputs=inputs, order=order)
         return mom.m1, mom
-    return _stencil_slope(theta, arch, inputs, st, c, order, known), None
-
-
-def _stencil_slope(theta, arch, inputs, st, c, order, known) -> float:
-    """chi_at's finite-difference slope of step_correlation for a quadrature
-    cell at a non-degenerate state. known maps correlations to map values
-    already in hand (the correlation solve's last one, M(C*))."""
-
-    @functools.cache  # the one-sided stencils at eps and eps/2 share two points
-    def M(cv: float) -> float:
-        if cv in known:
-            return known[cv]
-        return step_correlation(theta, arch, st, cv, inputs, order, 0, 0, 0)  # no sampling
-
-    def slope(h: float) -> float:
-        if c + h > 1.0:
-            # one-sided, second order, stepping down from c
-            return (3.0 * M(c) - 4.0 * M(c - h) + M(c - 2.0 * h)) / (2.0 * h)
-        if c - h < -1.0:
-            return (-3.0 * M(c) + 4.0 * M(c + h) - M(c + 2.0 * h)) / (2.0 * h)
-        return (M(c + h) - M(c - h)) / (2.0 * h)
-
-    s1 = slope(_EPS)
-    s2 = slope(_EPS / 2.0)
-    evidence = f"slope estimates {s1!r} (eps = {_EPS:g}) and {s2!r} (eps/2) at sigma*^2 = {st.sigma2_s!r}"
-    if abs(s1 - s2) > 1e-4 * max(1.0, abs(s2)):
-        raise DerivativeUnstable(f"{evidence} disagree beyond 1e-4 relative")
-    out = (4.0 * s2 - s1) / 3.0
-    if out < 0.0:
-        if out < -1e-8:
-            # the map is nondecreasing in c, so a negative slope is stencil
-            # noise: rounding of the map divided by a tiny sigma*^2
-            raise DerivativeUnstable(f"chi = {out!r} < 0 from {evidence}: the stencil resolves no slope")
-        out = 0.0
-    return out
+    return _jacobian._correlation_slope(theta, arch, MomentState(st.mu_s, st.q_s, c), inputs, order), None
 
 
 def _xi_from_chi(chi: float) -> float:
@@ -455,16 +412,15 @@ def _correlation_report(
     mu_res, mu_err = (fixed.residual, fixed.error_estimate) if isinstance(fixed, MomentsSolution) else (0.0, 0.0)
 
     if _degenerate(st.mu_s, st.q_s):  # no correlation direction: C* = 1 by convention
-        c, resid_c, err_c, it, traj, known = 1.0, 0.0, 0.0, 0, [1.0], {}
+        c, resid_c, err_c, it, traj = 1.0, 0.0, 0.0, 0, [1.0]
     else:
         def G(x):
             return (step_correlation(theta, arch, st, x[0], inputs, order, n_s, n_iters, seed),)
 
-        c, (m_c,), resid_c, err_c, it, traj = _iterate(
+        c, resid_c, err_c, it, traj = _iterate(
             G, (c0,), lambda x: (min(max(x[0], -1.0), 1.0),), lambda x: x[0], tol, max_iter, "correlation"
         )
-        known = {c: m_c}
-    chi, mom = _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed, known)
+    chi, mom = _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed)
     report = FixedPointReport(
         arch=arch.name,
         mu_star=st.mu_s,

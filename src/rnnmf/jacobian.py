@@ -19,19 +19,17 @@ map slope chi equals m1, which is the identity the tests pin down.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .cells import CELLS, _shape_product
-from .core import _PRIMS, ArchitectureSpec, Hyperparameters, InputStats, MomentState, _as_state, sigmoid
+from .cells import CELLS, _rho_s, _shape_product
+from .core import ArchitectureSpec, Hyperparameters, InputStats, MomentState, _as_state, sigmoid
 from .lstm_cell_sampler import CellStateEnsemble, _gate_values, correlated_cell_pairs, recorded_step
 from .moment_maps import preactivation_stats
-from .quadrature import DEFAULT_ORDER, GaussianPairSpec, _points, _weighted_sum
+from .quadrature import DEFAULT_ORDER, GaussianPairSpec
 
 __all__ = [
     "ContributionVector",
@@ -48,53 +46,50 @@ __all__ = [
 CRITICAL_TOL = 1e-2  # per-component threshold for calling a point critical
 
 
-class _EvalCtx:
-    """Gate expectations E[prod of prims(u_gate)] and term values at one set
-    of gate statistics. Each primitive is evaluated once per gate, at
-    quadrature._points, and a product multiplies those values in
-    _prod_func's order: bit for bit expect1(_prod_func(prims)). A sum that
-    is not finite names its integrand by the primitives, as in sig*tanh."""
-
-    def __init__(self, stats: Mapping[str, GaussianPairSpec], order: int):
-        self.stats = stats
-        self.order = order
-        self._memo: dict = {}
-        self._values: dict = {}  # (gate, prim) -> prim at the gate's points
-
-    def _prim(self, gate: str, prim: str):
-        if (gate, prim) not in self._values:
-            u = _points(self.stats[gate].mu, self.stats[gate].sigma2, self.order)
-            self._values[(gate, prim)] = np.asarray(_PRIMS[prim](u), dtype=float)
-        return self._values[(gate, prim)]
-
-    def gate_expect(self, gate: str, prims: tuple) -> float:
-        key = (gate, prims)
-        if key not in self._memo:
-            vals = reduce(operator.mul, [self._prim(gate, p) for p in prims])
-            self._memo[key] = _weighted_sum(self.order, "*".join(prims), vals)
-        return self._memo[key]
-
-    def term(self, coef: float, shape: tuple, powers) -> float:
-        """coef times the expectations of a term of this _Term.shape, with
-        powers = [1, E s, E s^2, E s^3, E s^4]."""
-        s_pow, funcs, avg = shape
-        v = coef
+def _term(coef: float, shape: tuple, powers, ev) -> float:
+    """coef times the expectations of a term of this _Term.shape, with
+    powers[p] the state power s^p and ev(gate, prims) a gate factor."""
+    s_pow, funcs, avg = shape
+    v = coef
+    if s_pow:
+        v *= powers[s_pow]
+    for g, ps in funcs:
+        v *= ev(g, ps)
+    for s_pow, funcs in avg:
         if s_pow:
             v *= powers[s_pow]
         for g, ps in funcs:
-            v *= self.gate_expect(g, ps)
-        for s_pow, funcs in avg:
-            if s_pow:
-                v *= powers[s_pow]
-            for g, ps in funcs:
-                v *= self.gate_expect(g, ps)
-        return v
+            v *= ev(g, ps)
+    return v
+
+
+def _entries(arch_name: str, theta: Hyperparameters) -> tuple:
+    """(entries, products) of the cell at theta, which theta keeps: entries
+    the contribution terms by label (CellRules.entries), which
+    contribution_vector and chi both read, and products[(k, l)] the
+    (coefficient, shape) of every product of a term of k with a term of l,
+    whose sums are E[a_k a_l]."""
+    key = ("contribution_terms", arch_name)
+    if key not in theta._memo:
+        entries = CELLS[arch_name].entries(theta)
+        products = {
+            (k, l): [(t1.coef * t2.coef, _shape_product(t1.shape, t2.shape)) for t1 in entries[k] for t2 in entries[l]]
+            for k in entries
+            for l in entries
+        }
+        theta._memo[key] = entries, products
+    return theta._memo[key]
+
+
+def _entry_means(entries, powers, ev) -> dict:
+    """Each label's mean contribution: the sum of its entry terms."""
+    return {k: sum(_term(t.coef, t.shape, powers, ev) for t in terms) for k, terms in entries.items()}
 
 
 def _stationary_state_powers(rules, ev, mu_star, q_star):
     """E[s^p] for p = 0..4 at the moment fixed point: p = 1, 2 are
     (mu*, Q*), p = 3, 4 follow from the cell's state-power recursion, with
-    ev the gate expectations (_EvalCtx.gate_expect)."""
+    ev the gate expectations (the gates' expect)."""
 
     M = [1.0, mu_star, q_star, 0.0, 0.0]
     a, b = rules.factors(ev)
@@ -227,21 +222,32 @@ def contribution_vector(
     if arch.needs_cell:
         return _sampled_contribution(theta, arch, state, inp, order, n_s, n_iters, seed, cell)
     rules = CELLS[arch.name]
-    stats = preactivation_stats(theta, arch, state, inp, order)
-    ctx = _EvalCtx(stats, order)
-    powers = _stationary_state_powers(rules, ctx.gate_expect, state.mu_s, state.q_s)
-    entries = rules.entries(theta)
-    labels = tuple(entries)
-    ea = {k: sum(ctx.term(t.coef, t.shape, powers) for t in entries[k]) for k in labels}
-    eaa = {}
-    for k in labels:
-        for l in labels:
-            eaa[(k, l)] = sum(
-                ctx.term(t1.coef * t2.coef, _shape_product(t1.shape, t2.shape), powers)
-                for t1 in entries[k]
-                for t2 in entries[l]
-            )
-    return ContributionVector(labels=labels, ea=ea, eaa=eaa)
+    gates = preactivation_stats(theta, arch, state, inp, order)
+    powers = _stationary_state_powers(rules, gates.expect, state.mu_s, state.q_s)
+    entries, products = _entries(arch.name, theta)
+    ea = _entry_means(entries, powers, gates.expect)
+    eaa = {kl: sum(_term(coef, shape, powers, gates.expect) for coef, shape in terms) for kl, terms in products.items()}
+    return ContributionVector(labels=tuple(entries), ea=ea, eaa=eaa)
+
+
+def _correlation_slope(theta, arch, state: MomentState, inputs: InputStats, order: int) -> float:
+    """The slope chi of a quadrature cell's correlation map at the state's
+    correlation C, by Price's theorem: d/dC E[g(u_a) g(u_b)] =
+    Sigma^2 E[g'(u_a) g'(u_b)], Sigma^2 the rate at which the gate's
+    covariance grows with C. Summed over the map's terms this is the
+    contribution functional of m1 with each two-primitive gate factor taken
+    over the gate's pair at its correlation C_k, and s^2 read as E[s_a s_b]
+    (the derivative's sigma*^2 cancels the map's normalization). With every
+    pair collapsed (C = 1, fully correlated inputs) it is m1 to the bit:
+    the same terms, expectations and sums."""
+
+    gates = preactivation_stats(theta, arch, state, inputs, order)
+
+    def ev(k, prims):
+        return gates.pair(k, *prims) if len(prims) == 2 else gates.expect(k, prims)
+
+    powers = (1.0, state.mu_s, _rho_s(state))
+    return sum(_entry_means(_entries(arch.name, theta)[0], powers, ev).values())
 
 
 def moments(

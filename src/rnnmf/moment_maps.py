@@ -5,13 +5,17 @@ independent across distinct gates, so the evolution of (mu_s, Q_s, C_s)
 closes into scalar recursions whose coefficients are one- and two-point
 Gaussian expectations. The LSTM is the exception: its hidden-state moments
 depend on the cell-state distribution, supplied here as a sampled ensemble.
+
+Every map reads its gates from a gate table of the state's second moment:
+the gates' laws and all expectations over them that do not depend on a
+correlation, built once per state, so a correlation map evaluation at a
+fixed state computes only the gate correlations and the pair grids.
 """
 
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
-from typing import Mapping
+from collections.abc import Mapping
 
 from .cells import CELLS, _rho_s
 from .core import (
@@ -25,7 +29,7 @@ from .core import (
     validate_theta,
 )
 from .lstm_cell_sampler import correlated_cell_pairs
-from .quadrature import DEFAULT_ORDER, GaussianPairSpec, _expect_moments
+from .quadrature import DEFAULT_ORDER, GaussianPairSpec, _Law
 
 __all__ = [
     "DegenerateCorrelation",
@@ -66,6 +70,122 @@ def _finish_corr(cov: float, var: float) -> float:
     return min(max(c, -1.0), 1.0)
 
 
+class _GateTable:
+    """Everything about each gate at fixed state and input second moments
+    that does not depend on a correlation: the gate's law (mean, variance,
+    quadrature rule, nodes, weights and nonlinearity values) and the
+    expectations over it. Pair expectations are kept for each gate's last
+    correlation only."""
+
+    def __init__(self, laws: dict, covariances=()):
+        self.laws = laws  # gate label -> quadrature._Law, one law for gates of equal (mu, sigma2)
+        self.covariances = covariances  # (label, GateParams, inner gate or None, its g_name), in stats order
+        self._memo: dict = {}  # (law, prims) -> E[prod of prims(u)] over the law
+        self._pairs: dict = {}  # gate -> (c, {(prim_a, prim_b): pair expectation})
+
+    def expect(self, k: str, prims: tuple) -> float:
+        """E[prod of prims(u_k)], the primitives (core._PRIMS names)
+        multiplied in the given order: bit for bit expect1 of that product.
+        A sum that is not finite names the product by its primitives, as
+        in sig*tanh."""
+        law = self.laws[k]
+        key = (law, prims)
+        out = self._memo.get(key)
+        if out is None:
+            vals = law.values(_PRIMS[prims[0]])
+            for p in prims[1:]:
+                vals = vals * law.values(_PRIMS[p])
+            out = self._memo[key] = law.mean(prims, vals)
+        return out
+
+    def pair(self, k: str, pa: str, pb: str, c: float) -> float:
+        """E[pa(u_k,a) pb(u_k,b)] over gate k's pair at correlation c: bit for
+        bit expect2, and expect(k, (pa, pb)) when the pair collapses."""
+        law = self.laws[k]
+        if law.collapsed(c):
+            return self.expect(k, (pa, pb) if pa <= pb else (pb, pa))
+        last_c, values = self._pairs.get(k, (None, None))
+        if last_c != c:
+            values = {}
+            self._pairs[k] = (c, values)
+        if (pa, pb) not in values:
+            values[(pa, pb)] = law.pair_mean(_PRIMS[pa], _PRIMS[pb], c)
+        return values[(pa, pb)]
+
+
+def _gate_table(theta, arch, q: float, R: float, order: int) -> _GateTable:
+    """The gate table at state second moment q and input second moment R.
+    theta keeps the newest one it built, so the map evaluations, chi and
+    Jacobian moments at one fixed point read one table; theta is validated
+    against arch when it holds no table for arch. Linear gates are
+    closed-form; a gated gate's variance integrates the inner gate's
+    nonlinearity squared."""
+    key = (q, R, order, arch)
+    newest = theta._memo.get("gate_table")
+    if newest is not None and newest[0] == key:
+        return newest[1]
+    if newest is not None and newest[0][3] is arch:
+        plan = newest[1].covariances
+    else:
+        validate_theta(theta, arch)
+        # an inner gate before the gate it gates
+        plan = [(g.label, theta[g.label], g.gated_by, g.g_name) for g in arch.linear_gates() + arch.gated_gates()]
+    table = _GateTable({}, plan)
+    laws = {}  # (mu, sigma2) -> law
+    for label, p, inner, g in plan:
+        if inner is None:
+            sigma2 = p.sigma2 * q + p.nu2 * R + p.rho2
+        else:
+            sigma2 = p.sigma2 * table.expect(inner, (g, g)) * q + p.nu2 * R + p.rho2
+        law = laws.get((p.mu, sigma2))
+        if law is None:
+            law = laws[(p.mu, sigma2)] = _Law(p.mu, sigma2, order)
+        table.laws[label] = law
+    theta._memo["gate_table"] = (key, table)
+    return table
+
+
+class _Gates(Mapping):
+    """The gate table at one state's gate correlations c: a read-only
+    mapping from gate label to GaussianPairSpec that also evaluates each
+    gate's expectations, the one reading of the gates the cell rules
+    take."""
+
+    def __init__(self, table: _GateTable, c: dict):
+        self._table = table
+        self._c = c
+        self._specs: dict = {}
+        self.expect = table.expect  # expect(k, prims): E[prod of prims(u_k)]
+
+    def __getitem__(self, k: str) -> GaussianPairSpec:
+        spec = self._specs.get(k)
+        if spec is None:
+            law = self._table.laws[k]
+            spec = self._specs[k] = GaussianPairSpec(law.mu, law.sigma2, self._c[k])
+        return spec
+
+    def __iter__(self):
+        return iter(self._c)
+
+    def __len__(self) -> int:
+        return len(self._c)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+    def pair(self, k: str, pa: str, pb: str) -> float:
+        """E[pa(u_k,a) pb(u_k,b)] at gate k's correlation."""
+        return self._table.pair(k, pa, pb, self._c[k])
+
+    def moments(self, k: str, prim: str) -> tuple:
+        """(E[g], E[g^2], E[g_a g_b]) of g(u_k) for the primitive g; the
+        pair term is E[g^2] itself when the pair collapses."""
+        table, c = self._table, self._c[k]
+        e2 = table.expect(k, (prim, prim))
+        pair = e2 if table.laws[k].collapsed(c) else table.pair(k, prim, prim, c)
+        return table.expect(k, (prim,)), e2, pair
+
+
 def preactivation_stats(
     theta: Hyperparameters,
     arch: ArchitectureSpec,
@@ -80,29 +200,20 @@ def preactivation_stats(
     0 at a point mass (sigma2 = 0), where any value works and the pair
     collapses to the mean. Linear gates are closed-form; gated
     pre-activations integrate the inner gate's nonlinearity over its
-    (correlated pair) distribution.
+    (correlated pair) distribution. Only the correlations are computed
+    here; the rest is the gate table of (Q, R).
     """
 
-    validate_theta(theta, arch)
-    q_s = state.q_s
+    table = _gate_table(theta, arch, state.q_s, inputs.R, order)
     rho_s = _rho_s(state)
-
-    out: dict[str, GaussianPairSpec] = {}
-    for gid in arch.linear_gates():
-        p = theta[gid.label]
-        s2 = p.sigma2 * q_s + p.nu2 * inputs.R + p.rho2
-        cov = p.sigma2 * rho_s + p.nu2 * inputs.R * inputs.sigma_z + p.rho2
-        out[gid.label] = GaussianPairSpec(p.mu, s2, _finish_corr(cov, s2))
-
-    for gid in arch.gated_gates():
-        p = theta[gid.label]
-        inner = out[gid.gated_by]
-        _, e_g2, e_gg = _expect_moments(_PRIMS[gid.g_name], inner.mu, inner.sigma2, inner.c, order)
-        s2 = p.sigma2 * e_g2 * q_s + p.nu2 * inputs.R + p.rho2
-        cov = p.sigma2 * e_gg * rho_s + p.nu2 * inputs.R * inputs.sigma_z + p.rho2
-        out[gid.label] = GaussianPairSpec(p.mu, s2, _finish_corr(cov, s2))
-
-    return MappingProxyType(out)
+    c = {}
+    for label, p, inner, g in table.covariances:
+        state_cov = p.sigma2 * rho_s if inner is None else p.sigma2 * table.pair(inner, g, g, c[inner]) * rho_s
+        law = table.laws[label]
+        c[label] = _finish_corr(state_cov + p.nu2 * inputs.R * inputs.sigma_z + p.rho2, law.sigma2)
+        if not abs(c[label]) <= 1.0:  # NaN: the pair record rejects it
+            GaussianPairSpec(law.mu, law.sigma2, c[label])
+    return _Gates(table, c)
 
 
 def _correlation_from(rho: float, mu: float, q: float) -> float:
@@ -113,8 +224,8 @@ def _step(theta, arch, state, inputs, cell, order):
     """One moment step through the cell's record: (new state, advanced cell)."""
     if arch.needs_cell and cell is None:
         raise MissingCellEnsemble(f"the {arch.name} moment map needs a cell ensemble")
-    stats = preactivation_stats(theta, arch, state, inputs, order)
-    mu_n, q_n, rho_n, cell_new = CELLS[arch.name].step(theta, stats, state, cell, order)
+    gates = preactivation_stats(theta, arch, state, inputs, order)
+    mu_n, q_n, rho_n, cell_new = CELLS[arch.name].step(theta, gates, state, cell)
     if rho_n is None:  # sampled step on an unpaired ensemble
         if _degenerate(mu_n, q_n):
             return MomentState(mu_n, max(q_n, mu_n * mu_n), 0.0), cell_new
@@ -133,8 +244,8 @@ def _moment_step(theta, arch, mu: float, q: float, R: float, order) -> tuple:
     E[g^2], already in hand: no pair grid is evaluated, in the gates or in
     preactivation_stats."""
     full = MomentState(mu, q, 1.0)
-    stats = preactivation_stats(theta, arch, full, InputStats(R, 1.0), order)
-    return CELLS[arch.name].step(theta, stats, full, None, order)[:2]
+    gates = preactivation_stats(theta, arch, full, InputStats(R, 1.0), order)
+    return CELLS[arch.name].step(theta, gates, full, None)[:2]
 
 
 def step_moments(
@@ -187,12 +298,12 @@ def step_correlation(
     if abs(c_s) > 1.0:
         raise ValueError(f"|C| must be <= 1, got {c_s}")
     state = MomentState(fixed.mu_s, fixed.q_s, c_s)
-    stats = preactivation_stats(theta, arch, state, inputs, order)
+    gates = preactivation_stats(theta, arch, state, inputs, order)
     rules = CELLS[arch.name]
     if rules.correlate is not None:  # sampled pairs, normalized on their own variances
-        cov, var_a, var_b = rules.correlate(theta, stats, order, n_s, n_iters, seed)
+        cov, var_a, var_b = rules.correlate(theta, gates, n_s, n_iters, seed)
         return _finish_corr(cov, math.sqrt(var_a * var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
-    rho_n = rules.step(theta, stats, state, None, order)[2]
+    rho_n = rules.step(theta, gates, state, None)[2]
     return (rho_n - fixed.mu_s * fixed.mu_s) / (fixed.q_s - fixed.mu_s * fixed.mu_s)
 
 

@@ -279,7 +279,7 @@ def test_sweep_marks_divergent_points():
     gates = {
         "i": {"sigma2": 0.1, "nu2": 1.0, "rho2": 0.0, "mu": 0.0},
         # sigmoid(40) rounds to 1: the cell integrates its input and Q grows
-        # without bound (at forget bias 10 the solve converges, to Q* ~ 5472)
+        # without bound (at forget bias 10 the solve converges, to Q* ~ 5127)
         "f": {"sigma2": 0.0, "nu2": 0.0, "rho2": 0.0, "mu": 40.0},
         "r": {"sigma2": 0.1, "nu2": 1.0, "rho2": 0.0, "mu": 0.0},
         "o": {"sigma2": 0.1, "nu2": 1.0, "rho2": 0.0, "mu": 0.0},
@@ -310,8 +310,8 @@ _NOT_A_NUMBER = "gate 'f': mu must be a number"
 @pytest.mark.parametrize(
     "value, match",
     [("1", _NOT_A_NUMBER), (True, _NOT_A_NUMBER), (None, _NOT_A_NUMBER), ([1], _NOT_A_NUMBER),
-     (10**400, "gate 'f': mu does not fit a float")],
-    ids=["string", "bool", "null", "list", "huge_int"],
+     (10**400, "gate 'f': mu does not fit a float"), (math.inf, "gate 'f': mu must be finite")],
+    ids=["string", "bool", "null", "list", "huge_int", "inf"],
 )
 def test_direction_entries_must_be_numbers(monkeypatch, value, match):
     # directions, theta documents and search constraints share one reader,
@@ -326,6 +326,16 @@ def test_direction_entries_must_be_numbers(monkeypatch, value, match):
         sweep_phase_diagram("GRU", theta0, {"f": {"mu": value}}, [0.0], UNIT, seed=0)
     with pytest.raises(InvalidTheta, match=match.replace("'f': mu", "'r': mu")):
         search_critical("GRU", constraints={"r": {"mu": value}})
+
+
+def test_mixed_key_types_are_named_not_compared():
+    # a library caller's keys need not all be strings; the messages list
+    # them sorted by their text instead of comparing an int with a str
+    with pytest.raises(InvalidTheta, match=r"gate 'f': unknown keys \[1, 'x'\]"):
+        direction_from_json_dict({"gates": {"f": {1: 0.5, "x": 1}}})
+    theta0, _ = _gru_ray()
+    with pytest.raises(UnknownGate, match=r"GRU: unexpected gate entries \[2, 'zz'\]"):
+        sweep_phase_diagram("GRU", theta0, {"f": {"mu": 1.0}, 2: {}, "zz": {}}, [0.0], UNIT, seed=0)
 
 
 def test_a_partial_library_direction_steps_its_omitted_fields_by_zero():

@@ -8,7 +8,6 @@ import importlib.resources as ir
 import jsonschema
 
 from rnnmf import (
-    DerivativeUnstable,
     GateParams,
     Hyperparameters,
     InputStats,
@@ -62,7 +61,7 @@ def test_solve_moments_agrees_with_direct_iteration(quadrature_arch):
 
 def _slow_peephole_theta():
     # forget bias 10: the moment map expands for Q below about 1000 and
-    # contracts at rate sigmoid(10)^2 near Q* ~ 5472
+    # contracts at rate sigmoid(10)^2 near Q* ~ 5127
     return Hyperparameters(
         {
             "i": GateParams(0.1, 1.0, 0.0, 0.0),
@@ -95,7 +94,9 @@ def test_slow_peephole_reaches_a_verified_fixed_point():
     # take 1,969 evaluations
     assert msol.iterations <= 100
     assert msol.error_estimate <= 1e-9
-    assert msol.q_star == pytest.approx(5472.38, abs=0.01)
+    # mpmath reference (30 digits): Q* = 5126.82399889. The gates' SD is 23
+    # there; Gauss-Hermite at 64 nodes gave 5472.38
+    assert msol.q_star == pytest.approx(5126.824, abs=0.01)
     nxt = step_moments(theta, arch, msol.state, UNIT)
     assert max(abs(nxt.mu_s - msol.mu_star), abs(nxt.q_s - msol.q_star)) == msol.residual
     assert msol.residual <= 1e-9
@@ -189,12 +190,12 @@ def test_reported_chi_equals_a_fresh_chi_at(quadrature_arch, tag):
     assert rep.chi == chi_at(theta, quadrature_arch, UNIT, msol.state, rep.c_star)
 
 
-def test_correlation_solve_and_stencil_evaluate_step_correlation(monkeypatch):
-    # the solve iterates the public map and the chi stencil differences it:
-    # every map evaluation, and nothing else, goes through step_correlation
+def test_chi_evaluates_no_correlation_map(monkeypatch):
+    # the solve iterates the public map, once per counted iteration; chi
+    # comes from Price's theorem, not from differencing the map
     arch = get_architecture("GRU")
     theta = make_theta(arch)
-    inputs = InputStats(1.0, 0.5)  # C* inside (0, 1): a central stencil
+    inputs = InputStats(1.0, 0.5)
     msol = solve_moments(theta, arch, inputs)
     seen = []
 
@@ -205,23 +206,52 @@ def test_correlation_solve_and_stencil_evaluate_step_correlation(monkeypatch):
     monkeypatch.setattr(fixed_point, "step_correlation", spy)
     rep = solve_correlation(theta, arch, inputs, msol)
     assert 0.0 < rep.c_star < 1.0
-    c, eps = rep.c_star, fixed_point._EPS
-    stencil = [c + eps, c - eps, c + eps / 2.0, c - eps / 2.0]
-    assert len(seen) == rep.iterations + 4
-    assert seen[rep.iterations:] == stencil
+    assert len(seen) == rep.iterations and seen[-1] == rep.c_star
     seen.clear()
-    assert chi_at(theta, arch, inputs, msol.state, c) == rep.chi
-    assert seen == stencil
+    assert chi_at(theta, arch, inputs, msol.state, rep.c_star) == rep.chi
+    assert seen == []
 
 
-def test_stencil_noise_is_reported_as_an_unstable_derivative():
-    # sigmoid(8) saturates the gate: sigma*^2 = 5.9e-7, and the correlation
-    # map's rounding swamps the finite-difference stencil
+# gate SD <= 1 at these thetas, where Gauss-Hermite at 64 nodes is exact to
+# about 1e-7 for the derivative integrands
+_SLOPE_THETA = dict(sigma2=0.4, nu2=0.4, rho2=0.05, mu_f=1.0)
+
+
+def test_chi_matches_a_central_difference_of_the_map(quadrature_arch):
+    arch = quadrature_arch
+    theta = make_theta(arch, **_SLOPE_THETA)
+    inputs = InputStats(1.0, 0.5)
+    msol = solve_moments(theta, arch, inputs)
+    rep = solve_correlation(theta, arch, inputs, msol)
+    assert 0.0 < rep.c_star < 1.0
+    h = 1e-4
+    up, down = (step_correlation(theta, arch, msol.state, rep.c_star + d, inputs) for d in (h, -h))
+    assert rep.chi == pytest.approx((up - down) / (2.0 * h), rel=1e-6)
+
+
+@pytest.mark.parametrize("order", [64, 128])
+def test_chi_at_full_correlation_is_m1_to_the_bit(quadrature_arch, order):
+    rng = np.random.default_rng(5)
+    for theta in [make_theta(quadrature_arch)] + [random_theta(quadrature_arch, rng) for _ in range(4)]:
+        msol = solve_moments(theta, quadrature_arch, UNIT, order=order)
+        chi = chi_at(theta, quadrature_arch, UNIT, msol.state, 1.0, order=order)
+        assert chi == moments(theta, quadrature_arch, msol.state, inputs=UNIT, order=order).m1
+
+
+@pytest.mark.parametrize("mu_f", [7.0, 8.0, 9.0])
+def test_saturated_forget_gate_chi_is_the_slope_not_rounding_noise(mu_f):
+    # sigma*^2 is 4.3e-6 to 8.0e-8 here, so differencing the map would
+    # resolve only its rounding (a difference quotient read chi = -1.0e-5 at
+    # mu_f = 8). C* lies within 3e-8 of 1, so chi is about m1.
     arch = get_architecture("vanillaRNN")
-    theta = make_theta(arch, sigma2=0.5, nu2=0.5, rho2=0.05, mu_f=8.0)
+    theta = make_theta(arch, sigma2=0.5, nu2=0.5, rho2=0.05, mu_f=mu_f)
     msol = solve_moments(theta, arch, UNIT)
-    with pytest.raises(DerivativeUnstable, match=r"chi = .* < 0 from slope estimates .* sigma\*\^2 = 5\.89"):
-        solve_correlation(theta, arch, UNIT, msol)
+    rep = solve_correlation(theta, arch, UNIT, msol)
+    m1 = moments(theta, arch, msol.state, inputs=UNIT).m1
+    assert math.isfinite(rep.chi) and rep.chi >= 0.0
+    assert abs(rep.c_star - 1.0) <= 3e-8
+    assert rep.chi == pytest.approx(m1, rel=1e-6)
+    assert chi_at(theta, arch, UNIT, msol.state, 1.0) == m1
 
 
 def test_lstm_standard_errors_need_two_samples():

@@ -24,8 +24,8 @@ from rnnmf import (
     solve_moments,
 )
 from rnnmf.cells import CELLS, _prod_func, _shape_product, _Term, _tmul
-from rnnmf.jacobian import _EvalCtx
-from rnnmf.quadrature import GaussianPairSpec, NonFiniteIntegrand
+from rnnmf.moment_maps import _GateTable
+from rnnmf.quadrature import NonFiniteIntegrand, _Law
 
 from conftest import make_theta, random_theta, zero_variance_theta
 
@@ -243,20 +243,19 @@ def test_gate_expectations_reuse_node_values_bitwise(quadrature_arch):
     arch = quadrature_arch
     for theta in (make_theta(arch), random_theta(arch, np.random.default_rng(4)), zero_variance_theta(arch)):
         stats = preactivation_stats(theta, arch, MomentState(0.1, 0.4, 1.0), UNIT)
-        ctx = _EvalCtx(stats, 64)
         for gate, pair in stats.items():
             for prims in _PRIM_PRODUCTS:
                 want = expect1(_prod_func(prims), pair.mu, pair.sigma2)
-                assert ctx.gate_expect(gate, prims).hex() == want.hex()
+                assert stats.expect(gate, prims).hex() == want.hex()
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 0.5])
 def test_non_finite_gate_expectation_raises_as_expect1(sigma2):
     # a non-finite node sum raises as expect1 does, naming the product by
     # its primitives
-    stats = {"f": GaussianPairSpec(math.nan, sigma2, 0.0)}
+    table = _GateTable({"f": _Law(math.nan, sigma2, 64)})
     prims = ("sig", "tanh")
     with pytest.raises(NonFiniteIntegrand, match="integrand g returned"):
         expect1(_prod_func(prims), math.nan, sigma2)
     with pytest.raises(NonFiniteIntegrand, match=r"integrand sig\*tanh returned"):
-        _EvalCtx(stats, 64).gate_expect("f", prims)
+        table.expect("f", prims)

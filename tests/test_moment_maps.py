@@ -21,7 +21,6 @@ from rnnmf import (
     step_correlation,
     step_moments,
 )
-from rnnmf.cells import _moment_pair
 from rnnmf.core import sigmoid
 from rnnmf.moment_maps import _moment_step
 from rnnmf.quadrature import GaussianPairSpec, expect2
@@ -105,7 +104,7 @@ def test_preactivation_stats_map_gates_to_gaussian_pairs(name):
         stats["o"] = stats["f"]
     assert 0.0 < stats["o"].c < 1.0  # the pair grid, not a collapsed pair
     direct = expect2(sigmoid, sigmoid, stats["o"])
-    assert direct.hex() == _moment_pair(sigmoid, stats, "o", 64)[2].hex()
+    assert direct.hex() == stats.pair("o", "sig", "sig").hex()
 
 
 def test_vanilla_self_consistency():

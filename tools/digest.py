@@ -12,10 +12,12 @@ with a NaN-poisoned integrand too), sweeps (one through a worker pool),
 searches (one constrained, one whose every evaluation fails) and the
 presets, and the private fast paths (`quadrature._expect_moments`, the moment-only step
 `moment_maps._moment_step`), and the solvers' slow paths (fixed points,
-iteration counts and error estimates at thetas whose maps expand, overshoot
-or swamp the chi stencil), the LSTM correlation solve at two input
-correlations and four seeds, and the inputs that the theta, direction,
-constraint and schedule rules reject or complete; then each command of the benchmark's cli-battery
+iteration counts and error estimates at thetas whose maps expand or
+overshoot, or whose forget gate saturates), the LSTM correlation solve at
+two input correlations and four seeds, the quadrature engine on laws wider
+than its Gauss-Hermite threshold and the solve of a theta with such a gate,
+and the inputs that the theta, direction, constraint and schedule rules
+reject or complete; then each command of the benchmark's cli-battery
 set (`perfbench/workloads.py`) runs in process at seeds 1 and 2 and its
 stdout is hashed. Scalars print as
 `float.hex`, arrays and stdout as the SHA-256 of their bytes; a call that
@@ -192,8 +194,9 @@ def _one_theta(tag, arch, theta):
 
 def solver_paths():
     """The solvers' slow paths: the expanding phase of the forget-bias-10
-    peephole, the peephole near its transition (mu_f 3.9 to 5), and a chi
-    stencil that rounding swamps (vanillaRNN at mu_f = 8)."""
+    peephole, the peephole near its transition (mu_f 3.9 to 5), and a
+    saturated forget gate, where sigma*^2 is 5.9e-7 (vanillaRNN at
+    mu_f = 8)."""
     peep, vanilla = R.get_architecture("peepholeLSTM"), R.get_architecture("vanillaRNN")
     drive = R.GateParams(0.1, 1.0, 0.0, 0.0)
     forget_bias_10 = {"i": drive, "f": R.GateParams(0.0, 0.0, 0.0, 10.0), "r": drive, "o": drive}
@@ -224,11 +227,36 @@ def lstm_correlation_solves():
                     theta, arch, inputs, msol, seed=seed), CORRELATION_FIELDS)
 
 
+def wide_gates():
+    """expect1, expect2 and _expect_moments on laws wider than the
+    Gauss-Hermite threshold (SD 5 and 8), and the solve and chi of the
+    minimalRNN theta whose r gate is that wide (SD about 4.8 at Q*), at
+    input correlation 0.5."""
+    for mu, sigma2 in ((-5.0, 25.0), (2.0, 64.0)):
+        tag = f"wide[{mu}, {sigma2}]"
+        emit(f"{tag} expect1", lambda: R.expect1(np.tanh, mu, sigma2))
+        for c in (-0.5, 0.4, 0.9):
+            pair = R.GaussianPairSpec(mu, sigma2, c)
+            emit(f"{tag} expect2[{c}]", lambda: R.expect2(np.tanh, sigmoid, pair))
+            emit(f"{tag} _expect_moments[{c}]", lambda: _expect_moments(np.tanh, mu, sigma2, c, R.DEFAULT_ORDER))
+    arch = R.get_architecture("minimalRNN")
+    theta = R.Hyperparameters({"f": R.GateParams(0.0, 0.0, 0.0, -5.0), "r": R.GateParams(25.0, 0.5, 0.0, 0.0)})
+    inputs = R.InputStats(1.0, 0.5)
+    msol = emit("wide/minimalRNN solve_moments", lambda: R.solve_moments(theta, arch, inputs), SOLVE_FIELDS)
+    if msol is not None:
+        rep = emit("wide/minimalRNN solve_correlation", lambda: R.solve_correlation(theta, arch, inputs, msol),
+                   CORRELATION_FIELDS)
+        emit("wide/minimalRNN chi_at[1.0]", lambda: R.chi_at(theta, arch, inputs, msol.state, 1.0))
+        if rep is not None:
+            emit("wide/minimalRNN moments", lambda: R.moments(theta, arch, rep, inputs=inputs))
+
+
 def rule_paths():
     """Inputs that a theta, direction, constraint or schedule rule rejects
     or completes: a gate entry that is not a GateParams, four direction
     entries that are not numbers, an integer too large for a float in a
-    theta document and in a direction, a partial library direction, a
+    theta document and in a direction, an infinite direction step (read
+    and swept), entry keys of mixed types, a partial library direction, a
     string and a bool search constraint, and a NaN and a short sigma_z
     schedule through simulate_pair and moment_trajectory."""
     vanilla = R.get_architecture("vanillaRNN")
@@ -240,6 +268,10 @@ def rule_paths():
     emit("rule/theta[mu = 10**400]", lambda: R.theta_from_json_dict(
         {"arch": "vanillaRNN", "gates": {"f": {"sigma2": 0.5, "nu2": 0.5, "rho2": 0.05, "mu": huge}}}))
     emit("rule/direction[mu = 10**400]", lambda: R.direction_from_json_dict({"gates": {"f": {"mu": huge}}}))
+    emit("rule/direction[mu = inf]", lambda: R.direction_from_json_dict({"gates": {"f": {"mu": float("inf")}}}))
+    emit("rule/sweep[mu step = inf]", lambda: R.sweep_phase_diagram(
+        "GRU", make_theta(R.get_architecture("GRU")), {"f": {"mu": float("inf")}}, [0.0, 1.0], UNIT, seed=1, workers=1))
+    emit("rule/direction[keys 1, 'x']", lambda: R.direction_from_json_dict({"gates": {"f": {1: 0.5, "x": 1}}}))
     emit("rule/sweep[partial library direction]", lambda: R.sweep_phase_diagram(
         "GRU", make_theta(R.get_architecture("GRU")), {"f": {"mu": 1.0}}, [0.0, 0.5, 1.0], UNIT, seed=1, workers=1))
     for value in ("0.25", True):
@@ -271,6 +303,7 @@ def main():
     quadrature_layouts()
     solver_paths()
     lstm_correlation_solves()
+    wide_gates()
     rule_paths()
     cli(1)
     cli(2)
