@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .core import _PRIMS, ARCHITECTURES, dsigmoid, dtanh, sigmoid
-from .lstm_cell_sampler import CellStateEnsemble, _lstm_cell, advance_cell, correlated_cell_pairs
+from .lstm_cell_sampler import CellStateEnsemble, _frame, _lstm_cell, advance_cell
 
 __all__ = ["CellRules", "CELLS"]
 
@@ -271,7 +271,7 @@ def _lstm_step(theta, gates, state, cell):
 
 
 def _lstm_correlate(theta, gates, n_s, n_iters, seed):
-    pairs = correlated_cell_pairs(theta, gates, n_s=n_s, n_iters=n_iters, seed=seed)
+    pairs = _frame(theta, gates, n_s, n_iters, seed).pairs
     return _lstm_output_moments(gates, pairs, _lstm_gate_o(gates))[2]
 
 
@@ -292,7 +292,8 @@ class CellRules:
     mapping preactivation_stats returns for state.
     correlate(theta, gates, n_s, n_iters, seed) -> (cov, var_a,
     var_b) is the sampled correlation step: the output covariance and the
-    two output variances of pairs equilibrated from zero, which the
+    two output variances of the coupled frame equilibrated from zero
+    (lstm_cell_sampler._frame, whose last update chi reads), which the
     correlation map divides as cov / sqrt(var_a var_b), so identical chains
     give exactly 1; None means rho' of step, normalized by the fixed
     (mu*, Q*). entries(theta) gives the contribution terms by label,

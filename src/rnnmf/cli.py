@@ -219,13 +219,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"bad direction file {args.direction}: {e}") from None
     alphas = _parse_alphas(args.alphas)
     seed = _resolve_seed(args)
-    workers = args.workers
-    if workers is None:
-        raw = os.environ.get("RNNMF_WORKERS")
-        try:
-            workers = (os.cpu_count() or 1) if raw is None else int(raw)
-        except ValueError:
-            raise _UsageError(f"RNNMF_WORKERS must be an integer, got {raw!r}") from None
+    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     try:
         rows = sweep_phase_diagram(
             arch.name, theta0, direction, alphas, _inputs(args), seed=seed,
@@ -330,21 +324,31 @@ def _cmd_verify(args) -> int:
 # parser
 
 
-def _add_common(p, theta=True):
+def _add_common(p, theta=True, sampling=True):
+    """The theta, input and seed flags, and with sampling the quadrature
+    order and the LSTM cell sampler's flags too."""
     if theta:
         p.add_argument("--theta", required=True, help="theta JSON file")
     p.add_argument("--arch", choices=sorted(ARCHITECTURES), help="architecture name")
     p.add_argument("--R", type=float, default=1.0, help="input second moment (default 1)")
     p.add_argument("--sigma-z", dest="sigma_z", type=float, default=1.0,
                    help="input cross-correlation (default 1)")
-    _add_sampling(p)
+    if sampling:
+        _add_sampling(p)
+    else:
+        _add_seed(p)
+
+
+def _add_seed(p):
+    p.add_argument("--seed", type=_non_negative, default=None, help="seed (omitted: drawn and printed)")
 
 
 def _add_sampling(p):
     p.add_argument("--order", type=_positive, default=DEFAULT_ORDER, help="quadrature order")
-    p.add_argument("--seed", type=_non_negative, default=None, help="seed (omitted: drawn and printed)")
+    _add_seed(p)
     p.add_argument("--n-s", dest="n_s", type=_ensemble_size, default=200, help="cell ensemble size")
-    p.add_argument("--n-iters", dest="n_iters", type=_non_negative, default=200,
+    # the chi frame reads the last of these updates
+    p.add_argument("--n-iters", dest="n_iters", type=_positive, default=200,
                    help="cell equilibration steps")
 
 
@@ -392,11 +396,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", required=True, help="grid a:b:n (linspace)")
     _add_common(p, theta=False)
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: RNNMF_WORKERS or all cores)")
+                   help="parallel workers (default: all cores)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="coupled-pair trajectory CSV from the simulator")
-    _add_common(p)
+    _add_common(p, sampling=False)
     p.add_argument("--N", type=_positive, required=True, help="width")
     p.add_argument("--T", type=_positive, required=True, help="steps")
     p.add_argument("--tied", action="store_true", help="reuse step-0 weights every step")

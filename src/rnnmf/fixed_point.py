@@ -329,10 +329,11 @@ def chi_at(
     s^2 read as mu* and E[s_a s_b] = c sigma*^2 + mu*^2 (see
     jacobian._correlation_slope). At c = 1 with fully correlated inputs
     every pair collapses and chi is m1 to the last bit. The LSTM evaluates
-    the slope directly as the mean total
-    contribution on a coupled stationary cell frame equilibrated from zero
+    the slope directly as the mean total contribution on the last update
+    of the coupled cell frame whose chains the correlation map reads at c
     (same functional as m1, evaluated at the gate correlations induced by
-    c), which sidesteps differencing a sampled map. A degenerate fixed state
+    c), which sidesteps differencing a sampled map; after solve_correlation
+    at the same seed, chi at C* reuses that frame. A degenerate fixed state
     (zero variance) has no correlation direction; the slope then falls back
     to the contribution functional m1 evaluated at the fixed point.
     """
@@ -353,8 +354,8 @@ def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed):
         gates = preactivation_stats(theta, arch, frame_state, inputs, order)
         frame = _jacobian.lstm_chi_frame(theta, gates, n_s=n_s, n_iters=n_iters, seed=seed)
         # mean each contribution, then sum in label order: the same
-        # accumulation the moment assembly uses, so common random numbers
-        # make chi and m1 agree to the last bit at c = 1
+        # accumulation the moment assembly uses, so on one frame chi and m1
+        # agree to the last bit at c = 1
         return float(sum(float(np.mean(v)) for v in frame.values())), None
     if _degenerate(st.mu_s, st.q_s):
         mom = _jacobian.moments(theta, arch, st, inputs=inputs, order=order)

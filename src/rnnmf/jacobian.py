@@ -27,7 +27,7 @@ import numpy as np
 
 from .cells import CELLS, _rho_s, _shape_product
 from .core import ArchitectureSpec, Hyperparameters, InputStats, MomentState, _as_state, sigmoid
-from .lstm_cell_sampler import CellStateEnsemble, _gate_values, correlated_cell_pairs, recorded_step
+from .lstm_cell_sampler import CellStateEnsemble, _frame
 from .moment_maps import preactivation_stats
 from .quadrature import DEFAULT_ORDER, GaussianPairSpec
 
@@ -150,29 +150,27 @@ def lstm_chi_frame(
     seed: int = 0,
     init: Optional[CellStateEnsemble] = None,
 ):
-    """Per-sample contribution values on a stationary coupled cell frame.
+    """Per-sample contribution values on the last update of a stationary
+    coupled cell frame.
 
-    Chains are equilibrated for n_iters - 1 steps at the gate correlations
-    carried by stats, then one recorded update produces the fresh gate draws
-    and updated cells entering the contribution formulas. Returns a dict of
-    per-sample arrays keyed 'a_0', 'i', 'f', 'r', 'o': a_0 is
-    sig(u_f,a) sig(u_f,b), and gate k's entry sigma_k^2 dk_k(a) dk_k(b), with
-    dk the LSTM's derivative table (CELLS) on each chain. With all C_k = 1 the
-    two chains coincide and the arrays are the single-network contributions,
-    whose mean is m1; at general C the mean of their sum is the correlation
-    map slope chi. Same seed means the same frame for both uses.
+    The frame is n_iters updates of two chains at the gate correlations
+    carried by stats, from zero or from the `init` ensemble
+    (lstm_cell_sampler._frame): the same run whose chains the LSTM
+    correlation map reads at that state and seed. Its last update's gate
+    values and the cells before it enter the contribution formulas.
+    Returns a dict of per-sample arrays keyed 'a_0', 'i', 'f', 'r', 'o':
+    a_0 is sig(u_f,a) sig(u_f,b), and gate k's entry sigma_k^2 dk_k(a)
+    dk_k(b), with dk the LSTM's derivative table (CELLS) on each chain.
+    With all C_k = 1 the two chains coincide and the arrays are the
+    single-network contributions, whose mean is m1; at general C the mean
+    of their sum is the correlation map slope chi. Same seed means the same
+    frame for both uses.
     """
 
-    if n_iters < 1:
-        raise ValueError("n_iters >= 1 required (one recorded update)")
-    pairs = correlated_cell_pairs(theta, stats, n_s=n_s, n_iters=n_iters - 1, seed=seed, init=init)
-    # recorded update: advance_cell's step of this frame, its i, f, r draws
-    # and an output-gate draw made after them from the same streams
-    za, zb = recorded_step(theta, stats, pairs)[1:]
-    ua, ub = _gate_values(stats, za), _gate_values(stats, za, zb)
-    out = {"a_0": sigmoid(ua["f"]) * sigmoid(ub["f"])}
+    frame = _frame(theta, stats, n_s, n_iters, seed, init)
+    out = {"a_0": sigmoid(frame.u_a["f"]) * sigmoid(frame.u_b["f"])}
     for k, dk in CELLS["LSTM"].dk.items():
-        out[k] = theta.sigma2(k) * dk(None, ua, pairs.samples) * dk(None, ub, pairs.samples_b)
+        out[k] = theta.sigma2(k) * dk(None, frame.u_a, frame.prev_a) * dk(None, frame.u_b, frame.prev_b)
     return out
 
 
@@ -186,10 +184,7 @@ def _sampled_contribution(theta, arch, fixed_state, inputs, order, n_s, n_iters,
     frame = lstm_chi_frame(theta, stats, n_s=n_s, n_iters=n_iters, seed=seed, init=cell)
     labels = tuple(frame)
     ea = {k: float(np.mean(frame[k])) for k in labels}
-    eaa = {}
-    for k in labels:
-        for l in labels:
-            eaa[(k, l)] = float(np.mean(frame[k] * frame[l]))
+    eaa = {(k, l): float(np.mean(frame[k] * frame[l])) for k in labels for l in labels}
     total = sum(frame[k] for k in labels)
     se_m1 = float(np.std(total, ddof=1) / math.sqrt(len(total)))
     return ContributionVector(labels=labels, ea=ea, eaa=eaa, se_m1=se_m1)

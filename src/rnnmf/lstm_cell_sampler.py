@@ -13,8 +13,8 @@ by step, so memory stays O(n_s).
 
 This module is the one home of the sampled LSTM's rules: the cell update
 (_lstm_cell, which the cell table's peephole and LSTM rules use too) and
-the map from draws to gate values (_gate_values, which the Jacobian frame
-reuses).
+the map from draws to gate values (_run). The correlation map, chi and the
+Jacobian moments read one coupled frame per state and seed (_frame).
 Finiteness is checked once, when an ensemble is built, on both chains.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,10 +35,9 @@ __all__ = [
     "sample_cell_distribution",
     "correlated_cell_pairs",
     "advance_cell",
-    "recorded_step",
 ]
 
-_GATES = ("i", "f", "r", "o")  # column order of the per-step Gaussian draws
+_GATES = ("i", "f", "r")  # column order of the per-step draws; o is drawn after the last step
 
 
 class NonFiniteSample(ArithmeticError):
@@ -100,38 +99,36 @@ def _lstm_cell(u, c_prev):
     return sigmoid(u["f"]) * c_prev + sigmoid(u["i"]) * np.tanh(u["r"])
 
 
-def _gate_values(stats, z_a, z_b=None):
-    """Gate pre-activations {k: u_k} of chain a from its draws z_a, one
-    column per gate in _GATES order, or of the coupled chain b given its
-    independent part z_b: gate k of chain b sees C_k z_a + sqrt(1 - C_k^2) z_b."""
-    u = {}
-    for j, k in enumerate(_GATES[: z_a.shape[1]]):
-        s, z = stats[k], z_a[:, j]
-        if z_b is not None:
-            z = s.c * z + math.sqrt(max(1.0 - s.c * s.c, 0.0)) * z_b[:, j]
-        u[k] = s.mu + math.sqrt(s.sigma2) * z
-    return u
-
-
-def _run(stats, c_a, c_b, entropy, steps, extra=0):
+def _run(stats, c_a, c_b, entropy, steps):
     """`steps` cell updates of chain c_a and, unless c_b is None, of the
-    coupled chain c_b (_gate_values). z_a comes from chain a's generator
-    alone, so chain a is the same whether or not c_b is carried; at C_k = 1
-    the chains coincide. Returns both chains and the last step's draws
-    (z_a, z_b)."""
+    coupled chain c_b. With independent standard normal draws z_a and z_b,
+    gate k is mu_k + SD_k z_a on chain a and mu_k + SD_k (C_k z_a +
+    sqrt(1 - C_k^2) z_b) on chain b, from the gate's GaussianPairSpec in
+    stats. z_a comes from chain a's generator alone, so chain a is the same
+    whether or not c_b is carried; at C_k = 1 the chains coincide. Returns
+    (c_a, c_b, prev_a, prev_b, u_a, u_b): the chains, the cells they held
+    before the last update and that update's gate values {k: u_k}, with the
+    output gate o drawn after it (all four None after no update)."""
     rng_a, rng_b = _streams(entropy)
-    z_a = z_b = None
+    specs = [stats[k] for k in _GATES + ("o",)]
+    # rows: mean, SD, C_k and sqrt(1 - C_k^2); columns: _GATES, then o
+    coef = np.array([(s.mu, math.sqrt(s.sigma2), s.c, math.sqrt(max(1.0 - s.c * s.c, 0.0))) for s in specs]).T
+    mu, sd, c, root = coef[:, :3]
+    prev_a = prev_b = u_a = u_b = None
     for _ in range(steps):
         z_a = rng_a.standard_normal((c_a.size, 3))
-        c_a = _lstm_cell(_gate_values(stats, z_a), c_a)
+        u_a = mu + sd * z_a
+        prev_a, c_a = c_a, _lstm_cell(dict(zip(_GATES, u_a.T)), c_a)
         if c_b is not None:
-            z_b = rng_b.standard_normal(z_a.shape)
-            c_b = _lstm_cell(_gate_values(stats, z_a, z_b), c_b)
-    if extra:  # more standard normal columns, drawn after the last step
-        z_a = np.column_stack([z_a, rng_a.standard_normal((c_a.size, extra))])
+            u_b = mu + sd * (c * z_a + root * rng_b.standard_normal(z_a.shape))
+            prev_b, c_b = c_b, _lstm_cell(dict(zip(_GATES, u_b.T)), c_b)
+    if steps:  # the output gate, drawn after the last update
+        o_mu, o_sd, o_c, o_root = coef[:, 3]
+        z_o = rng_a.standard_normal(c_a.size)
+        u_a = dict(zip(_GATES, u_a.T), o=o_mu + o_sd * z_o)
         if c_b is not None:
-            z_b = np.column_stack([z_b, rng_b.standard_normal((c_b.size, extra))])
-    return c_a, c_b, z_a, z_b
+            u_b = dict(zip(_GATES, u_b.T), o=o_mu + o_sd * (o_c * z_o + o_root * rng_b.standard_normal(c_b.size)))
+    return c_a, c_b, prev_a, prev_b, u_a, u_b
 
 
 def _ensemble(theta, c_a, c_b, n_iters, seed) -> CellStateEnsemble:
@@ -146,9 +143,10 @@ def sample_cell_distribution(
     n_iters: int = 200,
     seed=None,
 ) -> CellStateEnsemble:
-    """n_iters cell updates of n_s chains started at 0; stats maps the i, f
-    and r gates to their GaussianPairSpec (preactivation_stats), of which
-    the mean mu and variance sigma2 are used. Deterministic given the seed,
+    """n_iters cell updates of n_s chains started at 0; stats maps the i, f,
+    r and o gates to their GaussianPairSpec (preactivation_stats), of which
+    the mean mu and variance sigma2 are used (o's draw follows the last
+    update and leaves the cells as they are). Deterministic given the seed,
     and chain a of correlated_cell_pairs at the same seed. Raw samples, not
     clipped."""
 
@@ -165,34 +163,56 @@ def correlated_cell_pairs(
     n_s: int = 200,
     n_iters: int = 200,
     seed=None,
-    init: Optional[CellStateEnsemble] = None,
 ) -> CellStateEnsemble:
-    """Coupled chains (c_a, c_b) with Cholesky-correlated gate draws at the
-    pair correlations C_k of stats; at C_k = 1 they coincide exactly. An
-    `init` ensemble of n_s samples warm-starts the chains; an unpaired one
-    starts chain b as a copy of chain a."""
+    """Coupled chains (c_a, c_b) started at 0, with Cholesky-correlated gate
+    draws at the pair correlations C_k of stats; at C_k = 1 they coincide
+    exactly."""
 
     if n_s < 1 or n_iters < 0:
         raise ValueError("n_s >= 1 and n_iters >= 0 required")
     seed = _resolve_seed(seed)
+    return _ensemble(theta, *_run(stats, np.zeros(n_s), np.zeros(n_s), seed, n_iters)[:2], n_iters, seed)
+
+
+class _Frame(NamedTuple):
+    """A coupled frame: the chains after its updates (pairs), the cells
+    they held before the last update, and that update's gate values
+    {k: u_k} on each chain, the output gate o drawn after it."""
+
+    pairs: CellStateEnsemble
+    prev_a: np.ndarray
+    prev_b: np.ndarray
+    u_a: dict
+    u_b: dict
+
+
+def _frame(theta: Hyperparameters, stats, n_s: int, n_iters: int, seed, init=None) -> _Frame:
+    """n_iters updates of the coupled chains of correlated_cell_pairs at the
+    same arguments, from zero or, given an `init` ensemble of n_s samples,
+    from its chains; an unpaired one starts chain b as a copy of chain a.
+    The LSTM correlation map reads the chains, the Jacobian frame the last
+    update. theta keeps its newest cold-start frame, keyed by the gate
+    statistics, n_s, n_iters and the resolved seed, so the map, chi and m1
+    at one state and seed share one run."""
+
+    if n_iters < 1:
+        raise ValueError("n_iters >= 1 required (one recorded update)")
+    seed = _resolve_seed(seed)
     if init is None:
+        key = (tuple(stats.items()), n_s, n_iters, seed)
+        newest = theta._memo.get("lstm_frame")
+        if newest is not None and newest[0] == key:
+            return newest[1]
         c_a, c_b = np.zeros(n_s), np.zeros(n_s)
     elif init.meta.n_s == n_s:
-        c_a, c_b = init.samples.copy(), (init.samples_b if init.paired else init.samples).copy()
+        c_a, c_b = init.samples, init.samples_b if init.paired else init.samples
     else:
         raise ValueError(f"init holds {init.meta.n_s} samples, not n_s = {n_s}")
-    return _ensemble(theta, *_run(stats, c_a, c_b, seed, n_iters)[:2], n_iters, seed)
-
-
-def _step(theta, stats, cell, extra):
-    if theta_hash(theta) != cell.meta.theta_digest:
-        raise ValueError("theta does not match the ensemble's theta digest")
-    # SeedSequence pads entropy with zeros, so [seed, step_index] at step 0
-    # would replay the stream of SeedSequence(seed) that built the ensemble;
-    # the trailing 1 keeps every step's draws apart from it
-    meta, entropy = cell.meta, [cell.meta.seed, cell.meta.step_index, 1]
-    c_a, c_b, z_a, z_b = _run(stats, cell.samples, cell.samples_b, entropy, 1, extra)
-    return CellStateEnsemble(c_a, replace(meta, step_index=meta.step_index + 1), c_b), z_a, z_b
+    c_a, c_b, *last = _run(stats, c_a, c_b, seed, n_iters)
+    frame = _Frame(_ensemble(theta, c_a, c_b, n_iters, seed), *last)
+    if init is None:
+        theta._memo["lstm_frame"] = (key, frame)
+    return frame
 
 
 def advance_cell(theta: Hyperparameters, stats, cell: CellStateEnsemble) -> CellStateEnsemble:
@@ -202,12 +222,11 @@ def advance_cell(theta: Hyperparameters, stats, cell: CellStateEnsemble) -> Cell
     correlated draws; chain a advances the same whether or not it is paired.
     """
 
-    return _step(theta, stats, cell, 0)[0]
-
-
-def recorded_step(theta: Hyperparameters, stats, cell: CellStateEnsemble):
-    """advance_cell and its draws (ensemble, z_a, z_b): columns i, f, r of the
-    step (z_b: chain b's independent part, None if unpaired), then one more
-    standard normal drawn after them, the Jacobian frame's output gate."""
-
-    return _step(theta, stats, cell, 1)
+    if theta_hash(theta) != cell.meta.theta_digest:
+        raise ValueError("theta does not match the ensemble's theta digest")
+    # SeedSequence pads entropy with zeros, so [seed, step_index] at step 0
+    # would replay the stream of SeedSequence(seed) that built the ensemble;
+    # the trailing 1 keeps every step's draws apart from it
+    meta = cell.meta
+    c_a, c_b = _run(stats, cell.samples, cell.samples_b, [meta.seed, meta.step_index, 1], 1)[:2]
+    return CellStateEnsemble(c_a, replace(meta, step_index=meta.step_index + 1), c_b)

@@ -208,11 +208,6 @@ class _Law:
         return _check(g2, out, v2)
 
 
-def _points(mu: float, sigma2: float, order: int):
-    """Where an expectation over N(mu, sigma2) evaluates its integrand."""
-    return _Law(mu, sigma2, order).points
-
-
 def expect1(g, mu: float, sigma2: float, order: int = DEFAULT_ORDER) -> float:
     """E[g(X)] for X ~ N(mu, sigma2). Exact (g(mu)) when sigma2 = 0.
 
@@ -232,19 +227,3 @@ def expect2(g1, g2, pair: GaussianPairSpec, order: int = DEFAULT_ORDER) -> float
     v1 = law.values(g1)
     law.mean(g1, v1)  # names g1 before its values enter the product
     return law.mean(g2, np.asarray(g2(law.points), dtype=float), v1)
-
-
-def _expect_moments(g, mu: float, sigma2: float, c: float, order: int) -> tuple:
-    """(E[g(U)], E[g(U)^2], E[g(U_a) g(U_b)]) for U ~ N(mu, sigma2) and the
-    pair GaussianPairSpec(mu, sigma2, c), bit for bit expect1(g, mu, sigma2),
-    expect2(g, g, c = 1) and expect2(g, g, c), from one evaluation of g at
-    the points plus one at the partner's points unless those are the same.
-    """
-
-    law = _Law(mu, sigma2, order)
-    v = law.values(g)
-    e1 = law.mean(g, v)  # also checks v before it enters a product
-    e2 = law.mean(g, v, v)
-    if law.collapsed(c):
-        return e1, e2, e2
-    return e1, e2, law.pair_mean(g, g, c)

@@ -139,7 +139,6 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(tmp_path, capsys):
 # the numeric flags whose usage error is not "expected a positive integer";
 # --R and --sigma-z report InputStats' own message
 _FLAG_ERRORS = {
-    "--n-iters": "argument --n-iters: expected a non-negative integer",
     "--n-s": "argument --n-s: expected an integer >= 2",
     "--c0": "argument --c0: expected a correlation in [-1, 1]",
     "--R": "argument --R/--sigma-z: R must be >= 0",
@@ -169,6 +168,10 @@ _FLAG_ERRORS = {
         (["simulate", "--theta", "THETA", "--N", "8", "--T", "2", "--sigma-z", "2"], "--sigma-z"),
         (["fixed-point", "--theta", "THETA", "--c0", "2"], "--c0"),
         (["fixed-point", "--theta", "THETA", "--c0", "nan"], "--c0"),
+        (["fixed-point", "--theta", "THETA", "--n-iters", "0"], "--n-iters"),
+        (["timescale", "--theta", "THETA", "--n-iters", "0"], "--n-iters"),
+        (["jacobian", "--theta", "THETA", "--n-iters", "0"], "--n-iters"),
+        (["sweep", "--theta0", "THETA", "--direction", "THETA", "--alphas", "0:1:2", "--n-iters", "0"], "--n-iters"),
     ],
 )
 def test_width_and_step_flags_below_one_are_usage_errors(tmp_path, capsys, argv, flag):
@@ -301,19 +304,6 @@ def test_sweep_direction_entries_must_be_numbers(tmp_path, capsys, value, proble
     assert f"error: bad direction file {direction}: gate 'f': mu {problem}" in captured.err
 
 
-def test_sweep_rejects_a_non_integer_worker_count_from_the_environment(tmp_path, capsys, monkeypatch):
-    theta0, direction = _sweep_files(tmp_path)
-    monkeypatch.setenv("RNNMF_WORKERS", "abc")
-    code = run(
-        ["sweep", "--theta0", str(theta0), "--direction", str(direction),
-         "--alphas", "0:2:3", "--seed", "0"]
-    )
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert any(l.startswith("error:") and "RNNMF_WORKERS" in l for l in captured.err.splitlines())
-
-
 def test_simulate_trajectory_csv(tmp_path, capsys):
     theta = _write_theta(tmp_path, "minimalRNN")
     args = [
@@ -325,6 +315,17 @@ def test_simulate_trajectory_csv(tmp_path, capsys):
     assert len(rows) == 8
     assert rows[1][0] == "0" and rows[1][3] == "1"  # shared start: c = 1 exactly
     float(rows[-1][1])  # numeric payload
+
+
+@pytest.mark.parametrize("flag, value", [("--order", "3"), ("--n-s", "7"), ("--n-iters", "5")])
+def test_simulate_takes_no_sampler_flags(tmp_path, capsys, flag, value):
+    # the simulator reads neither a quadrature order nor the cell sampler's sizes
+    theta = _write_theta(tmp_path, "minimalRNN")
+    args = ["simulate", "--theta", str(theta), "--N", "8", "--T", "2", "--seed", "0", flag, value]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
 def test_simulate_schedule_length_is_checked(tmp_path, capsys):

@@ -22,7 +22,7 @@ from rnnmf import (
     step_correlation,
     step_moments,
 )
-from rnnmf import fixed_point
+from rnnmf import fixed_point, lstm_cell_sampler
 
 from conftest import make_theta, random_theta, zero_variance_theta
 from test_moment_maps import PEEPHOLE_DRIVE_Q, peephole_drive_theta
@@ -380,7 +380,46 @@ def test_lstm_chi_and_m1_share_every_bit():
     msol = solve_moments(theta, arch, UNIT, seed=3)
     chi = chi_at(theta, arch, UNIT, msol.state, 1.0, seed=9)
     m1 = moments(theta, arch, msol.state, inputs=UNIT, seed=9).m1
-    assert m1 == chi  # common random numbers make the two estimators identical
+    assert m1 == chi  # both read one frame, so the two estimators are identical
+
+
+def _count_sampler_steps(monkeypatch) -> list:
+    """The step counts of every sampler run from here on."""
+    steps, run = [], lstm_cell_sampler._run
+
+    def spy(stats, c_a, c_b, entropy, n):
+        steps.append(n)
+        return run(stats, c_a, c_b, entropy, n)
+
+    monkeypatch.setattr(lstm_cell_sampler, "_run", spy)
+    return steps
+
+
+def test_lstm_chi_reads_the_frame_of_the_correlation_solve(monkeypatch):
+    arch = get_architecture("LSTM")
+    theta = make_theta(arch)
+    inputs = InputStats(1.0, 0.5)
+    msol = solve_moments(theta, arch, inputs, seed=3)
+    rep = solve_correlation(theta, arch, inputs, msol, seed=3)
+    assert 0.0 < rep.c_star < 1.0
+    steps = _count_sampler_steps(monkeypatch)
+    assert chi_at(theta, arch, inputs, msol.state, rep.c_star, seed=3) == rep.chi
+    assert steps == []
+
+
+def test_lstm_m1_reads_the_frame_of_chi_at_full_correlation(monkeypatch):
+    # C* itself may sit a few ulp below 1, so m1's frame is built by chi_at(1)
+    arch = get_architecture("LSTM")
+    theta = make_theta(arch)
+    msol = solve_moments(theta, arch, UNIT, seed=3)
+    steps = _count_sampler_steps(monkeypatch)
+    chi = chi_at(theta, arch, UNIT, msol.state, 1.0, seed=5)
+    assert steps == [200]
+    assert moments(theta, arch, msol.state, inputs=UNIT, seed=5).m1 == chi
+    assert steps == [200]
+    # a fresh theta rebuilds the same frame
+    assert moments(make_theta(arch), arch, msol.state, inputs=UNIT, seed=5).m1 == chi
+    assert steps == [200, 200]
 
 
 def test_chi_at_rejects_out_of_range():

@@ -14,8 +14,10 @@ from rnnmf import (
     lstm_chi_frame,
     preactivation_stats,
     sample_cell_distribution,
+    step_correlation,
 )
-from rnnmf.lstm_cell_sampler import CellStateEnsemble, EnsembleMeta, NonFiniteSample, recorded_step
+from rnnmf.core import sigmoid
+from rnnmf.lstm_cell_sampler import CellStateEnsemble, EnsembleMeta, NonFiniteSample, _frame, _lstm_cell
 
 from conftest import make_theta, zero_variance_theta
 
@@ -135,43 +137,66 @@ def test_step_draws_are_not_the_burn_in_draws():
     assert not np.array_equal(step.samples_b, burn_in.samples_b)
 
 
-def test_chi_frame_records_the_advance_cell_step():
+def test_chi_frame_reads_the_last_update_of_the_correlation_frame():
     theta = make_theta(ARCH)
     stats = stats_for(theta, MomentState(0.0, 0.1, 0.5))
-    pairs = correlated_cell_pairs(theta, stats, n_s=32, n_iters=9, seed=4)
-    step = advance_cell(theta, stats, pairs)
-    recorded, z_a, z_b = recorded_step(theta, stats, pairs)
-    assert np.array_equal(recorded.samples, step.samples)
-    assert np.array_equal(recorded.samples_b, step.samples_b)
-    assert recorded.meta == step.meta
-    # the frame's forget-gate product is built from exactly these draws
+    frame = _frame(theta, stats, 32, 10, 4)
+    # the chains the correlation map reads, and the cells one update earlier
+    pairs = correlated_cell_pairs(theta, stats, n_s=32, n_iters=10, seed=4)
+    before = correlated_cell_pairs(theta, stats, n_s=32, n_iters=9, seed=4)
+    assert np.array_equal(frame.pairs.samples, pairs.samples)
+    assert np.array_equal(frame.pairs.samples_b, pairs.samples_b)
+    assert np.array_equal(frame.prev_a, before.samples)
+    assert np.array_equal(frame.prev_b, before.samples_b)
+    # the last update, redrawn from the chains' own streams: column f of the
+    # tenth step's draws
+    seq = np.random.SeedSequence(4)
+    rng_a, rng_b = np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
+    for _ in range(10):
+        z_a, z_b = rng_a.standard_normal((32, 3)), rng_b.standard_normal((32, 3))
     mu, sd, c = stats["f"].mu, math.sqrt(stats["f"].sigma2), stats["f"].c
     u_a = mu + sd * z_a[:, 1]
     u_b = mu + sd * (c * z_a[:, 1] + math.sqrt(1.0 - c * c) * z_b[:, 1])
-    frame = lstm_chi_frame(theta, stats, n_s=32, n_iters=10, seed=4)
-    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    assert np.allclose(frame["a_0"], sig(u_a) * sig(u_b), rtol=1e-14, atol=0)
+    assert np.array_equal(frame.u_a["f"], u_a) and np.array_equal(frame.u_b["f"], u_b)
+    assert np.array_equal(_lstm_cell(frame.u_a, frame.prev_a), pairs.samples)
+    assert np.array_equal(_lstm_cell(frame.u_b, frame.prev_b), pairs.samples_b)
+    chi_frame = lstm_chi_frame(theta, stats, n_s=32, n_iters=10, seed=4)
+    assert np.array_equal(chi_frame["a_0"], sigmoid(u_a) * sigmoid(u_b))
+
+
+def test_frame_needs_one_update():
+    # the correlation map too: at n_iters = 0 it read all-zero chains and returned 0
+    theta = make_theta(ARCH)
+    stats = stats_for(theta)
+    for build in (
+        lambda: _frame(theta, stats, 32, 0, 4),
+        lambda: lstm_chi_frame(theta, stats, 32, 0, 4),
+        lambda: step_correlation(theta, ARCH, MomentState(0.0, 0.1, 0.0), 0.5, UNIT, n_s=32, n_iters=0, seed=4),
+    ):
+        with pytest.raises(ValueError, match=r"n_iters >= 1 required \(one recorded update\)"):
+            build()
 
 
 def test_warm_start_adopts_init_samples():
     theta = make_theta(ARCH)
     stats = stats_for(theta, MomentState(0.0, 0.1, 0.5))
     base = correlated_cell_pairs(theta, stats, n_s=32, n_iters=20, seed=6)
-    warm = correlated_cell_pairs(theta, stats, n_s=32, n_iters=0, seed=6, init=base)
-    assert np.array_equal(warm.samples, base.samples)
+    warm = _frame(theta, stats, 32, 1, 6, init=base)
+    assert np.array_equal(warm.prev_a, base.samples)
+    assert np.array_equal(warm.prev_b, base.samples_b)
 
 
 def test_unpaired_warm_start_copies_chain_a_into_chain_b():
     theta = make_theta(ARCH)
     stats = stats_for(theta, MomentState(0.0, 0.1, 0.5))
     base = sample_cell_distribution(theta, stats, n_s=32, n_iters=20, seed=6)
-    start = correlated_cell_pairs(theta, stats, n_s=32, n_iters=0, seed=6, init=base)
-    assert np.array_equal(start.samples, base.samples)
-    assert np.array_equal(start.samples_b, base.samples)
+    start = _frame(theta, stats, 32, 1, 6, init=base)
+    assert np.array_equal(start.prev_a, base.samples)
+    assert np.array_equal(start.prev_b, base.samples)
     # and it continues as the explicitly paired copy would
     twin = CellStateEnsemble(base.samples, base.meta, base.samples.copy())
-    warm = correlated_cell_pairs(theta, stats, n_s=32, n_iters=3, seed=6, init=base)
-    warm_twin = correlated_cell_pairs(theta, stats, n_s=32, n_iters=3, seed=6, init=twin)
+    warm = _frame(theta, stats, 32, 3, 6, init=base).pairs
+    warm_twin = _frame(theta, stats, 32, 3, 6, init=twin).pairs
     assert np.array_equal(warm.samples, warm_twin.samples)
     assert np.array_equal(warm.samples_b, warm_twin.samples_b)
 

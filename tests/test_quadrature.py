@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from rnnmf import GaussianPairSpec, NonFiniteIntegrand, expect1, expect2
 from rnnmf.core import sigmoid
-from rnnmf.quadrature import DEFAULT_ORDER, _expect_moments, _points
+from rnnmf.moment_maps import _Gates, _GateTable
+from rnnmf.quadrature import DEFAULT_ORDER, _Law
 
 # Monte Carlo reference for E[tanh^2(Z)], Z ~ N(0,1): 10^6 samples at
 # default_rng(12345), frozen before the quadrature tests were written.
@@ -34,19 +35,17 @@ def test_invalid_variance_raises(sigma2):
     # a NaN variance is no point mass
     with pytest.raises(ValueError, match="sigma2 must be >= 0"):
         expect1(np.tanh, 0.4, sigma2)
-    with pytest.raises(ValueError, match="sigma2 must be >= 0"):
-        _expect_moments(np.tanh, 0.4, sigma2, 0.5, DEFAULT_ORDER)
 
 
 @pytest.mark.parametrize("sigma2", [-0.1, math.nan])
-def test_pair_record_rejects_a_variance_as_points_does(sigma2):
+def test_pair_record_rejects_a_variance_as_the_integrals_do(sigma2):
     # preactivation_stats builds these records, so a bad gate variance
     # raises there with the message the integrals would give
-    with pytest.raises(ValueError) as at_points:
-        _points(0.4, sigma2, DEFAULT_ORDER)
+    with pytest.raises(ValueError) as at_integral:
+        expect1(np.tanh, 0.4, sigma2)
     with pytest.raises(ValueError) as at_record:
         GaussianPairSpec(0.4, sigma2, 0.0)
-    assert str(at_record.value) == str(at_points.value)
+    assert str(at_record.value) == str(at_integral.value)
 
 
 def test_expect2_independent_factorizes():
@@ -110,7 +109,7 @@ def test_one_non_finite_node_raises_naming_the_integrand(value):
         with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
             expect2(np.tanh, bad, pair)
         with pytest.raises(NonFiniteIntegrand, match="integrand bad returned"):
-            _expect_moments(bad, 0.2, sigma2, c, DEFAULT_ORDER)
+            expect2(bad, bad, GaussianPairSpec(0.2, sigma2, 1.0))
 
 
 def test_finite_nodes_whose_product_overflows_integrate_to_inf():
@@ -120,7 +119,7 @@ def test_finite_nodes_whose_product_overflows_integrate_to_inf():
     for sigma2, c in _LAYOUTS:
         with np.errstate(over="ignore"):
             assert expect2(huge, huge, GaussianPairSpec(0.0, sigma2, c)) == math.inf
-            assert _expect_moments(huge, 0.0, sigma2, c, DEFAULT_ORDER)[1:] == (math.inf, math.inf)
+            assert expect2(huge, huge, GaussianPairSpec(0.0, sigma2, 1.0)) == math.inf
 
 
 _CORRELATIONS = [-1.0, -1.0 + 1e-13, -0.5, 0.0, 0.3, 1.0 - 1e-13, 1.0]
@@ -130,13 +129,16 @@ _CORRELATIONS = [-1.0, -1.0 + 1e-13, -0.5, 0.0, 0.3, 1.0 - 1e-13, 1.0]
 @pytest.mark.parametrize("sigma2", [0.0, 0.8])
 @pytest.mark.parametrize("c", _CORRELATIONS)
 def test_expect_moments_is_bitwise_the_three_separate_integrals(g, sigma2, c):
+    # the gate table's (E[g], E[g^2], E[g_a g_b]) reads one law's values
+    # of g for all three, and must give the standalone integrals' bits
     mu = -0.4
     want = (
         expect1(g, mu, sigma2),
         expect2(g, g, GaussianPairSpec(mu, sigma2, 1.0)),
         expect2(g, g, GaussianPairSpec(mu, sigma2, c)),
     )
-    got = _expect_moments(g, mu, sigma2, c, DEFAULT_ORDER)
+    gates = _Gates(_GateTable({"k": _Law(mu, sigma2, DEFAULT_ORDER)}), {"k": c})
+    got = gates.moments("k", "sig" if g is sigmoid else "tanh")
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
@@ -149,7 +151,7 @@ def test_unsupported_order_raises_naming_the_order(order):
     with pytest.raises(ValueError, match=f"order {order}"):
         expect2(np.tanh, np.tanh, GaussianPairSpec(0.3, 1.0, 0.5), order=order)
     with pytest.raises(ValueError, match=f"order {order}"):
-        _expect_moments(np.tanh, 0.3, 1.0, 0.5, order)
+        expect1(np.tanh, 0.3, 0.0, order=order)  # also at a point mass
 
 
 _mu = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -204,9 +206,8 @@ def test_wide_laws_match_a_dense_reference(mu, sigma2):
         for c in (-0.5, 0.4, 0.9):
             dense_pair = _dense_pair(g, g, mu, sigma2, c)
             assert abs(expect2(g, g, GaussianPairSpec(mu, sigma2, c)) - dense_pair) <= 2e-9, (name, c)
-            e1, e2, e_pair = _expect_moments(g, mu, sigma2, c, DEFAULT_ORDER)
-            assert abs(e1 - dense) <= 2e-9 and abs(e_pair - dense_pair) <= 2e-9, (name, c)
-            assert abs(e2 - float(w @ g(mu + math.sqrt(sigma2) * x) ** 2)) <= 2e-9, name
+        collapsed = expect2(g, g, GaussianPairSpec(mu, sigma2, 1.0))
+        assert abs(collapsed - float(w @ g(mu + math.sqrt(sigma2) * x) ** 2)) <= 2e-9, name
 
 
 def test_gauss_hermite_misses_a_wide_law_the_composite_rule_resolves():

@@ -10,7 +10,7 @@ Every entry point is run for the five cells at three thetas each
 plus the quadrature engine (also at a point mass and in every pair layout,
 with a NaN-poisoned integrand too), sweeps (one through a worker pool),
 searches (one constrained, one whose every evaluation fails) and the
-presets, and the private fast paths (`quadrature._expect_moments`, the moment-only step
+presets, the private fast path (the moment-only step
 `moment_maps._moment_step`), and the solvers' slow paths (fixed points,
 iteration counts and error estimates at thetas whose maps expand or
 overshoot, or whose forget gate saturates), the LSTM correlation solve at
@@ -42,7 +42,6 @@ import rnnmf.cli
 from rnnmf.cells import CELLS
 from rnnmf.core import sigmoid
 from rnnmf.moment_maps import _moment_step
-from rnnmf.quadrature import _expect_moments
 from rnnmf.verify import make_theta, random_theta, zero_variance_theta
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,7 +106,6 @@ def library():
     for order in (16, 64, 128):
         emit(f"expect1[{order}]", lambda: R.expect1(np.tanh, 0.3, 0.7, order))
         emit(f"expect2[{order}]", lambda: R.expect2(np.tanh, sigmoid, pair, order))
-        emit(f"_expect_moments[{order}]", lambda: _expect_moments(np.tanh, pair.mu, pair.sigma2, pair.c, order))
     for name in R.PRESET_NAMES:
         emit(f"preset_init[{name}]", lambda: R.preset_init(name, N=64))
 
@@ -141,7 +139,7 @@ def nan_tanh(u):
 
 
 def quadrature_layouts():
-    """expect1, expect2 and _expect_moments at a point mass and at
+    """expect1 and expect2 at a point mass and at
     sigma2 = 0.7, over every pair layout, plain and with nan_tanh."""
     for sigma2 in (0.0, 0.7):
         for g in (np.tanh, nan_tanh):
@@ -151,8 +149,6 @@ def quadrature_layouts():
             tag = f"layout[{sigma2}, {c!r}]"
             for g1, g2 in ((np.tanh, sigmoid), (nan_tanh, sigmoid), (sigmoid, nan_tanh)):
                 emit(f"{tag} expect2[{g1.__name__}, {g2.__name__}]", lambda: R.expect2(g1, g2, pair))
-            for g in (np.tanh, nan_tanh):
-                emit(f"{tag} _expect_moments[{g.__name__}]", lambda: _expect_moments(g, 0.3, sigma2, c, R.DEFAULT_ORDER))
 
 
 def _one_theta(tag, arch, theta):
@@ -228,7 +224,7 @@ def lstm_correlation_solves():
 
 
 def wide_gates():
-    """expect1, expect2 and _expect_moments on laws wider than the
+    """expect1 and expect2 on laws wider than the
     Gauss-Hermite threshold (SD 5 and 8), and the solve and chi of the
     minimalRNN theta whose r gate is that wide (SD about 4.8 at Q*), at
     input correlation 0.5."""
@@ -238,7 +234,6 @@ def wide_gates():
         for c in (-0.5, 0.4, 0.9):
             pair = R.GaussianPairSpec(mu, sigma2, c)
             emit(f"{tag} expect2[{c}]", lambda: R.expect2(np.tanh, sigmoid, pair))
-            emit(f"{tag} _expect_moments[{c}]", lambda: _expect_moments(np.tanh, mu, sigma2, c, R.DEFAULT_ORDER))
     arch = R.get_architecture("minimalRNN")
     theta = R.Hyperparameters({"f": R.GateParams(0.0, 0.0, 0.0, -5.0), "r": R.GateParams(25.0, 0.5, 0.0, 0.0)})
     inputs = R.InputStats(1.0, 0.5)
