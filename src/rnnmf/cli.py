@@ -39,7 +39,7 @@ from .criticality import (
     sweep_phase_diagram,
 )
 from .fixed_point import solve_correlation, solve_moments
-from .jacobian import jacobian_report_dict
+from .jacobian import jacobian_report_dict, moments
 from .lstm_cell_sampler import sample_cell_distribution
 from .moment_maps import preactivation_stats
 from .quadrature import DEFAULT_ORDER
@@ -63,31 +63,28 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _int_at_least(low: int, what: str):
-    """An argparse type: an integer >= low, else a usage error naming the
-    flag and what it expects."""
+def _number(cast, ok, what: str):
+    """An argparse type: cast(text) (int or float) for which ok holds, else
+    a usage error naming the flag and what it expects."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
 
-    parse.__name__ = "integer"  # argparse: "invalid integer value: 'x'"
+    parse.__name__ = "integer" if cast is int else "float"  # argparse: "invalid float value: 'x'"
     return parse
 
 
-_non_negative = _int_at_least(0, "a non-negative integer")
-_positive = _int_at_least(1, "a positive integer")
+_non_negative = _number(int, lambda v: v >= 0, "a non-negative integer")
+_positive = _number(int, lambda v: v >= 1, "a positive integer")
 # the sampled LSTM moment solve needs n_s >= 2 for its standard errors
-_ensemble_size = _int_at_least(2, "an integer >= 2")
-
-
-def _correlation(text: str) -> float:
-    value = float(text)
-    if not -1.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a correlation in [-1, 1], got {text!r}")
-    return value
+_ensemble_size = _number(int, lambda v: v >= 2, "an integer >= 2")
+_correlation = _number(float, lambda v: -1.0 <= v <= 1.0, "a correlation in [-1, 1]")
+_tolerance = _number(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+# a timescale: inf asks for the critical point itself
+_timescale = _number(float, lambda v: v >= 0.0, "a number >= 0")
 
 
 def _resolve_seed(args) -> int:
@@ -258,10 +255,9 @@ def _cmd_spectrum(args) -> int:
     inputs = _inputs(args)
     config = SimulationConfig(N=args.N, T=args.burn_in, seed=seed)
     _, sr = build_jacobian(theta, arch, config, seed=seed, inputs=inputs, burn_in=args.burn_in)
-    _, mom, _ = _pipeline_eval(
-        theta, arch, inputs, args.order, args.n_s, args.n_iters, seed,
-        c0=args.c0, tol=args.tol, max_iter=args.max_iter,
-    )
+    sk = dict(order=args.order, n_s=args.n_s, n_iters=args.n_iters, seed=seed)
+    msol = solve_moments(theta, arch, inputs, tol=args.tol, max_iter=args.max_iter, **sk)
+    mom = moments(theta, arch, msol.state, cell=msol.cell, inputs=inputs, **sk)
     _write_csv(
         ("rank", "squared_singular_value"),
         ([i, v] for i, v in enumerate(sr.squared_singular_values, start=1)),
@@ -352,9 +348,12 @@ def _add_sampling(p):
                    help="cell equilibration steps")
 
 
-def _add_solver(p):
-    p.add_argument("--c0", type=_correlation, default=0.0, help="correlation start (default 0)")
-    p.add_argument("--tol", type=float, default=1e-9, help="fixed-point tolerance")
+def _add_solver(p, correlation=True):
+    """The fixed-point solver's flags; --c0 only where a correlation is
+    solved."""
+    if correlation:
+        p.add_argument("--c0", type=_correlation, default=0.0, help="correlation start (default 0)")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="fixed-point tolerance")
     p.add_argument("--max-iter", dest="max_iter", type=_positive, default=10000)
 
 
@@ -384,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None, help="preset name")
     p.add_argument("--search", action="store_true", help="residual search along mu_f")
     p.add_argument("--arch", default=None, choices=sorted(ARCHITECTURES))
-    p.add_argument("--target-xi", dest="target_xi", type=float, default=None)
+    p.add_argument("--target-xi", dest="target_xi", type=_timescale, default=None)
     p.add_argument("--N", type=_positive, default=512, help="width for the standard preset")
     p.add_argument("--input-dim", dest="input_dim", type=_positive, default=None)
     _add_sampling(p)
@@ -395,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True, help="direction JSON file (same shape)")
     p.add_argument("--alphas", required=True, help="grid a:b:n (linspace)")
     _add_common(p, theta=False)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_positive, default=None,
                    help="parallel workers (default: all cores)")
     p.set_defaults(func=_cmd_sweep)
 
@@ -410,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="empirical squared-SV spectrum + theory comparison")
     _add_common(p)
-    _add_solver(p)
+    _add_solver(p, correlation=False)
     p.add_argument("--N", type=_positive, required=True)
     p.add_argument("--burn-in", dest="burn_in", type=_positive, default=100)
     p.set_defaults(func=_cmd_spectrum)

@@ -208,15 +208,16 @@ class Hyperparameters:
 
 @dataclass(frozen=True)
 class InputStats:
-    """Second moment R of the input coordinates and the inter-sequence
-    correlation Sigma_z of the two driving input streams."""
+    """Second moment R of the input coordinates (finite, >= 0) and the
+    inter-sequence correlation Sigma_z of the two driving input streams
+    (|Sigma_z| <= 1); ValueError otherwise."""
 
     R: float
     sigma_z: float
 
     def __post_init__(self):
-        if not (self.R >= 0):
-            raise ValueError(f"R must be >= 0, got {self.R}")
+        if not 0 <= self.R < math.inf:
+            raise ValueError(f"R must be >= 0 and finite, got {self.R}")
         if not (abs(self.sigma_z) <= 1):
             raise ValueError(f"|sigma_z| must be <= 1, got {self.sigma_z}")
 

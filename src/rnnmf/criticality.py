@@ -24,7 +24,7 @@ from .core import (
     get_architecture,
     validate_theta,
 )
-from .fixed_point import NoConvergence, _correlation_report, _derived_seed, solve_moments
+from .fixed_point import NoConvergence, _derived_seed, solve_correlation, solve_moments
 from .jacobian import IsometryGap, isometry_gap
 from .quadrature import DEFAULT_ORDER
 
@@ -173,15 +173,13 @@ def _golden_min(f, lo, hi, tol=1e-4, max_iter=80):
 
 
 def _pipeline_eval(theta, arch, inputs, order, n_s, n_iters, seed, c0=0.0, tol=1e-9, max_iter=10000):
-    """(report, Jacobian moments, isometry gap) at theta's fixed point, the
-    moments computed once also when chi is their m1."""
+    """(report, Jacobian moments, isometry gap) at theta's fixed point."""
     msol = solve_moments(theta, arch, inputs, order, tol, max_iter, n_s=n_s, n_iters=n_iters, seed=seed)
-    rep, mom = _correlation_report(theta, arch, inputs, msol, c0, order, tol, max_iter, n_s, n_iters, seed)
-    if mom is None:  # chi did not come from the Jacobian moments
-        mom = _jacobian.moments(
-            theta, arch, msol.state, cell=msol.cell, inputs=inputs,
-            order=order, n_s=n_s, n_iters=n_iters, seed=seed,
-        )
+    rep = solve_correlation(theta, arch, inputs, msol, c0, order, tol, max_iter, n_s, n_iters, seed)
+    mom = _jacobian.moments(
+        theta, arch, msol.state, cell=msol.cell, inputs=inputs,
+        order=order, n_s=n_s, n_iters=n_iters, seed=seed,
+    )
     return rep, mom, isometry_gap(mom, rep.chi)
 
 
@@ -214,15 +212,19 @@ def search_critical(
     documents' entry reader: a gate the architecture lacks raises
     UnknownGate, an unknown field or a value that is not a number
     InvalidTheta. The objective is |xi - target_xi| when a target is
-    given, otherwise the isometry-gap norm. Matching presets are scored as
-    candidates too, so an unconstrained search never does worse than the
-    published values. An evaluation that raises an ArithmeticError or
-    ValueError scores inf, as the same failure marks a sweep row. Returns (theta, SearchReport); raises SearchFailed (best
-    attached) if the objective never came out finite, naming the first
-    failure's type and message when every evaluation failed, or if a target
-    xi was missed by more than 10% relative.
+    given, otherwise the isometry-gap norm; a target that is NaN or
+    negative raises ValueError before any evaluation (inf is allowed).
+    Matching presets are scored as candidates too, so an unconstrained
+    search never does worse than the published values. An evaluation that
+    raises an ArithmeticError or ValueError scores inf, as the same failure
+    marks a sweep row. Returns (theta, SearchReport); raises SearchFailed
+    (best attached) if the objective never came out finite, naming the
+    first failure's type and message when every evaluation failed, or if a
+    target xi was missed by more than 10% relative.
     """
 
+    if target_xi is not None and not target_xi >= 0.0:  # NaN included
+        raise ValueError(f"target_xi must be a number >= 0 (inf allowed), got {target_xi!r}")
     arch = get_architecture(arch_name)
     inputs = inputs if inputs is not None else InputStats(1.0, 1.0)
     constraints = constraints or {}
@@ -361,11 +363,14 @@ def sweep_phase_diagram(
     no_convergence for NoConvergence, error:<Type> for any other
     ArithmeticError or ValueError. The sweep continues past both. Points get independent
     derived seeds, so the grid is deterministic for a given seed regardless
-    of worker count (workers > 1 evaluates the points in a process pool).
+    of worker count (workers > 1 evaluates the points in a process pool;
+    workers below 1 raises ValueError).
     Returns rows sorted by alpha, each a dict over SWEEP_COLUMNS (xi3/xi6
     are the 3 xi and 6 xi overlay columns).
     """
 
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     arch = get_architecture(arch_name)
     validate_theta(theta0, arch)
     direction = _gate_entries(direction, _NO_STEP, arch)

@@ -170,6 +170,16 @@ def _along(x, d, t):
     return tuple(p + t * q for p, q in zip(x, d))
 
 
+def _check_solver(tol, max_iter) -> None:
+    """A tolerance and an evaluation budget that can describe a fixed point:
+    tol a positive finite number, max_iter at least 1; ValueError
+    otherwise."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+
+
 def _iterate(G, x0, project, point, tol, max_iter, what):
     """Solve x = project(G(x)) by safeguarded Anderson iteration.
 
@@ -281,9 +291,11 @@ def solve_moments(
     trajectory the accepted iterates. The LSTM resamples its cell ensemble every iteration and stops
     on a noise-aware window criterion (residual: the change across it;
     error_estimate: None). Raises NoConvergence with the trajectory after
-    max_iter.
+    max_iter, and ValueError unless tol is a positive finite number and
+    max_iter at least 1.
     """
 
+    _check_solver(tol, max_iter)
     validate_theta(theta, arch)
     if arch.needs_cell:
         if n_s < 2:
@@ -333,22 +345,19 @@ def chi_at(
     of the coupled cell frame whose chains the correlation map reads at c
     (same functional as m1, evaluated at the gate correlations induced by
     c), which sidesteps differencing a sampled map; after solve_correlation
-    at the same seed, chi at C* reuses that frame. A degenerate fixed state
-    (zero variance) has no correlation direction; the slope then falls back
-    to the contribution functional m1 evaluated at the fixed point.
+    at the same seed, chi at C* reuses that frame. A degenerate (point-mass,
+    zero-variance) state has no correlation direction, so every cell reads
+    it at full correlation, c = 1 and sigma_z = 1, whatever c and
+    inputs.sigma_z are: its slope is then the Jacobian moments' m1 to the
+    last bit. theta is checked against arch by the gate table the slope
+    reads.
     """
 
     st = _as_state(state)
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"correlation c = {c} outside [-1, 1]")
-    validate_theta(theta, arch)
-    return _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed)[0]
-
-
-def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed):
-    """chi_at's slope, paired with the Jacobian moments when the slope is
-    their m1 (a degenerate quadrature state), else with None."""
-
+    if _degenerate(st.mu_s, st.q_s):
+        c, inputs = 1.0, InputStats(inputs.R, 1.0)
     if arch.needs_cell:
         frame_state = MomentState(st.mu_s, max(st.q_s, st.mu_s**2), c)
         gates = preactivation_stats(theta, arch, frame_state, inputs, order)
@@ -356,11 +365,8 @@ def _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed):
         # mean each contribution, then sum in label order: the same
         # accumulation the moment assembly uses, so on one frame chi and m1
         # agree to the last bit at c = 1
-        return float(sum(float(np.mean(v)) for v in frame.values())), None
-    if _degenerate(st.mu_s, st.q_s):
-        mom = _jacobian.moments(theta, arch, st, inputs=inputs, order=order)
-        return mom.m1, mom
-    return _jacobian._correlation_slope(theta, arch, MomentState(st.mu_s, st.q_s, c), inputs, order), None
+        return float(sum(float(np.mean(v)) for v in frame.values()))
+    return _jacobian._correlation_slope(theta, arch, MomentState(st.mu_s, st.q_s, c), inputs, order)
 
 
 def _xi_from_chi(chi: float) -> float:
@@ -389,24 +395,18 @@ def solve_correlation(
     Returns the full report (mu*, Q*, C*, chi, xi). C* comes from the
     solver of solve_moments on [-1, 1]: residuals["c"] is the projected map
     residual at C*, error_estimates["c"] the distance estimate to the fixed
-    point at the given (mu*, Q*), iterations the map evaluations. For the
-    LSTM each evaluation reuses the same seed, so the sampled map is a
-    fixed deterministic function; it normalizes on its own chains, so
-    M(1) = 1 exactly and fully correlated inputs (sigma_z = 1) give C* = 1
-    in the ordered phase. When the fixed state is degenerate the
-    correlation is undefined and C* = 1 is reported by convention, with chi
-    from the contribution functional.
+    point at the given (mu*, Q*), iterations the map evaluations. chi is
+    chi_at's slope at C*. For the LSTM each evaluation reuses the same
+    seed, so the sampled map is a fixed deterministic function; it
+    normalizes on its own chains, so M(1) = 1 exactly and fully correlated
+    inputs (sigma_z = 1) give C* = 1 in the ordered phase. When the fixed
+    state is degenerate the correlation is undefined: C* = 1 is reported
+    by convention, without a map evaluation, and chi_at reads the state at
+    full correlation. tol must be a positive finite number and max_iter at
+    least 1 (ValueError otherwise).
     """
 
-    return _correlation_report(theta, arch, inputs, fixed, c0, order, tol, max_iter, n_s, n_iters, seed)[0]
-
-
-def _correlation_report(
-    theta, arch, inputs, fixed, c0=0.0, order=DEFAULT_ORDER, tol=1e-9, max_iter=10000, n_s=200, n_iters=200, seed=0
-):
-    """solve_correlation, plus the Jacobian moments when its chi came from
-    them (a degenerate quadrature state), else None."""
-
+    _check_solver(tol, max_iter)
     st = _as_state(fixed)
     if not -1.0 <= c0 <= 1.0:
         raise ValueError(f"start correlation c0 = {c0} outside [-1, 1]")
@@ -421,8 +421,8 @@ def _correlation_report(
         c, resid_c, err_c, it, traj = _iterate(
             G, (c0,), lambda x: (min(max(x[0], -1.0), 1.0),), lambda x: x[0], tol, max_iter, "correlation"
         )
-    chi, mom = _chi(theta, arch, inputs, st, c, order, n_s, n_iters, seed)
-    report = FixedPointReport(
+    chi = chi_at(theta, arch, inputs, st, c, order, n_s, n_iters, seed)
+    return FixedPointReport(
         arch=arch.name,
         mu_star=st.mu_s,
         q_star=st.q_s,
@@ -436,4 +436,3 @@ def _correlation_report(
         trajectory=tuple(traj),
         error_estimates={"mu": mu_err, "q": mu_err, "c": err_c},
     )
-    return report, mom

@@ -174,9 +174,7 @@ def lstm_chi_frame(
     return out
 
 
-def _sampled_contribution(theta, arch, fixed_state, inputs, order, n_s, n_iters, seed, cell):
-    inputs_m1 = InputStats(inputs.R, 1.0)  # m1/sigma are single-network quantities
-    stats = preactivation_stats(theta, arch, fixed_state, inputs_m1, order)
+def _sampled_contribution(theta, stats, n_s, n_iters, seed, cell):
     if cell is not None:
         n_s = cell.meta.n_s
     if n_s < 2:
@@ -204,7 +202,9 @@ def contribution_vector(
     """E[a_k] and E[a_k a_l] of the per-unit contributions at the fixed point.
 
     `fixed` is a converged fixed-point report (or a MomentState); inputs are
-    taken from it when it carries them. The quadrature architectures are
+    taken from it when it carries them. The contributions are
+    single-network quantities, so every cell reads its gates at full
+    correlation, C = 1 and sigma_z = 1. The quadrature architectures are
     exact; the LSTM samples a stationary cell frame (seeded, CRN-friendly),
     warm-started from `cell` when given.
     """
@@ -214,10 +214,10 @@ def contribution_vector(
     inp = inputs if inputs is not None else getattr(fixed, "inputs", None)
     if inp is None:
         raise ValueError("pass inputs= (the fixed-point object does not carry them)")
+    gates = preactivation_stats(theta, arch, state, InputStats(inp.R, 1.0), order)
     if arch.needs_cell:
-        return _sampled_contribution(theta, arch, state, inp, order, n_s, n_iters, seed, cell)
+        return _sampled_contribution(theta, gates, n_s, n_iters, seed, cell)
     rules = CELLS[arch.name]
-    gates = preactivation_stats(theta, arch, state, inp, order)
     powers = _stationary_state_powers(rules, gates.expect, state.mu_s, state.q_s)
     entries, products = _entries(arch.name, theta)
     ea = _entry_means(entries, powers, gates.expect)

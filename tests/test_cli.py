@@ -10,8 +10,9 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
-from rnnmf import SWEEP_COLUMNS, get_architecture, jacobian, theta_to_json_dict
+from rnnmf import SWEEP_COLUMNS, fixed_point, get_architecture, jacobian, moment_maps, theta_to_json_dict
 from rnnmf.cli import run
+from rnnmf.moment_maps import step_correlation
 
 from conftest import make_theta, zero_variance_theta
 
@@ -143,6 +144,8 @@ _FLAG_ERRORS = {
     "--c0": "argument --c0: expected a correlation in [-1, 1]",
     "--R": "argument --R/--sigma-z: R must be >= 0",
     "--sigma-z": "argument --R/--sigma-z: |sigma_z| must be <= 1",
+    "--tol": "argument --tol: expected a positive finite number",
+    "--target-xi": "argument --target-xi: expected a number >= 0",
 }
 
 
@@ -172,6 +175,19 @@ _FLAG_ERRORS = {
         (["timescale", "--theta", "THETA", "--n-iters", "0"], "--n-iters"),
         (["jacobian", "--theta", "THETA", "--n-iters", "0"], "--n-iters"),
         (["sweep", "--theta0", "THETA", "--direction", "THETA", "--alphas", "0:1:2", "--n-iters", "0"], "--n-iters"),
+        # a tolerance that cannot describe a fixed point: inf accepts the
+        # start point, and -1 or nan can never be met
+        (["fixed-point", "--theta", "THETA", "--tol", "inf"], "--tol"),
+        (["fixed-point", "--theta", "THETA", "--tol", "-1"], "--tol"),
+        (["fixed-point", "--theta", "THETA", "--tol", "nan"], "--tol"),
+        (["timescale", "--theta", "THETA", "--tol", "0"], "--tol"),
+        (["jacobian", "--theta", "THETA", "--tol", "inf"], "--tol"),
+        (["spectrum", "--theta", "THETA", "--N", "8", "--tol", "-1"], "--tol"),
+        (["fixed-point", "--theta", "THETA", "--R", "inf"], "--R"),
+        (["sweep", "--theta0", "THETA", "--direction", "THETA", "--alphas", "0:1:2", "--workers", "0"], "--workers"),
+        (["sweep", "--theta0", "THETA", "--direction", "THETA", "--alphas", "0:1:2", "--workers", "-1"], "--workers"),
+        (["critical-init", "--search", "--arch", "peepholeLSTM", "--target-xi", "nan"], "--target-xi"),
+        (["critical-init", "--search", "--arch", "peepholeLSTM", "--target-xi", "-1"], "--target-xi"),
     ],
 )
 def test_width_and_step_flags_below_one_are_usage_errors(tmp_path, capsys, argv, flag):
@@ -328,6 +344,33 @@ def test_simulate_takes_no_sampler_flags(tmp_path, capsys, flag, value):
     assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
+def test_spectrum_takes_no_correlation_start(tmp_path, capsys):
+    # spectrum compares the spectrum with the Jacobian moments, which need
+    # no correlation solve, so there is no start correlation to steer
+    theta = _write_theta(tmp_path, "GRU")
+    assert run(["spectrum", "--theta", str(theta), "--N", "8", "--seed", "0", "--c0", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --c0 0.5" in captured.err
+
+
+@pytest.mark.parametrize("arch_name", ["GRU", "LSTM"])
+def test_spectrum_solves_no_correlation(tmp_path, capsys, monkeypatch, arch_name):
+    theta = _write_theta(tmp_path, arch_name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return step_correlation(*args, **kwargs)
+
+    monkeypatch.setattr(fixed_point, "step_correlation", spy)
+    monkeypatch.setattr(moment_maps, "step_correlation", spy)
+    args = ["spectrum", "--theta", str(theta), "--N", "8", "--burn-in", "5", "--seed", "0", "--n-s", "16"]
+    assert run(args) == 0
+    assert calls == []
+    assert "predicted m1" in capsys.readouterr().err
+
+
 def test_simulate_schedule_length_is_checked(tmp_path, capsys):
     theta = _write_theta(tmp_path, "minimalRNN")
     sched = tmp_path / "sched.txt"
@@ -369,8 +412,9 @@ def test_spectrum_csv_and_theory_line(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["jacobian"], ["spectrum", "--N", "8", "--burn-in", "5"]], ids=["jacobian", "spectrum"])
 @pytest.mark.parametrize("degenerate", [False, True], ids=["make_theta", "zero_variance"])
 def test_jacobian_commands_compute_the_moments_once(tmp_path, capsys, monkeypatch, command, degenerate):
-    # at a zero-variance fixed point chi is the Jacobian moments' m1, and the
-    # commands reuse those moments rather than asking for them again
+    # each command asks for the Jacobian moments once; at a zero-variance
+    # fixed point chi is their m1, but chi_at reaches it by Price's slope at
+    # full correlation, which builds no contribution vector
     arch = get_architecture("GRU")
     theta = zero_variance_theta(arch) if degenerate else make_theta(arch)
     path = tmp_path / "theta.json"

@@ -9,6 +9,7 @@ from rnnmf import (
     ARCHITECTURES,
     GateParams,
     Hyperparameters,
+    InputStats,
     InvalidTheta,
     MomentState,
     NegativeVariance,
@@ -100,6 +101,13 @@ def test_moment_state_sigma2():
 def test_moment_state_rejects_nan(moments):
     with pytest.raises(ValueError):
         MomentState(*moments)
+
+
+@pytest.mark.parametrize("R, sigma_z", [(math.inf, 1.0), (math.nan, 1.0), (-1.0, 1.0), (1.0, 1.5), (1.0, math.nan)])
+def test_input_stats_rejects_values_off_their_range(R, sigma_z):
+    # an infinite R would fail only later, as a NaN gate correlation
+    with pytest.raises(ValueError, match="R must be >= 0 and finite" if R != 1.0 else "sigma_z"):
+        InputStats(R, sigma_z)
 
 
 def test_json_round_trip():

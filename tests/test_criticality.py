@@ -138,10 +138,11 @@ def test_search_respects_constraints():
     ids=["degenerate", "interior"],
 )
 def test_search_computes_the_jacobian_moments_once_per_evaluation(monkeypatch, constraints):
-    # on the zero-variance family the fixed state is degenerate and chi is
-    # the Jacobian moments' m1; the search reuses them rather than asking
-    # for them twice. With these constraints the state is not degenerate
-    # and chi comes from the correlation map instead.
+    # each evaluation asks for the Jacobian moments once. On the
+    # zero-variance family the fixed state is degenerate and chi is their
+    # m1, reached by Price's slope at full correlation, which builds no
+    # contribution vector. With these constraints the state is not
+    # degenerate and chi is the slope at C*.
     calls = []
     contribution_vector = jacobian.contribution_vector
 
@@ -244,6 +245,23 @@ def _gru_ray():
     theta0 = make_theta(get_architecture("GRU"), sigma2=0.4, nu2=0.4, rho2=0.02, mu_f=0.0)
     direction = {"f": {"sigma2": 0.0, "nu2": 0.0, "rho2": 0.0, "mu": 1.0}}
     return theta0, direction
+
+
+@pytest.mark.parametrize("target_xi", [math.nan, -1.0])
+def test_search_rejects_a_nan_or_negative_target_before_evaluating(monkeypatch, target_xi):
+    # no xi can meet such a target, so no evaluation is spent on it
+    calls = []
+    monkeypatch.setattr(criticality, "_pipeline_eval", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="target_xi must be a number >= 0"):
+        search_critical("peepholeLSTM", target_xi=target_xi)
+    assert calls == []
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_rejects_fewer_than_one_worker(workers):
+    theta0 = make_theta(get_architecture("GRU"))
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        sweep_phase_diagram("GRU", theta0, {"f": {"mu": 1.0}}, [0.0, 1.0], UNIT, workers=workers)
 
 
 def test_sweep_is_deterministic_across_worker_counts():

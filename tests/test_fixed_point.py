@@ -22,7 +22,8 @@ from rnnmf import (
     step_correlation,
     step_moments,
 )
-from rnnmf import fixed_point, lstm_cell_sampler
+from rnnmf import SIGMA2_FLOOR, fixed_point, lstm_cell_sampler
+from rnnmf.moment_maps import _degenerate
 
 from conftest import make_theta, random_theta, zero_variance_theta
 from test_moment_maps import PEEPHOLE_DRIVE_Q, peephole_drive_theta
@@ -420,6 +421,83 @@ def test_lstm_m1_reads_the_frame_of_chi_at_full_correlation(monkeypatch):
     # a fresh theta rebuilds the same frame
     assert moments(make_theta(arch), arch, msol.state, inputs=UNIT, seed=5).m1 == chi
     assert steps == [200, 200]
+
+
+# thetas with every variance zero (a deterministic scalar chain), the
+# search's zero-variance family (recurrent variance SIGMA2_FLOOR), and one
+# whose gates carry input variance, so that their pair correlations follow
+# c and sigma_z even at a point-mass state
+_DEGENERATE_THETAS = {
+    "zero_variance": zero_variance_theta,
+    "floor": lambda arch: make_theta(arch, sigma2=SIGMA2_FLOOR, nu2=0.0, rho2=0.0),
+    "make": make_theta,
+}
+# point masses: exactly, and with a variance inside the degeneracy band
+_POINT_MASSES = [ZERO_STATE, MomentState(0.3, 0.3 * 0.3, 0.0), MomentState(0.3, 0.3 * 0.3 + 1e-14, 0.0)]
+
+
+def _degenerate_chi_cases(theta, arch, state, **kw):
+    """(chi_at, m1) at the point-mass state for c in {0, 0.5, 1} and
+    sigma_z in {0, 0.5, 1}."""
+    assert _degenerate(state.mu_s, state.q_s)
+    for sigma_z in (0.0, 0.5, 1.0):
+        inputs = InputStats(1.0, sigma_z)
+        m1 = moments(theta, arch, state, inputs=inputs, **kw).m1
+        for c in (0.0, 0.5, 1.0):
+            yield chi_at(theta, arch, inputs, state, c, **kw), m1
+
+
+@pytest.mark.parametrize("tag", sorted(_DEGENERATE_THETAS))
+def test_degenerate_chi_is_m1_at_every_correlation_and_input(quadrature_arch, tag):
+    # a point mass has no correlation direction: chi_at reads it at full
+    # correlation, where Price's slope is m1 to the bit
+    theta = _DEGENERATE_THETAS[tag](quadrature_arch)
+    states = list(_POINT_MASSES)
+    if tag == "zero_variance":  # its fixed point is a point mass too
+        states.append(solve_moments(theta, quadrature_arch, UNIT).state)
+    for state in states:
+        for chi, m1 in _degenerate_chi_cases(theta, quadrature_arch, state):
+            assert chi == m1
+
+
+def test_degenerate_lstm_chi_is_m1_at_every_correlation_and_input():
+    arch = get_architecture("LSTM")
+    theta = zero_variance_theta(arch)
+    msol = solve_moments(theta, arch, UNIT, max_iter=200, seed=1)
+    cases = [(theta, msol.state)] + [(make_theta(arch), state) for state in _POINT_MASSES]
+    for theta, state in cases:
+        for chi, m1 in _degenerate_chi_cases(theta, arch, state, n_s=16, n_iters=40, seed=3):
+            assert chi == m1
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["make_theta", "zero_variance"])
+def test_solve_correlation_takes_chi_from_chi_at(monkeypatch, quadrature_arch, degenerate):
+    theta = (zero_variance_theta if degenerate else make_theta)(quadrature_arch)
+    inputs = InputStats(1.0, 0.5)
+    msol = solve_moments(theta, quadrature_arch, inputs)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[4])
+        return chi_at(*args, **kwargs)
+
+    monkeypatch.setattr(fixed_point, "chi_at", spy)
+    rep = solve_correlation(theta, quadrature_arch, inputs, msol)
+    assert calls == [rep.c_star]
+    assert (rep.c_star == 1.0) == degenerate
+
+
+@pytest.mark.parametrize("solve", ["moments", "correlation"])
+@pytest.mark.parametrize("tol, max_iter", [(math.inf, 10), (-1.0, 10), (math.nan, 10), (0.0, 10), (1e-9, 0)])
+def test_solvers_reject_settings_that_cannot_describe_a_fixed_point(any_arch, solve, tol, max_iter):
+    # an infinite tol accepts the start point, a negative or NaN one can
+    # never be met, and max_iter = 0 evaluates nothing
+    theta = make_theta(any_arch)
+    with pytest.raises(ValueError, match="tol must be|max_iter must be"):
+        if solve == "moments":
+            solve_moments(theta, any_arch, UNIT, tol=tol, max_iter=max_iter)
+        else:
+            solve_correlation(theta, any_arch, UNIT, MomentState(0.1, 0.4, 0.0), tol=tol, max_iter=max_iter)
 
 
 def test_chi_at_rejects_out_of_range():

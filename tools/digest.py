@@ -17,9 +17,10 @@ overshoot, or whose forget gate saturates), the LSTM correlation solve at
 two input correlations and four seeds, the quadrature engine on laws wider
 than its Gauss-Hermite threshold and the solve of a theta with such a gate,
 and the inputs that the theta, direction, constraint and schedule rules
-reject or complete; then each command of the benchmark's cli-battery
-set (`perfbench/workloads.py`) runs in process at seeds 1 and 2 and its
-stdout is hashed. Scalars print as
+reject or complete; chi_at also runs at a point mass, (0.3, 0.09), and
+at a fixed state that is one, at input correlations 0 and 0.5; then each
+command of the benchmark's cli-battery set (`perfbench/workloads.py`) runs
+in process at seeds 1 and 2 and its stdout and stderr are hashed. Scalars print as
 `float.hex`, arrays and stdout as the SHA-256 of their bytes; a call that
 raises prints its exception type and message.
 """
@@ -41,12 +42,13 @@ import rnnmf as R
 import rnnmf.cli
 from rnnmf.cells import CELLS
 from rnnmf.core import sigmoid
-from rnnmf.moment_maps import _moment_step
+from rnnmf.moment_maps import _degenerate, _moment_step
 from rnnmf.verify import make_theta, random_theta, zero_variance_theta
 
 ROOT = Path(__file__).resolve().parent.parent
 UNIT = R.InputStats(1.0, 1.0)
 CORRELATIONS = (-0.5, 0.0, 0.3, 0.8, 1.0)
+POINT_MASS = R.MomentState(0.3, 0.3 * 0.3, 0.0)
 # anticorrelated, nearly anticorrelated, grid and (nearly) collapsed pairs
 LAYOUT_CORRELATIONS = (-1.0, -1.0 + 1e-13, -0.5, 0.4, 1.0 - 1e-13, 1.0)
 # the solver-path lines leave out the trajectories, which a change of
@@ -174,6 +176,15 @@ def _one_theta(tag, arch, theta):
         rep = emit(f"{tag} solve_correlation", lambda: R.solve_correlation(theta, arch, UNIT, msol, **sk))
         for c in (0.3, 1.0):
             emit(f"{tag} chi_at[{c}]", lambda: R.chi_at(theta, arch, UNIT, msol.state, c, **sk))
+        # a point mass is read at full correlation, whatever c and sigma_z
+        points = {"point mass": POINT_MASS}
+        if _degenerate(msol.mu_star, msol.q_star):
+            points["fixed point mass"] = msol.state
+        for name, point in points.items():
+            for sigma_z in (0.0, 0.5):
+                inputs = R.InputStats(1.0, sigma_z)
+                emit(f"{tag} chi_at[{name}, sigma_z={sigma_z}]",
+                     lambda: R.chi_at(theta, arch, inputs, point, 0.3, **sk))
         fixed = rep if rep is not None else msol
         emit(f"{tag} contribution_vector", lambda: R.contribution_vector(theta, arch, fixed, inputs=UNIT, **sk))
         emit(f"{tag} moments", lambda: R.moments(theta, arch, fixed, inputs=UNIT, **sk))
@@ -290,7 +301,10 @@ def cli(seed: int):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = rnnmf.cli.run(list(argv))
-            print(f"cli[{seed}] {label} rc={rc} stdout {_sha(out.getvalue().encode())}")
+            print(
+                f"cli[{seed}] {label} rc={rc} stdout {_sha(out.getvalue().encode())} "
+                f"stderr {_sha(err.getvalue().encode())}"
+            )
 
 
 def main():
