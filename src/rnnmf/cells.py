@@ -10,8 +10,9 @@ Moment steps map the gates of the current state (the mapping
 preactivation_stats returns, which also evaluates the gate expectations) to
 (mu', Q', rho', cell'), with rho' = E[s_a' s_b'] the cross moment of the two
 coupled copies and cell' the advanced LSTM ensemble (None elsewhere).
-Contribution entries are lists of _Term products, one list per label, in
-the order the Jacobian moments sum them. The stationary state powers obey
+Contribution entries are per-cell data: by label, the gates whose recurrent
+variances weight the label's terms, and the terms, in the order the
+Jacobian moments sum them. The stationary state powers obey
 one recursion for every quadrature cell s' = A s + W,
 
     E[s^p] (1 - a(p, 0)) = sum_{j<p} C(p, j) a(j, p - j) E[s^j] b(p - j),
@@ -23,67 +24,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .core import _PRIMS, ARCHITECTURES, dsigmoid, dtanh, sigmoid
+from .core import ARCHITECTURES, dsigmoid, dtanh, sigmoid
 from .lstm_cell_sampler import CellStateEnsemble, _frame, _lstm_cell, advance_cell
 
 __all__ = ["CellRules", "CELLS"]
 
 
 # ---------------------------------------------------------------------------
-# Jacobian contribution term algebra
-
-def _prod_func(names):
-    fs = tuple(_PRIMS[n] for n in names)
-
-    def g(u):
-        out = fs[0](u)
-        for f in fs[1:]:
-            out = out * f(u)
-        return out
-
-    return g
+# Jacobian contribution term algebra: a term is (number, shape), its
+# coefficient the number times its label's weight. A shape is a tuple of
+# blocks (s_pow, funcs), each s^s_pow * prod_k prims(u_k) inside its own
+# expectation, funcs = ((gate, (prim, ...)), ...) sorted: the first block
+# holds the term's own factors, the rest enter pre-averaged.
 
 
-@dataclass(frozen=True)
-class _Term:
-    """coef * s^s_pow * prod_k prims(u_k), all inside one expectation,
-    times pre-averaged factor blocks (avg), each its own expectation."""
-
-    coef: float
-    s_pow: int = 0
-    funcs: tuple = ()  # ((gate, (prim, ...)), ...)
-    avg: tuple = ()  # ((s_pow, funcs), ...)
-
-    @property
-    def shape(self) -> tuple:
-        """(s_pow, funcs, avg): everything but the theta-dependent coef."""
-        return self.s_pow, self.funcs, self.avg
+def _funcs(funcs) -> tuple:
+    return tuple(sorted((g, tuple(sorted(ps))) for g, ps in funcs))
 
 
-def _mk(coef, s_pow=0, funcs=(), avg=()):
-    canon = tuple(sorted((g, tuple(sorted(ps))) for g, ps in funcs))
-    return _Term(coef, s_pow, canon, tuple(avg))
+def _mk(number=1.0, s_pow=0, funcs=(), avg=()) -> tuple:
+    return number, ((s_pow, _funcs(funcs)),) + tuple(avg)
 
 
-def _tmul(t1: _Term, t2: _Term) -> _Term:
-    merged: dict[str, tuple] = {}
-    for g, ps in t1.funcs + t2.funcs:
-        merged[g] = merged.get(g, ()) + ps
-    funcs = tuple(sorted((g, tuple(sorted(ps))) for g, ps in merged.items()))
-    return _Term(t1.coef * t2.coef, t1.s_pow + t2.s_pow, funcs, t1.avg + t2.avg)
-
-
-@lru_cache(maxsize=None)
 def _shape_product(shape1, shape2) -> tuple:
-    """The shape of the product of two terms of these shapes: _tmul's
-    without the coefficient, so independent of theta."""
-    return _tmul(_Term(1.0, *shape1), _Term(1.0, *shape2)).shape
+    """The shape of the product of two terms of these shapes."""
+    ((p1, funcs1), *avg1), ((p2, funcs2), *avg2) = shape1, shape2
+    merged: dict[str, tuple] = {}
+    for g, ps in funcs1 + funcs2:
+        merged[g] = merged.get(g, ()) + ps
+    return ((p1 + p2, _funcs(merged.items())), *avg1, *avg2)
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +90,10 @@ def _vanilla_step(theta, gates, state, cell):
     return gates.moments("f", "sig") + (None,)
 
 
-def _vanilla_entries(theta):
-    return {
-        "a_0": [],
-        "f": [_mk(theta.sigma2("f"), funcs=(("f", ("dsig", "dsig")),))],
-    }
+_VANILLA_ENTRIES = {
+    "a_0": ((), ()),
+    "f": (("f",), (_mk(funcs=(("f", ("dsig", "dsig")),)),)),
+}
 
 
 def _vanilla_factors(ev):
@@ -132,35 +105,37 @@ def _vanilla_factors(ev):
 # minimalRNN (x = "r") and GRU (x = "r2"): s' = sig(u_f) s + (1 - sig(u_f)) tanh(u_x)
 
 
-def _convex_entries(theta, x: str):
-    sf2 = theta.sigma2("f")
+def _convex_entries(x: str) -> dict:
+    dsig = ("f", ("dsig", "dsig"))
     return {
-        "a_0": [_mk(1.0, funcs=(("f", ("sig", "sig")),))],
-        "f": [
-            _mk(sf2, s_pow=2, funcs=(("f", ("dsig", "dsig")),)),
-            _mk(-2.0 * sf2, s_pow=1, funcs=(("f", ("dsig", "dsig")), (x, ("tanh",)))),
-            _mk(sf2, funcs=(("f", ("dsig", "dsig")), (x, ("tanh", "tanh")))),
-        ],
+        "a_0": ((), (_mk(funcs=(("f", ("sig", "sig")),)),)),
+        "f": (
+            ("f",),
+            (
+                _mk(s_pow=2, funcs=(dsig,)),
+                _mk(-2.0, s_pow=1, funcs=(dsig, (x, ("tanh",)))),
+                _mk(funcs=(dsig, (x, ("tanh", "tanh")))),
+            ),
+        ),
     }
 
 
-def _minimal_entries(theta):
-    out = _convex_entries(theta, "r")
-    out["r"] = [_mk(theta.sigma2("r"), funcs=(("f", ("omsig", "omsig")), ("r", ("dtanh", "dtanh"))))]
+def _minimal_entries() -> dict:
+    out = _convex_entries("r")
+    out["r"] = (("r",), (_mk(funcs=(("f", ("omsig", "omsig")), ("r", ("dtanh", "dtanh")))),))
     return out
 
 
-def _gru_entries(theta):
+def _gru_entries() -> dict:
     # the gated gate x = r2 reads g(u_k), k = r, from its GateId
     gated = ARCHITECTURES["GRU"].gated_gates()[0]
     x, k, g = gated.label, gated.gated_by, gated.g_name
-    out = _convex_entries(theta, x)
-    s22 = theta.sigma2(x)
+    out = _convex_entries(x)
     outer = (("f", ("omsig", "omsig")), (x, ("dtanh", "dtanh")))
     # the inner-chain factors enter pre-averaged: unit-level fluctuations of
     # the inner matrix's column profile wash out of the trace at large width
-    out[k] = [_mk(theta.sigma2(k) * s22, funcs=outer, avg=((2, ((k, (f"d{g}",) * 2),)),))]
-    out[x] = [_mk(s22, funcs=outer, avg=((0, ((k, (g, g)),)),))]
+    out[k] = ((k, x), (_mk(funcs=outer, avg=((2, ((k, (f"d{g}",) * 2),)),)),))
+    out[x] = ((x,), (_mk(funcs=outer, avg=((0, ((k, (g, g)),)),)),))
     return out
 
 
@@ -215,15 +190,14 @@ def _peephole_step(theta, gates, state, cell):
     return mu_n, q_n, rho_n, None
 
 
-def _peephole_entries(theta):
-    return {
-        "a_0": [_mk(1.0, funcs=(("f", ("sig", "sig")),))],
-        "i": [_mk(theta.sigma2("i"), funcs=(("i", ("dsig", "dsig")), ("r", ("tanh", "tanh"))))],
-        "f": [_mk(theta.sigma2("f"), s_pow=2, funcs=(("f", ("dsig", "dsig")),))],
-        "r": [_mk(theta.sigma2("r"), funcs=(("i", ("sig", "sig")), ("r", ("dtanh", "dtanh"))))],
-        # the output gate never feeds back into the cell: D_o = 0 identically,
-        # so its entry is omitted
-    }
+_PEEPHOLE_ENTRIES = {
+    "a_0": ((), (_mk(funcs=(("f", ("sig", "sig")),)),)),
+    "i": (("i",), (_mk(funcs=(("i", ("dsig", "dsig")), ("r", ("tanh", "tanh")))),)),
+    "f": (("f",), (_mk(s_pow=2, funcs=(("f", ("dsig", "dsig")),)),)),
+    "r": (("r",), (_mk(funcs=(("i", ("sig", "sig")), ("r", ("dtanh", "dtanh")))),)),
+    # the output gate never feeds back into the cell: D_o = 0 identically,
+    # so its entry is omitted
+}
 
 
 def _peephole_factors(ev):
@@ -296,8 +270,11 @@ class CellRules:
     (lstm_cell_sampler._frame, whose last update chi reads), which the
     correlation map divides as cov / sqrt(var_a var_b), so identical chains
     give exactly 1; None means rho' of step, normalized by the fixed
-    (mu*, Q*). entries(theta) gives the contribution terms by label,
-    factors(ev) the state-power factors (a, b), with ev(k, prims) =
+    (mu*, Q*). entries is per-cell data, the same for every theta: by
+    label, (weights, terms), with weights the gates whose recurrent
+    variances sigma_k^2 multiply into every term's coefficient, in that
+    order, and terms (number, shape) pairs, the number 1 or -2.
+    factors(ev) gives the state-power factors (a, b), with ev(k, prims) =
     E[prod of prims(u_k)]; both are None for the sampled LSTM. In an entry,
     a two-primitive gate factor holds one primitive per copy and s^2
     stands for E[s_a s_b]: at full correlation these are single-network
@@ -316,7 +293,7 @@ class CellRules:
     update: Callable
     d0: Callable
     dk: Mapping[str, Callable]
-    entries: Optional[Callable] = None
+    entries: Optional[Mapping[str, tuple]] = None
     factors: Optional[Callable] = None
     correlate: Optional[Callable] = None
     has_cell: bool = False
@@ -326,17 +303,17 @@ CELLS: Mapping[str, CellRules] = MappingProxyType(
     {
         "vanillaRNN": CellRules(
             step=_vanilla_step,
-            entries=_vanilla_entries,
+            entries=_VANILLA_ENTRIES,
             factors=_vanilla_factors,
             update=lambda s, u, c: (sigmoid(u["f"]), None),
             d0=_zeros,
             dk={"f": lambda s, u, c: dsigmoid(u["f"])},
         ),
-        "minimalRNN": _convex("r", _minimal_entries),
-        "GRU": _convex("r2", _gru_entries),
+        "minimalRNN": _convex("r", _minimal_entries()),
+        "GRU": _convex("r2", _gru_entries()),
         "peepholeLSTM": CellRules(
             step=_peephole_step,
-            entries=_peephole_entries,
+            entries=_PEEPHOLE_ENTRIES,
             factors=_peephole_factors,
             update=lambda s, u, c: (_lstm_cell(u, s), None),
             d0=_forget_diag,

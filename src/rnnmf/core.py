@@ -6,6 +6,7 @@ worker processes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -147,8 +148,10 @@ class Hyperparameters:
                 raise InvalidTheta(f"gate {label!r}: expected GateParams, got {type(p).__name__}")
         self._gates = MappingProxyType(dict(gates))
         # what other modules derive from this theta and keep with it (the
-        # moment maps' gate tables, the Jacobian's contribution terms); not
-        # part of its value, so equality, hashing and pickling ignore it
+        # moment maps' newest gate table, the LSTM sampler's newest frame);
+        # not part of its value, so equality, hashing and pickling ignore
+        # it. The Jacobian's contribution terms are per-cell data
+        # (CellRules.entries) that theta's gate variances weight per call
         self._memo: dict = {}
 
     def __reduce__(self):  # a mappingproxy does not pickle
@@ -183,15 +186,13 @@ class Hyperparameters:
         return self[label].mu
 
     def replace(self, label: str, **changes) -> "Hyperparameters":
-        d = dict(self._gates)
-        cur = d[label]
-        d[label] = GateParams(
-            sigma2=changes.get("sigma2", cur.sigma2),
-            nu2=changes.get("nu2", cur.nu2),
-            rho2=changes.get("rho2", cur.rho2),
-            mu=changes.get("mu", cur.mu),
-        )
-        return Hyperparameters(d)
+        """theta with gate label's fields changed. Raises MissingGate for a
+        gate theta lacks and InvalidTheta naming a field GateParams lacks."""
+        entry = self[label]
+        bad = changes.keys() - set(_GATE_KEYS)
+        if bad:
+            raise InvalidTheta(f"gate {label!r}: unknown keys {sorted(bad)}")
+        return Hyperparameters({**self._gates, label: dataclasses.replace(entry, **changes)})
 
     def __eq__(self, other):
         if not isinstance(other, Hyperparameters):

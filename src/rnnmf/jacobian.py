@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
@@ -47,15 +48,10 @@ CRITICAL_TOL = 1e-2  # per-component threshold for calling a point critical
 
 
 def _term(coef: float, shape: tuple, powers, ev) -> float:
-    """coef times the expectations of a term of this _Term.shape, with
-    powers[p] the state power s^p and ev(gate, prims) a gate factor."""
-    s_pow, funcs, avg = shape
+    """coef times the expectations of a term of this shape (cells._mk),
+    with powers[p] the state power s^p and ev(gate, prims) a gate factor."""
     v = coef
-    if s_pow:
-        v *= powers[s_pow]
-    for g, ps in funcs:
-        v *= ev(g, ps)
-    for s_pow, funcs in avg:
+    for s_pow, funcs in shape:
         if s_pow:
             v *= powers[s_pow]
         for g, ps in funcs:
@@ -63,27 +59,29 @@ def _term(coef: float, shape: tuple, powers, ev) -> float:
     return v
 
 
-def _entries(arch_name: str, theta: Hyperparameters) -> tuple:
-    """(entries, products) of the cell at theta, which theta keeps: entries
-    the contribution terms by label (CellRules.entries), which
-    contribution_vector and chi both read, and products[(k, l)] the
-    (coefficient, shape) of every product of a term of k with a term of l,
-    whose sums are E[a_k a_l]."""
-    key = ("contribution_terms", arch_name)
-    if key not in theta._memo:
-        entries = CELLS[arch_name].entries(theta)
-        products = {
-            (k, l): [(t1.coef * t2.coef, _shape_product(t1.shape, t2.shape)) for t1 in entries[k] for t2 in entries[l]]
-            for k in entries
-            for l in entries
-        }
-        theta._memo[key] = entries, products
-    return theta._memo[key]
+@lru_cache(maxsize=None)
+def _products(arch_name: str) -> dict:
+    """products[(k, l)]: the (number, shape) of every product of a term of
+    label k with a term of label l (CellRules.entries), whose sums weighted
+    by both labels' weights are E[a_k a_l]."""
+    entries = CELLS[arch_name].entries
+    return {
+        (k, l): [(n1 * n2, _shape_product(s1, s2)) for n1, s1 in entries[k][1] for n2, s2 in entries[l][1]]
+        for k in entries
+        for l in entries
+    }
 
 
-def _entry_means(entries, powers, ev) -> dict:
+def _weights(entries, theta: Hyperparameters) -> dict:
+    """Each label's weight at theta: the product of its gates' sigma_k^2."""
+    return {k: math.prod(theta.sigma2(g) for g in gates) for k, (gates, _) in entries.items()}
+
+
+def _entry_means(entries, weights, powers, ev) -> dict:
     """Each label's mean contribution: the sum of its entry terms."""
-    return {k: sum(_term(t.coef, t.shape, powers, ev) for t in terms) for k, terms in entries.items()}
+    return {
+        k: sum(_term(n * weights[k], shape, powers, ev) for n, shape in terms) for k, (_, terms) in entries.items()
+    }
 
 
 def _stationary_state_powers(rules, ev, mu_star, q_star):
@@ -219,10 +217,13 @@ def contribution_vector(
         return _sampled_contribution(theta, gates, n_s, n_iters, seed, cell)
     rules = CELLS[arch.name]
     powers = _stationary_state_powers(rules, gates.expect, state.mu_s, state.q_s)
-    entries, products = _entries(arch.name, theta)
-    ea = _entry_means(entries, powers, gates.expect)
-    eaa = {kl: sum(_term(coef, shape, powers, gates.expect) for coef, shape in terms) for kl, terms in products.items()}
-    return ContributionVector(labels=tuple(entries), ea=ea, eaa=eaa)
+    w = _weights(rules.entries, theta)
+    ea = _entry_means(rules.entries, w, powers, gates.expect)
+    eaa = {
+        (k, l): sum(_term(n * w[k] * w[l], shape, powers, gates.expect) for n, shape in terms)
+        for (k, l), terms in _products(arch.name).items()
+    }
+    return ContributionVector(labels=tuple(rules.entries), ea=ea, eaa=eaa)
 
 
 def _correlation_slope(theta, arch, state: MomentState, inputs: InputStats, order: int) -> float:
@@ -242,7 +243,8 @@ def _correlation_slope(theta, arch, state: MomentState, inputs: InputStats, orde
         return gates.pair(k, *prims) if len(prims) == 2 else gates.expect(k, prims)
 
     powers = (1.0, state.mu_s, _rho_s(state))
-    return sum(_entry_means(_entries(arch.name, theta)[0], powers, ev).values())
+    entries = CELLS[arch.name].entries
+    return sum(_entry_means(entries, _weights(entries, theta), powers, ev).values())
 
 
 def moments(

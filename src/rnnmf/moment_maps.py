@@ -179,11 +179,8 @@ class _Gates(Mapping):
 
     def moments(self, k: str, prim: str) -> tuple:
         """(E[g], E[g^2], E[g_a g_b]) of g(u_k) for the primitive g; the
-        pair term is E[g^2] itself when the pair collapses."""
-        table, c = self._table, self._c[k]
-        e2 = table.expect(k, (prim, prim))
-        pair = e2 if table.laws[k].collapsed(c) else table.pair(k, prim, prim, c)
-        return table.expect(k, (prim,)), e2, pair
+        pair term is E[g^2] itself when the pair collapses (_GateTable.pair)."""
+        return self.expect(k, (prim,)), self.expect(k, (prim, prim)), self.pair(k, prim, prim)
 
 
 def preactivation_stats(

@@ -92,6 +92,17 @@ def test_replace_returns_new_theta():
     assert theta.mu("f") == 1.0
 
 
+def test_replace_rejects_an_unknown_gate_or_field():
+    theta = make_theta(get_architecture("vanillaRNN"))
+    with pytest.raises(MissingGate, match="'zz'"):
+        theta.replace("zz", mu=1.0)
+    # a misspelled field is an error, not a silent no-op
+    with pytest.raises(InvalidTheta, match=r"gate 'f': unknown keys \['mU'\]"):
+        theta.replace("f", mU=3.0)
+    with pytest.raises(NegativeVariance):
+        theta.replace("f", sigma2=-1.0)
+
+
 def test_moment_state_sigma2():
     st_ = MomentState(0.5, 1.0, 0.3)
     assert math.isclose(st_.sigma2_s, 0.75)

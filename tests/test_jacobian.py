@@ -10,6 +10,7 @@ import pytest
 from rnnmf import (
     CRITICAL_TOL,
     ContributionVector,
+    Hyperparameters,
     InputStats,
     JacobianMoments,
     MomentState,
@@ -23,7 +24,9 @@ from rnnmf import (
     preactivation_stats,
     solve_moments,
 )
-from rnnmf.cells import CELLS, _prod_func, _shape_product, _Term, _tmul
+from rnnmf import jacobian
+from rnnmf.cells import CELLS
+from rnnmf.core import _PRIMS
 from rnnmf.moment_maps import _GateTable
 from rnnmf.quadrature import NonFiniteIntegrand, _Law
 
@@ -216,17 +219,67 @@ def test_report_residuals_reconstruct_the_moments():
     assert doc["m2"] == mom.m2
 
 
-def test_cached_term_products_equal_tmul(quadrature_arch):
-    # the shape cache is shared across thetas: the second theta reuses the
-    # first one's entries, with its own coefficients
-    for theta in (make_theta(quadrature_arch), random_theta(quadrature_arch, np.random.default_rng(3))):
-        entries = CELLS[quadrature_arch.name].entries(theta)
-        for k in entries:
-            for l in entries:
-                for t1 in entries[k]:
-                    for t2 in entries[l]:
-                        shape = _shape_product(t1.shape, t2.shape)
-                        assert _Term(t1.coef * t2.coef, *shape) == _tmul(t1, t2)
+def _gate_factors(shape):
+    """(gate, prims) of every gate factor of a term shape, pre-averaged
+    blocks included."""
+    for _, funcs in shape:
+        yield from funcs
+
+
+def test_cell_entries_are_data_over_the_cells_own_gates(quadrature_arch):
+    entries = CELLS[quadrature_arch.name].entries
+    gates = set(quadrature_arch.labels())
+    assert tuple(entries) == EXPECTED_LABELS[quadrature_arch.name]
+    for weights, terms in entries.values():
+        assert set(weights) <= gates
+        for number, shape in terms:
+            assert number in (1.0, -2.0)  # powers of two: a weight times one rounds once
+            for gate, prims in _gate_factors(shape):
+                assert gate in gates
+                assert set(prims) <= set(_PRIMS)
+
+
+def _solved_moments(theta, arch):
+    return moments(theta, arch, solve_moments(theta, arch, UNIT).state, inputs=UNIT)
+
+
+def test_a_second_theta_reuses_the_cells_term_products(quadrature_arch, monkeypatch):
+    arch = quadrature_arch
+    _solved_moments(make_theta(arch), arch)
+
+    def rebuilt(*args):
+        raise AssertionError("term products rebuilt for a second theta")
+
+    monkeypatch.setattr(jacobian, "_shape_product", rebuilt)
+    _solved_moments(make_theta(arch, sigma2=0.7, mu_f=2.0), arch)
+
+
+def test_contribution_vector_reads_no_coefficient_of_the_theta_before(quadrature_arch):
+    arch = quadrature_arch
+
+    def bits(theta):
+        cv = contribution_vector(theta, arch, solve_moments(theta, arch, UNIT).state, inputs=UNIT)
+        return {k: float(v).hex() for k, v in cv.ea.items()}, {kl: float(v).hex() for kl, v in cv.eaa.items()}
+
+    # B differs from A in every gate variance, so in every weight
+    a, b = make_theta(arch), make_theta(arch, sigma2=0.7, mu_f=2.0)
+    first = bits(a)
+    bits(b)
+    assert bits(Hyperparameters(a.gates)) == first
+
+
+def _prod_func(names):
+    """The product of the named primitives as one integrand, expect1's
+    reference for the gate tables' expectations."""
+    fs = tuple(_PRIMS[n] for n in names)
+
+    def g(u):
+        out = fs[0](u)
+        for f in fs[1:]:
+            out = out * f(u)
+        return out
+
+    return g
 
 
 _PRIM_PRODUCTS = [

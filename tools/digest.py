@@ -259,7 +259,8 @@ def wide_gates():
 
 def rule_paths():
     """Inputs that a theta, direction, constraint or schedule rule rejects
-    or completes: a gate entry that is not a GateParams, four direction
+    or completes: a gate entry that is not a GateParams, a theta replace of
+    a misspelled field and of an unknown gate, four direction
     entries that are not numbers, an integer too large for a float in a
     theta document and in a direction, an infinite direction step (read
     and swept), entry keys of mixed types, a partial library direction, a
@@ -268,6 +269,8 @@ def rule_paths():
     vanilla = R.get_architecture("vanillaRNN")
     emit("rule/theta[tuple entry] solve_moments", lambda: R.solve_moments(
         R.Hyperparameters({"f": (0.5, 0.5, 0.05, 1.0)}), vanilla, UNIT))
+    emit("rule/theta.replace[f, mU = 3.0]", lambda: make_theta(vanilla).replace("f", mU=3.0))
+    emit("rule/theta.replace[zz, mu = 1.0]", lambda: make_theta(vanilla).replace("zz", mu=1.0))
     for value in ("1", True, None, [1]):
         emit(f"rule/direction[mu = {value!r}]", lambda: R.direction_from_json_dict({"gates": {"f": {"mu": value}}}))
     huge = 10**400
