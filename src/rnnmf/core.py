@@ -82,8 +82,8 @@ def dtanh(x):
     return 1.0 - t * t
 
 
-# the gate nonlinearities by name, "d" + name its derivative: the primitives
-# of the Jacobian term algebra, and GateId.g_name's table
+# the gate nonlinearities by name: the primitives of the cell laws and of
+# the Jacobian term algebra, and GateId.g_name's table
 _PRIMS = {
     "sig": sigmoid,
     "dsig": dsigmoid,
@@ -91,6 +91,8 @@ _PRIMS = {
     "dtanh": dtanh,
     "omsig": lambda u: 1.0 - sigmoid(u),
 }
+# a differentiable primitive's derivative as (sign, primitive): d omsig = -dsig
+_DERIVATIVES = {"sig": (1.0, "dsig"), "omsig": (-1.0, "dsig"), "tanh": (1.0, "dtanh")}
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,8 @@ class GateId:
     def __post_init__(self):
         if self.form not in ("linear", "gated"):
             raise ValueError(f"unknown gate form {self.form!r}")
-        if self.form == "gated" and (self.gated_by is None or f"d{self.g_name}" not in _PRIMS):
-            raise ValueError("gated gate needs gated_by and a g_name that _PRIMS holds with its derivative")
+        if self.form == "gated" and (self.gated_by is None or self.g_name not in _DERIVATIVES):
+            raise ValueError("gated gate needs gated_by and a g_name whose derivative _DERIVATIVES holds")
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ CRITICAL_TOL = 1e-2  # per-component threshold for calling a point critical
 
 
 def _term(coef: float, shape: tuple, powers, ev) -> float:
-    """coef times the expectations of a term of this shape (cells._mk),
+    """coef times the expectations of a term of this shape (cells' term algebra),
     with powers[p] the state power s^p and ev(gate, prims) a gate factor."""
     v = coef
     for s_pow, funcs in shape:
@@ -80,7 +80,8 @@ def _weights(entries, theta: Hyperparameters) -> dict:
 def _entry_means(entries, weights, powers, ev) -> dict:
     """Each label's mean contribution: the sum of its entry terms."""
     return {
-        k: sum(_term(n * weights[k], shape, powers, ev) for n, shape in terms) for k, (_, terms) in entries.items()
+        k: sum((_term(n * weights[k], shape, powers, ev) for n, shape in terms), 0.0)
+        for k, (_, terms) in entries.items()
     }
 
 
@@ -220,7 +221,7 @@ def contribution_vector(
     w = _weights(rules.entries, theta)
     ea = _entry_means(rules.entries, w, powers, gates.expect)
     eaa = {
-        (k, l): sum(_term(n * w[k] * w[l], shape, powers, gates.expect) for n, shape in terms)
+        (k, l): sum((_term(n * w[k] * w[l], shape, powers, gates.expect) for n, shape in terms), 0.0)
         for (k, l), terms in _products(arch.name).items()
     }
     return ContributionVector(labels=tuple(rules.entries), ea=ea, eaa=eaa)

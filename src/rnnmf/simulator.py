@@ -26,6 +26,7 @@ import numpy as np
 
 from .cells import CELLS
 from .core import (
+    _DERIVATIVES,
     _PRIMS,
     ArchitectureSpec,
     Hyperparameters,
@@ -305,11 +306,11 @@ def assemble_jacobian(theta: Hyperparameters, frame: JacobianFrame) -> np.ndarra
     J = np.diag(np.broadcast_to(np.asarray(diag, dtype=float), (N,)))
     for g in arch.gates:
         if g.form == "gated":
-            gfun, dgfun = _PRIMS[g.g_name], _PRIMS[f"d{g.g_name}"]
+            sign, dg = _DERIVATIVES[g.g_name]
             uk = u[g.gated_by]
             outer = rules.dk[g.label](s, u, c)[:, None] * draw.W[g.label]
-            J += outer * gfun(uk)[None, :]
-            J += (outer * (s * dgfun(uk))[None, :]) @ draw.W[g.gated_by]
+            J += outer * _PRIMS[g.g_name](uk)[None, :]
+            J += (outer * (s * (sign * _PRIMS[dg](uk)))[None, :]) @ draw.W[g.gated_by]
         elif g.label not in inner_labels:  # inner gates act through their consumer
             d = rules.dk[g.label](s, u, c)
             if d.any():  # the peephole's output gate has an identically zero profile

@@ -365,14 +365,13 @@ def test_chi_matches_numpy_gradient_at_interior_point():
 
 
 def test_chi_equals_mean_contribution_at_full_correlation(quadrature_arch):
-    # order 128: the identity tolerance is tighter than what 64 nodes give
-    # for wide saturating-derivative integrands (error ~1e-5 near variance 1.7)
+    # chi(C = 1) sums m1's terms over m1's expectations: equal to the bit
     rng = np.random.default_rng(43)
     theta = random_theta(quadrature_arch, rng)
-    msol = solve_moments(theta, quadrature_arch, UNIT, order=128)
-    chi = chi_at(theta, quadrature_arch, UNIT, msol.state, 1.0, order=128)
-    m1 = moments(theta, quadrature_arch, msol.state, inputs=UNIT, order=128).m1
-    assert abs(m1 - chi) < 1e-6
+    msol = solve_moments(theta, quadrature_arch, UNIT)
+    chi = chi_at(theta, quadrature_arch, UNIT, msol.state, 1.0)
+    m1 = moments(theta, quadrature_arch, msol.state, inputs=UNIT).m1
+    assert m1 == chi
 
 
 def test_lstm_chi_and_m1_share_every_bit():

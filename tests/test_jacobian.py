@@ -70,6 +70,13 @@ def test_entries_are_nonnegative(any_arch):
         assert cv.eaa[(k, k)] >= -1e-10
 
 
+def test_contribution_values_are_floats(quadrature_arch):
+    # an entry without terms (the vanillaRNN's a_0) sums to 0.0, not to the int 0
+    _, _, cv = _solved_cv(quadrature_arch)
+    for v in (*cv.ea.values(), *cv.eaa.values()):
+        assert type(v) is float
+
+
 def test_minimal_a0_equals_mean_squared_forget_gate():
     # convex update s' = g s + (1-g) tanh(u_r): the direct path entry is E[g^2]
     arch = get_architecture("minimalRNN")

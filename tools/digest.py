@@ -5,9 +5,10 @@ two outputs: a line that differs names an output that changed.
 
     PYTHONPATH=src python3 tools/digest.py > digest.txt
 
-Every entry point is run for the five cells at three thetas each
-(`verify.make_theta`, a `verify.random_theta` draw, `verify.zero_variance_theta`),
-plus the quadrature engine (also at a point mass and in every pair layout,
+Each cell's Jacobian contribution entries (`CELLS[name].entries`) print as
+the SHA-256 of their repr. Every entry point is run for the five cells at
+three thetas each (`verify.make_theta`, a `verify.random_theta` draw,
+`verify.zero_variance_theta`), plus the quadrature engine (also at a point mass and in every pair layout,
 with a NaN-poisoned integrand too), sweeps (one through a worker pool),
 searches (one constrained, one whose every evaluation fails) and the
 presets, the private fast path (the moment-only step
@@ -113,6 +114,7 @@ def library():
 
     for arch_name in sorted(R.ARCHITECTURES):
         arch = R.get_architecture(arch_name)
+        print(f"{arch_name}/entries {_sha(repr(CELLS[arch_name].entries).encode())}")
         for tag, theta in _thetas(arch).items():
             _one_theta(f"{arch_name}/{tag}", arch, theta)
         theta = make_theta(arch)
