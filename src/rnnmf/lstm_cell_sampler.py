@@ -12,7 +12,8 @@ one for the independent part of the coupled chain b. Draws are made step
 by step, so memory stays O(n_s).
 
 This module is the one home of the sampled LSTM's rules: the cell update
-(_lstm_cell, which the cell table's peephole and LSTM rules use too) and
+(_lstm_cell, which the cell table's LSTM rules use too, and which the
+peephole's rules derive from its law) and
 the map from draws to gate values (_run). The correlation map, chi and the
 Jacobian moments read one coupled frame per state and seed (_frame).
 Finiteness is checked once, when an ensemble is built, on both chains.

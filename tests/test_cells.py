@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from rnnmf import InputStats, MomentState, preactivation_stats
-from rnnmf.cells import CELLS, _rho_s
+from rnnmf.cells import CELLS, _evaluate, _rho_s
+from rnnmf.core import _PRIMS, dsigmoid, dtanh, sigmoid
+from rnnmf.lstm_cell_sampler import _lstm_cell
 
 from conftest import make_theta
 
@@ -40,6 +42,54 @@ def test_derivative_profiles_match_central_differences(quadrature_arch):
         np.testing.assert_allclose(rules.d0(s, u, None), _central(rules.update, s, u), rtol=1e-7, atol=1e-9)
         for k, dk in rules.dk.items():  # the GRU's inner gate acts through r2 and has no profile
             np.testing.assert_allclose(dk(s, u, None), _central(rules.update, s, u, k), rtol=1e-7, atol=1e-9)
+
+
+def _written_rules(name):
+    """(update, d0, dk) of each quadrature cell as written out by hand, in
+    the order of operations whose bits the derived rules keep."""
+    if name == "vanillaRNN":
+        return lambda s, u: sigmoid(u["f"]), lambda s, u: np.zeros_like(s), {"f": lambda s, u: dsigmoid(u["f"])}
+    if name == "peepholeLSTM":
+        dk = {
+            "i": lambda s, u: dsigmoid(u["i"]) * np.tanh(u["r"]),
+            "f": lambda s, u: dsigmoid(u["f"]) * s,
+            "r": lambda s, u: sigmoid(u["i"]) * dtanh(u["r"]),
+            "o": lambda s, u: np.zeros_like(s),
+        }
+        return lambda s, u: _lstm_cell(u, s), lambda s, u: sigmoid(u["f"]), dk
+    x = {"minimalRNN": "r", "GRU": "r2"}[name]
+    dk = {
+        "f": lambda s, u: dsigmoid(u["f"]) * (s - np.tanh(u[x])),
+        x: lambda s, u: (1.0 - sigmoid(u["f"])) * dtanh(u[x]),
+    }
+    return lambda s, u: sigmoid(u["f"]) * s + (1.0 - sigmoid(u["f"])) * np.tanh(u[x]), lambda s, u: sigmoid(u["f"]), dk
+
+
+def test_derived_rules_keep_the_written_rules_bits(quadrature_arch):
+    rules = CELLS[quadrature_arch.name]
+    update, d0, dk = _written_rules(quadrature_arch.name)
+    for seed in range(3):
+        s, u = _random_point(quadrature_arch, seed)
+        s_new, c_new = rules.update(s, u, None)
+        assert c_new is None
+        assert np.array_equal(s_new, update(s, u))
+        assert np.array_equal(rules.d0(s, u, None), d0(s, u))
+        assert rules.dk.keys() == dk.keys()
+        for k, profile in rules.dk.items():
+            assert np.array_equal(profile(s, u, None), dk[k](s, u)), k
+
+
+def test_compiled_profile_evaluates_each_primitive_once(monkeypatch):
+    calls = []
+    for p in ("sig", "omsig", "tanh"):
+        monkeypatch.setitem(_PRIMS, p, lambda x, p=p, f=_PRIMS[p]: calls.append(p) or f(x))
+    # the GRU's law: sig(u_f) s + omsig(u_f) tanh(u_r2)
+    law = ((1.0, 1, (("f", "sig"),)), (1.0, 0, (("f", "omsig"), ("r2", "tanh"))))
+    s, u = np.array([0.3, -0.7]), {"f": np.array([0.2, 1.1]), "r2": np.array([-0.4, 0.9])}
+    got = _evaluate((), law)(s, u, None)
+    assert sorted(calls) == ["sig", "tanh"]  # omsig is 1.0 minus the one sigmoid
+    g = sigmoid(u["f"])
+    assert np.array_equal(got, g * s + (1.0 - g) * np.tanh(u["r2"]))
 
 
 def _law_moments(factors, mu, q, rho):
