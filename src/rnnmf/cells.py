@@ -1,10 +1,16 @@
 """The cell table: every rule that differs between the five recurrent cells.
 
 The generic code (moment maps, Jacobian moments, the width-N simulator)
-looks a cell up in CELLS by architecture name and calls through its record;
-nothing outside this module branches on a cell. Record functions call the
-traced library functions (advance_cell, ...) through this module's globals,
-never through stored references.
+looks a cell up in CELLS by architecture name and calls through its record.
+The four quadrature cells' rules sit wholly in this table: no code outside
+it tells them apart. The sampled LSTM is still branched on outside it, by
+arch.needs_cell in fixed_point.solve_moments and chi_at,
+jacobian.contribution_vector, moment_maps._step and moment_trajectory and
+the simulator (which carries a cell), by rules.correlate in
+moment_maps.step_correlation, by CELLS["LSTM"] in jacobian.lstm_chi_frame,
+and by has_cell and needs_cell in the CLI's cell-dist (ROADMAP item 3).
+Record functions call the traced library functions (advance_cell, ...)
+through this module's globals, never through stored references.
 
 Moment steps map the gates of the current state (the mapping
 preactivation_stats returns, which also evaluates the gate expectations) to

@@ -205,6 +205,8 @@ def _parse_alphas(spec: str):
         raise _UsageError(f"bad --alphas {spec!r}: {e}") from None
     if n < 1:
         raise _UsageError("--alphas needs n >= 1")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise _UsageError(f"--alphas endpoints must be finite, got {spec!r}")
     return np.linspace(a, b, n)
 
 

@@ -150,7 +150,7 @@ class Hyperparameters:
                 raise InvalidTheta(f"gate {label!r}: expected GateParams, got {type(p).__name__}")
         self._gates = MappingProxyType(dict(gates))
         # what other modules derive from this theta and keep with it (the
-        # moment maps' newest gate table, the LSTM sampler's newest frame);
+        # moment maps' newest gate laws, the LSTM sampler's newest frame);
         # not part of its value, so equality, hashing and pickling ignore
         # it. The Jacobian's contribution terms are per-cell data
         # (CellRules.entries) that theta's gate variances weight per call

@@ -252,8 +252,8 @@ def search_critical(
             scored[key] = (obj, (theta, *got))
         return scored[key][0]
 
-    def score_mu(mu):
-        return scored[mu][0] if mu in scored else score(mu, base.replace("f", mu=mu))
+    def score_mu(mu):  # _golden_min evaluates each point once
+        return score(mu, base.replace("f", mu=mu))
 
     best_key, best_obj = _golden_min(score_mu, *MU_F_BOUNDS, tol=MU_F_TOL)
     source = "search"

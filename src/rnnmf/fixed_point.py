@@ -349,7 +349,7 @@ def chi_at(
     zero-variance) state has no correlation direction, so every cell reads
     it at full correlation, c = 1 and sigma_z = 1, whatever c and
     inputs.sigma_z are: its slope is then the Jacobian moments' m1 to the
-    last bit. theta is checked against arch by the gate table the slope
+    last bit. theta is checked against arch by the gate laws the slope
     reads.
     """
 

@@ -6,10 +6,11 @@ closes into scalar recursions whose coefficients are one- and two-point
 Gaussian expectations. The LSTM is the exception: its hidden-state moments
 depend on the cell-state distribution, supplied here as a sampled ensemble.
 
-Every map reads its gates from a gate table of the state's second moment:
-the gates' laws and all expectations over them that do not depend on a
-correlation, built once per state, so a correlation map evaluation at a
-fixed state computes only the gate correlations and the pair grids.
+Every map reads its gates from their laws at the state's second moment
+(_gate_table), built once per state, gates of equal mean and variance
+sharing one. Each law (quadrature._Law) keeps every expectation over it,
+so a correlation map evaluation at a fixed state computes only the gate
+correlations and the pair grids at them.
 """
 
 from __future__ import annotations
@@ -70,97 +71,55 @@ def _finish_corr(cov: float, var: float) -> float:
     return min(max(c, -1.0), 1.0)
 
 
-class _GateTable:
-    """Everything about each gate at fixed state and input second moments
-    that does not depend on a correlation: the gate's law (mean, variance,
-    quadrature rule, nodes, weights and nonlinearity values) and the
-    expectations over it. Pair expectations are kept for each gate's last
-    correlation only."""
-
-    def __init__(self, laws: dict, covariances=()):
-        self.laws = laws  # gate label -> quadrature._Law, one law for gates of equal (mu, sigma2)
-        self.covariances = covariances  # (label, GateParams, inner gate or None, its g_name), in stats order
-        self._memo: dict = {}  # (law, prims) -> E[prod of prims(u)] over the law
-        self._pairs: dict = {}  # gate -> (c, {(prim_a, prim_b): pair expectation})
-
-    def expect(self, k: str, prims: tuple) -> float:
-        """E[prod of prims(u_k)], the primitives (core._PRIMS names)
-        multiplied in the given order: bit for bit expect1 of that product.
-        A sum that is not finite names the product by its primitives, as
-        in sig*tanh."""
-        law = self.laws[k]
-        key = (law, prims)
-        out = self._memo.get(key)
-        if out is None:
-            vals = law.values(_PRIMS[prims[0]])
-            for p in prims[1:]:
-                vals = vals * law.values(_PRIMS[p])
-            out = self._memo[key] = law.mean(prims, vals)
-        return out
-
-    def pair(self, k: str, pa: str, pb: str, c: float) -> float:
-        """E[pa(u_k,a) pb(u_k,b)] over gate k's pair at correlation c: bit for
-        bit expect2, and expect(k, (pa, pb)) when the pair collapses."""
-        law = self.laws[k]
-        if law.collapsed(c):
-            return self.expect(k, (pa, pb) if pa <= pb else (pb, pa))
-        last_c, values = self._pairs.get(k, (None, None))
-        if last_c != c:
-            values = {}
-            self._pairs[k] = (c, values)
-        if (pa, pb) not in values:
-            values[(pa, pb)] = law.pair_mean(_PRIMS[pa], _PRIMS[pb], c)
-        return values[(pa, pb)]
-
-
-def _gate_table(theta, arch, q: float, R: float, order: int) -> _GateTable:
-    """The gate table at state second moment q and input second moment R.
-    theta keeps the newest one it built, so the map evaluations, chi and
-    Jacobian moments at one fixed point read one table; theta is validated
-    against arch when it holds no table for arch. Linear gates are
-    closed-form; a gated gate's variance integrates the inner gate's
-    nonlinearity squared."""
+def _gate_table(theta, arch, q: float, R: float, order: int) -> tuple:
+    """(laws, plan) at state second moment q and input second moment R:
+    laws maps each gate label to its quadrature._Law, one law for gates of
+    equal (mu, sigma2), and plan lists (label, GateParams, inner gate or
+    None, its g_name) in stats order, an inner gate before the gate it
+    gates. theta keeps the newest pair it built, so the map evaluations,
+    chi and Jacobian moments at one fixed point read one set of laws;
+    theta is validated against arch when it holds none for arch. Linear
+    gates are closed-form; a gated gate's variance integrates the inner
+    gate's nonlinearity squared."""
     key = (q, R, order, arch)
     newest = theta._memo.get("gate_table")
     if newest is not None and newest[0] == key:
         return newest[1]
     if newest is not None and newest[0][3] is arch:
-        plan = newest[1].covariances
+        plan = newest[1][1]
     else:
         validate_theta(theta, arch)
-        # an inner gate before the gate it gates
         plan = [(g.label, theta[g.label], g.gated_by, g.g_name) for g in arch.linear_gates() + arch.gated_gates()]
-    table = _GateTable({}, plan)
-    laws = {}  # (mu, sigma2) -> law
+    laws = {}
+    shared = {}  # (mu, sigma2) -> law
     for label, p, inner, g in plan:
         if inner is None:
             sigma2 = p.sigma2 * q + p.nu2 * R + p.rho2
         else:
-            sigma2 = p.sigma2 * table.expect(inner, (g, g)) * q + p.nu2 * R + p.rho2
-        law = laws.get((p.mu, sigma2))
+            sigma2 = p.sigma2 * laws[inner].expect((g, g)) * q + p.nu2 * R + p.rho2
+        law = shared.get((p.mu, sigma2))
         if law is None:
-            law = laws[(p.mu, sigma2)] = _Law(p.mu, sigma2, order)
-        table.laws[label] = law
-    theta._memo["gate_table"] = (key, table)
-    return table
+            law = shared[(p.mu, sigma2)] = _Law(p.mu, sigma2, order, _PRIMS)
+        laws[label] = law
+    theta._memo["gate_table"] = (key, (laws, plan))
+    return laws, plan
 
 
 class _Gates(Mapping):
-    """The gate table at one state's gate correlations c: a read-only
+    """The gates' laws at one state's gate correlations c: a read-only
     mapping from gate label to GaussianPairSpec that also evaluates each
     gate's expectations, the one reading of the gates the cell rules
     take."""
 
-    def __init__(self, table: _GateTable, c: dict):
-        self._table = table
+    def __init__(self, laws: dict, c: dict):
+        self._laws = laws
         self._c = c
         self._specs: dict = {}
-        self.expect = table.expect  # expect(k, prims): E[prod of prims(u_k)]
 
     def __getitem__(self, k: str) -> GaussianPairSpec:
         spec = self._specs.get(k)
         if spec is None:
-            law = self._table.laws[k]
+            law = self._laws[k]
             spec = self._specs[k] = GaussianPairSpec(law.mu, law.sigma2, self._c[k])
         return spec
 
@@ -173,13 +132,17 @@ class _Gates(Mapping):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
 
+    def expect(self, k: str, prims: tuple) -> float:
+        """E[prod of prims(u_k)] (_Law.expect)."""
+        return self._laws[k].expect(prims)
+
     def pair(self, k: str, pa: str, pb: str) -> float:
-        """E[pa(u_k,a) pb(u_k,b)] at gate k's correlation."""
-        return self._table.pair(k, pa, pb, self._c[k])
+        """E[pa(u_k,a) pb(u_k,b)] at gate k's correlation (_Law.pair)."""
+        return self._laws[k].pair(pa, pb, self._c[k])
 
     def moments(self, k: str, prim: str) -> tuple:
         """(E[g], E[g^2], E[g_a g_b]) of g(u_k) for the primitive g; the
-        pair term is E[g^2] itself when the pair collapses (_GateTable.pair)."""
+        pair term is E[g^2] itself when the pair collapses (_Law.pair)."""
         return self.expect(k, (prim,)), self.expect(k, (prim, prim)), self.pair(k, prim, prim)
 
 
@@ -198,19 +161,19 @@ def preactivation_stats(
     collapses to the mean. Linear gates are closed-form; gated
     pre-activations integrate the inner gate's nonlinearity over its
     (correlated pair) distribution. Only the correlations are computed
-    here; the rest is the gate table of (Q, R).
+    here; the gates' laws are those of (Q, R).
     """
 
-    table = _gate_table(theta, arch, state.q_s, inputs.R, order)
+    laws, plan = _gate_table(theta, arch, state.q_s, inputs.R, order)
     rho_s = _rho_s(state)
     c = {}
-    for label, p, inner, g in table.covariances:
-        state_cov = p.sigma2 * rho_s if inner is None else p.sigma2 * table.pair(inner, g, g, c[inner]) * rho_s
-        law = table.laws[label]
+    for label, p, inner, g in plan:
+        state_cov = p.sigma2 * rho_s if inner is None else p.sigma2 * laws[inner].pair(g, g, c[inner]) * rho_s
+        law = laws[label]
         c[label] = _finish_corr(state_cov + p.nu2 * inputs.R * inputs.sigma_z + p.rho2, law.sigma2)
         if not abs(c[label]) <= 1.0:  # NaN: the pair record rejects it
             GaussianPairSpec(law.mu, law.sigma2, c[label])
-    return _Gates(table, c)
+    return _Gates(laws, c)
 
 
 def _correlation_from(rho: float, mu: float, q: float) -> float:

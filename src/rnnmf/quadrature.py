@@ -16,6 +16,11 @@ within 2e-9 for |mu| <= 10 and 2 < SD <= 10, in 1D and in the pair form,
 whose partner rule is laid out row by row around the partner's own u_b = 0.
 An infinite SD keeps Gauss-Hermite: its nodes then sit at +-inf, which
 gives the limit of a bounded integrand.
+
+_Law is the one home of the expectations over a law. Given a table of
+named primitives (the moment maps pass core._PRIMS; this module imports
+nothing of the package) it keeps the mean of every product of them asked
+for, and the pair means at the last correlation asked for.
 """
 
 from __future__ import annotations
@@ -121,14 +126,17 @@ def _check(g, out: float, vals) -> float:
 
 
 class _Law:
-    """N(mu, sigma2) under its quadrature rule: the points u where its
-    expectations evaluate an integrand (mu alone, 0-d, at a point mass) and
-    their weights. values(g) keeps each integrand's values at the points;
-    the pair layout of the last correlation asked for is kept too."""
+    """N(mu, sigma2) under its quadrature rule, and every expectation over
+    it asked for: the points u where an integrand is evaluated (mu alone,
+    0-d, at a point mass) and their weights; values(g) keeps each
+    integrand's values there. A law built with a table of named primitives
+    (name -> integrand) also keeps expect(prims), the mean of each product
+    of named primitives, and one record for the last correlation that a
+    pair was asked at: the pair layout and pair(pa, pb, c)'s means."""
 
-    __slots__ = ("mu", "sigma2", "sd", "wide", "x", "weights", "points", "_values", "_layout")
+    __slots__ = ("mu", "sigma2", "sd", "wide", "x", "weights", "points", "integrands", "_values", "_memo", "_last")
 
-    def __init__(self, mu: float, sigma2: float, order: int):
+    def __init__(self, mu: float, sigma2: float, order: int, integrands=None):
         if not sigma2 >= 0.0:
             raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
         x, w = _nodes(order)  # an unsupported order raises here, also at a point mass
@@ -139,8 +147,10 @@ class _Law:
         self.mu, self.sigma2, self.sd = mu, sigma2, sd
         self.x, self.weights = x, w
         self.points = mu + sd * x if sigma2 > 0.0 else np.asarray(mu, dtype=float)
+        self.integrands = integrands  # primitive name -> integrand, for expect and pair
         self._values: dict = {}
-        self._layout = None
+        self._memo: dict = {}  # prims -> E[prod of prims(u)]
+        self._last = (None, None, None)  # (c, pair layout, {(pa, pb): pair mean})
 
     def values(self, g):
         """g at the points, as floats."""
@@ -157,10 +167,41 @@ class _Law:
         out = float(self.weights @ prod) if prod.ndim else float(prod)
         return out if math.isfinite(out) else _check(g, out, vals)
 
+    def expect(self, prims: tuple) -> float:
+        """E[prod of prims(u)], the named primitives multiplied in the given
+        order: bit for bit expect1 of that product. A sum that is not
+        finite names the product by its primitives, as in sig*tanh."""
+        out = self._memo.get(prims)
+        if out is None:
+            vals = self.values(self.integrands[prims[0]])
+            for p in prims[1:]:
+                vals = vals * self.values(self.integrands[p])
+            out = self._memo[prims] = self.mean(prims, vals)
+        return out
+
+    def pair(self, pa: str, pb: str, c: float) -> float:
+        """E[pa(u_a) pb(u_b)] over the pair at correlation c, for the named
+        primitives: bit for bit expect2, and expect((pa, pb)) when the pair
+        collapses."""
+        if self.collapsed(c):
+            return self.expect((pa, pb) if pa <= pb else (pb, pa))
+        means = self._at(c)[1]
+        out = means.get((pa, pb))
+        if out is None:
+            out = means[(pa, pb)] = self.pair_mean(self.integrands[pa], self.integrands[pb], c)
+        return out
+
     def collapsed(self, c: float) -> bool:
         """Whether the pair at correlation c is the law itself: a point mass
         or c >= 1 - COLLAPSE_TOL."""
         return self.sigma2 == 0.0 or c >= 1.0 - COLLAPSE_TOL
+
+    def _at(self, c: float):
+        """(pair layout, pair means) of the record at correlation c, not
+        collapsed; a new c replaces the record."""
+        if self._last[0] != c:
+            self._last = (c, self._pair_layout(c), {})
+        return self._last[1:]
 
     def _pair_layout(self, c: float):
         """(rows, row weights, partner points, partner weights) of the pair
@@ -170,33 +211,28 @@ class _Law:
         nodes, with shared partner weights; the composite rule lays each
         partner row out around that row's u_b = 0, and adds the rows'
         breakpoints around where the partner's mean crosses 0."""
-        if self._layout is not None and self._layout[0] == c:
-            return self._layout[1]
         mu, sd, x = self.mu, self.sd, self.x
         if c <= -1.0 + COLLAPSE_TOL:
-            layout = self.points, self.weights, 2.0 * mu - self.points, None
-        elif not self.wide:
+            return self.points, self.weights, 2.0 * mu - self.points, None
+        if not self.wide:
             root = math.sqrt(max(1.0 - c * c, 0.0))
             ub = c * x[:, None] + root * x[None, :]
             ub *= sd
             ub += mu  # mu + sd (c x_i + root x_j), in place
-            layout = self.points, self.weights, ub, self.weights
-        else:
-            root = math.sqrt(1.0 - c * c)
-            x0 = -mu / sd
-            rows, wa = self.points, self.weights
-            if c != 0.0:
-                x, wa = _panels((x0, 1.0 / sd), (x0 / c, math.hypot(1.0, sd * root) / (sd * abs(c))))
-                rows = mu + sd * x
-            xb, wb = _panels(((x0 - c * x) / root, 1.0 / (sd * root)))
-            layout = rows, wa, mu + sd * (c * x[:, None] + root * xb), wb
-        self._layout = (c, layout)
-        return layout
+            return self.points, self.weights, ub, self.weights
+        root = math.sqrt(1.0 - c * c)
+        x0 = -mu / sd
+        rows, wa = self.points, self.weights
+        if c != 0.0:
+            x, wa = _panels((x0, 1.0 / sd), (x0 / c, math.hypot(1.0, sd * root) / (sd * abs(c))))
+            rows = mu + sd * x
+        xb, wb = _panels(((x0 - c * x) / root, 1.0 / (sd * root)))
+        return rows, wa, mu + sd * (c * x[:, None] + root * xb), wb
 
     def pair_mean(self, g1, g2, c: float) -> float:
         """E[g1(U_a) g2(U_b)] over the pair at correlation c, not collapsed.
         g1's values are checked before they enter the product."""
-        rows, wa, ub, wb = self._pair_layout(c)
+        rows, wa, ub, wb = self._at(c)[0]
         v1 = self.values(g1) if rows is self.points else np.asarray(g1(rows), dtype=float)
         _check(g1, float(wa @ v1), v1)
         v2 = np.asarray(g2(ub), dtype=float)

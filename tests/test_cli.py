@@ -277,6 +277,21 @@ def test_sweep_rejects_a_malformed_grid(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("alphas", ["0:inf:3", "nan:1:2", "-inf:0:2"])
+def test_sweep_rejects_a_non_finite_grid_endpoint(tmp_path, capsys, alphas):
+    # np.linspace(0, inf, 3) is [nan, inf, inf]: no row of such a grid is
+    # a point of the ray (a grid starting with "-" is passed as --alphas=...)
+    theta0, direction = _sweep_files(tmp_path)
+    code = run(
+        ["sweep", "--theta0", str(theta0), "--direction", str(direction),
+         f"--alphas={alphas}", "--arch", "GRU", "--seed", "0", "--workers", "1"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --alphas" in captured.err
+
+
 def test_sweep_rejects_a_gate_the_architecture_lacks(tmp_path, capsys):
     theta0, direction = _sweep_files(tmp_path)
     direction.write_text(json.dumps({"gates": {"ff": {"mu": 1.0}}}))

@@ -27,7 +27,6 @@ from rnnmf import (
 from rnnmf import jacobian
 from rnnmf.cells import CELLS
 from rnnmf.core import _PRIMS
-from rnnmf.moment_maps import _GateTable
 from rnnmf.quadrature import NonFiniteIntegrand, _Law
 
 from conftest import make_theta, random_theta, zero_variance_theta
@@ -277,7 +276,7 @@ def test_contribution_vector_reads_no_coefficient_of_the_theta_before(quadrature
 
 def _prod_func(names):
     """The product of the named primitives as one integrand, expect1's
-    reference for the gate tables' expectations."""
+    reference for the gate laws' expectations."""
     fs = tuple(_PRIMS[n] for n in names)
 
     def g(u):
@@ -313,9 +312,9 @@ def test_gate_expectations_reuse_node_values_bitwise(quadrature_arch):
 def test_non_finite_gate_expectation_raises_as_expect1(sigma2):
     # a non-finite node sum raises as expect1 does, naming the product by
     # its primitives
-    table = _GateTable({"f": _Law(math.nan, sigma2, 64)})
+    law = _Law(math.nan, sigma2, 64, _PRIMS)
     prims = ("sig", "tanh")
     with pytest.raises(NonFiniteIntegrand, match="integrand g returned"):
         expect1(_prod_func(prims), math.nan, sigma2)
     with pytest.raises(NonFiniteIntegrand, match=r"integrand sig\*tanh returned"):
-        table.expect("f", prims)
+        law.expect(prims)

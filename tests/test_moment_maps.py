@@ -13,17 +13,19 @@ from rnnmf import (
     MomentState,
     ZERO_STATE,
     advance_cell,
+    chi_at,
     correlated_cell_pairs,
     expect1,
     get_architecture,
     moment_trajectory,
     preactivation_stats,
+    solve_moments,
     step_correlation,
     step_moments,
 )
 from rnnmf.core import sigmoid
 from rnnmf.moment_maps import _moment_step
-from rnnmf.quadrature import GaussianPairSpec, expect2
+from rnnmf.quadrature import GaussianPairSpec, _Law, expect2
 
 from conftest import make_theta, random_theta, zero_variance_theta
 
@@ -266,3 +268,25 @@ def test_moment_only_step_is_bitwise_step_moments(quadrature_arch):
             want = step_moments(theta, arch, state, UNIT)
             got = _moment_step(theta, arch, state.mu_s, state.q_s, UNIT.R, 64)
             assert [v.hex() for v in got] == [want.mu_s.hex(), want.q_s.hex()]
+
+
+def test_gates_sharing_a_law_read_one_pair_grid_per_primitive_pair(monkeypatch):
+    # with mu_f = 0 the peephole's four gates share one law and one
+    # correlation, so each (pa, pb) pair grid is integrated once, whichever
+    # gates read it, and chi keeps its bits
+    arch = get_architecture("peepholeLSTM")
+    theta = make_theta(arch, mu_f=0.0)
+    msol = solve_moments(theta, arch, UNIT)
+    stats = preactivation_stats(theta, arch, MomentState(msol.state.mu_s, msol.state.q_s, 0.4), UNIT)
+    assert len({(p.mu, p.sigma2, p.c) for p in stats.values()}) == 1
+    grids = []
+    pair_mean = _Law.pair_mean
+
+    def spy(self, g1, g2, c):
+        grids.append((g1, g2, c))
+        return pair_mean(self, g1, g2, c)
+
+    monkeypatch.setattr(_Law, "pair_mean", spy)
+    chi = chi_at(theta, arch, UNIT, msol.state, 0.4)
+    assert chi.hex() == "0x1.4bf6325d3c402p-2"
+    assert grids and len(grids) == len(set(grids))

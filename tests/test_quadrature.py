@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rnnmf import GaussianPairSpec, NonFiniteIntegrand, expect1, expect2
-from rnnmf.core import sigmoid
-from rnnmf.moment_maps import _Gates, _GateTable
+from rnnmf.core import _PRIMS, sigmoid
+from rnnmf.moment_maps import _Gates
 from rnnmf.quadrature import DEFAULT_ORDER, _Law
 
 # Monte Carlo reference for E[tanh^2(Z)], Z ~ N(0,1): 10^6 samples at
@@ -129,7 +129,7 @@ _CORRELATIONS = [-1.0, -1.0 + 1e-13, -0.5, 0.0, 0.3, 1.0 - 1e-13, 1.0]
 @pytest.mark.parametrize("sigma2", [0.0, 0.8])
 @pytest.mark.parametrize("c", _CORRELATIONS)
 def test_expect_moments_is_bitwise_the_three_separate_integrals(g, sigma2, c):
-    # the gate table's (E[g], E[g^2], E[g_a g_b]) reads one law's values
+    # a gate's (E[g], E[g^2], E[g_a g_b]) reads one law's values
     # of g for all three, and must give the standalone integrals' bits
     mu = -0.4
     want = (
@@ -137,7 +137,7 @@ def test_expect_moments_is_bitwise_the_three_separate_integrals(g, sigma2, c):
         expect2(g, g, GaussianPairSpec(mu, sigma2, 1.0)),
         expect2(g, g, GaussianPairSpec(mu, sigma2, c)),
     )
-    gates = _Gates(_GateTable({"k": _Law(mu, sigma2, DEFAULT_ORDER)}), {"k": c})
+    gates = _Gates({"k": _Law(mu, sigma2, DEFAULT_ORDER, _PRIMS)}, {"k": c})
     got = gates.moments("k", "sig" if g is sigmoid else "tanh")
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
