@@ -160,6 +160,7 @@ def _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters,
 _DEPTH = 2  # Anderson history: differences mixed into each step (at most dim x)
 _DAMPING = 0.5  # relaxation of the plain step that follows a rejected one
 _MAX_STRETCH = 1024.0  # cap of the forward factor while the map expands
+_KAPPA = 1e-8  # |sin| of the angle below which two mixed differences count as parallel
 
 
 def _dist(a, b) -> float:
@@ -168,6 +169,25 @@ def _dist(a, b) -> float:
 
 def _along(x, d, t):
     return tuple(p + t * q for p, q in zip(x, d))
+
+
+def _gamma(dg, g) -> list:
+    """Anderson's mixing coefficients gamma, minimizing |g - sum_j gamma_j
+    dg_j| over the last len(gamma) residual differences dg (oldest first).
+    One column d gives <d, g> / <d, d>, or 0 when d = 0 (the minimum-norm
+    answer). Two columns occur only for a 2-D x, where the system is
+    square and Cramer's rule solves it, unless |det| <= _KAPPA |d_1| |d_2|:
+    then the older column is dropped and the newest mixed alone (Walker &
+    Ni 2011). That happens at the rounding floor, where one component's
+    residuals are noise and the secant system fits it."""
+    if len(dg) == 2:
+        (a0, a1), (b0, b1) = dg
+        det = a0 * b1 - a1 * b0
+        if abs(det) > _KAPPA * math.hypot(a0, a1) * math.hypot(b0, b1):
+            return [(g[0] * b1 - g[1] * b0) / det, (a0 * g[1] - a1 * g[0]) / det]
+    d = dg[-1]
+    dd = sum(p * p for p in d)
+    return [sum(p * q for p, q in zip(d, g)) / dd if dd > 0.0 else 0.0]
 
 
 def _check_solver(tol, max_iter) -> None:
@@ -242,9 +262,10 @@ def _iterate(G, x0, project, point, tol, max_iter, what):
                     [(fq - fp) - dq for fp, fq, dq in zip(fa, fb, dxa)]
                     for fa, fb, dxa in zip(fs, fs[1:], dx)
                 ]
-                dgt = np.array(dg).T
-                gamma = np.linalg.lstsq(dgt, g, rcond=None)[0]
-                nxt = project(tuple(p - q for p, q in zip(f, ((np.array(dx).T + dgt) @ gamma).tolist())))
+                gamma = _gamma(dg, g)
+                mixed = list(zip(gamma, dx[-len(gamma):], dg[-len(gamma):]))
+                mix = [sum(c * (dxj[i] + dgj[i]) for c, dxj, dgj in mixed) for i in range(len(f))]
+                nxt = project(tuple(p - q for p, q in zip(f, mix)))
                 step = tuple(p - q for p, q in zip(nxt, x))
                 length = max(map(abs, step))
                 err = 2.0 * max(r / (1.0 - rate), length)

@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -47,19 +47,6 @@ __all__ = [
 CRITICAL_TOL = 1e-2  # per-component threshold for calling a point critical
 
 
-def _term(coef: float, shape: tuple, powers, ev) -> float:
-    """coef times the expectations of a term of this shape (cells' term algebra),
-    with powers[p] the state power s^p and ev(gate, prims) a gate factor."""
-    v = coef
-    for s_pow, funcs in shape:
-        if s_pow:
-            v *= powers[s_pow]
-        for g, ps in funcs:
-            v *= ev(g, ps)
-    return v
-
-
-@lru_cache(maxsize=None)
 def _products(arch_name: str) -> dict:
     """products[(k, l)]: the (number, shape) of every product of a term of
     label k with a term of label l (CellRules.entries), whose sums weighted
@@ -77,12 +64,51 @@ def _weights(entries, theta: Hyperparameters) -> dict:
     return {k: math.prod(theta.sigma2(g) for g in gates) for k, (gates, _) in entries.items()}
 
 
-def _entry_means(entries, weights, powers, ev) -> dict:
-    """Each label's mean contribution: the sum of its entry terms."""
-    return {
-        k: sum((_term(n * weights[k], shape, powers, ev) for n, shape in terms), 0.0)
-        for k, (_, terms) in entries.items()
-    }
+def _compile(sums) -> Callable:
+    """The sums (key, labels, terms) as one function kernel(w, powers, ev)
+    -> {key: the sum of its terms}, each term (number, shape) the number
+    times its labels' weights w[k], then per block the state power
+    powers[s_pow] and the gate factors ev(gate, prims), as in the term
+    algebra (cells). It is compiled to straight-line code (its source is
+    its __doc__): each weight, state power and gate expectation is read
+    once, in the order a loop over the terms first reads it, so the same
+    expectation raises first; products fold left to right and each sum
+    adds from 0.0 in term order, so the loop's bits are kept (a number 1.0
+    multiplies nothing, as 1.0 * x == x)."""
+    names: dict = {}  # read expression -> local variable, in first-read order
+
+    def read(expr):
+        return names.setdefault(expr, f"v{len(names)}")
+
+    lines = []
+    for key, labels, terms in sums:
+        products = []
+        for n, shape in terms:
+            factors = [repr(n)] * (n != 1.0) + [read(f"w[{k!r}]") for k in labels]
+            for s_pow, funcs in shape:
+                if s_pow:
+                    factors.append(read(f"powers[{s_pow}]"))
+                factors += [read(f"ev({g!r}, {ps!r})") for g, ps in funcs]
+            products.append(" * ".join(factors) or "1.0")
+        lines.append(f"        {key!r}: {' + '.join(['0.0', *products])},")
+    body = [f"    {v} = {expr}" for expr, v in names.items()]
+    source = "\n".join(["def kernel(w, powers, ev):", *body, "    return {", *lines, "    }"])
+    namespace: dict = {}
+    exec(source, namespace)
+    namespace["kernel"].__doc__ = source
+    return namespace["kernel"]
+
+
+@lru_cache(maxsize=None)
+def _kernels(arch_name: str) -> tuple:
+    """(means, pairs) of a quadrature cell, both (w, powers, ev) -> dict
+    (_compile): means[k] is label k's mean contribution, the sum of its
+    entry terms, and pairs[(k, l)] is E[a_k a_l] (_products)."""
+    entries = CELLS[arch_name].entries
+    return (
+        _compile([(k, (k,), terms) for k, (_, terms) in entries.items()]),
+        _compile([((k, l), (k, l), terms) for (k, l), terms in _products(arch_name).items()]),
+    )
 
 
 def _stationary_state_powers(rules, ev, mu_star, q_star):
@@ -219,12 +245,10 @@ def contribution_vector(
     rules = CELLS[arch.name]
     powers = _stationary_state_powers(rules, gates.expect, state.mu_s, state.q_s)
     w = _weights(rules.entries, theta)
-    ea = _entry_means(rules.entries, w, powers, gates.expect)
-    eaa = {
-        (k, l): sum((_term(n * w[k] * w[l], shape, powers, gates.expect) for n, shape in terms), 0.0)
-        for (k, l), terms in _products(arch.name).items()
-    }
-    return ContributionVector(labels=tuple(rules.entries), ea=ea, eaa=eaa)
+    means, pairs = _kernels(arch.name)
+    return ContributionVector(
+        labels=tuple(rules.entries), ea=means(w, powers, gates.expect), eaa=pairs(w, powers, gates.expect)
+    )
 
 
 def _correlation_slope(theta, arch, state: MomentState, inputs: InputStats, order: int) -> float:
@@ -244,8 +268,8 @@ def _correlation_slope(theta, arch, state: MomentState, inputs: InputStats, orde
         return gates.pair(k, *prims) if len(prims) == 2 else gates.expect(k, prims)
 
     powers = (1.0, state.mu_s, _rho_s(state))
-    entries = CELLS[arch.name].entries
-    return sum(_entry_means(entries, _weights(entries, theta), powers, ev).values())
+    means = _kernels(arch.name)[0]
+    return sum(means(_weights(CELLS[arch.name].entries, theta), powers, ev).values())
 
 
 def moments(

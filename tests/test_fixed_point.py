@@ -180,6 +180,41 @@ def test_rejected_candidate_is_retried_shorter_along_its_direction(monkeypatch):
         assert r - b == pytest.approx(0.5 * (p - b), rel=1e-12, abs=1e-30)
 
 
+def _lstsq(columns, g):
+    return np.linalg.lstsq(np.array(columns, dtype=float).T, np.array(g, dtype=float), rcond=None)[0]
+
+
+@pytest.mark.parametrize("n_cols,dim", [(1, 1), (1, 2), (2, 2)])
+def test_mixing_solve_matches_least_squares(n_cols, dim):
+    rng = np.random.default_rng([29, n_cols, dim])
+    for _ in range(200):
+        columns = rng.standard_normal((n_cols, dim)) * 10.0 ** rng.uniform(-12, 4)
+        if n_cols == 2 and np.linalg.cond(columns) > 100.0:
+            continue  # well-conditioned systems only
+        g = rng.standard_normal(dim) * 10.0 ** rng.uniform(-12, 4)
+        gamma = fixed_point._gamma(columns.tolist(), g.tolist())
+        want = _lstsq(columns, g)
+        assert len(gamma) == n_cols
+        assert np.max(np.abs(np.array(gamma) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_mixing_solve_of_a_zero_column_is_zero():
+    # lstsq's minimum-norm answer
+    for columns in ([[0.0]], [[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [0.0, 0.0]]):
+        assert fixed_point._gamma(columns, [1.0, -2.0][: len(columns[0])]) == [0.0]
+
+
+def test_mixing_solve_drops_the_older_of_two_parallel_columns():
+    # the second column a multiple of the first, or parallel to it up to
+    # rounding noise in one component (mu's residuals on a symmetric
+    # theta), where lstsq fits the noise: the newest column is mixed alone
+    g = [2e-17, 0.9]
+    for older, newest in (([0.3, -1.7], [0.9, -5.1]), ([1e-17, 0.5], [-3e-17, 1.5])):
+        gamma = fixed_point._gamma([older, newest], g)
+        assert len(gamma) == 1 and math.isfinite(gamma[0])
+        assert gamma[0] == pytest.approx(_lstsq([newest], g)[0], rel=1e-12)
+
+
 @pytest.mark.parametrize("tag", ["make", "random"])
 def test_reported_chi_equals_a_fresh_chi_at(quadrature_arch, tag):
     # the solve hands its last map value M(C*) to the stencil; chi_at

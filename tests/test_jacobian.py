@@ -25,8 +25,9 @@ from rnnmf import (
     solve_moments,
 )
 from rnnmf import jacobian
-from rnnmf.cells import CELLS
+from rnnmf.cells import CELLS, _rho_s
 from rnnmf.core import _PRIMS
+from rnnmf.moment_maps import _degenerate
 from rnnmf.quadrature import NonFiniteIntegrand, _Law
 
 from conftest import make_theta, random_theta, zero_variance_theta
@@ -258,6 +259,77 @@ def test_a_second_theta_reuses_the_cells_term_products(quadrature_arch, monkeypa
 
     monkeypatch.setattr(jacobian, "_shape_product", rebuilt)
     _solved_moments(make_theta(arch, sigma2=0.7, mu_f=2.0), arch)
+
+
+# the generic term loop that the compiled kernels replace, kept as their
+# reference: each term's coefficient times its blocks' state powers and gate
+# factors, each label's terms summed from 0.0
+
+
+def _term(coef, shape, powers, ev):
+    v = coef
+    for s_pow, funcs in shape:
+        if s_pow:
+            v *= powers[s_pow]
+        for g, ps in funcs:
+            v *= ev(g, ps)
+    return v
+
+
+def _entry_means(entries, weights, powers, ev):
+    return {
+        k: sum((_term(n * weights[k], shape, powers, ev) for n, shape in terms), 0.0)
+        for k, (_, terms) in entries.items()
+    }
+
+
+def _reads(ev, calls):
+    """ev, recording each (gate, prims) it is asked for."""
+
+    def spy(g, ps):
+        calls.append((g, ps))
+        return ev(g, ps)
+
+    return spy
+
+
+@pytest.mark.parametrize("tag", ["make", "random", "zero"])
+def test_compiled_kernels_keep_the_term_loops_bits(quadrature_arch, tag):
+    arch, rules = quadrature_arch, CELLS[quadrature_arch.name]
+    theta = {
+        "make": make_theta,
+        "random": lambda a: random_theta(a, np.random.default_rng(17)),
+        "zero": zero_variance_theta,
+    }[tag](arch)
+    state = solve_moments(theta, arch, UNIT).state
+    gates = preactivation_stats(theta, arch, MomentState(state.mu_s, state.q_s, 1.0), UNIT)
+    powers = jacobian._stationary_state_powers(rules, gates.expect, state.mu_s, state.q_s)
+    w = jacobian._weights(rules.entries, theta)
+    mean_reads, pair_reads = [], []
+    ea = _entry_means(rules.entries, w, powers, _reads(gates.expect, mean_reads))
+    ev = _reads(gates.expect, pair_reads)
+    eaa = {
+        (k, l): sum((_term(n * w[k] * w[l], shape, powers, ev) for n, shape in terms), 0.0)
+        for (k, l), terms in jacobian._products(arch.name).items()
+    }
+    cv = contribution_vector(theta, arch, state, inputs=UNIT)
+    assert {k: v.hex() for k, v in cv.ea.items()} == {k: v.hex() for k, v in ea.items()}
+    assert {kl: v.hex() for kl, v in cv.eaa.items()} == {kl: v.hex() for kl, v in eaa.items()}
+    # each kernel reads each expectation once, in its loop's first-read
+    # order, so the same non-finite integrand raises first
+    for kernel, loop_reads in zip(jacobian._kernels(arch.name), (mean_reads, pair_reads)):
+        kernel_reads = []
+        kernel(w, powers, _reads(gates.expect, kernel_reads))
+        assert kernel_reads == list(dict.fromkeys(loop_reads))
+    for c in (0.3, 1.0):
+        at = MomentState(state.mu_s, state.q_s, 1.0 if _degenerate(state.mu_s, state.q_s) else c)
+        pairs = preactivation_stats(theta, arch, at, UNIT)
+
+        def ev(k, prims):
+            return pairs.pair(k, *prims) if len(prims) == 2 else pairs.expect(k, prims)
+
+        want = sum(_entry_means(rules.entries, w, (1.0, at.mu_s, _rho_s(at)), ev).values())
+        assert chi_at(theta, arch, UNIT, state, c).hex() == want.hex()
 
 
 def test_contribution_vector_reads_no_coefficient_of_the_theta_before(quadrature_arch):

@@ -19,7 +19,6 @@ from rnnmf import (
     get_architecture,
     moment_trajectory,
     preactivation_stats,
-    solve_moments,
     step_correlation,
     step_moments,
 )
@@ -273,11 +272,12 @@ def test_moment_only_step_is_bitwise_step_moments(quadrature_arch):
 def test_gates_sharing_a_law_read_one_pair_grid_per_primitive_pair(monkeypatch):
     # with mu_f = 0 the peephole's four gates share one law and one
     # correlation, so each (pa, pb) pair grid is integrated once, whichever
-    # gates read it, and chi keeps its bits
+    # gates read it, and chi keeps its bits. The state is the solved fixed
+    # point written out, so that a solver change within tol leaves the pin.
     arch = get_architecture("peepholeLSTM")
     theta = make_theta(arch, mu_f=0.0)
-    msol = solve_moments(theta, arch, UNIT)
-    stats = preactivation_stats(theta, arch, MomentState(msol.state.mu_s, msol.state.q_s, 0.4), UNIT)
+    fixed = MomentState(0.0, float.fromhex("0x1.3daeb0e60427bp-4"), 0.0)
+    stats = preactivation_stats(theta, arch, MomentState(fixed.mu_s, fixed.q_s, 0.4), UNIT)
     assert len({(p.mu, p.sigma2, p.c) for p in stats.values()}) == 1
     grids = []
     pair_mean = _Law.pair_mean
@@ -287,6 +287,6 @@ def test_gates_sharing_a_law_read_one_pair_grid_per_primitive_pair(monkeypatch):
         return pair_mean(self, g1, g2, c)
 
     monkeypatch.setattr(_Law, "pair_mean", spy)
-    chi = chi_at(theta, arch, UNIT, msol.state, 0.4)
+    chi = chi_at(theta, arch, UNIT, fixed, 0.4)
     assert chi.hex() == "0x1.4bf6325d3c402p-2"
     assert grids and len(grids) == len(set(grids))

@@ -4,6 +4,14 @@ Run from the root of a checkout, once on each of two commits, and diff the
 two outputs: a line that differs names an output that changed.
 
     PYTHONPATH=src python3 tools/digest.py > digest.txt
+    PYTHONPATH=src python3 tools/digest.py --compare old.txt new.txt
+
+--compare summarizes two saved digests: the number of lines that changed,
+the largest relative deviation of each output field over the float lines
+that changed (the field is a line's path without its theta tag:
+`solve_moments.state.mu_s` for `GRU/make solve_moments.state.mu_s`), and
+every iteration or evaluation count that changed, with the sums of the
+changed counts.
 
 Each cell's Jacobian contribution entries (`CELLS[name].entries`) print as
 the SHA-256 of their repr. Every entry point is run for the five cells at
@@ -28,10 +36,13 @@ raises prints its exception type and message.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
+import difflib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 from collections.abc import Mapping
@@ -312,6 +323,52 @@ def cli(seed: int):
             )
 
 
+COUNT = re.compile(r"(iterations|evaluations)\W*$")
+TAG = re.compile(r"^[^ \[]+/[^ \[]+ ")  # a theta tag such as "GRU/make " or "solver/GRU/mu_f=3.9 "
+
+
+def _hexfloat(value):
+    try:
+        return float.fromhex(value)
+    except ValueError:
+        return None
+
+
+def compare(old_file, new_file):
+    """Print the changed-line count, the largest relative deviation per
+    output field and the changed counts of two digests. Lines are aligned
+    by difflib; a changed line is paired with its counterpart when the two
+    keep the same path."""
+    old, new = (Path(f).read_text().splitlines() for f in (old_file, new_file))
+    changed, pairs = 0, []
+    for op, i1, i2, j1, j2 in difflib.SequenceMatcher(None, old, new, autojunk=False).get_opcodes():
+        if op != "equal":
+            changed += max(i2 - i1, j2 - j1)
+            pairs += zip(old[i1:i2], new[j1:j2])
+    print(f"{changed} of {len(new)} lines changed ({len(old)} before)")
+    deviations, counts = {}, []
+    for a, b in pairs:
+        path, _, va = a.rpartition(" ")
+        path_b, _, vb = b.rpartition(" ")
+        if path != path_b:
+            continue
+        if COUNT.search(path):
+            counts.append((path, int(va), int(vb)))
+            continue
+        x, y = _hexfloat(va), _hexfloat(vb)
+        if x is None or y is None:
+            continue
+        field = TAG.sub("", path)
+        dev = abs(y - x) / abs(x) if x else abs(y - x)
+        deviations[field] = max(deviations.get(field, 0.0), dev)
+    print("largest relative deviation per field (absolute where the old value is 0):")
+    for field, dev in sorted(deviations.items(), key=lambda kv: -kv[1]):
+        print(f"  {dev:.3g}  {field}")
+    print(f"changed counts: {sum(c[1] for c in counts)} -> {sum(c[2] for c in counts)}")
+    for path, x, y in counts:
+        print(f"  {path}: {x} -> {y}")
+
+
 def main():
     library()
     quadrature_layouts()
@@ -324,4 +381,10 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Print or compare the digest of the rnnmf outputs.")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="summarize two saved digests")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    else:
+        main()
