@@ -5,17 +5,21 @@ looks a cell up in CELLS by architecture name and calls through its record.
 The four quadrature cells' rules sit wholly in this table: no code outside
 it tells them apart. The sampled LSTM is still branched on outside it, by
 arch.needs_cell in fixed_point.solve_moments and chi_at,
-jacobian.contribution_vector, moment_maps._step and moment_trajectory and
-the simulator (which carries a cell), by rules.correlate in
-moment_maps.step_correlation, by CELLS["LSTM"] in jacobian.lstm_chi_frame,
-and by has_cell and needs_cell in the CLI's cell-dist (ROADMAP item 3).
+jacobian.contribution_vector, moment_maps.moment_trajectory and the
+simulator (which carries a cell), by rules.step in moment_maps._step, by
+rules.correlate in moment_maps.step_correlation, by CELLS["LSTM"] in
+jacobian.lstm_chi_frame, and by has_cell and needs_cell in the CLI's
+cell-dist (ROADMAP item 3).
 Record functions call the traced library functions (advance_cell, ...)
 through this module's globals, never through stored references.
 
-Moment steps map the gates of the current state (the mapping
-preactivation_stats returns, which also evaluates the gate expectations) to
-(mu', Q', rho', cell'), with rho' = E[s_a' s_b'] the cross moment of the two
-coupled copies and cell' the advanced LSTM ensemble (None elsewhere).
+A quadrature cell's moment step is one second-moment rule applied twice:
+read over single-copy expectations and Q it gives Q', read over the pair
+expectations at the gate correlations and E[s_a s_b] it gives rho' =
+E[s_a' s_b'], the cross moment of the two coupled copies. The sampled
+LSTM's step maps the gates of the current state (the mapping
+preactivation_stats returns) to (mu', Q', rho', cell'), cell' the advanced
+ensemble.
 
 Each of the four quadrature cells is declared by its affine law
 s' = A s + W, A and W products of gate primitives, and _affine_cell derives
@@ -81,6 +85,14 @@ def _shape_product(shape1, shape2) -> tuple:
 # times its factors times s^s_pow; the law itself is one.
 
 
+def _compiled(name: str, source: str, namespace: dict) -> Callable:
+    """The function `name` that source defines, executed in namespace,
+    with source as its __doc__."""
+    exec(source, namespace)
+    namespace[name].__doc__ = source
+    return namespace[name]
+
+
 def _evaluate(common, terms, returns: str = "{}") -> Callable:
     """The profile (common, terms) as a function of (s, u, c), returning
     `returns` formatted with the profile's expression; every sign is +1 or
@@ -108,10 +120,7 @@ def _evaluate(common, terms, returns: str = "{}") -> Callable:
     expr = " * ".join([value(*f) for f in common] + [f"({total})"] * (total != "1.0"))
     body = [f"    {v} = {rhs}" for v, rhs in names.values()]
     source = "\n".join(["def profile(s, u, c):", *body, "    return " + returns.format(expr)])
-    namespace = dict(_PRIMS)
-    exec(source, namespace)
-    namespace["profile"].__doc__ = source
-    return namespace["profile"]
+    return _compiled("profile", source, dict(_PRIMS))
 
 
 def _by_gate(law, k: str) -> tuple:
@@ -144,30 +153,25 @@ def _square(profile, avg=()) -> tuple:
 
 
 def _state_power_factors(A: tuple, W: tuple) -> Callable:
-    """factors(ev) -> (a, b) of the law s' = A s + W, ev(k, prims) =
-    E[prod of prims(u_k)]: a(j, m) runs over A's gates, taking W's factor
-    on a gate they share, and b(m) over W's other gates; an empty product
-    is 1.0."""
+    """factors(j, m) -> (a, b) of the law s' = A s + W: the gate
+    expectations whose products are a(j, m) and b(m), each a tuple of reads
+    (gate, prims). a runs over A's gates, taking W's factor on a gate they
+    share, and b over W's other gates; a read of no primitive is 1.0 and is
+    left out, and a is None, a zero, where A = 0 and j > 0."""
     shared = {g: (p,) for g, p in W if g in dict(A)}
     rest = [(g, p) for g, p in W if g not in shared]
 
-    def factors(ev):
-        def power(g, prims):
-            return ev(g, prims) if prims else 1.0
-
-        def a(j, m):
-            if j and not A:
-                return 0.0  # A = 0
-            return math.prod((power(g, (p,) * j + shared.get(g, ()) * m) for g, p in A), start=1.0)
-
-        return a, lambda m: math.prod((power(g, (p,) * m) for g, p in rest), start=1.0)
+    def factors(j, m):
+        a = None if j and not A else tuple((g, ps) for g, p in A if (ps := (p,) * j + shared.get(g, ()) * m))
+        return a, tuple((g, (p,) * m) for g, p in rest if m)
 
     return factors
 
 
-def _affine_cell(name: str, step, A: tuple, W: tuple, has_cell: bool = False) -> "CellRules":
-    """The record of a quadrature cell with moment step `step` and law
-    s' = A s + W. Every gate of the law gets its squared profile as its
+def _affine_cell(name: str, mean, second, A: tuple, W: tuple, has_cell: bool = False) -> "CellRules":
+    """The record of a quadrature cell with moment rules mean and second
+    and law s' = A s + W. The rules read A's primitives, then W's on the
+    gates A lacks. Every gate of the law gets its squared profile as its
     contribution entry, weighted by its own variance. A gated gate x's
     entry also carries its inner gate's g(u_k)^2, and the inner gate k,
     which acts through x, gets x's squared profile times g'(u_k)^2 s^2,
@@ -191,7 +195,9 @@ def _affine_cell(name: str, step, A: tuple, W: tuple, has_cell: bool = False) ->
             avg = ((0, ((g.gated_by, (g.g_name,) * 2),)),) if g.form == "gated" else ()
             entries[k] = ((k,), _square(profiles[k], avg))
     return CellRules(
-        step=step,
+        reads=A + tuple((g, p) for g, p in W if g not in dict(A)),
+        mean=mean,
+        second=second,
         entries=entries,
         factors=_state_power_factors(A, W),
         update=_evaluate((), law, returns="{}, None"),
@@ -210,29 +216,16 @@ def _rho_s(state) -> float:
     return state.q_s if state.c_s == 1.0 else state.c_s * state.sigma2_s + state.mu_s * state.mu_s
 
 
-def _vanilla_step(theta, gates, state, cell):
-    # s' = sig(u_f)
-    return gates.moments("f", "sig") + (None,)
+def _convex_mean(e, mu):
+    """s' = sig(u_f) s + (1 - sig(u_f)) tanh(u_x): minimalRNN (x = "r")
+    and GRU (x = "r2"); gamma, x and s are independent."""
+    e_gam, e_x = e
+    return e_gam * mu + (1.0 - e_gam) * e_x
 
 
-def _convex_step(x: str) -> Callable:
-    """The step of s' = sig(u_f) s + (1 - sig(u_f)) tanh(u_x): minimalRNN
-    (x = "r") and GRU (x = "r2")."""
-
-    def step(theta, gates, state, cell):
-        e_gam, e_gam2, e_gampair = gates.moments("f", "sig")
-        e_x, e_x2, e_xpair = gates.moments(x, "tanh")
-        # gamma, x and s are independent
-        mu_n = e_gam * state.mu_s + (1.0 - e_gam) * e_x
-        q_n = e_gam2 * state.q_s + 2.0 * (e_gam - e_gam2) * state.mu_s * e_x + (1.0 - 2.0 * e_gam + e_gam2) * e_x2
-        rho_n = (
-            e_gampair * _rho_s(state)
-            + 2.0 * (e_gam - e_gampair) * state.mu_s * e_x
-            + (1.0 - 2.0 * e_gam + e_gampair) * e_xpair
-        )
-        return mu_n, q_n, rho_n, None
-
-    return step
+def _convex_second(e, sq, mu, s2):
+    (e_gam, e_x), (gam2, x2) = e, sq
+    return gam2 * s2 + 2.0 * (e_gam - gam2) * mu * e_x + (1.0 - 2.0 * e_gam + gam2) * x2
 
 
 # The peephole's derived update A s + W is the LSTM's cell update
@@ -242,15 +235,14 @@ def _convex_step(x: str) -> Callable:
 # order, so reading the peephole's would change their bits.
 
 
-def _peephole_step(theta, gates, state, cell):
-    e_gam, e_gam2, e_gampair = gates.moments("f", "sig")
-    e_i, e_i2, e_ipair = gates.moments("i", "sig")
-    e_t, e_t2, e_tpair = gates.moments("r", "tanh")
-    mu_c, q_c = state.mu_s, state.q_s
-    mu_n = e_gam * mu_c + e_i * e_t
-    q_n = e_gam2 * q_c + 2.0 * e_gam * mu_c * e_i * e_t + e_i2 * e_t2
-    rho_n = e_gampair * _rho_s(state) + 2.0 * e_gam * mu_c * e_i * e_t + e_ipair * e_tpair
-    return mu_n, q_n, rho_n, None
+def _peephole_mean(e, mu):
+    e_gam, e_i, e_t = e
+    return e_gam * mu + e_i * e_t
+
+
+def _peephole_second(e, sq, mu, s2):
+    (e_gam, e_i, e_t), (gam2, i2, t2) = e, sq
+    return gam2 * s2 + 2.0 * e_gam * mu * e_i * e_t + i2 * t2
 
 
 def _lstm_gate_o(gates):
@@ -308,24 +300,31 @@ def _lstm_update(h, u, c):
 class CellRules:
     """One cell's rules.
 
-    step(theta, gates, state, cell) -> (mu', Q', rho', cell'), gates the
-    mapping preactivation_stats returns for state.
+    reads, mean and second are a quadrature cell's moment step: reads
+    lists the (gate, primitive) pairs g(u_k) the step reads, mean(e, mu)
+    gives mu' from their means e = E[g(u_k)], in reads order, and the
+    state's mean mu, and second(e, sq, mu, s2) gives Q' from their squares
+    sq = E[g(u_k)^2] and s2 = Q, or rho' = E[s_a' s_b'] from their pair
+    means sq = E[g(u_k,a) g(u_k,b)] at the gate correlations and s2 =
+    E[s_a s_b]. step(theta, gates, state, cell) -> (mu', Q', rho', cell')
+    is the sampled LSTM's step instead, gates the mapping
+    preactivation_stats returns for state.
     correlate(theta, gates, n_s, n_iters, seed) -> (cov, var_a,
     var_b) is the sampled correlation step: the output covariance and the
     two output variances of the coupled frame equilibrated from zero
     (lstm_cell_sampler._frame, whose last update chi reads), which the
     correlation map divides as cov / sqrt(var_a var_b), so identical chains
-    give exactly 1; None means rho' of step, normalized by the fixed
+    give exactly 1; None means rho' of the step, normalized by the fixed
     (mu*, Q*). entries is per-cell data, the same for every theta: by
     label, (weights, terms), with weights the gates whose recurrent
     variances sigma_k^2 multiply into every term's coefficient, in that
     order, and terms (number, shape) pairs, the number 1 or -2.
-    factors(ev) gives the state-power factors (a, b), with ev(k, prims) =
-    E[prod of prims(u_k)]; both are None for the sampled LSTM. In an entry,
-    a two-primitive gate factor holds one primitive per copy and s^2
-    stands for E[s_a s_b]: at full correlation these are single-network
-    expectations (m1), at a correlation C pair ones whose sum is chi
-    (jacobian._correlation_slope).
+    factors(j, m) gives the reads whose products are the state-power
+    factors a(j, m) and b(m) (_state_power_factors); both are None for the
+    sampled LSTM. In an entry, a two-primitive gate factor holds one
+    primitive per copy and s^2 stands for E[s_a s_b]: at full correlation
+    these are single-network expectations (m1), at a correlation C pair
+    ones whose sum is chi (jacobian._correlation_slope).
     update(s, u, c) -> (s', c') is the width-N update, c the carried cell
     or None. d0(s, u, c) is the derivative through the carried state
     (ds'/ds, or dh'/dc_prev for the LSTM) and dk[k](s, u, c) the derivative
@@ -333,14 +332,17 @@ class CellRules:
     Jacobian frame multiplies them chain by chain. has_cell marks a cell
     state, whether it is the tracked state (peephole) or carried beside it
     (LSTM). A quadrature cell's update, d0, dk, entries and factors all
-    derive from its affine law (_affine_cell); only its step is written
-    out. The LSTM writes its rules out.
+    derive from its affine law (_affine_cell); only its moment step is
+    written out. The LSTM writes its rules out.
     """
 
-    step: Callable
     update: Callable
     d0: Callable
     dk: Mapping[str, Callable]
+    reads: tuple = ()
+    mean: Optional[Callable] = None
+    second: Optional[Callable] = None
+    step: Optional[Callable] = None
     entries: Optional[Mapping[str, tuple]] = None
     factors: Optional[Callable] = None
     correlate: Optional[Callable] = None
@@ -351,12 +353,14 @@ _FORGET = (("f", "sig"),)
 
 CELLS: Mapping[str, CellRules] = MappingProxyType(
     {
-        "vanillaRNN": _affine_cell("vanillaRNN", _vanilla_step, A=(), W=_FORGET),
-        "minimalRNN": _affine_cell("minimalRNN", _convex_step("r"), A=_FORGET, W=(("f", "omsig"), ("r", "tanh"))),
-        "GRU": _affine_cell("GRU", _convex_step("r2"), A=_FORGET, W=(("f", "omsig"), ("r2", "tanh"))),
+        "vanillaRNN": _affine_cell("vanillaRNN", lambda e, mu: e[0], lambda e, sq, mu, s2: sq[0], A=(), W=_FORGET),
+        "minimalRNN": _affine_cell(
+            "minimalRNN", _convex_mean, _convex_second, A=_FORGET, W=(("f", "omsig"), ("r", "tanh"))
+        ),
+        "GRU": _affine_cell("GRU", _convex_mean, _convex_second, A=_FORGET, W=(("f", "omsig"), ("r2", "tanh"))),
         # the output gate reads the cell but never feeds back into it
         "peepholeLSTM": _affine_cell(
-            "peepholeLSTM", _peephole_step, A=_FORGET, W=(("i", "sig"), ("r", "tanh")), has_cell=True
+            "peepholeLSTM", _peephole_mean, _peephole_second, A=_FORGET, W=(("i", "sig"), ("r", "tanh")), has_cell=True
         ),
         "LSTM": CellRules(
             step=_lstm_step,

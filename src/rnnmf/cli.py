@@ -42,7 +42,7 @@ from .fixed_point import solve_correlation, solve_moments
 from .jacobian import jacobian_report_dict, moments
 from .lstm_cell_sampler import sample_cell_distribution
 from .moment_maps import preactivation_stats
-from .quadrature import DEFAULT_ORDER
+from .quadrature import DEFAULT_ORDER, _nodes
 from .simulator import build_jacobian, simulate_cell_distribution, simulate_pair
 from .verify import CHECKS
 
@@ -85,6 +85,20 @@ _correlation = _number(float, lambda v: -1.0 <= v <= 1.0, "a correlation in [-1,
 _tolerance = _number(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 # a timescale: inf asks for the critical point itself
 _timescale = _number(float, lambda v: v >= 0.0, "a number >= 0")
+
+
+def _order(text: str) -> int:
+    """A quadrature order: a positive integer at which numpy's Gauss-Hermite
+    rule is finite, by the check the quadrature itself makes."""
+    order = _positive(text)
+    try:
+        _nodes(order)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return order
+
+
+_order.__name__ = "integer"  # argparse: "invalid integer value: 'x'"
 
 
 def _resolve_seed(args) -> int:
@@ -342,7 +356,7 @@ def _add_seed(p):
 
 
 def _add_sampling(p):
-    p.add_argument("--order", type=_positive, default=DEFAULT_ORDER, help="quadrature order")
+    p.add_argument("--order", type=_order, default=DEFAULT_ORDER, help="quadrature order")
     _add_seed(p)
     p.add_argument("--n-s", dest="n_s", type=_ensemble_size, default=200, help="cell ensemble size")
     # the chi frame reads the last of these updates
@@ -431,6 +445,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--alphas" in argv[:-1]:  # a grid may start with "-", which argparse takes for a flag
+        i = argv.index("--alphas")
+        argv[i:i + 2] = [f"--alphas={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

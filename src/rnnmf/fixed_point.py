@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, mul, sub
 from typing import Optional
 
 import numpy as np
@@ -164,11 +165,11 @@ _KAPPA = 1e-8  # |sin| of the angle below which two mixed differences count as p
 
 
 def _dist(a, b) -> float:
-    return max(abs(p - q) for p, q in zip(a, b))
+    return max(map(abs, map(sub, a, b)))
 
 
 def _along(x, d, t):
-    return tuple(p + t * q for p, q in zip(x, d))
+    return tuple(map(add, x, map(t.__mul__, d)))
 
 
 def _gamma(dg, g) -> list:
@@ -186,8 +187,8 @@ def _gamma(dg, g) -> list:
         if abs(det) > _KAPPA * math.hypot(a0, a1) * math.hypot(b0, b1):
             return [(g[0] * b1 - g[1] * b0) / det, (a0 * g[1] - a1 * g[0]) / det]
     d = dg[-1]
-    dd = sum(p * p for p in d)
-    return [sum(p * q for p, q in zip(d, g)) / dd if dd > 0.0 else 0.0]
+    dd = sum(map(mul, d, d))
+    return [sum(map(mul, d, g)) / dd if dd > 0.0 else 0.0]
 
 
 def _check_solver(tol, max_iter) -> None:
@@ -226,9 +227,12 @@ def _iterate(G, x0, project, point, tol, max_iter, what):
     either way.
     """
 
-    x = project(tuple(float(v) for v in x0))
+    x = project(tuple(map(float, x0)))
     depth = min(_DEPTH, len(x))
-    xs, fs, traj = [], [], []  # last depth + 1 accepted iterates, their map values; every accepted one
+    # the last depth + 1 accepted iterates and their map values, the
+    # differences dx and dg = df - dx of consecutive ones, and every
+    # accepted iterate
+    xs, fs, dxs, dgs, traj = [], [], [], [], []
     base = None  # (last accepted iterate, step direction, its length) while x is a trial step
     r = err = math.inf
     radius = math.inf
@@ -236,7 +240,7 @@ def _iterate(G, x0, project, point, tol, max_iter, what):
     with np.errstate(over="ignore"):
         for it in range(1, max_iter + 1):
             f = project(G(x))
-            g = tuple(p - q for p, q in zip(f, x))
+            g = tuple(map(sub, f, x))
             r_new = max(map(abs, g))
             if base is not None and r_new > r:
                 x_acc, d, length = base
@@ -244,29 +248,34 @@ def _iterate(G, x0, project, point, tol, max_iter, what):
                 if radius >= r:  # retry a shorter step the same way
                     x = project(_along(x_acc, d, radius / length))
                 else:
-                    xs, fs = xs[-1:], fs[-1:]
+                    del xs[:-1], fs[:-1], dxs[:], dgs[:]
                     x, base = project(_along(x_acc, g_prev, _DAMPING)), None
                 continue
             r = r_new
             radius *= 2.0
-            xs, fs = xs[-depth:] + [x], fs[-depth:] + [f]
+            del xs[:-depth], fs[:-depth]
+            rate = None
+            for xj, fj in zip(xs, fs):
+                dj = _dist(x, xj)
+                if dj > 0.0:
+                    rj = _dist(f, fj) / dj
+                    if rate is None or rj > rate:
+                        rate = rj
+            if xs:
+                dxs.append(tuple(map(sub, x, xs[-1])))
+                dgs.append(tuple(map(sub, map(sub, f, fs[-1]), dxs[-1])))
+                del dxs[:-depth], dgs[:-depth]
+            xs.append(x)
+            fs.append(f)
             traj.append(point(x))
-            rate = max(
-                (_dist(f, fj) / d for xj, fj in zip(xs[:-1], fs[:-1]) if (d := _dist(x, xj)) > 0.0),
-                default=math.inf,
-            )
             base = None
-            if rate < 1.0:
-                dx = [[b - a for a, b in zip(xa, xb)] for xa, xb in zip(xs, xs[1:])]
-                dg = [
-                    [(fq - fp) - dq for fp, fq, dq in zip(fa, fb, dxa)]
-                    for fa, fb, dxa in zip(fs, fs[1:], dx)
-                ]
-                gamma = _gamma(dg, g)
-                mixed = list(zip(gamma, dx[-len(gamma):], dg[-len(gamma):]))
-                mix = [sum(c * (dxj[i] + dgj[i]) for c, dxj, dgj in mixed) for i in range(len(f))]
-                nxt = project(tuple(p - q for p, q in zip(f, mix)))
-                step = tuple(p - q for p, q in zip(nxt, x))
+            if rate is not None and rate < 1.0:
+                gamma = _gamma(dgs, g)
+                mix = (0.0,) * len(x)  # sum_j gamma_j (dx_j + dg_j), each component added from 0.0
+                for c, dx, dg in zip(gamma, dxs[-len(gamma):], dgs[-len(gamma):]):
+                    mix = tuple(map(add, mix, map(c.__mul__, map(add, dx, dg))))
+                nxt = project(tuple(map(sub, f, mix)))
+                step = tuple(map(sub, nxt, x))
                 length = max(map(abs, step))
                 err = 2.0 * max(r / (1.0 - rate), length)
                 if length > radius:
@@ -274,7 +283,7 @@ def _iterate(G, x0, project, point, tol, max_iter, what):
                 base = (x, step, length)
                 stretch = 1.0
             else:  # no history yet, or the map expands along it: plain step, stretched
-                if g_prev is None or sum(p * q for p, q in zip(g, g_prev)) <= 0.0:
+                if g_prev is None or sum(map(mul, g, g_prev)) <= 0.0:
                     stretch = 1.0
                 nxt = f if stretch == 1.0 else project(_along(x, g, stretch))
                 stretch = min(2.0 * stretch, _MAX_STRETCH)
@@ -317,8 +326,8 @@ def solve_moments(
     """
 
     _check_solver(tol, max_iter)
-    validate_theta(theta, arch)
     if arch.needs_cell:
+        validate_theta(theta, arch)  # a quadrature cell's first map evaluation checks it
         if n_s < 2:
             raise ValueError(f"n_s = {n_s}: the sampled map's standard errors need n_s >= 2")
         return _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters, seed)

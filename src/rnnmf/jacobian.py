@@ -26,10 +26,10 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .cells import CELLS, _rho_s, _shape_product
+from .cells import CELLS, _compiled, _rho_s, _shape_product
 from .core import ArchitectureSpec, Hyperparameters, InputStats, MomentState, _as_state, sigmoid
 from .lstm_cell_sampler import CellStateEnsemble, _frame
-from .moment_maps import preactivation_stats
+from .moment_maps import _full_laws, preactivation_stats
 from .quadrature import DEFAULT_ORDER, GaussianPairSpec
 
 __all__ = [
@@ -93,40 +93,67 @@ def _compile(sums) -> Callable:
         lines.append(f"        {key!r}: {' + '.join(['0.0', *products])},")
     body = [f"    {v} = {expr}" for expr, v in names.items()]
     source = "\n".join(["def kernel(w, powers, ev):", *body, "    return {", *lines, "    }"])
-    namespace: dict = {}
-    exec(source, namespace)
-    namespace["kernel"].__doc__ = source
-    return namespace["kernel"]
+    return _compiled("kernel", source, {})
+
+
+def _compile_powers(factors) -> Callable:
+    """The state-power recursion of a cell's factors (CellRules.factors)
+    as one function powers(ev, mu_star, q_star) -> [E[s^p] for p = 0..4]
+    at the moment fixed point: p = 1, 2 are (mu*, Q*), and p = 3, 4
+    follow from
+
+        E[s^p] (1 - a(p, 0)) = sum_{j<p} C(p, j) a(j, p - j) E[s^j] b(p - j),
+
+    ev(k, prims) = E[prod of prims(u_k)]. It is compiled to straight-line
+    code (its source is its __doc__), as _compile does: each expectation is
+    read once, in the order the recursion first reads it, and power 3's
+    diverging denominator raises before power 4 reads anything; each
+    product folds left to right, a and b each a product of its own, and
+    each sum adds from 0.0 in j order, so the recursion's bits are kept (a
+    factor 1 multiplies nothing, as 1.0 * x == x)."""
+    names: dict = {}  # read -> local variable, in first-read order
+    lines = []
+
+    def product(reads):  # None is a zero
+        if reads is None:
+            return "0.0"
+        for read in reads:
+            if read not in names:
+                names[read] = f"v{len(names)}"
+                lines.append(f"    {names[read]} = ev{read!r}")
+        expr = " * ".join(names[read] for read in reads)
+        return f"({expr})" if len(reads) > 1 else expr or "1.0"
+
+    for p in (3, 4):
+        terms = []
+        for j in range(p):
+            a, b = factors(j, p - j)
+            term = (str(math.comb(p, j)), product(a), ("1.0", "mu_star", "q_star", "m3")[j], product(b))
+            terms.append(" * ".join(f for f in term if f not in ("1", "1.0")) or "1.0")
+        lines.append(f"    m{p} = _state_power({' + '.join(['0.0', *terms])}, 1.0 - {product(factors(p, 0)[0])})")
+    source = "\n".join(["def powers(ev, mu_star, q_star):", *lines, "    return [1.0, mu_star, q_star, m3, m4]"])
+    return _compiled("powers", source, {"_state_power": _state_power})
+
+
+def _state_power(acc: float, denom: float) -> float:
+    """E[s^p] = acc / denom in the state-power recursion, which diverges
+    where denom <= 1e-15: the forget gate saturated."""
+    if denom <= 1e-15:
+        raise ArithmeticError("stationary state power diverges (forget gate saturated)")
+    return acc / denom
 
 
 @lru_cache(maxsize=None)
 def _kernels(arch_name: str) -> tuple:
-    """(means, pairs) of a quadrature cell, both (w, powers, ev) -> dict
-    (_compile): means[k] is label k's mean contribution, the sum of its
-    entry terms, and pairs[(k, l)] is E[a_k a_l] (_products)."""
-    entries = CELLS[arch_name].entries
+    """(means, pairs, powers) of a quadrature cell: means and pairs are
+    (w, powers, ev) -> dict (_compile), means[k] label k's mean
+    contribution, the sum of its entry terms, and pairs[(k, l)] E[a_k a_l]
+    (_products); powers is its state-power recursion (_compile_powers)."""
     return (
-        _compile([(k, (k,), terms) for k, (_, terms) in entries.items()]),
+        _compile([(k, (k,), terms) for k, (_, terms) in CELLS[arch_name].entries.items()]),
         _compile([((k, l), (k, l), terms) for (k, l), terms in _products(arch_name).items()]),
+        _compile_powers(CELLS[arch_name].factors),
     )
-
-
-def _stationary_state_powers(rules, ev, mu_star, q_star):
-    """E[s^p] for p = 0..4 at the moment fixed point: p = 1, 2 are
-    (mu*, Q*), p = 3, 4 follow from the cell's state-power recursion, with
-    ev the gate expectations (the gates' expect)."""
-
-    M = [1.0, mu_star, q_star, 0.0, 0.0]
-    a, b = rules.factors(ev)
-    for p in (3, 4):
-        acc = 0.0
-        for j in range(p):
-            acc += math.comb(p, j) * a(j, p - j) * M[j] * b(p - j)
-        denom = 1.0 - a(p, 0)
-        if denom <= 1e-15:
-            raise ArithmeticError("stationary state power diverges (forget gate saturated)")
-        M[p] = acc / denom
-    return M
 
 
 @dataclass(frozen=True)
@@ -235,20 +262,22 @@ def contribution_vector(
     """
 
     st = _as_state(fixed)
-    state = MomentState(st.mu_s, st.q_s, 1.0)
     inp = inputs if inputs is not None else getattr(fixed, "inputs", None)
     if inp is None:
         raise ValueError("pass inputs= (the fixed-point object does not carry them)")
-    gates = preactivation_stats(theta, arch, state, InputStats(inp.R, 1.0), order)
     if arch.needs_cell:
+        gates = preactivation_stats(theta, arch, MomentState(st.mu_s, st.q_s, 1.0), InputStats(inp.R, 1.0), order)
         return _sampled_contribution(theta, gates, n_s, n_iters, seed, cell)
+    laws = _full_laws(theta, arch, st.q_s, inp.R, order)
+
+    def ev(k, prims):
+        return laws[k].expect(prims)
+
     rules = CELLS[arch.name]
-    powers = _stationary_state_powers(rules, gates.expect, state.mu_s, state.q_s)
+    means, pairs, powers = _kernels(arch.name)
+    m = powers(ev, st.mu_s, st.q_s)
     w = _weights(rules.entries, theta)
-    means, pairs = _kernels(arch.name)
-    return ContributionVector(
-        labels=tuple(rules.entries), ea=means(w, powers, gates.expect), eaa=pairs(w, powers, gates.expect)
-    )
+    return ContributionVector(labels=tuple(rules.entries), ea=means(w, m, ev), eaa=pairs(w, m, ev))
 
 
 def _correlation_slope(theta, arch, state: MomentState, inputs: InputStats, order: int) -> float:

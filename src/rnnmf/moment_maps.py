@@ -10,7 +10,10 @@ Every map reads its gates from their laws at the state's second moment
 (_gate_table), built once per state, gates of equal mean and variance
 sharing one. Each law (quadrature._Law) keeps every expectation over it,
 so a correlation map evaluation at a fixed state computes only the gate
-correlations and the pair grids at them.
+correlations, the pair grids at them and rho'. The maps hand a quadrature
+cell's moment rule (cells.CellRules) the laws' expectations directly: the
+moment map reads no pair and no correlation, since at full correlation
+every pair is the law's E[g^2].
 """
 
 from __future__ import annotations
@@ -90,17 +93,13 @@ def _gate_table(theta, arch, q: float, R: float, order: int) -> tuple:
     else:
         validate_theta(theta, arch)
         plan = [(g.label, theta[g.label], g.gated_by, g.g_name) for g in arch.linear_gates() + arch.gated_gates()]
-    laws = {}
-    shared = {}  # (mu, sigma2) -> law
+    laws, shared = {}, {}  # shared: (mu, sigma2) -> law
     for label, p, inner, g in plan:
-        if inner is None:
-            sigma2 = p.sigma2 * q + p.nu2 * R + p.rho2
-        else:
-            sigma2 = p.sigma2 * laws[inner].expect((g, g)) * q + p.nu2 * R + p.rho2
-        law = shared.get((p.mu, sigma2))
-        if law is None:
-            law = shared[(p.mu, sigma2)] = _Law(p.mu, sigma2, order, _PRIMS)
-        laws[label] = law
+        gain = 1.0 if inner is None else laws[inner].expect((g, g))  # p.sigma2 * 1.0 is p.sigma2
+        law_params = (p.mu, p.sigma2 * gain * q + p.nu2 * R + p.rho2)
+        if law_params not in shared:
+            shared[law_params] = _Law(*law_params, order, _PRIMS)
+        laws[label] = shared[law_params]
     theta._memo["gate_table"] = (key, (laws, plan))
     return laws, plan
 
@@ -112,16 +111,11 @@ class _Gates(Mapping):
     take."""
 
     def __init__(self, laws: dict, c: dict):
-        self._laws = laws
-        self._c = c
-        self._specs: dict = {}
+        self._laws, self._c = laws, c
 
     def __getitem__(self, k: str) -> GaussianPairSpec:
-        spec = self._specs.get(k)
-        if spec is None:
-            law = self._laws[k]
-            spec = self._specs[k] = GaussianPairSpec(law.mu, law.sigma2, self._c[k])
-        return spec
+        law = self._laws[k]
+        return GaussianPairSpec(law.mu, law.sigma2, self._c[k])
 
     def __iter__(self):
         return iter(self._c)
@@ -139,11 +133,6 @@ class _Gates(Mapping):
     def pair(self, k: str, pa: str, pb: str) -> float:
         """E[pa(u_k,a) pb(u_k,b)] at gate k's correlation (_Law.pair)."""
         return self._laws[k].pair(pa, pb, self._c[k])
-
-    def moments(self, k: str, prim: str) -> tuple:
-        """(E[g], E[g^2], E[g_a g_b]) of g(u_k) for the primitive g; the
-        pair term is E[g^2] itself when the pair collapses (_Law.pair)."""
-        return self.expect(k, (prim,)), self.expect(k, (prim, prim)), self.pair(k, prim, prim)
 
 
 def preactivation_stats(
@@ -176,16 +165,43 @@ def preactivation_stats(
     return _Gates(laws, c)
 
 
+def _full_laws(theta, arch, q: float, R: float, order: int) -> dict:
+    """The gates' laws at state second moment q and input second moment R
+    read at full correlation (C = 1, sigma_z = 1): there every gate's
+    correlation is 1 (0 at a point mass), so every pair collapses to the
+    law itself. preactivation_stats's correlation is inf / inf, NaN, for
+    an infinite variance, and raises here as it does there."""
+    laws = _gate_table(theta, arch, q, R, order)[0]
+    for law in laws.values():
+        if law.sigma2 == math.inf:
+            GaussianPairSpec(law.mu, law.sigma2, math.nan)
+    return laws
+
+
+def _read(rules, laws, c=None) -> tuple:
+    """(e, sq) of the quadrature cell's moment rule: e the means of its
+    reads and sq their squares, or their pair means at the gate
+    correlations c when given."""
+    e = [laws[k].expect((p,)) for k, p in rules.reads]
+    return e, [laws[k].expect((p, p)) if c is None else laws[k].pair(p, p, c[k]) for k, p in rules.reads]
+
+
 def _correlation_from(rho: float, mu: float, q: float) -> float:
     return 0.0 if _degenerate(mu, q) else _finish_corr(rho - mu * mu, q - mu * mu)
 
 
 def _step(theta, arch, state, inputs, cell, order):
     """One moment step through the cell's record: (new state, advanced cell)."""
-    if arch.needs_cell and cell is None:
+    rules = CELLS[arch.name]
+    if rules.step is not None and cell is None:
         raise MissingCellEnsemble(f"the {arch.name} moment map needs a cell ensemble")
     gates = preactivation_stats(theta, arch, state, inputs, order)
-    mu_n, q_n, rho_n, cell_new = CELLS[arch.name].step(theta, gates, state, cell)
+    if rules.step is None:
+        e, sq = _read(rules, gates._laws)
+        mu_n, q_n, cell_new = rules.mean(e, state.mu_s), rules.second(e, sq, state.mu_s, state.q_s), None
+        rho_n = rules.second(e, _read(rules, gates._laws, gates._c)[1], state.mu_s, _rho_s(state))
+    else:
+        mu_n, q_n, rho_n, cell_new = rules.step(theta, gates, state, cell)
     if rho_n is None:  # sampled step on an unpaired ensemble
         if _degenerate(mu_n, q_n):
             return MomentState(mu_n, max(q_n, mu_n * mu_n), 0.0), cell_new
@@ -198,14 +214,12 @@ def _step(theta, arch, state, inputs, cell, order):
 
 def _moment_step(theta, arch, mu: float, q: float, R: float, order) -> tuple:
     """(mu', Q') of step_moments for a quadrature cell at state moments
-    (mu, Q) and input second moment R, the map solve_moments iterates. The
-    step is taken at C = 1 and sigma_z = 1, which (mu', Q') do not depend
-    on; there every gate's pair collapses (c = 1), so its pair integral is
-    E[g^2], already in hand: no pair grid is evaluated, in the gates or in
-    preactivation_stats."""
-    full = MomentState(mu, q, 1.0)
-    gates = preactivation_stats(theta, arch, full, InputStats(R, 1.0), order)
-    return CELLS[arch.name].step(theta, gates, full, None)[:2]
+    (mu, Q) and input second moment R, the map solve_moments iterates.
+    (mu', Q') do not depend on C or sigma_z, so the step reads the gates
+    at full correlation: no pair grid or correlation is evaluated."""
+    rules = CELLS[arch.name]
+    e, sq = _read(rules, _full_laws(theta, arch, q, R, order))
+    return rules.mean(e, mu), rules.second(e, sq, mu, q)
 
 
 def step_moments(
@@ -263,7 +277,8 @@ def step_correlation(
     if rules.correlate is not None:  # sampled pairs, normalized on their own variances
         cov, var_a, var_b = rules.correlate(theta, gates, n_s, n_iters, seed)
         return _finish_corr(cov, math.sqrt(var_a * var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
-    rho_n = rules.step(theta, gates, state, None)[2]
+    e, pairs = _read(rules, gates._laws, gates._c)
+    rho_n = rules.second(e, pairs, state.mu_s, _rho_s(state))
     return (rho_n - fixed.mu_s * fixed.mu_s) / (fixed.q_s - fixed.mu_s * fixed.mu_s)
 
 

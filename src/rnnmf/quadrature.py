@@ -153,18 +153,20 @@ class _Law:
         self._last = (None, None, None)  # (c, pair layout, {(pa, pb): pair mean})
 
     def values(self, g):
-        """g at the points, as floats."""
+        """g at the points, as floats: an array, or at a point mass one
+        float, whose products cost no numpy call (the same bits)."""
         v = self._values.get(g)
         if v is None:
-            v = self._values[g] = np.asarray(g(self.points), dtype=float)
+            v = np.asarray(g(self.points), dtype=float)
+            v = self._values[g] = v if v.ndim else float(v)
         return v
 
     def mean(self, g, vals, first=None) -> float:
         """The weighted sum of g's values vals at the points, each times
         first's value at the same point when first is given. A point mass's
-        0-d value is returned as is, keeping the sign of a zero."""
+        value is returned as is, keeping the sign of a zero."""
         prod = vals if first is None else first * vals
-        out = float(self.weights @ prod) if prod.ndim else float(prod)
+        out = float(self.weights.dot(prod)) if self.sigma2 > 0.0 else float(prod)
         return out if math.isfinite(out) else _check(g, out, vals)
 
     def expect(self, prims: tuple) -> float:
@@ -234,13 +236,13 @@ class _Law:
         g1's values are checked before they enter the product."""
         rows, wa, ub, wb = self._at(c)[0]
         v1 = self.values(g1) if rows is self.points else np.asarray(g1(rows), dtype=float)
-        _check(g1, float(wa @ v1), v1)
+        _check(g1, float(wa.dot(v1)), v1)
         v2 = np.asarray(g2(ub), dtype=float)
         if wb is None:
-            out = float(wa @ (v1 * v2))
+            out = float(wa.dot(v1 * v2))
         else:
             prod = v1[:, None] * v2
-            out = float(wa @ (prod @ wb if wb.ndim == 1 else (prod * wb).sum(axis=1)))
+            out = float(wa.dot(prod.dot(wb) if wb.ndim == 1 else (prod * wb).sum(axis=1)))
         return _check(g2, out, v2)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rnnmf import InputStats, MomentState, preactivation_stats
+from rnnmf import InputStats, MomentState, preactivation_stats, step_moments
 from rnnmf.cells import CELLS, _evaluate, _rho_s
 from rnnmf.core import _PRIMS, dsigmoid, dtanh, sigmoid
 from rnnmf.lstm_cell_sampler import _lstm_cell
@@ -92,11 +92,21 @@ def test_compiled_profile_evaluates_each_primitive_once(monkeypatch):
     assert np.array_equal(got, g * s + (1.0 - g) * np.tanh(u["r2"]))
 
 
-def _law_moments(factors, mu, q, rho):
-    """The law's p = 1, 2 recursion through the cell's state-power factors:
-    E[s'] = a(0, 1) b(1) + a(1, 0) mu and E[s'^2] = a(0, 2) b(2) +
-    2 a(1, 1) b(1) mu + a(2, 0) E[s^2], E[s^2] = rho."""
-    a, b = factors
+def _law_moments(factors, ev, mu, q, rho):
+    """The law's p = 1, 2 recursion through the cell's state-power factors,
+    each the product of its reads ev(gate, prims): E[s'] = a(0, 1) b(1) +
+    a(1, 0) mu and E[s'^2] = a(0, 2) b(2) + 2 a(1, 1) b(1) mu + a(2, 0)
+    E[s^2], E[s^2] = rho."""
+
+    def product(reads):
+        return 0.0 if reads is None else math.prod((ev(g, prims) for g, prims in reads), start=1.0)
+
+    def a(j, m):
+        return product(factors(j, m)[0])
+
+    def b(m):
+        return product(factors(0, m)[1])
+
     return a(0, 1) * b(1) + a(1, 0) * mu, a(0, 2) * b(2) + 2.0 * a(1, 1) * b(1) * mu + a(2, 0) * rho
 
 
@@ -107,10 +117,15 @@ def test_moment_steps_match_the_laws_recursion(quadrature_arch, c):
     theta = make_theta(arch, mu_other=0.5)  # E[tanh(u_r)] != 0: every cross term counts
     state = MomentState(0.1, 0.4, c)
     gates = preactivation_stats(theta, arch, state, UNIT)
-    mu_n, q_n, rho_n, _ = rules.step(theta, gates, state, None)
+    e = [gates.expect(k, (p,)) for k, p in rules.reads]
+    mu_n = rules.mean(e, state.mu_s)
+    q_n = rules.second(e, [gates.expect(k, (p, p)) for k, p in rules.reads], state.mu_s, state.q_s)
+    rho_n = rules.second(e, [gates.pair(k, p, p) for k, p in rules.reads], state.mu_s, _rho_s(state))
+    stepped = step_moments(theta, arch, state, UNIT)
+    assert (stepped.mu_s, stepped.q_s) == (mu_n, q_n)
 
     # (mu', Q') from single-network expectations
-    mu_law, q_law = _law_moments(rules.factors(gates.expect), state.mu_s, state.q_s, state.q_s)
+    mu_law, q_law = _law_moments(rules.factors, gates.expect, state.mu_s, state.q_s, state.q_s)
     assert mu_n == pytest.approx(mu_law, rel=1e-12)
     assert q_n == pytest.approx(q_law, rel=1e-12)
 
@@ -119,6 +134,6 @@ def test_moment_steps_match_the_laws_recursion(quadrature_arch, c):
     def pair(k, prims):
         return gates.pair(k, *prims) if len(prims) == 2 else gates.expect(k, prims)
 
-    _, rho_law = _law_moments(rules.factors(pair), state.mu_s, state.q_s, _rho_s(state))
+    _, rho_law = _law_moments(rules.factors, pair, state.mu_s, state.q_s, _rho_s(state))
     assert rho_n == pytest.approx(rho_law, rel=1e-12)
     assert not math.isclose(rho_n, q_n, rel_tol=1e-6)  # the pair term is not Q' itself

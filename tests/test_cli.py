@@ -102,7 +102,7 @@ def test_computation_failure_exits_1_with_json_error(tmp_path, capsys):
     }
     path = tmp_path / "divergent.json"
     path.write_text(json.dumps(doc))
-    # this theta converges in about 21 map evaluations (its moment map
+    # this theta converges in 19 map evaluations (its moment map
     # expands for Q below about 1000), so a budget of 10 forces the failure
     assert run(["fixed-point", "--theta", str(path), "--seed", "0", "--max-iter", "10"]) == 1
     err = json.loads(capsys.readouterr().err)
@@ -280,7 +280,7 @@ def test_sweep_rejects_a_malformed_grid(tmp_path, capsys):
 @pytest.mark.parametrize("alphas", ["0:inf:3", "nan:1:2", "-inf:0:2"])
 def test_sweep_rejects_a_non_finite_grid_endpoint(tmp_path, capsys, alphas):
     # np.linspace(0, inf, 3) is [nan, inf, inf]: no row of such a grid is
-    # a point of the ray (a grid starting with "-" is passed as --alphas=...)
+    # a point of the ray
     theta0, direction = _sweep_files(tmp_path)
     code = run(
         ["sweep", "--theta0", str(theta0), "--direction", str(direction),
@@ -290,6 +290,38 @@ def test_sweep_rejects_a_non_finite_grid_endpoint(tmp_path, capsys, alphas):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: --alphas" in captured.err
+
+
+def test_sweep_reads_a_grid_starting_with_minus_after_a_space(tmp_path, capsys):
+    # argparse alone takes "-1:1:3" for a flag: "expected one argument"
+    theta0, direction = _sweep_files(tmp_path)
+    args = ["sweep", "--theta0", str(theta0), "--direction", str(direction), "--seed", "0", "--workers", "1"]
+    assert run(args + ["--alphas", "-1:1:3"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [(r[0], r[6]) for r in rows[1:]] == [("-1", "ok"), ("0", "ok"), ("1", "ok")]
+    assert run(args + ["--alphas", "-inf:0:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --alphas endpoints must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixed-point", "--theta", "THETA"],
+        ["jacobian", "--theta", "THETA"],
+        ["spectrum", "--theta", "THETA", "--N", "8"],
+        ["critical-init", "--search", "--arch", "GRU"],
+        ["sweep", "--theta0", "THETA", "--direction", "THETA", "--alphas", "0:1:2"],
+    ],
+)
+def test_an_order_without_a_finite_gauss_hermite_rule_is_a_usage_error(tmp_path, capsys, argv):
+    # numpy builds Gauss-Hermite nodes at order 350 but not at 400
+    theta = str(_write_theta(tmp_path, "GRU"))
+    assert run([theta if a == "THETA" else a for a in argv] + ["--order", "400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --order: quadrature order 400 unsupported" in captured.err
 
 
 def test_sweep_rejects_a_gate_the_architecture_lacks(tmp_path, capsys):

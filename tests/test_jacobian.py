@@ -283,6 +283,26 @@ def _entry_means(entries, weights, powers, ev):
     }
 
 
+def _state_powers(factors, ev, mu_star, q_star):
+    """E[s^p] for p = 0..4 by the state-power recursion as a loop over the
+    cell's factors (CellRules.factors), the compiled recursion's reference."""
+
+    def product(reads):
+        return 0.0 if reads is None else math.prod((ev(g, ps) for g, ps in reads), start=1.0)
+
+    M = [1.0, mu_star, q_star, 0.0, 0.0]
+    for p in (3, 4):
+        acc = 0.0
+        for j in range(p):
+            a, b = factors(j, p - j)
+            acc += math.comb(p, j) * product(a) * M[j] * product(b)
+        denom = 1.0 - product(factors(p, 0)[0])
+        if denom <= 1e-15:
+            raise ArithmeticError("stationary state power diverges (forget gate saturated)")
+        M[p] = acc / denom
+    return M
+
+
 def _reads(ev, calls):
     """ev, recording each (gate, prims) it is asked for."""
 
@@ -303,7 +323,11 @@ def test_compiled_kernels_keep_the_term_loops_bits(quadrature_arch, tag):
     }[tag](arch)
     state = solve_moments(theta, arch, UNIT).state
     gates = preactivation_stats(theta, arch, MomentState(state.mu_s, state.q_s, 1.0), UNIT)
-    powers = jacobian._stationary_state_powers(rules, gates.expect, state.mu_s, state.q_s)
+    power_reads, kernel_reads = [], []
+    powers = _state_powers(rules.factors, _reads(gates.expect, power_reads), state.mu_s, state.q_s)
+    compiled = jacobian._kernels(arch.name)[2](_reads(gates.expect, kernel_reads), state.mu_s, state.q_s)
+    assert [v.hex() for v in compiled] == [v.hex() for v in powers]
+    assert kernel_reads == list(dict.fromkeys(power_reads))
     w = jacobian._weights(rules.entries, theta)
     mean_reads, pair_reads = [], []
     ea = _entry_means(rules.entries, w, powers, _reads(gates.expect, mean_reads))
@@ -330,6 +354,25 @@ def test_compiled_kernels_keep_the_term_loops_bits(quadrature_arch, tag):
 
         want = sum(_entry_means(rules.entries, w, (1.0, at.mu_s, _rho_s(at)), ev).values())
         assert chi_at(theta, arch, UNIT, state, c).hex() == want.hex()
+
+
+@pytest.mark.parametrize("arch_name", ["minimalRNN", "GRU", "peepholeLSTM"])
+def test_saturated_forget_gate_stops_the_compiled_state_powers_at_power_3(arch_name):
+    # sig(40) rounds to 1: 1 - E[sig^3] is 0, and the recursion raises
+    # before power 4 reads anything, as its loop does
+    law = _Law(40.0, 0.0, 64, _PRIMS)
+
+    def ev(g, prims):
+        return law.expect(prims)
+
+    factors = CELLS[arch_name].factors
+    loop_reads, kernel_reads = [], []
+    with pytest.raises(ArithmeticError, match="stationary state power diverges"):
+        _state_powers(factors, _reads(ev, loop_reads), 0.5, 0.3)
+    with pytest.raises(ArithmeticError, match="stationary state power diverges"):
+        jacobian._kernels(arch_name)[2](_reads(ev, kernel_reads), 0.5, 0.3)
+    assert kernel_reads == list(dict.fromkeys(loop_reads))
+    assert ("f", ("sig",) * 4) not in kernel_reads
 
 
 def test_contribution_vector_reads_no_coefficient_of_the_theta_before(quadrature_arch):

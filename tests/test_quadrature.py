@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from rnnmf import GaussianPairSpec, NonFiniteIntegrand, expect1, expect2
 from rnnmf.core import _PRIMS, sigmoid
-from rnnmf.moment_maps import _Gates
 from rnnmf.quadrature import DEFAULT_ORDER, _Law
 
 # Monte Carlo reference for E[tanh^2(Z)], Z ~ N(0,1): 10^6 samples at
@@ -137,8 +136,8 @@ def test_expect_moments_is_bitwise_the_three_separate_integrals(g, sigma2, c):
         expect2(g, g, GaussianPairSpec(mu, sigma2, 1.0)),
         expect2(g, g, GaussianPairSpec(mu, sigma2, c)),
     )
-    gates = _Gates({"k": _Law(mu, sigma2, DEFAULT_ORDER, _PRIMS)}, {"k": c})
-    got = gates.moments("k", "sig" if g is sigmoid else "tanh")
+    law, prim = _Law(mu, sigma2, DEFAULT_ORDER, _PRIMS), "sig" if g is sigmoid else "tanh"
+    got = law.expect((prim,)), law.expect((prim, prim)), law.pair(prim, prim, c)
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
