@@ -85,12 +85,28 @@ def _shape_product(shape1, shape2) -> tuple:
 # times its factors times s^s_pow; the law itself is one.
 
 
-def _compiled(name: str, source: str, namespace: dict) -> Callable:
-    """The function `name` that source defines, executed in namespace,
-    with source as its __doc__."""
-    exec(source, namespace)
-    namespace[name].__doc__ = source
-    return namespace[name]
+class _Source:
+    """A straight-line function under construction: local(expr) returns
+    the local variable v{n} that holds expr, assigning it in the body on
+    its first read, and lines holds the body, to which a caller may add
+    its own statements."""
+
+    def __init__(self):
+        self.names, self.lines = {}, []  # names: expression -> local, in first-read order
+
+    def local(self, expr: str) -> str:
+        if expr not in self.names:
+            self.names[expr] = f"v{len(self.names)}"
+            self.lines.append(f"    {self.names[expr]} = {expr}")
+        return self.names[expr]
+
+    def compile(self, name: str, params: str, returns: str, namespace: dict) -> Callable:
+        """The function name(params) of the body and the returns line,
+        executed in namespace, with its source as its __doc__."""
+        source = "\n".join([f"def {name}({params}):", *self.lines, returns])
+        exec(source, namespace)
+        namespace[name].__doc__ = source
+        return namespace[name]
 
 
 def _evaluate(common, terms, returns: str = "{}") -> Callable:
@@ -105,22 +121,17 @@ def _evaluate(common, terms, returns: str = "{}") -> Callable:
     and a sum that is the lone unit term multiplies nothing either."""
     if not terms:
         return lambda s, u, c: np.zeros_like(np.asarray(s, dtype=float))
-    names: dict = {}  # (gate, prim) -> (variable, value expression)
+    src = _Source()
 
     def value(g, p):
-        if (g, p) not in names:
-            rhs = f"1.0 - {value(g, 'sig')}" if p == "omsig" else f"{p}(u[{g!r}])"
-            names[g, p] = f"v{len(names)}", rhs
-        return names[g, p][0]
+        return src.local(f"1.0 - {value(g, 'sig')}" if p == "omsig" else f"{p}(u[{g!r}])")
 
     total = " ".join(
         ("+ " if sign > 0 else "- ") + (" * ".join([value(*f) for f in fs] + ["s"] * s_pow) or "1.0")
         for sign, s_pow, fs in terms
     ).lstrip("+ ")
     expr = " * ".join([value(*f) for f in common] + [f"({total})"] * (total != "1.0"))
-    body = [f"    {v} = {rhs}" for v, rhs in names.values()]
-    source = "\n".join(["def profile(s, u, c):", *body, "    return " + returns.format(expr)])
-    return _compiled("profile", source, dict(_PRIMS))
+    return src.compile("profile", "s, u, c", "    return " + returns.format(expr), dict(_PRIMS))
 
 
 def _by_gate(law, k: str) -> tuple:

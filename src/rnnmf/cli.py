@@ -201,9 +201,10 @@ def _cmd_critical_init(args) -> int:
     )
     _print_json(theta_to_json_dict(theta, args.arch))
     xi_s = "inf" if math.isinf(report.xi) else f"{report.xi:.6g}"
+    bound = "" if report.at_bound is None else f", at bound mu_f = {report.at_bound:g}"
     print(
         f"search: objective = {report.objective:.3e}, chi = {report.chi:.6g}, "
-        f"xi = {xi_s}, evaluations = {report.evaluations}, source = {report.source}",
+        f"xi = {xi_s}, evaluations = {report.evaluations}, source = {report.source}{bound}",
         file=sys.stderr,
     )
     return 0

@@ -235,8 +235,11 @@ def _sigma_z_schedule(inputs: InputStats, T: int, schedule=None) -> np.ndarray:
     step t's: inputs.sigma_z throughout, or the given per-step schedule. The
     one schedule rule of the finite-width and the mean-field trajectory: a
     schedule with fewer than T entries, or with an entry outside [-1, 1]
-    (NaN included), raises InvalidSchedule."""
+    (NaN included), raises InvalidSchedule. T must be a non-negative
+    integer, else ValueError names it."""
 
+    if not isinstance(T, (int, np.integer)) or T < 0:
+        raise ValueError(f"T must be a non-negative integer, got {T!r}")
     if schedule is None:
         return np.full(T, inputs.sigma_z)
     sched = np.asarray(schedule, dtype=float)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional
 
 from . import jacobian as _jacobian
@@ -64,43 +65,32 @@ class SearchFailed(ArithmeticError):
         self.best = best
 
 
-def _build_peephole_critical(arch, N, input_dim):
-    return Hyperparameters(
-        {
-            k: GateParams(sigma2=1e-5, nu2=0.0, rho2=0.0, mu=5.0 if k == "f" else 0.0)
-            for k in arch.labels()
-        }
+# each preset is its per-gate rule (gate label, N, input_dim) -> GateParams
+
+
+def _peephole_critical(k, N, input_dim):
+    return GateParams(sigma2=1e-5, nu2=0.0, rho2=0.0, mu=5.0 if k == "f" else 0.0)
+
+
+def _lstm_cifar_critical(k, N, input_dim):
+    return GateParams(
+        sigma2=1.0 if k == "o" else 1e-5,
+        nu2=1.0 if k in ("i", "r") else 0.0,
+        rho2=0.0,
+        mu=1.0 if k == "f" else 0.0,
     )
 
 
-def _build_lstm_cifar_critical(arch, N, input_dim):
-    gates = {}
-    for k in arch.labels():
-        gates[k] = GateParams(
-            sigma2=1.0 if k == "o" else 1e-5,
-            nu2=1.0 if k in ("i", "r") else 0.0,
-            rho2=0.0,
-            mu=1.0 if k == "f" else 0.0,
-        )
-    return Hyperparameters(gates)
-
-
-def _build_standard(arch, N, input_dim):
+def _standard(k, N, input_dim):
     # recurrent variance 1/N (Gaussian stand-in for an orthogonal draw,
     # which has no variance parameterization); input variance Glorot-style
-    nu2 = 2.0 / (input_dim + N)
-    return Hyperparameters(
-        {
-            k: GateParams(sigma2=1.0 / N, nu2=nu2, rho2=0.0, mu=1.0 if k == "f" else 0.0)
-            for k in arch.labels()
-        }
-    )
+    return GateParams(sigma2=1.0 / N, nu2=2.0 / (input_dim + N), rho2=0.0, mu=1.0 if k == "f" else 0.0)
 
 
 _PRESETS = {
-    "peephole_critical": ("peepholeLSTM", _build_peephole_critical),
-    "lstm_cifar_critical": ("LSTM", _build_lstm_cifar_critical),
-    "standard": ("LSTM", _build_standard),
+    "peephole_critical": ("peepholeLSTM", _peephole_critical),
+    "lstm_cifar_critical": ("LSTM", _lstm_cifar_critical),
+    "standard": ("LSTM", _standard),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
@@ -125,15 +115,14 @@ def preset_init(
     raises ValueError naming it.
     """
 
-    if name not in _PRESETS:
-        raise UnknownPreset(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    default_arch = preset_default_arch(name)
     for label, width in (("N", N), ("input_dim", input_dim)):
         if width is not None and width < 1:
             raise ValueError(f"{label} must be a positive integer, got {width!r}")
-    default_arch, builder = _PRESETS[name]
-    arch = get_architecture(arch_name or default_arch)
+    rule = _PRESETS[name][1]
+    dim = input_dim if input_dim is not None else N
     # a GateParams for each of arch's gates: valid by construction
-    return builder(arch, N, input_dim if input_dim is not None else N)
+    return Hyperparameters({k: rule(k, N, dim) for k in get_architecture(arch_name or default_arch).labels()})
 
 
 @dataclass(frozen=True)
@@ -150,6 +139,7 @@ class SearchReport:
     evaluations: int
     target_xi: Optional[float]
     source: str  # "search" or "preset"
+    at_bound: Optional[float] = None  # the end of MU_F_BOUNDS a searched mu_f lies within MU_F_TOL of
 
 
 def _golden_min(f, lo, hi, tol=1e-4, max_iter=80):
@@ -217,7 +207,9 @@ def search_critical(
     Matching presets are scored as candidates too, so an unconstrained
     search never does worse than the published values. An evaluation that
     raises an ArithmeticError or ValueError scores inf, as the same failure
-    marks a sweep row. Returns (theta, SearchReport); raises SearchFailed
+    marks a sweep row. Returns (theta, SearchReport), whose at_bound is
+    the end of MU_F_BOUNDS that a searched mu_f lies within MU_F_TOL of
+    (None otherwise, and for a preset); raises SearchFailed
     (best attached) if the objective never came out finite, naming the
     first failure's type and message when every evaluation failed, or if a
     target xi was missed by more than 10% relative.
@@ -284,10 +276,11 @@ def search_critical(
             best=None,
         )
     theta, rep, mom, gap = scored[best_key][1]
+    at_bound = None if source == "preset" else next((b for b in MU_F_BOUNDS if abs(best_key - b) <= MU_F_TOL), None)
     report = SearchReport(
         theta=theta, arch=arch.name, objective=best_obj, chi=rep.chi, xi=rep.xi,
         m1=mom.m1, m2=mom.m2, sigma=mom.sigma, gap=gap, evaluations=len(scored),
-        target_xi=target_xi, source=source,
+        target_xi=target_xi, source=source, at_bound=at_bound,
     )
     if target_xi is not None and best_obj > 0.1 * max(1.0, abs(target_xi)):
         raise SearchFailed(
@@ -316,8 +309,10 @@ def _combine(theta0: Hyperparameters, direction, alpha: float) -> Hyperparameter
     return Hyperparameters(gates)
 
 
-def _sweep_point(payload):
-    index, arch, theta0, direction, alpha, inputs, seed, order, n_s, n_iters = payload
+def _sweep_point(arch, theta0, direction, inputs, seed, order, n_s, n_iters, point):
+    """The row of point (index, alpha) of a sweep; the other arguments are
+    the sweep's own, bound once (functools.partial)."""
+    index, alpha = point
     row = {c: math.nan for c in SWEEP_COLUMNS}
     row["alpha"] = alpha
     try:  # GateParams rejects a point off the valid region; theta0's gate set is checked
@@ -374,15 +369,13 @@ def sweep_phase_diagram(
     arch = get_architecture(arch_name)
     validate_theta(theta0, arch)
     direction = _gate_entries(direction, _NO_STEP, arch)
-    payloads = [
-        (i, arch, theta0, direction, float(a), inputs, seed, order, n_s, n_iters)
-        for i, a in enumerate(alphas)
-    ]
-    if workers is not None and workers > 1 and len(payloads) > 1:
+    row = partial(_sweep_point, arch, theta0, direction, inputs, seed, order, n_s, n_iters)
+    points = [(i, float(a)) for i, a in enumerate(alphas)]
+    if workers is not None and workers > 1 and len(points) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: 16 ms of import per process
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+            rows = list(pool.map(row, points))
     else:
-        rows = [_sweep_point(p) for p in payloads]
+        rows = list(map(row, points))
     return sorted(rows, key=lambda r: r["alpha"])  # stable: equal alphas keep grid order

@@ -26,10 +26,10 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .cells import CELLS, _compiled, _rho_s, _shape_product
+from .cells import CELLS, _rho_s, _shape_product, _Source
 from .core import ArchitectureSpec, Hyperparameters, InputStats, MomentState, _as_state, sigmoid
 from .lstm_cell_sampler import CellStateEnsemble, _frame
-from .moment_maps import _full_laws, preactivation_stats
+from .moment_maps import _gate_table, preactivation_stats
 from .quadrature import DEFAULT_ORDER, GaussianPairSpec
 
 __all__ = [
@@ -75,25 +75,19 @@ def _compile(sums) -> Callable:
     expectation raises first; products fold left to right and each sum
     adds from 0.0 in term order, so the loop's bits are kept (a number 1.0
     multiplies nothing, as 1.0 * x == x)."""
-    names: dict = {}  # read expression -> local variable, in first-read order
-
-    def read(expr):
-        return names.setdefault(expr, f"v{len(names)}")
-
+    src = _Source()
     lines = []
     for key, labels, terms in sums:
         products = []
         for n, shape in terms:
-            factors = [repr(n)] * (n != 1.0) + [read(f"w[{k!r}]") for k in labels]
+            factors = [repr(n)] * (n != 1.0) + [src.local(f"w[{k!r}]") for k in labels]
             for s_pow, funcs in shape:
                 if s_pow:
-                    factors.append(read(f"powers[{s_pow}]"))
-                factors += [read(f"ev({g!r}, {ps!r})") for g, ps in funcs]
+                    factors.append(src.local(f"powers[{s_pow}]"))
+                factors += [src.local(f"ev({g!r}, {ps!r})") for g, ps in funcs]
             products.append(" * ".join(factors) or "1.0")
         lines.append(f"        {key!r}: {' + '.join(['0.0', *products])},")
-    body = [f"    {v} = {expr}" for expr, v in names.items()]
-    source = "\n".join(["def kernel(w, powers, ev):", *body, "    return {", *lines, "    }"])
-    return _compiled("kernel", source, {})
+    return src.compile("kernel", "w, powers, ev", "\n".join(["    return {", *lines, "    }"]), {})
 
 
 def _compile_powers(factors) -> Callable:
@@ -111,17 +105,12 @@ def _compile_powers(factors) -> Callable:
     product folds left to right, a and b each a product of its own, and
     each sum adds from 0.0 in j order, so the recursion's bits are kept (a
     factor 1 multiplies nothing, as 1.0 * x == x)."""
-    names: dict = {}  # read -> local variable, in first-read order
-    lines = []
+    src = _Source()
 
     def product(reads):  # None is a zero
         if reads is None:
             return "0.0"
-        for read in reads:
-            if read not in names:
-                names[read] = f"v{len(names)}"
-                lines.append(f"    {names[read]} = ev{read!r}")
-        expr = " * ".join(names[read] for read in reads)
+        expr = " * ".join(src.local(f"ev{read!r}") for read in reads)
         return f"({expr})" if len(reads) > 1 else expr or "1.0"
 
     for p in (3, 4):
@@ -130,9 +119,9 @@ def _compile_powers(factors) -> Callable:
             a, b = factors(j, p - j)
             term = (str(math.comb(p, j)), product(a), ("1.0", "mu_star", "q_star", "m3")[j], product(b))
             terms.append(" * ".join(f for f in term if f not in ("1", "1.0")) or "1.0")
-        lines.append(f"    m{p} = _state_power({' + '.join(['0.0', *terms])}, 1.0 - {product(factors(p, 0)[0])})")
-    source = "\n".join(["def powers(ev, mu_star, q_star):", *lines, "    return [1.0, mu_star, q_star, m3, m4]"])
-    return _compiled("powers", source, {"_state_power": _state_power})
+        src.lines.append(f"    m{p} = _state_power({' + '.join(['0.0', *terms])}, 1.0 - {product(factors(p, 0)[0])})")
+    returns = "    return [1.0, mu_star, q_star, m3, m4]"
+    return src.compile("powers", "ev, mu_star, q_star", returns, {"_state_power": _state_power})
 
 
 def _state_power(acc: float, denom: float) -> float:
@@ -268,7 +257,7 @@ def contribution_vector(
     if arch.needs_cell:
         gates = preactivation_stats(theta, arch, MomentState(st.mu_s, st.q_s, 1.0), InputStats(inp.R, 1.0), order)
         return _sampled_contribution(theta, gates, n_s, n_iters, seed, cell)
-    laws = _full_laws(theta, arch, st.q_s, inp.R, order)
+    laws = _gate_table(theta, arch, st.q_s, inp.R, order)[0]
 
     def ev(k, prims):
         return laws[k].expect(prims)

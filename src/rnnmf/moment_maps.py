@@ -83,7 +83,9 @@ def _gate_table(theta, arch, q: float, R: float, order: int) -> tuple:
     chi and Jacobian moments at one fixed point read one set of laws;
     theta is validated against arch when it holds none for arch. Linear
     gates are closed-form; a gated gate's variance integrates the inner
-    gate's nonlinearity squared."""
+    gate's nonlinearity squared. An infinite law variance raises
+    ValueError, with the message the pair record gives its correlation
+    inf / inf, once every law is built."""
     key = (q, R, order, arch)
     newest = theta._memo.get("gate_table")
     if newest is not None and newest[0] == key:
@@ -100,6 +102,8 @@ def _gate_table(theta, arch, q: float, R: float, order: int) -> tuple:
         if law_params not in shared:
             shared[law_params] = _Law(*law_params, order, _PRIMS)
         laws[label] = shared[law_params]
+    if any(law.sigma2 == math.inf for law in shared.values()):  # the pair record's correlation inf / inf
+        raise ValueError("|c| must be <= 1, got nan")
     theta._memo["gate_table"] = (key, (laws, plan))
     return laws, plan
 
@@ -153,29 +157,19 @@ def preactivation_stats(
     here; the gates' laws are those of (Q, R).
     """
 
+    return _Gates(*_correlations(theta, arch, state, inputs, order))
+
+
+def _correlations(theta, arch, state, inputs, order) -> tuple:
+    """(laws, c) of preactivation_stats: the gates' laws (_gate_table) and
+    their correlations c by gate label."""
     laws, plan = _gate_table(theta, arch, state.q_s, inputs.R, order)
     rho_s = _rho_s(state)
     c = {}
     for label, p, inner, g in plan:
         state_cov = p.sigma2 * rho_s if inner is None else p.sigma2 * laws[inner].pair(g, g, c[inner]) * rho_s
-        law = laws[label]
-        c[label] = _finish_corr(state_cov + p.nu2 * inputs.R * inputs.sigma_z + p.rho2, law.sigma2)
-        if not abs(c[label]) <= 1.0:  # NaN: the pair record rejects it
-            GaussianPairSpec(law.mu, law.sigma2, c[label])
-    return _Gates(laws, c)
-
-
-def _full_laws(theta, arch, q: float, R: float, order: int) -> dict:
-    """The gates' laws at state second moment q and input second moment R
-    read at full correlation (C = 1, sigma_z = 1): there every gate's
-    correlation is 1 (0 at a point mass), so every pair collapses to the
-    law itself. preactivation_stats's correlation is inf / inf, NaN, for
-    an infinite variance, and raises here as it does there."""
-    laws = _gate_table(theta, arch, q, R, order)[0]
-    for law in laws.values():
-        if law.sigma2 == math.inf:
-            GaussianPairSpec(law.mu, law.sigma2, math.nan)
-    return laws
+        c[label] = _finish_corr(state_cov + p.nu2 * inputs.R * inputs.sigma_z + p.rho2, laws[label].sigma2)
+    return laws, c
 
 
 def _read(rules, laws, c=None) -> tuple:
@@ -195,12 +189,11 @@ def _step(theta, arch, state, inputs, cell, order):
     rules = CELLS[arch.name]
     if rules.step is not None and cell is None:
         raise MissingCellEnsemble(f"the {arch.name} moment map needs a cell ensemble")
-    gates = preactivation_stats(theta, arch, state, inputs, order)
     if rules.step is None:
-        e, sq = _read(rules, gates._laws)
-        mu_n, q_n, cell_new = rules.mean(e, state.mu_s), rules.second(e, sq, state.mu_s, state.q_s), None
-        rho_n = rules.second(e, _read(rules, gates._laws, gates._c)[1], state.mu_s, _rho_s(state))
+        mu_n, q_n = _moment_step(theta, arch, state.mu_s, state.q_s, inputs.R, order)
+        rho_n, cell_new = _cross_moment(theta, arch, state, inputs, order), None
     else:
+        gates = preactivation_stats(theta, arch, state, inputs, order)
         mu_n, q_n, rho_n, cell_new = rules.step(theta, gates, state, cell)
     if rho_n is None:  # sampled step on an unpaired ensemble
         if _degenerate(mu_n, q_n):
@@ -218,8 +211,16 @@ def _moment_step(theta, arch, mu: float, q: float, R: float, order) -> tuple:
     (mu', Q') do not depend on C or sigma_z, so the step reads the gates
     at full correlation: no pair grid or correlation is evaluated."""
     rules = CELLS[arch.name]
-    e, sq = _read(rules, _full_laws(theta, arch, q, R, order))
+    e, sq = _read(rules, _gate_table(theta, arch, q, R, order)[0])
     return rules.mean(e, mu), rules.second(e, sq, mu, q)
+
+
+def _cross_moment(theta, arch, state: MomentState, inputs: InputStats, order) -> float:
+    """rho' = E[s_a' s_b'] of a quadrature cell: its second-moment rule
+    over the pair means at the state's gate correlations and E[s_a s_b]."""
+    rules = CELLS[arch.name]
+    e, pairs = _read(rules, *_correlations(theta, arch, state, inputs, order))
+    return rules.second(e, pairs, state.mu_s, _rho_s(state))
 
 
 def step_moments(
@@ -272,13 +273,12 @@ def step_correlation(
     if abs(c_s) > 1.0:
         raise ValueError(f"|C| must be <= 1, got {c_s}")
     state = MomentState(fixed.mu_s, fixed.q_s, c_s)
-    gates = preactivation_stats(theta, arch, state, inputs, order)
     rules = CELLS[arch.name]
     if rules.correlate is not None:  # sampled pairs, normalized on their own variances
+        gates = preactivation_stats(theta, arch, state, inputs, order)
         cov, var_a, var_b = rules.correlate(theta, gates, n_s, n_iters, seed)
         return _finish_corr(cov, math.sqrt(var_a * var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
-    e, pairs = _read(rules, gates._laws, gates._c)
-    rho_n = rules.second(e, pairs, state.mu_s, _rho_s(state))
+    rho_n = _cross_moment(theta, arch, state, inputs, order)
     return (rho_n - fixed.mu_s * fixed.mu_s) / (fixed.q_s - fixed.mu_s * fixed.mu_s)
 
 
@@ -295,7 +295,8 @@ def moment_trajectory(
     """T steps of the moment map from the zero state, as a list of states.
 
     Mirrors the simulator's transient: index t is the prediction after t
-    updates. A per-step sigma_z schedule overrides inputs.sigma_z, under
+    updates. T must be a non-negative integer (ValueError otherwise). A
+    per-step sigma_z schedule overrides inputs.sigma_z, under
     simulate_pair's rule: fewer than T entries, or an entry outside [-1, 1]
     (NaN included), raises InvalidSchedule. For the LSTM the cell ensemble
     starts at zero, the true transient, and is advanced in lockstep with

@@ -542,3 +542,11 @@ def test_cli_start_up_loads_every_traced_layer():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_critical_init_search_names_the_bound_it_stopped_at(capsys):
+    assert run(["critical-init", "--search", "--arch", "GRU", "--seed", "0"]) == 0
+    assert capsys.readouterr().err.rstrip().endswith("source = search, at bound mu_f = 10")
+    assert run(["critical-init", "--search", "--arch", "peepholeLSTM", "--target-xi", "50", "--seed", "1"]) == 0
+    err = capsys.readouterr().err
+    assert "source = search" in err and "at bound" not in err

@@ -361,3 +361,22 @@ def test_a_partial_library_direction_steps_its_omitted_fields_by_zero():
     partial = sweep_phase_diagram("GRU", theta0, {"f": {"mu": 1.0}}, [0.0, 1.0], UNIT, seed=0)
     assert partial == sweep_phase_diagram("GRU", theta0, full, [0.0, 1.0], UNIT, seed=0)
     assert [r["status"] for r in partial] == ["ok", "ok"]
+
+
+def test_search_report_names_the_bound_its_optimum_lies_on():
+    # the GRU's isometry gap falls monotonically in mu_f, so the golden
+    # section walks to the interval's upper end
+    theta, rep = search_critical("GRU")
+    assert rep.source == "search" and rep.at_bound == criticality.MU_F_BOUNDS[1] == 10.0
+    assert abs(theta.gates["f"].mu - 10.0) <= criticality.MU_F_TOL
+    theta, rep = search_critical("peepholeLSTM", target_xi=50.0, seed=1)
+    assert rep.source == "search" and rep.at_bound is None
+
+
+def test_search_report_of_a_preset_names_no_bound():
+    arch = get_architecture("peepholeLSTM")
+    preset = preset_init("peephole_critical")
+    rep, _, _ = criticality._pipeline_eval(preset, arch, InputStats(1.0, 1.0), 64, 200, 200, 0)
+    theta, report = search_critical("peepholeLSTM", target_xi=rep.xi)
+    assert report.source == "preset" and report.objective == 0.0
+    assert report.at_bound is None

@@ -18,6 +18,7 @@ from rnnmf import (
     expect1,
     get_architecture,
     moment_trajectory,
+    moments,
     preactivation_stats,
     step_correlation,
     step_moments,
@@ -290,3 +291,54 @@ def test_gates_sharing_a_law_read_one_pair_grid_per_primitive_pair(monkeypatch):
     chi = chi_at(theta, arch, UNIT, fixed, 0.4)
     assert chi.hex() == "0x1.4bf6325d3c402p-2"
     assert grids and len(grids) == len(set(grids))
+
+
+def test_moment_trajectory_takes_a_non_negative_integer_t():
+    arch = get_architecture("vanillaRNN")
+    theta = make_theta(arch)
+    for schedule in (None, [0.0, 1.0]):
+        with pytest.raises(ValueError, match=r"T must be a non-negative integer, got -1"):
+            moment_trajectory(theta, arch, UNIT, -1, sigma_z_schedule=schedule)
+        assert moment_trajectory(theta, arch, UNIT, 0, sigma_z_schedule=schedule) == [ZERO_STATE]
+    with pytest.raises(ValueError, match=r"T must be a non-negative integer, got 2.0"):
+        moment_trajectory(theta, arch, UNIT, 2.0)
+
+
+_INFINITE_Q = MomentState(0.0, math.inf, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda theta, arch: _moment_step(theta, arch, _INFINITE_Q.mu_s, _INFINITE_Q.q_s, UNIT.R, 64),
+        lambda theta, arch: step_moments(theta, arch, _INFINITE_Q, UNIT),
+        lambda theta, arch: chi_at(theta, arch, UNIT, _INFINITE_Q, 0.5),
+        lambda theta, arch: moments(theta, arch, _INFINITE_Q, inputs=UNIT),
+        lambda theta, arch: preactivation_stats(theta, arch, _INFINITE_Q, UNIT),
+    ],
+    ids=["_moment_step", "step_moments", "chi_at", "moments", "preactivation_stats"],
+)
+def test_an_infinite_gate_variance_raises(quadrature_arch, call):
+    # Q = inf gives each gate an infinite law variance, whose pair
+    # correlation would be inf / inf
+    with pytest.raises(ValueError, match="got nan"):
+        call(make_theta(quadrature_arch), quadrature_arch)
+
+
+def test_every_map_rejects_an_infinite_gate_variance_at_a_finite_correlation():
+    # r's input variance overflows (nu2 R + rho2 = inf); at sigma_z = 0 its
+    # correlation still comes out finite, 0, but the law is rejected all
+    # the same, as the moment step rejects it
+    arch, state, inputs = get_architecture("GRU"), MomentState(0.1, 0.4, 0.5), InputStats(1.0, 0.0)
+    theta = make_theta(arch).replace("r", nu2=1e308, rho2=1e308)
+    calls = [
+        lambda: _moment_step(theta, arch, state.mu_s, state.q_s, inputs.R, 64),
+        lambda: step_moments(theta, arch, state, inputs),
+        lambda: step_correlation(theta, arch, state, 0.5, inputs),
+        lambda: chi_at(theta, arch, inputs, state, 0.5),
+        lambda: preactivation_stats(theta, arch, state, inputs),
+        lambda: moment_trajectory(theta, arch, inputs, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"\|c\| must be <= 1, got nan"):
+            call()

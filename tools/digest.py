@@ -14,7 +14,10 @@ every iteration or evaluation count that changed, with the sums of the
 changed counts.
 
 Each cell's Jacobian contribution entries (`CELLS[name].entries`) print as
-the SHA-256 of their repr. Every entry point is run for the five cells at
+the SHA-256 of their repr, and each quadrature cell's compiled sources as
+one SHA-256 over the `__doc__` of its `update`, `d0` and each `dk[k]` in
+label order, then of its Jacobian kernels (`jacobian._kernels(name)`), so a
+change to the compilers shows like any output. Every entry point is run for the five cells at
 three thetas each (`verify.make_theta`, a `verify.random_theta` draw,
 `verify.zero_variance_theta`), plus the quadrature engine (also at a point mass and in every pair layout,
 with a NaN-poisoned integrand too), sweeps (one through a worker pool),
@@ -52,6 +55,7 @@ import numpy as np
 
 import rnnmf as R
 import rnnmf.cli
+from rnnmf import jacobian
 from rnnmf.cells import CELLS
 from rnnmf.core import sigmoid
 from rnnmf.moment_maps import _degenerate, _moment_step
@@ -125,7 +129,12 @@ def library():
 
     for arch_name in sorted(R.ARCHITECTURES):
         arch = R.get_architecture(arch_name)
-        print(f"{arch_name}/entries {_sha(repr(CELLS[arch_name].entries).encode())}")
+        rules = CELLS[arch_name]
+        print(f"{arch_name}/entries {_sha(repr(rules.entries).encode())}")
+        if not arch.needs_cell:
+            dk = [rules.dk[k] for k in arch.labels() if k in rules.dk]
+            sources = [f.__doc__ for f in (rules.update, rules.d0, *dk, *jacobian._kernels(arch_name))]
+            print(f"{arch_name}/compiled {_sha(repr(sources).encode())}")
         for tag, theta in _thetas(arch).items():
             _one_theta(f"{arch_name}/{tag}", arch, theta)
         theta = make_theta(arch)
