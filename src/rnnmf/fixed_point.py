@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add, mul, sub
 from typing import Optional
 
 import numpy as np
@@ -109,10 +108,6 @@ class FixedPointReport:
         }
 
 
-def _state(x) -> MomentState:
-    return MomentState(x[0], x[1], 0.0)
-
-
 def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
@@ -158,37 +153,8 @@ def _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters,
     raise NoConvergence(f"moment iteration did not settle within {max_iter} iterations", traj)
 
 
-_DEPTH = 2  # Anderson history: differences mixed into each step (at most dim x)
 _DAMPING = 0.5  # relaxation of the plain step that follows a rejected one
 _MAX_STRETCH = 1024.0  # cap of the forward factor while the map expands
-_KAPPA = 1e-8  # |sin| of the angle below which two mixed differences count as parallel
-
-
-def _dist(a, b) -> float:
-    return max(map(abs, map(sub, a, b)))
-
-
-def _along(x, d, t):
-    return tuple(map(add, x, map(t.__mul__, d)))
-
-
-def _gamma(dg, g) -> list:
-    """Anderson's mixing coefficients gamma, minimizing |g - sum_j gamma_j
-    dg_j| over the last len(gamma) residual differences dg (oldest first).
-    One column d gives <d, g> / <d, d>, or 0 when d = 0 (the minimum-norm
-    answer). Two columns occur only for a 2-D x, where the system is
-    square and Cramer's rule solves it, unless |det| <= _KAPPA |d_1| |d_2|:
-    then the older column is dropped and the newest mixed alone (Walker &
-    Ni 2011). That happens at the rounding floor, where one component's
-    residuals are noise and the secant system fits it."""
-    if len(dg) == 2:
-        (a0, a1), (b0, b1) = dg
-        det = a0 * b1 - a1 * b0
-        if abs(det) > _KAPPA * math.hypot(a0, a1) * math.hypot(b0, b1):
-            return [(g[0] * b1 - g[1] * b0) / det, (a0 * g[1] - a1 * g[0]) / det]
-    d = dg[-1]
-    dd = sum(map(mul, d, d))
-    return [sum(map(mul, d, g)) / dd if dd > 0.0 else 0.0]
 
 
 def _check_solver(tol, max_iter) -> None:
@@ -201,95 +167,84 @@ def _check_solver(tol, max_iter) -> None:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
 
 
-def _iterate(G, x0, project, point, tol, max_iter, what):
-    """Solve x = project(G(x)) by safeguarded Anderson iteration.
+def _iterate(G, x0, lo, hi, tol, max_iter, what):
+    """Solve x = G(x) on [lo, hi] by safeguarded Anderson iteration.
 
-    Iterates are tuples of floats and G returns one. rate, the largest
-    secant slope |G(x) - G(x_j)| / |x - x_j| over the history, estimates
-    the contraction rate. While rate < 1 the next iterate mixes the last
-    _DEPTH differences (Anderson type II, Walker & Ni 2011), its step capped
-    at a trust radius that doubles after every accepted iterate. An
-    Anderson iterate that raises the residual g = G(x) - x is rejected: the
-    radius drops to half the rejected step, and a step that long is retried
-    along the same direction from the last accepted iterate; once the
-    radius is below |g| a plain step damped by _DAMPING is taken instead,
-    and the history is cleared. With no history, or while the map expands
-    along it (rate >= 1), the step is the plain one, G(x), stretched to x +
-    s g by a factor s that doubles on each such step in a row, up to
-    _MAX_STRETCH, and drops back to 1 when g changes direction. The error
-    estimate is twice the larger of |g| / (1 - rate) and the uncapped
-    Anderson step, (I - J)^-1 g for the secant Jacobian J: the factor covers
-    the change of slope across the last step. Stops when it is <= tol (max
-    norms). Returns (point(x), |g|, estimate, map evaluations, accepted
-    iterates); NoConvergence carries the accepted iterates. The
-    map runs with numpy's overflow warnings off: far probes can send a
-    sigmoid's exp past the float range, where the sigmoid is exactly 0 or 1
-    either way.
+    Iterates are floats, each clamped to [lo, hi], as is every map value.
+    rate, the secant slope |G(x) - G(x')| / |x - x'| to the last accepted
+    iterate x', estimates the contraction rate. While rate < 1 the next
+    iterate mixes the last difference (Anderson type II, Walker & Ni 2011:
+    the secant step), its step capped at a trust radius that doubles after
+    every accepted iterate. An Anderson iterate that raises the residual
+    |g|, g = G(x) - x, is rejected: the radius drops to half the rejected
+    step, and a step that long is retried along the same direction from the
+    last accepted iterate; once the radius is below |g| a plain step damped
+    by _DAMPING is taken instead. With no history, or while the map expands
+    (rate >= 1), the step is the plain one, G(x), stretched to x + s g by a
+    factor s that doubles on each such step in a row, up to _MAX_STRETCH,
+    and drops back to 1 when g changes sign. The error estimate is twice
+    the larger of |g| / (1 - rate) and the uncapped Anderson step, g / (1 -
+    J) for the secant slope J: the factor covers the change of slope across
+    the last step. Stops when it is <= tol. Returns (x, |g|, estimate, map
+    evaluations, accepted iterates); NoConvergence carries the accepted
+    iterates. The map runs with numpy's overflow warnings off: far probes
+    can send a sigmoid's exp past the float range, where the sigmoid is
+    exactly 0 or 1 either way.
     """
 
-    x = project(tuple(map(float, x0)))
-    depth = min(_DEPTH, len(x))
-    # the last depth + 1 accepted iterates and their map values, the
-    # differences dx and dg = df - dx of consecutive ones, and every
-    # accepted iterate
-    xs, fs, dxs, dgs, traj = [], [], [], [], []
-    base = None  # (last accepted iterate, step direction, its length) while x is a trial step
+    def clamp(v):
+        return min(max(v, lo), hi)
+
+    x = clamp(float(x0))
+    x_prev = f_prev = None  # the last accepted iterate and its map value
+    traj = []  # every accepted iterate
+    base = None  # (last accepted iterate, step, its length) while x is a trial step
     r = err = math.inf
     radius = math.inf
     stretch, g_prev = 1.0, None
     with np.errstate(over="ignore"):
         for it in range(1, max_iter + 1):
-            f = project(G(x))
-            g = tuple(map(sub, f, x))
-            r_new = max(map(abs, g))
+            f = clamp(G(x))
+            g = f - x
+            r_new = abs(g)
             if base is not None and r_new > r:
-                x_acc, d, length = base
-                radius = 0.5 * _dist(x, x_acc)
+                x_acc, step, length = base
+                radius = 0.5 * abs(x - x_acc)
                 if radius >= r:  # retry a shorter step the same way
-                    x = project(_along(x_acc, d, radius / length))
+                    x = clamp(x_acc + radius / length * step)
                 else:
-                    del xs[:-1], fs[:-1], dxs[:], dgs[:]
-                    x, base = project(_along(x_acc, g_prev, _DAMPING)), None
+                    x, base = clamp(x_acc + _DAMPING * g_prev), None
                 continue
             r = r_new
             radius *= 2.0
-            del xs[:-depth], fs[:-depth]
             rate = None
-            for xj, fj in zip(xs, fs):
-                dj = _dist(x, xj)
-                if dj > 0.0:
-                    rj = _dist(f, fj) / dj
-                    if rate is None or rj > rate:
-                        rate = rj
-            if xs:
-                dxs.append(tuple(map(sub, x, xs[-1])))
-                dgs.append(tuple(map(sub, map(sub, f, fs[-1]), dxs[-1])))
-                del dxs[:-depth], dgs[:-depth]
-            xs.append(x)
-            fs.append(f)
-            traj.append(point(x))
+            if x_prev is not None:
+                dx = x - x_prev
+                dg = f - f_prev - dx
+                if abs(dx) > 0.0:
+                    rate = abs(f - f_prev) / abs(dx)
+            x_prev, f_prev = x, f
+            traj.append(x)
             base = None
             if rate is not None and rate < 1.0:
-                gamma = _gamma(dgs, g)
-                mix = (0.0,) * len(x)  # sum_j gamma_j (dx_j + dg_j), each component added from 0.0
-                for c, dx, dg in zip(gamma, dxs[-len(gamma):], dgs[-len(gamma):]):
-                    mix = tuple(map(add, mix, map(c.__mul__, map(add, dx, dg))))
-                nxt = project(tuple(map(sub, f, mix)))
-                step = tuple(map(sub, nxt, x))
-                length = max(map(abs, step))
+                dd = dg * dg
+                gamma = dg * g / dd if dd > 0.0 else 0.0
+                nxt = clamp(f - (0.0 + gamma * (dx + dg)))  # the mix adds from 0.0
+                step = nxt - x
+                length = abs(step)
                 err = 2.0 * max(r / (1.0 - rate), length)
                 if length > radius:
-                    nxt = project(_along(x, step, radius / length))
+                    nxt = clamp(x + radius / length * step)
                 base = (x, step, length)
                 stretch = 1.0
             else:  # no history yet, or the map expands along it: plain step, stretched
-                if g_prev is None or sum(map(mul, g, g_prev)) <= 0.0:
+                if g_prev is None or g * g_prev <= 0.0:
                     stretch = 1.0
-                nxt = f if stretch == 1.0 else project(_along(x, g, stretch))
+                nxt = f if stretch == 1.0 else clamp(x + stretch * g)
                 stretch = min(2.0 * stretch, _MAX_STRETCH)
                 err = 0.0 if r == 0.0 else math.inf
             if err <= tol:
-                return point(x), r, err, it, traj
+                return x, r, err, it, traj
             x, g_prev = nxt, g
     raise NoConvergence(
         f"{what} residual {r:.3e}, error estimate {err:.3e} > tol {tol:g} "
@@ -311,14 +266,17 @@ def solve_moments(
 ) -> MomentsSolution:
     """Iterate the moment map from the zero state to its fixed point.
 
-    Quadrature architectures use safeguarded Anderson iteration on (mu, Q),
-    projected onto Q >= mu^2, with a damped plain-step fallback (see
-    _iterate). The map is the moment-only step: step_moments' (mu', Q')
+    Quadrature architectures solve for Q alone, by the safeguarded Anderson
+    iteration of _iterate on Q >= 0: the mean rule is affine in mu, mu' =
+    a mu + b, with gate laws that depend on Q alone, so at each Q mu is its
+    fixed point mu*(Q) = b / (1 - a) (0 where a rounds to 1), and the map
+    is Q -> Q' of the moment-only step at (mu*(Q), Q), step_moments' Q'
     without the copies' pair integrals. It stops when the estimated
     distance to the fixed point, about residual / (1 - rate), is <= tol:
-    residual is max(|dmu|, |dQ|) of the map at the returned point,
-    error_estimate that distance, iterations the map evaluations and
-    trajectory the accepted iterates. The LSTM resamples its cell ensemble every iteration and stops
+    residual is |dQ| of that map at the returned Q, error_estimate that
+    distance, iterations the map evaluations and trajectory the accepted
+    iterates as states (mu*(Q), Q), Q lifted to mu*(Q)^2 where below it.
+    The LSTM resamples its cell ensemble every iteration and stops
     on a noise-aware window criterion (residual: the change across it;
     error_estimate: None). Raises NoConvergence with the trajectory after
     max_iter, and ValueError unless tol is a positive finite number and
@@ -332,16 +290,23 @@ def solve_moments(
             raise ValueError(f"n_s = {n_s}: the sampled map's standard errors need n_s >= 2")
         return _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters, seed)
 
-    def G(x):
-        return _moment_step(theta, arch, x[0], x[1], inputs.R, order)
+    mus = {}  # mu*(Q) at every Q the map was evaluated at
 
-    def project(x):
-        return x[0], max(x[1], x[0] * x[0])
+    def G(q):
+        mus[q], q_n = _moment_step(theta, arch, None, q, inputs.R, order)
+        return q_n
 
-    state, r, err, it, traj = _iterate(G, (0.0, 0.0), project, _state, tol, max_iter, "moment")
+    def state(q):  # an iterate's state, its Q lifted to mu*(Q)^2 where below it
+        mu = mus[q]
+        return MomentState(mu, max(q, mu * mu), 0.0)
+
+    try:
+        q, r, err, it, traj = _iterate(G, 0.0, 0.0, math.inf, tol, max_iter, "moment")
+    except NoConvergence as exc:
+        raise NoConvergence(str(exc), map(state, exc.trajectory)) from None
     return MomentsSolution(
-        state=state,
-        trajectory=tuple(traj),
+        state=state(q),
+        trajectory=tuple(map(state, traj)),
         iterations=it,
         converged=True,
         residual=r,
@@ -445,12 +410,10 @@ def solve_correlation(
     if _degenerate(st.mu_s, st.q_s):  # no correlation direction: C* = 1 by convention
         c, resid_c, err_c, it, traj = 1.0, 0.0, 0.0, 0, [1.0]
     else:
-        def G(x):
-            return (step_correlation(theta, arch, st, x[0], inputs, order, n_s, n_iters, seed),)
+        def G(c):
+            return step_correlation(theta, arch, st, c, inputs, order, n_s, n_iters, seed)
 
-        c, resid_c, err_c, it, traj = _iterate(
-            G, (c0,), lambda x: (min(max(x[0], -1.0), 1.0),), lambda x: x[0], tol, max_iter, "correlation"
-        )
+        c, resid_c, err_c, it, traj = _iterate(G, c0, -1.0, 1.0, tol, max_iter, "correlation")
     chi = chi_at(theta, arch, inputs, st, c, order, n_s, n_iters, seed)
     return FixedPointReport(
         arch=arch.name,

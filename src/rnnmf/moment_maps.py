@@ -190,8 +190,9 @@ def _step(theta, arch, state, inputs, cell, order):
     if rules.step is not None and cell is None:
         raise MissingCellEnsemble(f"the {arch.name} moment map needs a cell ensemble")
     if rules.step is None:
-        mu_n, q_n = _moment_step(theta, arch, state.mu_s, state.q_s, inputs.R, order)
-        rho_n, cell_new = _cross_moment(theta, arch, state, inputs, order), None
+        laws, c = _correlations(theta, arch, state, inputs, order)
+        mu_n, q_n = _moments(rules, laws, state.mu_s, state.q_s)
+        rho_n, cell_new = _cross_moment(rules, laws, c, state), None
     else:
         gates = preactivation_stats(theta, arch, state, inputs, order)
         mu_n, q_n, rho_n, cell_new = rules.step(theta, gates, state, cell)
@@ -205,21 +206,34 @@ def _step(theta, arch, state, inputs, cell, order):
     return MomentState(mu_n, q_n, _correlation_from(rho_n, mu_n, q_n)), cell_new
 
 
-def _moment_step(theta, arch, mu: float, q: float, R: float, order) -> tuple:
-    """(mu', Q') of step_moments for a quadrature cell at state moments
-    (mu, Q) and input second moment R, the map solve_moments iterates.
-    (mu', Q') do not depend on C or sigma_z, so the step reads the gates
-    at full correlation: no pair grid or correlation is evaluated."""
-    rules = CELLS[arch.name]
-    e, sq = _read(rules, _gate_table(theta, arch, q, R, order)[0])
+def _moments(rules, laws, mu, q: float) -> tuple:
+    """(mu', Q') of a quadrature cell's moment rule over the gate laws at
+    Q. With mu None it is (mu*(Q), Q') instead: mu*(Q) = b / (1 - a), the
+    fixed point of the mean rule mu' = a mu + b, which is affine in mu with
+    gate laws that depend on Q alone, and Q' taken at it. Where a rounds to
+    1 every mean is carried and mu*(Q) is the zero start's, 0."""
+    e, sq = _read(rules, laws)
+    if mu is None:
+        b = rules.mean(e, 0.0)
+        a = rules.mean(e, 1.0) - b
+        mu = b / (1.0 - a) if a < 1.0 else 0.0
+        return mu, rules.second(e, sq, mu, q)
     return rules.mean(e, mu), rules.second(e, sq, mu, q)
 
 
-def _cross_moment(theta, arch, state: MomentState, inputs: InputStats, order) -> float:
+def _moment_step(theta, arch, mu, q: float, R: float, order) -> tuple:
+    """(mu', Q') of step_moments for a quadrature cell at state moments
+    (mu, Q) and input second moment R, or with mu None the map
+    solve_moments iterates, (mu*(Q), Q') (_moments). Neither depends on C
+    or sigma_z, so the step reads the gates at full correlation: no pair
+    grid or correlation is evaluated."""
+    return _moments(CELLS[arch.name], _gate_table(theta, arch, q, R, order)[0], mu, q)
+
+
+def _cross_moment(rules, laws, c, state: MomentState) -> float:
     """rho' = E[s_a' s_b'] of a quadrature cell: its second-moment rule
-    over the pair means at the state's gate correlations and E[s_a s_b]."""
-    rules = CELLS[arch.name]
-    e, pairs = _read(rules, *_correlations(theta, arch, state, inputs, order))
+    over the pair means at the gate correlations c and E[s_a s_b]."""
+    e, pairs = _read(rules, laws, c)
     return rules.second(e, pairs, state.mu_s, _rho_s(state))
 
 
@@ -278,7 +292,7 @@ def step_correlation(
         gates = preactivation_stats(theta, arch, state, inputs, order)
         cov, var_a, var_b = rules.correlate(theta, gates, n_s, n_iters, seed)
         return _finish_corr(cov, math.sqrt(var_a * var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
-    rho_n = _cross_moment(theta, arch, state, inputs, order)
+    rho_n = _cross_moment(rules, *_correlations(theta, arch, state, inputs, order), state)
     return (rho_n - fixed.mu_s * fixed.mu_s) / (fixed.q_s - fixed.mu_s * fixed.mu_s)
 
 

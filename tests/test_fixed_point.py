@@ -142,12 +142,12 @@ def _peephole_ray_theta(mu_f):
 
 
 def _spy_moment_map(monkeypatch):
-    """Record every (mu, Q) the moment solve evaluates its map at."""
+    """Record every Q the moment solve evaluates its map at."""
     points = []
     step = fixed_point._moment_step
 
     def spy(theta, arch, mu, q, R, order):
-        points.append((mu, q))
+        points.append(q)
         return step(theta, arch, mu, q, R, order)
 
     monkeypatch.setattr(fixed_point, "_moment_step", spy)
@@ -166,53 +166,83 @@ def test_peephole_near_transition_solves_in_few_evaluations(monkeypatch, mu_f):
 
 
 def test_rejected_candidate_is_retried_shorter_along_its_direction(monkeypatch):
-    # at mu_f = 5 the Anderson step from Q = 3.0 lands at Q = 6.7, where
+    # at mu_f = 5 the Anderson step from Q = 2.9 lands at Q = 7.4, where
     # the residual is larger; the retry goes half as far the same way and
     # is accepted, instead of a damped plain step
     points = _spy_moment_map(monkeypatch)
     arch, theta = _peephole_ray_theta(5.0)
     msol = solve_moments(theta, arch, UNIT)
-    accepted = [(s.mu_s, s.q_s) for s in msol.trajectory]
+    accepted = [s.q_s for s in msol.trajectory]
     k = next(i for i, p in enumerate(points) if p not in accepted)
     base, rejected, retry = points[k - 1], points[k], points[k + 1]
     assert retry in accepted
-    for b, p, r in zip(base, rejected, retry):
-        assert r - b == pytest.approx(0.5 * (p - b), rel=1e-12, abs=1e-30)
+    assert retry - base == pytest.approx(0.5 * (rejected - base), rel=1e-12, abs=1e-30)
 
 
-def _lstsq(columns, g):
-    return np.linalg.lstsq(np.array(columns, dtype=float).T, np.array(g, dtype=float), rcond=None)[0]
+def _spied(G):
+    """G and the list of the points it is evaluated at."""
+    points = []
+
+    def spy(x):
+        points.append(x)
+        return G(x)
+
+    return spy, points
 
 
-@pytest.mark.parametrize("n_cols,dim", [(1, 1), (1, 2), (2, 2)])
-def test_mixing_solve_matches_least_squares(n_cols, dim):
-    rng = np.random.default_rng([29, n_cols, dim])
-    for _ in range(200):
-        columns = rng.standard_normal((n_cols, dim)) * 10.0 ** rng.uniform(-12, 4)
-        if n_cols == 2 and np.linalg.cond(columns) > 100.0:
-            continue  # well-conditioned systems only
-        g = rng.standard_normal(dim) * 10.0 ** rng.uniform(-12, 4)
-        gamma = fixed_point._gamma(columns.tolist(), g.tolist())
-        want = _lstsq(columns, g)
-        assert len(gamma) == n_cols
-        assert np.max(np.abs(np.array(gamma) - want)) <= 1e-12 * np.max(np.abs(want))
+def test_scalar_solve_of_an_affine_contraction_meets_tol_in_three_evaluations():
+    # one plain step, then the secant step lands on the fixed point
+    G, points = _spied(lambda x: 0.5 * x + 0.25)
+    x, r, err, it, traj = fixed_point._iterate(G, 0.0, -math.inf, math.inf, 1e-9, 100, "affine")
+    assert (x, r, err, it) == (0.5, 0.0, 0.0, 3)
+    assert points == traj == [0.0, 0.25, 0.5]
 
 
-def test_mixing_solve_of_a_zero_column_is_zero():
-    # lstsq's minimum-norm answer
-    for columns in ([[0.0]], [[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [0.0, 0.0]]):
-        assert fixed_point._gamma(columns, [1.0, -2.0][: len(columns[0])]) == [0.0]
+def test_scalar_solve_retries_a_rejected_step_at_half_its_length():
+    # the secant of the line 0.75 x + 1 points at its fixed point x = 4,
+    # past the kink at x = 2, where the residual is larger: the step is
+    # retried from x = 1 at half its length, 2.5, and accepted
+    G, points = _spied(lambda x: 0.75 * x + 1.0 if x < 2.0 else 0.25 * x + 2.0)
+    x, r, err, it, traj = fixed_point._iterate(G, 0.0, -math.inf, math.inf, 1e-9, 100, "kinked")
+    assert points[:4] == [0.0, 1.0, 4.0, 2.5]
+    assert traj[:3] == [0.0, 1.0, 2.5]
+    assert x == pytest.approx(8.0 / 3.0, abs=1e-9) and err <= 1e-9
 
 
-def test_mixing_solve_drops_the_older_of_two_parallel_columns():
-    # the second column a multiple of the first, or parallel to it up to
-    # rounding noise in one component (mu's residuals on a symmetric
-    # theta), where lstsq fits the noise: the newest column is mixed alone
-    g = [2e-17, 0.9]
-    for older, newest in (([0.3, -1.7], [0.9, -5.1]), ([1e-17, 0.5], [-3e-17, 1.5])):
-        gamma = fixed_point._gamma([older, newest], g)
-        assert len(gamma) == 1 and math.isfinite(gamma[0])
-        assert gamma[0] == pytest.approx(_lstsq([newest], g)[0], rel=1e-12)
+def test_scalar_solve_stretches_its_steps_while_the_map_expands():
+    # at slope 1 every plain step is stretched twice as far as the last,
+    # until the map contracts to its fixed point at 120; plain steps alone
+    # would take about 120 evaluations
+    G, points = _spied(lambda x: min(x + 1.0, 0.5 * x + 60.0))
+    x, r, err, it, traj = fixed_point._iterate(G, 0.0, 0.0, math.inf, 1e-9, 100, "expanding")
+    assert points[:8] == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0]
+    assert x == pytest.approx(120.0, abs=1e-9) and err <= 1e-9 and it <= 20
+
+
+def _saturated_theta(arch, **kw):
+    # sigmoid(40 + 3 sd) rounds to 1 at Q = 0: the forget gate carries
+    # every mean, a = 1 in the mean rule mu' = a mu + b
+    return make_theta(arch, sigma2=0.5, nu2=0.5, rho2=0.0, mu_f=40.0, **kw)
+
+
+@pytest.mark.parametrize("arch_name", ["minimalRNN", "GRU"])
+def test_saturated_forget_gate_returns_the_zero_state_in_one_evaluation(arch_name):
+    arch = get_architecture(arch_name)
+    msol = solve_moments(_saturated_theta(arch), arch, UNIT)
+    assert (msol.state, msol.iterations, msol.error_estimate) == (ZERO_STATE, 1, 0.0)
+
+
+def test_saturated_peephole_reaches_the_fixed_point_of_its_growing_cell():
+    arch = get_architecture("peepholeLSTM")
+    msol = solve_moments(_saturated_theta(arch), arch, UNIT)
+    assert msol.q_star == pytest.approx(331.0853, abs=1e-4)
+    assert abs(msol.mu_star) < 1e-12
+    # with nonzero means the cell grows until the forget gate's spread
+    # lets it forget, at Q* = 347, where the scalar solve takes 22
+    # evaluations
+    msol = solve_moments(_saturated_theta(arch, mu_other=0.3), arch, UNIT)
+    assert (msol.mu_star, msol.q_star) == pytest.approx((6.9059084, 347.05275), rel=1e-7)
+    assert msol.iterations <= 30 and msol.error_estimate <= 1e-9
 
 
 @pytest.mark.parametrize("tag", ["make", "random"])

@@ -7,6 +7,10 @@ cell's fixed point, slope, timescale and Jacobian moments at
 evaluation counts; every state of a T = 10 moment trajectory under a sigma_z
 schedule; and one critical search. The values are float.hex() strings;
 `tools/digest.py` compares far more outputs, outside this suite.
+
+The correlation solve is also pinned from a fixed state per quadrature cell,
+so that a change to the moment solve alone leaves those pins, and the
+sampled LSTM's pipeline is pinned whole.
 """
 
 import hashlib
@@ -14,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from rnnmf import InputStats, get_architecture, moment_trajectory, moments, search_critical
+from rnnmf import InputStats, MomentState, get_architecture, moment_trajectory, moments, search_critical
 from rnnmf import solve_correlation, solve_moments
 
 from conftest import make_theta, random_theta
@@ -26,13 +30,13 @@ SCHEDULE = [0.0] * 4 + [1.0] * 6
 # correlation solves' map evaluations
 PIPELINE = {
     ("vanillaRNN", "make"): (
-        "0x1.6ce3b09edb554p-1", "0x1.0cc39718a6fcap-1", "0x1.560e08a093eebp-1", "0x1.6a04597798981p-7",
-        "0x1.c68dca90bdb63p-3", "0x1.728640c18723dp-7", "0x1.282e842b6674ep-12", "0x1.4438db8b2a1a9p-13",
-        5, 4,
+        "0x1.6ce3b09edb5e7p-1", "0x1.0cc39718a2274p-1", "0x1.560e08a155079p-1", "0x1.6a04597798d81p-7",
+        "0x1.c68dca90bdc80p-3", "0x1.728640c1873efp-7", "0x1.282e842b6687bp-12", "0x1.4438db8b2a18fp-13",
+        4, 4,
     ),
     ("vanillaRNN", "random"): (
-        "0x1.82a881cd9b88cp-2", "0x1.3cc8e01f41268p-3", "0x1.ffa9fde9a9791p-1", "0x1.09def55ce74f5p-7",
-        "0x1.a968908f17044p-3", "0x1.09dfd82617188p-7", "0x1.1b507ab917aacp-13", "0x1.227fc4390aa83p-14",
+        "0x1.82a881cd8730ap-2", "0x1.3cc8e01ee106ap-3", "0x1.ffa9fdf165d3cp-1", "0x1.09def55ce8103p-7",
+        "0x1.a968908f17446p-3", "0x1.09dfd82617af1p-7", "0x1.1b507ab918b91p-13", "0x1.227fc4390b8c2p-14",
         4, 4,
     ),
     ("minimalRNN", "make"): (
@@ -41,9 +45,9 @@ PIPELINE = {
         5, 5,
     ),
     ("minimalRNN", "random"): (
-        "0x1.2df52e0e95ca3p-1", "0x1.dcaec54469e70p-2", "0x1.c9f665c8cfa92p-1", "0x1.48dd81fea2a6fp-3",
-        "0x1.17f0589d3eaaep-1", "0x1.49bf32067dd72p-3", "0x1.2abf65bcbf423p-5", "0x1.59839c323f364p-7",
-        6, 5,
+        "0x1.2df52e0e8b3fcp-1", "0x1.dcaec54474c1dp-2", "0x1.c9f665c895ac6p-1", "0x1.48dd81fea2e17p-3",
+        "0x1.17f0589d3ec61p-1", "0x1.49bf32067ea0bp-3", "0x1.2abf65bcc195ep-5", "0x1.59839c324476ap-7",
+        5, 5,
     ),
     ("GRU", "make"): (
         "0x0.0p+0", "0x1.426c78cf68c65p-5", "0x1.e01bfc6561538p-2", "0x1.0ddc25691979dp-1",
@@ -51,9 +55,9 @@ PIPELINE = {
         5, 5,
     ),
     ("GRU", "random"): (
-        "0x1.91a4dccc2789dp-1", "0x1.5741cd0898469p-1", "0x1.b1c1079b0f4cdp-1", "0x1.51b0836bfd445p-3",
-        "0x1.1c0d19786f872p-1", "0x1.532cba36e5b2fp-3", "0x1.44b502592be8ep-5", "0x1.90150f68d24e0p-7",
-        6, 5,
+        "0x1.91a4dccc36600p-1", "0x1.5741cd0862442p-1", "0x1.b1c1079e878eap-1", "0x1.51b0836bfc983p-3",
+        "0x1.1c0d19786f36ep-1", "0x1.532cba36e115dp-3", "0x1.44b502591d4ecp-5", "0x1.90150f68b0594p-7",
+        5, 5,
     ),
     ("peepholeLSTM", "make"): (
         "0x0.0p+0", "0x1.fa293e79aa376p-4", "0x1.eaf77b5e9c546p-2", "0x1.2494f9947376dp-1",
@@ -61,11 +65,55 @@ PIPELINE = {
         5, 5,
     ),
     ("peepholeLSTM", "random"): (
-        "0x1.0a908f74eecbap+0", "0x1.3e829e70752fap+0", "0x1.ce755e5fc9b38p-1", "0x1.1c72aef7d5bd5p-1",
-        "0x1.b38a98190a885p+0", "0x1.1e470d0768d6ep-1", "0x1.87844e053d68dp-2", "0x1.1d85e4c1d18b4p-4",
-        7, 5,
+        "0x1.0a908f74eecc6p+0", "0x1.3e829e707433dp+0", "0x1.ce755e5fd5088p-1", "0x1.1c72aef7d5bddp-1",
+        "0x1.b38a98190a899p+0", "0x1.1e470d0768d6fp-1", "0x1.87844e053d68ep-2", "0x1.1d85e4c1d18acp-4",
+        5, 5,
     ),
 }
+
+# (mu*, Q*) of PIPELINE's solves written out, and the correlation solve's
+# (C*, chi, xi) as float.hex() and its map evaluations from that state
+CORRELATION_AT_STATE = {
+    ("vanillaRNN", "make"): (
+        ("0x1.6ce3b09edb554p-1", "0x1.0cc39718a6fcap-1"),
+        ("0x1.560e08a093eebp-1", "0x1.6a04597798981p-7", "0x1.c68dca90bdb63p-3", 4),
+    ),
+    ("vanillaRNN", "random"): (
+        ("0x1.82a881cd9b88cp-2", "0x1.3cc8e01f41268p-3"),
+        ("0x1.ffa9fde9a9791p-1", "0x1.09def55ce74f5p-7", "0x1.a968908f17044p-3", 4),
+    ),
+    ("minimalRNN", "make"): (
+        ("0x0.0p+0", "0x1.48a17c6a530fcp-5"),
+        ("0x1.deaf2b7ec4bc7p-2", "0x1.1414e3450822ep-1", "0x1.9e7d260c93a79p+0", 5),
+    ),
+    ("minimalRNN", "random"): (
+        ("0x1.2df52e0e95ca3p-1", "0x1.dcaec54469e70p-2"),
+        ("0x1.c9f665c8cfa92p-1", "0x1.48dd81fea2a6fp-3", "0x1.17f0589d3eaaep-1", 5),
+    ),
+    ("GRU", "make"): (
+        ("0x0.0p+0", "0x1.426c78cf68c65p-5"),
+        ("0x1.e01bfc6561538p-2", "0x1.0ddc25691979dp-1", "0x1.8fbc99ea660dap+0", 5),
+    ),
+    ("GRU", "random"): (
+        ("0x1.91a4dccc2789dp-1", "0x1.5741cd0898469p-1"),
+        ("0x1.b1c1079b0f4cdp-1", "0x1.51b0836bfd445p-3", "0x1.1c0d19786f872p-1", 5),
+    ),
+    ("peepholeLSTM", "make"): (
+        ("0x0.0p+0", "0x1.fa293e79aa376p-4"),
+        ("0x1.eaf77b5e9c546p-2", "0x1.2494f9947376dp-1", "0x1.c97c6edcd16a7p+0", 5),
+    ),
+    ("peepholeLSTM", "random"): (
+        ("0x1.0a908f74eecbap+0", "0x1.3e829e70752fap+0"),
+        ("0x1.ce755e5fc9b38p-1", "0x1.1c72aef7d5bd5p-1", "0x1.b38a98190a885p+0", 5),
+    ),
+}
+
+# the sampled LSTM's pipeline at make_theta, seed 0: PIPELINE's fields
+LSTM_PIPELINE = (
+    "-0x1.3514e89d52cb6p-10", "0x1.b4e3a0a017b53p-6", "0x1.d0164787a87e0p-2", "0x1.0507f3b57cbc3p-1",
+    "0x1.7bffdafec3041p+0", "0x1.07ddb0ebb0c3ap-1", "0x1.3859279b27a66p-2", "0x1.42ff30df8a028p-5",
+    11, 4,
+)
 
 # SHA-256 of the trajectory's states, each "mu.hex() q.hex() c.hex()", joined by spaces
 TRAJECTORY = {
@@ -89,6 +137,25 @@ def test_pipeline_keeps_its_bits(arch_name, tag):
     mom = moments(theta, arch, ms.state, inputs=INPUTS)
     values = (ms.mu_star, ms.q_star, rep.c_star, rep.chi, rep.xi, mom.m1, mom.m2, mom.sigma)
     assert tuple(float(v).hex() for v in values) + (ms.iterations, rep.iterations) == PIPELINE[arch_name, tag]
+
+
+@pytest.mark.parametrize("arch_name, tag", sorted(CORRELATION_AT_STATE))
+def test_correlation_solve_from_a_fixed_state_keeps_its_bits(arch_name, tag):
+    arch = get_architecture(arch_name)
+    (mu, q), want = CORRELATION_AT_STATE[arch_name, tag]
+    state = MomentState(float.fromhex(mu), float.fromhex(q), 0.0)
+    rep = solve_correlation(_theta(arch, tag), arch, INPUTS, state)
+    assert tuple(float(v).hex() for v in (rep.c_star, rep.chi, rep.xi)) + (rep.iterations,) == want
+
+
+def test_lstm_pipeline_keeps_its_bits():
+    arch = get_architecture("LSTM")
+    theta = make_theta(arch)
+    ms = solve_moments(theta, arch, INPUTS)
+    rep = solve_correlation(theta, arch, INPUTS, ms)
+    mom = moments(theta, arch, ms.state, inputs=INPUTS)
+    values = (ms.mu_star, ms.q_star, rep.c_star, rep.chi, rep.xi, mom.m1, mom.m2, mom.sigma)
+    assert tuple(float(v).hex() for v in values) + (ms.iterations, rep.iterations) == LSTM_PIPELINE
 
 
 @pytest.mark.parametrize("arch_name", sorted(TRAJECTORY))

@@ -23,7 +23,8 @@ three thetas each (`verify.make_theta`, a `verify.random_theta` draw,
 with a NaN-poisoned integrand too), sweeps (one through a worker pool),
 searches (one constrained, one whose every evaluation fails) and the
 presets, the private fast path (the moment-only step
-`moment_maps._moment_step`), and the solvers' slow paths (fixed points,
+`moment_maps._moment_step`, and with mu None the map the moment solve
+iterates, (mu*(Q), Q'), at the visited state and at the solved one), and the solvers' slow paths (fixed points,
 iteration counts and error estimates at thetas whose maps expand or
 overshoot, or whose forget gate saturates), the LSTM correlation solve at
 two input correlations and four seeds, the quadrature engine on laws wider
@@ -191,7 +192,11 @@ def _one_theta(tag, arch, theta):
     else:
         emit(f"{tag} step_moments", lambda: R.step_moments(theta, arch, state, UNIT))
         emit(f"{tag} _moment_step", lambda: _moment_step(theta, arch, state.mu_s, state.q_s, UNIT.R, R.DEFAULT_ORDER))
+        emit(f"{tag} _moment_step[mu*]", lambda: _moment_step(theta, arch, None, state.q_s, UNIT.R, R.DEFAULT_ORDER))
     msol = emit(f"{tag} solve_moments", lambda: R.solve_moments(theta, arch, UNIT, **sk))
+    if msol is not None and not arch.needs_cell:
+        emit(f"{tag} _moment_step[mu*, solved]", lambda: _moment_step(
+            theta, arch, None, msol.q_star, UNIT.R, R.DEFAULT_ORDER))
     if msol is not None:
         for c in CORRELATIONS:
             emit(f"{tag} step_correlation[{c}]", lambda: R.step_correlation(theta, arch, msol.state, c, UNIT, **sk))

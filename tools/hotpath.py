@@ -7,7 +7,7 @@ Each figure is the minimum over --repeats samples of the CPU time
   `verify.make_theta`), at a fresh state and at a memoized one;
 - one correlation-map evaluation (`step_correlation`) at a new c;
 - the solver loop (`fixed_point._iterate`) per map evaluation, on a
-  trivial affine map in 1-D and in 2-D;
+  trivial affine map, through the solver signature of the checkout loaded;
 - `quadrature._Law()` alone and with its first reads, E[sig] and E[sig^2];
 - `jacobian.moments` at a solved state and its state-power recursion;
 - one pipeline op (solve_moments, solve_correlation, moments) per
@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import math
 import statistics
 import sys
 import time
@@ -99,23 +100,21 @@ def op_kinds(pkg) -> dict:
         base = 0.1 + 1e-4 * counter[0]
         return batch(20, lambda i: pkg.step_correlation(theta, gru, state, base + 1e-6 * i, unit))
 
-    def iterate(dim):
-        affine = {1: lambda x: (0.5 * x[0] + 0.25,), 2: lambda x: (0.5 * x[0] + 0.1 * x[1] + 0.2, 0.3 * x[1] + 0.1)}
+    def iterate():
+        fp = m["fixed_point"]
+        if hasattr(fp, "_gamma"):  # the solver on tuples, before the moment solve was scalar
+            args = (lambda x: (0.5 * x[0] + 0.25,), (0.0,), tuple, tuple)
+        else:
+            args = (lambda x: 0.5 * x + 0.25, 0.0, -math.inf, math.inf)
+        evals = fp._iterate(*args, 1e-9, 100, "trivial")[3]
 
-        def make():
-            solve = m["fixed_point"]._iterate
-            x0 = (0.0,) * dim
-            evals = solve(affine[dim], x0, tuple, tuple, 1e-9, 100, "trivial")[3]
+        def sample():
+            t0 = time.process_time_ns()
+            for _ in range(100):
+                fp._iterate(*args, 1e-9, 100, "trivial")
+            return (time.process_time_ns() - t0) / (100 * evals)
 
-            def sample():
-                t0 = time.process_time_ns()
-                for _ in range(100):
-                    solve(affine[dim], x0, tuple, tuple, 1e-9, 100, "trivial")
-                return (time.process_time_ns() - t0) / (100 * evals)
-
-            return sample
-
-        return make
+        return sample
 
     def law(reads):
         def make():
@@ -185,8 +184,7 @@ def op_kinds(pkg) -> dict:
         "moment map, fresh state (GRU)": moment_fresh,
         "moment map, memoized (GRU)": moment_memo,
         "correlation map, new c (GRU)": correlation_new_c,
-        "_iterate per evaluation, 1-D": iterate(1),
-        "_iterate per evaluation, 2-D": iterate(2),
+        "_iterate per evaluation": iterate,
         "_Law()": law(()),
         "_Law() + E[sig], E[sig^2]": law((("sig",), ("sig", "sig"))),
     }
