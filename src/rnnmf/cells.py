@@ -4,12 +4,12 @@ The generic code (moment maps, Jacobian moments, the width-N simulator)
 looks a cell up in CELLS by architecture name and calls through its record.
 The four quadrature cells' rules sit wholly in this table: no code outside
 it tells them apart. The sampled LSTM is still branched on outside it, by
-arch.needs_cell in fixed_point.solve_moments and chi_at,
-jacobian.contribution_vector, moment_maps.moment_trajectory and the
-simulator (which carries a cell), by rules.step in moment_maps._step, by
-rules.correlate in moment_maps.step_correlation, by CELLS["LSTM"] in
-jacobian.lstm_chi_frame, and by has_cell and needs_cell in the CLI's
-cell-dist (ROADMAP item 3).
+arch.needs_cell in moment_maps._step and step_correlation (which call its
+sampled steps, _lstm_step and _lstm_correlate, directly),
+fixed_point.solve_moments and chi_at, jacobian.contribution_vector,
+moment_maps.moment_trajectory and the simulator (which carries a cell), by
+CELLS["LSTM"] in jacobian.lstm_chi_frame, and by has_cell and needs_cell in
+the CLI's cell-dist (ROADMAP item 3).
 Record functions call the traced library functions (advance_cell, ...)
 through this module's globals, never through stored references.
 
@@ -17,9 +17,8 @@ A quadrature cell's moment step is one second-moment rule applied twice:
 read over single-copy expectations and Q it gives Q', read over the pair
 expectations at the gate correlations and E[s_a s_b] it gives rho' =
 E[s_a' s_b'], the cross moment of the two coupled copies. The sampled
-LSTM's step maps the gates of the current state (the mapping
-preactivation_stats returns) to (mu', Q', rho', cell'), cell' the advanced
-ensemble.
+LSTM's steps (_lstm_step, _lstm_correlate) read its cell ensembles
+instead.
 
 Each of the four quadrature cells is declared by its affine law
 s' = A s + W, A and W products of gate primitives, and _affine_cell derives
@@ -282,6 +281,9 @@ def _lstm_output_moments(gates, cell_new, gate_o):
 
 
 def _lstm_step(theta, gates, state, cell):
+    """The sampled LSTM's moment step: (mu', Q', rho', cell') from the
+    gates of the current state (the mapping preactivation_stats returns),
+    cell' the advanced ensemble and rho' None when it is unpaired."""
     cell_new = advance_cell(theta, gates, cell)
     mu_n, q_n, pair = _lstm_output_moments(gates, cell_new, _lstm_gate_o(gates))
     rho_n = None
@@ -294,6 +296,11 @@ def _lstm_step(theta, gates, state, cell):
 
 
 def _lstm_correlate(theta, gates, n_s, n_iters, seed):
+    """The sampled correlation step: (cov, var_a, var_b), the output
+    covariance and the two output variances of the coupled frame
+    equilibrated from zero (lstm_cell_sampler._frame, whose last update
+    chi reads), which the correlation map divides as cov / sqrt(var_a
+    var_b), so identical chains give exactly 1."""
     pairs = _frame(theta, gates, n_s, n_iters, seed).pairs
     return _lstm_output_moments(gates, pairs, _lstm_gate_o(gates))[2]
 
@@ -317,19 +324,12 @@ class CellRules:
     state's mean mu, and second(e, sq, mu, s2) gives Q' from their squares
     sq = E[g(u_k)^2] and s2 = Q, or rho' = E[s_a' s_b'] from their pair
     means sq = E[g(u_k,a) g(u_k,b)] at the gate correlations and s2 =
-    E[s_a s_b]. step(theta, gates, state, cell) -> (mu', Q', rho', cell')
-    is the sampled LSTM's step instead, gates the mapping
-    preactivation_stats returns for state.
-    correlate(theta, gates, n_s, n_iters, seed) -> (cov, var_a,
-    var_b) is the sampled correlation step: the output covariance and the
-    two output variances of the coupled frame equilibrated from zero
-    (lstm_cell_sampler._frame, whose last update chi reads), which the
-    correlation map divides as cov / sqrt(var_a var_b), so identical chains
-    give exactly 1; None means rho' of the step, normalized by the fixed
-    (mu*, Q*). entries is per-cell data, the same for every theta: by
-    label, (weights, terms), with weights the gates whose recurrent
-    variances sigma_k^2 multiply into every term's coefficient, in that
-    order, and terms (number, shape) pairs, the number 1 or -2.
+    E[s_a s_b]. The sampled LSTM has none: the moment maps call its steps
+    (_lstm_step, _lstm_correlate) directly. entries is per-cell data, the
+    same for every theta: by label, (weights, terms), with weights the
+    gates whose recurrent variances sigma_k^2 multiply into every term's
+    coefficient, in that order, and terms (number, shape) pairs, the
+    number 1 or -2.
     factors(j, m) gives the reads whose products are the state-power
     factors a(j, m) and b(m) (_state_power_factors); both are None for the
     sampled LSTM. In an entry, a two-primitive gate factor holds one
@@ -353,10 +353,8 @@ class CellRules:
     reads: tuple = ()
     mean: Optional[Callable] = None
     second: Optional[Callable] = None
-    step: Optional[Callable] = None
     entries: Optional[Mapping[str, tuple]] = None
     factors: Optional[Callable] = None
-    correlate: Optional[Callable] = None
     has_cell: bool = False
 
 
@@ -374,8 +372,6 @@ CELLS: Mapping[str, CellRules] = MappingProxyType(
             "peepholeLSTM", _peephole_mean, _peephole_second, A=_FORGET, W=(("i", "sig"), ("r", "tanh")), has_cell=True
         ),
         "LSTM": CellRules(
-            step=_lstm_step,
-            correlate=_lstm_correlate,
             update=_lstm_update,
             d0=lambda h, u, c: sigmoid(u["f"]) * sigmoid(u["o"]) * dtanh(_lstm_cell(u, c)),
             dk={

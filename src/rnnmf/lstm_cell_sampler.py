@@ -137,6 +137,16 @@ def _ensemble(theta, c_a, c_b, n_iters, seed) -> CellStateEnsemble:
     return CellStateEnsemble(samples=c_a, meta=meta, samples_b=c_b)
 
 
+def _cold_start(theta, stats, n_s, n_iters, seed, paired: bool) -> CellStateEnsemble:
+    """The ensemble of n_iters updates of n_s chains started at 0, with
+    chain b carried when paired, at the resolved seed."""
+    if n_s < 1 or n_iters < 0:
+        raise ValueError("n_s >= 1 and n_iters >= 0 required")
+    seed = _resolve_seed(seed)
+    c_a, c_b = _run(stats, np.zeros(n_s), np.zeros(n_s) if paired else None, seed, n_iters)[:2]
+    return _ensemble(theta, c_a, c_b, n_iters, seed)
+
+
 def sample_cell_distribution(
     theta: Hyperparameters,
     stats,
@@ -151,11 +161,7 @@ def sample_cell_distribution(
     and chain a of correlated_cell_pairs at the same seed. Raw samples, not
     clipped."""
 
-    if n_s < 1 or n_iters < 0:
-        raise ValueError("n_s >= 1 and n_iters >= 0 required")
-    seed = _resolve_seed(seed)
-    c = _run(stats, np.zeros(n_s), None, seed, n_iters)[0]
-    return _ensemble(theta, c, None, n_iters, seed)
+    return _cold_start(theta, stats, n_s, n_iters, seed, paired=False)
 
 
 def correlated_cell_pairs(
@@ -169,10 +175,7 @@ def correlated_cell_pairs(
     draws at the pair correlations C_k of stats; at C_k = 1 they coincide
     exactly."""
 
-    if n_s < 1 or n_iters < 0:
-        raise ValueError("n_s >= 1 and n_iters >= 0 required")
-    seed = _resolve_seed(seed)
-    return _ensemble(theta, *_run(stats, np.zeros(n_s), np.zeros(n_s), seed, n_iters)[:2], n_iters, seed)
+    return _cold_start(theta, stats, n_s, n_iters, seed, paired=True)
 
 
 class _Frame(NamedTuple):

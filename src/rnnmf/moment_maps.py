@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-from .cells import CELLS, _rho_s
+from .cells import CELLS, _lstm_correlate, _lstm_step, _rho_s
 from .core import (
     _PRIMS,
     ZERO_STATE,
@@ -58,9 +58,10 @@ class MissingCellEnsemble(ValueError):
 
 
 def _degenerate(mu: float, q: float) -> bool:
-    """Whether moments (mu, Q) are a point mass: Q - mu^2 at most a relative
-    _DEG_TOL, where no correlation is defined."""
-    return q - mu * mu <= _DEG_TOL * max(1.0, abs(q))
+    """Whether moments (mu, Q) are a point mass: Q finite and Q - mu^2 at
+    most a relative _DEG_TOL, where no correlation is defined. An infinite
+    Q is not one: the maps reject its infinite gate laws."""
+    return math.isfinite(q) and q - mu * mu <= _DEG_TOL * max(1.0, abs(q))
 
 
 def _finish_corr(cov: float, var: float) -> float:
@@ -185,18 +186,18 @@ def _correlation_from(rho: float, mu: float, q: float) -> float:
 
 
 def _step(theta, arch, state, inputs, cell, order):
-    """One moment step through the cell's record: (new state, advanced cell)."""
-    rules = CELLS[arch.name]
-    if rules.step is not None and cell is None:
-        raise MissingCellEnsemble(f"the {arch.name} moment map needs a cell ensemble")
-    if rules.step is None:
+    """One moment step: (new state, advanced cell), through a quadrature
+    cell's record, or for the sampled LSTM through its step on the cell
+    ensemble, which must be given; an unpaired one gives no rho'."""
+    if not arch.needs_cell:
+        rules = CELLS[arch.name]
         laws, c = _correlations(theta, arch, state, inputs, order)
         mu_n, q_n = _moments(rules, laws, state.mu_s, state.q_s)
-        rho_n, cell_new = _cross_moment(rules, laws, c, state), None
-    else:
-        gates = preactivation_stats(theta, arch, state, inputs, order)
-        mu_n, q_n, rho_n, cell_new = rules.step(theta, gates, state, cell)
-    if rho_n is None:  # sampled step on an unpaired ensemble
+        return MomentState(mu_n, q_n, _correlation_from(_cross_moment(rules, laws, c, state), mu_n, q_n)), None
+    if cell is None:
+        raise MissingCellEnsemble(f"the {arch.name} moment map needs a cell ensemble")
+    mu_n, q_n, rho_n, cell_new = _lstm_step(theta, preactivation_stats(theta, arch, state, inputs, order), state, cell)
+    if rho_n is None:  # unpaired ensemble
         if _degenerate(mu_n, q_n):
             return MomentState(mu_n, max(q_n, mu_n * mu_n), 0.0), cell_new
         raise MissingCellEnsemble(
@@ -287,12 +288,11 @@ def step_correlation(
     if abs(c_s) > 1.0:
         raise ValueError(f"|C| must be <= 1, got {c_s}")
     state = MomentState(fixed.mu_s, fixed.q_s, c_s)
-    rules = CELLS[arch.name]
-    if rules.correlate is not None:  # sampled pairs, normalized on their own variances
+    if arch.needs_cell:  # sampled pairs, normalized on their own variances
         gates = preactivation_stats(theta, arch, state, inputs, order)
-        cov, var_a, var_b = rules.correlate(theta, gates, n_s, n_iters, seed)
+        cov, var_a, var_b = _lstm_correlate(theta, gates, n_s, n_iters, seed)
         return _finish_corr(cov, math.sqrt(var_a * var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
-    rho_n = _cross_moment(rules, *_correlations(theta, arch, state, inputs, order), state)
+    rho_n = _cross_moment(CELLS[arch.name], *_correlations(theta, arch, state, inputs, order), state)
     return (rho_n - fixed.mu_s * fixed.mu_s) / (fixed.q_s - fixed.mu_s * fixed.mu_s)
 
 

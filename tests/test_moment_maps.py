@@ -312,11 +312,12 @@ _INFINITE_Q = MomentState(0.0, math.inf, 0.5)
     [
         lambda theta, arch: _moment_step(theta, arch, _INFINITE_Q.mu_s, _INFINITE_Q.q_s, UNIT.R, 64),
         lambda theta, arch: step_moments(theta, arch, _INFINITE_Q, UNIT),
+        lambda theta, arch: step_correlation(theta, arch, _INFINITE_Q, 0.5, UNIT),
         lambda theta, arch: chi_at(theta, arch, UNIT, _INFINITE_Q, 0.5),
         lambda theta, arch: moments(theta, arch, _INFINITE_Q, inputs=UNIT),
         lambda theta, arch: preactivation_stats(theta, arch, _INFINITE_Q, UNIT),
     ],
-    ids=["_moment_step", "step_moments", "chi_at", "moments", "preactivation_stats"],
+    ids=["_moment_step", "step_moments", "step_correlation", "chi_at", "moments", "preactivation_stats"],
 )
 def test_an_infinite_gate_variance_raises(quadrature_arch, call):
     # Q = inf gives each gate an infinite law variance, whose pair

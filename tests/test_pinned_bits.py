@@ -10,7 +10,9 @@ schedule; and one critical search. The values are float.hex() strings;
 
 The correlation solve is also pinned from a fixed state per quadrature cell,
 so that a change to the moment solve alone leaves those pins, and the
-sampled LSTM's pipeline is pinned whole.
+sampled LSTM's pipeline is pinned whole. The LSTM cell sampler's raw outputs
+are pinned on their own, so that a change to the sampler alone must keep
+its bits too.
 """
 
 import hashlib
@@ -18,8 +20,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from rnnmf import InputStats, MomentState, get_architecture, moment_trajectory, moments, search_critical
-from rnnmf import solve_correlation, solve_moments
+from rnnmf import InputStats, MomentState, advance_cell, correlated_cell_pairs, get_architecture, moment_trajectory
+from rnnmf import moments, preactivation_stats, sample_cell_distribution, search_critical, solve_correlation
+from rnnmf import solve_moments
+from rnnmf.lstm_cell_sampler import _frame
 
 from conftest import make_theta, random_theta
 
@@ -123,6 +127,29 @@ TRAJECTORY = {
     "peepholeLSTM": "8114d19f7a6ad1523ec0d8a6304b8fcf44d198b116531192f84729a03cac2d8d",
 }
 
+# SHA-256 of the bytes of each LSTM cell sampler output, at make_theta's gates
+# at SAMPLER_STATE, n_s = n_iters = 200 and seed SAMPLER_SEED: both chains
+# of a cold-start run, the last update of _frame and one advance_cell step
+SAMPLER_STATE = MomentState(0.1, 0.5, 0.5)
+SAMPLER_SEED = 3
+SAMPLER = {
+    "sample_cell_distribution": "747f55b179e9dd6036086c9e239938edd860600df0ef3d7aef1604d5597366aa",
+    "correlated_cell_pairs a": "747f55b179e9dd6036086c9e239938edd860600df0ef3d7aef1604d5597366aa",
+    "correlated_cell_pairs b": "87ec03b7d3d4e403674c84e442c17f201671419869cf2ba7181908d6c3ba5aa5",
+    "_frame prev_a": "a197c04a6b4cdff6ed5b95bc86952ddbce791ee68256acb563291b2fd4b5fdcd",
+    "_frame prev_b": "818617a28f9b28875cd47679ecb97d19bd3d726dec4d9d208d04c8d2a628b437",
+    "_frame u_a[i]": "8562856059e1a138605992568225a67f2ae76da1b858b06e69bf2e1cdcb42c69",
+    "_frame u_b[i]": "3e72177ab65c7e267118d0b6640f8489a70bdf39ba0424b068c3b238a141e57b",
+    "_frame u_a[f]": "e1e90ed75a23a927daf8de66764412599706ca61fed5da0a828759f857d9525b",
+    "_frame u_b[f]": "46c19d6b9680c0e9690200cafcb436061eb633ffcd10eaaa5242fcaf67a4cc2b",
+    "_frame u_a[r]": "d79b61ae1127c010ef1ea75c906f6a4a3b4581cb34221a65358fb4e8b1adf1fd",
+    "_frame u_b[r]": "f66cb2c37d4a1e2e115cec58c44e22c9c0f16364bf51d0d493fec7d124231121",
+    "_frame u_a[o]": "72bbe02bb2cd0b7845a626d5b5b14b0ada634e0ed36ea26fd35c727c13e23405",
+    "_frame u_b[o]": "cc4ee752c261960d18057d0ea73d35289c864d444b7503280b2b8aa7c46d32ae",
+    "advance_cell a": "ca7e2093daa4fd82badaa44362d0fbfeb7542fcb2a2cc747f9a3cd9b8cd2584f",
+    "advance_cell b": "7642b116d44870f808804c134c3d9d639e5b3f3bfb2cd9d932ada6e54df95d0f",
+}
+
 
 def _theta(arch, tag):
     return make_theta(arch) if tag == "make" else random_theta(arch, np.random.default_rng(25))
@@ -169,3 +196,29 @@ def test_moment_trajectory_keeps_its_bits(arch_name):
 def test_critical_search_keeps_its_bits():
     theta, rep = search_critical("GRU")
     assert (theta["f"].mu.hex(), rep.evaluations) == ("0x1.3fffb2bd98c30p+3", 26)
+
+
+def _sampler_digests() -> dict:
+    arch = get_architecture("LSTM")
+    theta = make_theta(arch)
+    stats = preactivation_stats(theta, arch, SAMPLER_STATE, INPUTS)
+    args = (theta, stats, 200, 200, SAMPLER_SEED)
+    pairs = correlated_cell_pairs(*args)
+    frame = _frame(*args)
+    stepped = advance_cell(theta, stats, pairs)
+    out = {
+        "sample_cell_distribution": sample_cell_distribution(*args).samples,
+        "correlated_cell_pairs a": pairs.samples,
+        "correlated_cell_pairs b": pairs.samples_b,
+        "_frame prev_a": frame.prev_a,
+        "_frame prev_b": frame.prev_b,
+        "advance_cell a": stepped.samples,
+        "advance_cell b": stepped.samples_b,
+    }
+    for k in ("i", "f", "r", "o"):
+        out[f"_frame u_a[{k}]"], out[f"_frame u_b[{k}]"] = frame.u_a[k], frame.u_b[k]
+    return {name: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest() for name, v in out.items()}
+
+
+def test_lstm_cell_sampler_keeps_its_bits():
+    assert _sampler_digests() == SAMPLER

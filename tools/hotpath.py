@@ -1,4 +1,4 @@
-"""Print the in-process costs of the quadrature hot path, in CPU time.
+"""Print the in-process costs of the hot paths, in CPU time.
 
 Each figure is the minimum over --repeats samples of the CPU time
 (`time.process_time_ns`) per call, a sample timing a batch of calls:
@@ -11,7 +11,11 @@ Each figure is the minimum over --repeats samples of the CPU time
 - `quadrature._Law()` alone and with its first reads, E[sig] and E[sig^2];
 - `jacobian.moments` at a solved state and its state-power recursion;
 - one pipeline op (solve_moments, solve_correlation, moments) per
-  quadrature cell, one T = 50 moment trajectory and one critical search.
+  quadrature cell, one T = 50 moment trajectory and one critical search;
+- the LSTM cell sampler at `verify.make_theta`'s gates: one cold-start run
+  of 200 chains for 200 steps, single (`sample_cell_distribution`) and
+  coupled (`correlated_cell_pairs`), and one sampled LSTM pipeline op at
+  the quadrature cells' pipeline theta.
 
 Run from the root of a checkout:
 
@@ -39,6 +43,7 @@ from pathlib import Path
 import rnnmf
 
 GRU_POINT = (0.05, 0.4)  # (mu, Q) of the moment-map evaluations
+SAMPLER_POINT = (0.1, 0.5, 0.5)  # (mu, Q, C) of the sampler's gate statistics
 TRAJ_T = 50
 TRAJ_SCHEDULE = [0.0] * 10 + [1.0] * 40
 
@@ -156,7 +161,7 @@ def op_kinds(pkg) -> dict:
 
         return make
 
-    def pipeline(arch_name):
+    def pipeline(arch_name, calls=5):
         def make():
             arch = pkg.get_architecture(arch_name)
             theta = make_theta(arch, sigma2=0.5, nu2=0.5, rho2=0.05, mu_f=2.0)
@@ -167,7 +172,7 @@ def op_kinds(pkg) -> dict:
                 pkg.solve_correlation(th, arch, unit, ms)
                 pkg.moments(th, arch, ms.state, inputs=unit)
 
-            return batch(5, body)
+            return batch(calls, body)
 
         return make
 
@@ -179,6 +184,15 @@ def op_kinds(pkg) -> dict:
 
     def search():
         return batch(1, lambda i: pkg.search_critical("GRU"))
+
+    def sampler(run):
+        def make():
+            lstm = pkg.get_architecture("LSTM")
+            theta = make_theta(lstm)
+            stats = pkg.preactivation_stats(theta, lstm, pkg.MomentState(*SAMPLER_POINT), unit)
+            return batch(5, lambda i: run(theta, stats, n_s=200, n_iters=200, seed=i))
+
+        return make
 
     kinds = {
         "moment map, fresh state (GRU)": moment_fresh,
@@ -195,6 +209,9 @@ def op_kinds(pkg) -> dict:
         kinds[f"pipeline op ({a})"] = pipeline(a)
     kinds["trajectory T = 50 (GRU)"] = trajectory
     kinds["search (GRU, isometry)"] = search
+    kinds["sampler run 200 x 200"] = sampler(pkg.sample_cell_distribution)
+    kinds["sampler coupled run 200 x 200"] = sampler(pkg.correlated_cell_pairs)
+    kinds["pipeline op (LSTM, sampled)"] = pipeline("LSTM", calls=1)
     return kinds
 
 
@@ -206,7 +223,7 @@ def measure(make, repeats: int) -> float:
 
 
 def main():
-    parser = argparse.ArgumentParser(description="In-process costs of the quadrature hot path.")
+    parser = argparse.ArgumentParser(description="In-process costs of the hot paths.")
     parser.add_argument("--repeats", type=int, default=5, help="samples per figure (min is printed)")
     parser.add_argument("--compare", type=Path, default=None, help="another checkout to compare against")
     parser.add_argument("--rounds", type=int, default=10, help="alternating rounds with --compare")
