@@ -18,7 +18,11 @@ read over single-copy expectations and Q it gives Q', read over the pair
 expectations at the gate correlations and E[s_a s_b] it gives rho' =
 E[s_a' s_b'], the cross moment of the two coupled copies. The sampled
 LSTM's steps (_lstm_step, _lstm_correlate) read its cell ensembles
-instead.
+instead, through one pair estimator, _lstm_output_moments' C': the
+chains' output covariance over the root of their own output variances.
+Its chi and m1 share one accumulation too: chi_at sums the per-label means
+of jacobian._sampled_contribution, the means that jacobian.moments sums
+into m1, so chi(C = 1) = m1 on one frame holds by construction.
 
 Each of the four quadrature cells is declared by its affine law
 s' = A s + W, A and W products of gate primitives, and _affine_cell derives
@@ -226,6 +230,17 @@ def _rho_s(state) -> float:
     return state.q_s if state.c_s == 1.0 else state.c_s * state.sigma2_s + state.mu_s * state.mu_s
 
 
+def _finish_corr(cov: float, var: float) -> float:
+    """The correlation cov / var clamped to [-1, 1], 0 when var <= 0; beyond
+    1 + 1e-9 the moments were not those of a pair (a bug)."""
+    if var <= 0.0:
+        return 0.0
+    c = cov / var
+    if abs(c) > 1.0 + 1e-9:
+        raise ArithmeticError(f"correlation {c} out of range (bug)")
+    return min(max(c, -1.0), 1.0)
+
+
 def _convex_mean(e, mu):
     """s' = sig(u_f) s + (1 - sig(u_f)) tanh(u_x): minimalRNN (x = "r")
     and GRU (x = "r2"); gamma, x and s are independent."""
@@ -260,49 +275,38 @@ def _lstm_gate_o(gates):
     return gates.expect("o", ("sig",)), gates.expect("o", ("sig", "sig"))
 
 
-def _lstm_output_moments(gates, cell_new, gate_o):
-    """(mu', Q', pair) of h = sig(u_o) tanh(c) on a sampled cell ensemble,
-    given gate_o = _lstm_gate_o(gates); pair = (cov, var_a, var_b)
-    holds the two chains' output covariance and each chain's own output
-    variance, the one pair estimator of the sampled LSTM, and is None for an
-    unpaired ensemble."""
-    assert isinstance(cell_new, CellStateEnsemble)
-    e_o, e_o2 = gate_o
-    th = np.tanh(cell_new.samples)
+def _lstm_output_moments(gates, ensemble):
+    """(mu', Q', C') of h = sig(u_o) tanh(c) on a sampled cell ensemble.
+    C', the one pair estimator of the sampled LSTM, is the two chains'
+    output covariance over the root of the product of their own output
+    variances (_finish_corr, 0 where either variance is <= 0), so identical
+    chains give exactly 1; it is None for an unpaired ensemble."""
+    assert isinstance(ensemble, CellStateEnsemble)
+    e_o, e_o2 = _lstm_gate_o(gates)
+    th = np.tanh(ensemble.samples)
     mu_n = e_o * float(np.mean(th))
     q_n = e_o2 * float(np.mean(th * th))
-    if not cell_new.paired:
+    if not ensemble.paired:
         return mu_n, q_n, None
-    e_opair = gates.pair("o", "sig", "sig")
-    th_b = np.tanh(cell_new.samples_b)
+    th_b = np.tanh(ensemble.samples_b)
     mu_b = e_o * float(np.mean(th_b))
     var_a, var_b = q_n - mu_n * mu_n, e_o2 * float(np.mean(th_b * th_b)) - mu_b * mu_b
-    return mu_n, q_n, (e_opair * float(np.mean(th * th_b)) - mu_n * mu_b, var_a, var_b)
+    cov = gates.pair("o", "sig", "sig") * float(np.mean(th * th_b)) - mu_n * mu_b
+    return mu_n, q_n, _finish_corr(cov, math.sqrt(var_a * var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
 
 
-def _lstm_step(theta, gates, state, cell):
-    """The sampled LSTM's moment step: (mu', Q', rho', cell') from the
-    gates of the current state (the mapping preactivation_stats returns),
-    cell' the advanced ensemble and rho' None when it is unpaired."""
+def _lstm_step(theta, gates, cell):
+    """The sampled LSTM's moment step: (mu', Q', C', cell') from the gates
+    of the current state (the mapping preactivation_stats returns), cell'
+    the advanced ensemble and C' None when it is unpaired."""
     cell_new = advance_cell(theta, gates, cell)
-    mu_n, q_n, pair = _lstm_output_moments(gates, cell_new, _lstm_gate_o(gates))
-    rho_n = None
-    if pair is not None:
-        # chain b standardized to chain a's mean and variance, so that
-        # (rho' - mu'^2) / (Q' - mu'^2) is the chains' correlation
-        cov, var_a, var_b = pair
-        rho_n = mu_n * mu_n + (cov * math.sqrt(var_a / var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
-    return mu_n, q_n, rho_n, cell_new
+    return (*_lstm_output_moments(gates, cell_new), cell_new)
 
 
 def _lstm_correlate(theta, gates, n_s, n_iters, seed):
-    """The sampled correlation step: (cov, var_a, var_b), the output
-    covariance and the two output variances of the coupled frame
-    equilibrated from zero (lstm_cell_sampler._frame, whose last update
-    chi reads), which the correlation map divides as cov / sqrt(var_a
-    var_b), so identical chains give exactly 1."""
-    pairs = _frame(theta, gates, n_s, n_iters, seed).pairs
-    return _lstm_output_moments(gates, pairs, _lstm_gate_o(gates))[2]
+    """The sampled correlation step: C' of the coupled frame equilibrated
+    from zero (lstm_cell_sampler._frame, whose last update chi reads)."""
+    return _lstm_output_moments(gates, _frame(theta, gates, n_s, n_iters, seed).pairs)[2]
 
 
 def _lstm_update(h, u, c):
@@ -325,7 +329,8 @@ class CellRules:
     sq = E[g(u_k)^2] and s2 = Q, or rho' = E[s_a' s_b'] from their pair
     means sq = E[g(u_k,a) g(u_k,b)] at the gate correlations and s2 =
     E[s_a s_b]. The sampled LSTM has none: the moment maps call its steps
-    (_lstm_step, _lstm_correlate) directly. entries is per-cell data, the
+    (_lstm_step, _lstm_correlate) directly, and both read their C' from
+    one pair estimator (_lstm_output_moments). entries is per-cell data, the
     same for every theta: by label, (weights, terms), with weights the
     gates whose recurrent variances sigma_k^2 multiply into every term's
     coefficient, in that order, and terms (number, shape) pairs, the
@@ -335,7 +340,9 @@ class CellRules:
     sampled LSTM. In an entry, a two-primitive gate factor holds one
     primitive per copy and s^2 stands for E[s_a s_b]: at full correlation
     these are single-network expectations (m1), at a correlation C pair
-    ones whose sum is chi (jacobian._correlation_slope).
+    ones whose sum is chi (jacobian._correlation_slope); the LSTM's chi
+    and m1 sum the same per-label frame means
+    (jacobian._sampled_contribution).
     update(s, u, c) -> (s', c') is the width-N update, c the carried cell
     or None. d0(s, u, c) is the derivative through the carried state
     (ds'/ds, or dh'/dc_prev for the LSTM) and dk[k](s, u, c) the derivative

@@ -43,7 +43,7 @@ from .jacobian import jacobian_report_dict, moments
 from .lstm_cell_sampler import sample_cell_distribution
 from .moment_maps import preactivation_stats
 from .quadrature import DEFAULT_ORDER, _nodes
-from .simulator import build_jacobian, simulate_cell_distribution, simulate_pair
+from .simulator import _MAX_SVD_N, build_jacobian, simulate_cell_distribution, simulate_pair
 from .verify import CHECKS
 
 __all__ = ["run", "main"]
@@ -79,6 +79,7 @@ def _number(cast, ok, what: str):
 
 _non_negative = _number(int, lambda v: v >= 0, "a non-negative integer")
 _positive = _number(int, lambda v: v >= 1, "a positive integer")
+_svd_width = _number(int, lambda v: 1 <= v <= _MAX_SVD_N, f"a positive integer <= {_MAX_SVD_N} (the SVD cap)")
 # the sampled LSTM moment solve needs n_s >= 2 for its standard errors
 _ensemble_size = _number(int, lambda v: v >= 2, "an integer >= 2")
 _correlation = _number(float, lambda v: -1.0 <= v <= 1.0, "a correlation in [-1, 1]")
@@ -427,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="empirical squared-SV spectrum + theory comparison")
     _add_common(p)
     _add_solver(p, correlation=False)
-    p.add_argument("--N", type=_positive, required=True)
+    p.add_argument("--N", type=_svd_width, required=True, help=f"width, at most {_MAX_SVD_N}")
     p.add_argument("--burn-in", dest="burn_in", type=_positive, default=100)
     p.set_defaults(func=_cmd_spectrum)
 

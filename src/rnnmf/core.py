@@ -351,17 +351,19 @@ def get_architecture(name: str) -> ArchitectureSpec:
 @dataclass(frozen=True)
 class SimulationConfig:
     """Finite-width simulation settings: width, horizon and the RNG seed.
-    Every run starts from the zero state, as the mean-field trajectory does."""
+    Every run starts from the zero state, as the mean-field trajectory does.
+    N and T must be positive and seed non-negative, each an int or numpy
+    integer (_sigma_z_schedule's rule for T), else ValueError names it."""
 
     N: int
     T: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N >= 1 required")
-        if self.T < 1:
-            raise ValueError("T >= 1 required")
+        for name, low in (("N", 1), ("T", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def validate_theta(theta: Hyperparameters, arch: ArchitectureSpec) -> None:

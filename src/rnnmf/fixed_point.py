@@ -127,8 +127,8 @@ def _solve_moments_lstm(theta, arch, inputs, order, tol, max_iter, n_s, n_iters,
     for it in range(1, max_iter + 1):
         gates = preactivation_stats(theta, arch, MomentState(mu, q, 0.0), inputs, order)
         cell = sample_cell_distribution(theta, gates, n_s=n_s, n_iters=n_iters, seed=_derived_seed(seed, it))
-        e_o, e_o2 = gate_o = _lstm_gate_o(gates)
-        mu, q, _ = _lstm_output_moments(gates, cell, gate_o)
+        mu, q, _ = _lstm_output_moments(gates, cell)
+        e_o, e_o2 = _lstm_gate_o(gates)
         th = np.tanh(cell.samples)
         se_mu = e_o * float(np.std(th, ddof=1)) / math.sqrt(n_s)
         se_q = e_o2 * float(np.std(th * th, ddof=1)) / math.sqrt(n_s)
@@ -337,15 +337,17 @@ def chi_at(
     jacobian._correlation_slope). At c = 1 with fully correlated inputs
     every pair collapses and chi is m1 to the last bit. The LSTM evaluates
     the slope directly as the mean total contribution on the last update
-    of the coupled cell frame whose chains the correlation map reads at c
-    (same functional as m1, evaluated at the gate correlations induced by
-    c), which sidesteps differencing a sampled map; after solve_correlation
-    at the same seed, chi at C* reuses that frame. A degenerate (point-mass,
-    zero-variance) state has no correlation direction, so every cell reads
-    it at full correlation, c = 1 and sigma_z = 1, whatever c and
-    inputs.sigma_z are: its slope is then the Jacobian moments' m1 to the
-    last bit. theta is checked against arch by the gate laws the slope
-    reads.
+    of the coupled cell frame whose chains the correlation map reads at c,
+    which sidesteps differencing a sampled map. It sums the per-label means
+    of jacobian._sampled_contribution at the gate correlations c implies,
+    the accumulation jacobian.moments sums into m1, so at c = 1 chi is m1
+    on one frame by construction; like moments it needs n_s >= 2
+    (ValueError). After solve_correlation at the same seed, chi at C*
+    reuses that frame. A degenerate (point-mass, zero-variance) state has
+    no correlation direction, so every cell reads it at full correlation,
+    c = 1 and sigma_z = 1, whatever c and inputs.sigma_z are: its slope is
+    then the Jacobian moments' m1 to the last bit. theta is checked against
+    arch by the gate laws the slope reads.
     """
 
     st = _as_state(state)
@@ -354,13 +356,8 @@ def chi_at(
     if _degenerate(st.mu_s, st.q_s):
         c, inputs = 1.0, InputStats(inputs.R, 1.0)
     if arch.needs_cell:
-        frame_state = MomentState(st.mu_s, max(st.q_s, st.mu_s**2), c)
-        gates = preactivation_stats(theta, arch, frame_state, inputs, order)
-        frame = _jacobian.lstm_chi_frame(theta, gates, n_s=n_s, n_iters=n_iters, seed=seed)
-        # mean each contribution, then sum in label order: the same
-        # accumulation the moment assembly uses, so on one frame chi and m1
-        # agree to the last bit at c = 1
-        return float(sum(float(np.mean(v)) for v in frame.values()))
+        gates = preactivation_stats(theta, arch, MomentState(st.mu_s, max(st.q_s, st.mu_s**2), c), inputs, order)
+        return sum(_jacobian._sampled_contribution(theta, gates, n_s, n_iters, seed, None).ea.values())
     return _jacobian._correlation_slope(theta, arch, MomentState(st.mu_s, st.q_s, c), inputs, order)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-from .cells import CELLS, _lstm_correlate, _lstm_step, _rho_s
+from .cells import CELLS, _finish_corr, _lstm_correlate, _lstm_step, _rho_s
 from .core import (
     _PRIMS,
     ZERO_STATE,
@@ -62,17 +62,6 @@ def _degenerate(mu: float, q: float) -> bool:
     most a relative _DEG_TOL, where no correlation is defined. An infinite
     Q is not one: the maps reject its infinite gate laws."""
     return math.isfinite(q) and q - mu * mu <= _DEG_TOL * max(1.0, abs(q))
-
-
-def _finish_corr(cov: float, var: float) -> float:
-    """The correlation cov / var clamped to [-1, 1], 0 when var <= 0; beyond
-    1 + 1e-9 the moments were not those of a pair (a bug)."""
-    if var <= 0.0:
-        return 0.0
-    c = cov / var
-    if abs(c) > 1.0 + 1e-9:
-        raise ArithmeticError(f"correlation {c} out of range (bug)")
-    return min(max(c, -1.0), 1.0)
 
 
 def _gate_table(theta, arch, q: float, R: float, order: int) -> tuple:
@@ -188,7 +177,7 @@ def _correlation_from(rho: float, mu: float, q: float) -> float:
 def _step(theta, arch, state, inputs, cell, order):
     """One moment step: (new state, advanced cell), through a quadrature
     cell's record, or for the sampled LSTM through its step on the cell
-    ensemble, which must be given; an unpaired one gives no rho'."""
+    ensemble, which must be given; an unpaired one gives no C'."""
     if not arch.needs_cell:
         rules = CELLS[arch.name]
         laws, c = _correlations(theta, arch, state, inputs, order)
@@ -196,15 +185,15 @@ def _step(theta, arch, state, inputs, cell, order):
         return MomentState(mu_n, q_n, _correlation_from(_cross_moment(rules, laws, c, state), mu_n, q_n)), None
     if cell is None:
         raise MissingCellEnsemble(f"the {arch.name} moment map needs a cell ensemble")
-    mu_n, q_n, rho_n, cell_new = _lstm_step(theta, preactivation_stats(theta, arch, state, inputs, order), state, cell)
-    if rho_n is None:  # unpaired ensemble
+    mu_n, q_n, c_n, cell_new = _lstm_step(theta, preactivation_stats(theta, arch, state, inputs, order), cell)
+    if c_n is None:  # unpaired ensemble
         if _degenerate(mu_n, q_n):
             return MomentState(mu_n, max(q_n, mu_n * mu_n), 0.0), cell_new
         raise MissingCellEnsemble(
             f"correlation stepping for the {arch.name} needs a paired ensemble "
             "(see correlated_cell_pairs)"
         )
-    return MomentState(mu_n, q_n, _correlation_from(rho_n, mu_n, q_n)), cell_new
+    return MomentState(mu_n, q_n, 0.0 if _degenerate(mu_n, q_n) else c_n), cell_new
 
 
 def _moments(rules, laws, mu, q: float) -> tuple:
@@ -289,9 +278,7 @@ def step_correlation(
         raise ValueError(f"|C| must be <= 1, got {c_s}")
     state = MomentState(fixed.mu_s, fixed.q_s, c_s)
     if arch.needs_cell:  # sampled pairs, normalized on their own variances
-        gates = preactivation_stats(theta, arch, state, inputs, order)
-        cov, var_a, var_b = _lstm_correlate(theta, gates, n_s, n_iters, seed)
-        return _finish_corr(cov, math.sqrt(var_a * var_b) if var_a > 0.0 and var_b > 0.0 else 0.0)
+        return _lstm_correlate(theta, preactivation_stats(theta, arch, state, inputs, order), n_s, n_iters, seed)
     rho_n = _cross_moment(CELLS[arch.name], *_correlations(theta, arch, state, inputs, order), state)
     return (rho_n - fixed.mu_s * fixed.mu_s) / (fixed.q_s - fixed.mu_s * fixed.mu_s)
 

@@ -67,10 +67,10 @@ def _slope_identity_sampled():
     arch = get_architecture("LSTM")
     theta = random_theta(arch, rng)
     msol = solve_moments(theta, arch, UNIT, seed=3)
-    mom = moments(theta, arch, msol.state, inputs=UNIT, seed=9)
+    m1 = moments(theta, arch, msol.state, inputs=UNIT, seed=9).m1
     chi = chi_at(theta, arch, UNIT, msol.state, 1.0, seed=9)
-    tol = 5.0 * math.sqrt(2.0) * (mom.m1_se or 0.0)
-    return abs(mom.m1 - chi) <= tol, f"|m1 - chi| = {abs(mom.m1 - chi):.3e} (5 SE = {tol:.3e})"
+    # chi(C = 1) sums m1's per-label means over m1's frame: equal to the bit
+    return m1 == chi, f"|m1 - chi(C=1)| = {abs(m1 - chi):.3e}"
 
 
 def _pair_positivity():

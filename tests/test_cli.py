@@ -199,6 +199,14 @@ def test_width_and_step_flags_below_one_are_usage_errors(tmp_path, capsys, argv,
     assert f"error: {expected}" in captured.err
 
 
+def test_spectrum_width_above_the_svd_cap_is_a_usage_error(tmp_path, capsys):
+    # a width the dense SVD refuses is known at parse time
+    theta = str(_write_theta(tmp_path, "LSTM"))
+    assert run(["spectrum", "--theta", theta, "--N", "2049", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --N: expected a positive integer <= 2048 (the SVD cap), got '2049'" in captured.err
+
 
 def test_timescale_highlights_xi_on_stderr(tmp_path, capsys):
     theta = _write_theta(tmp_path, "GRU")

@@ -331,6 +331,13 @@ def test_lstm_standard_errors_need_two_samples():
         moments(theta, arch, MomentState(0.0, 0.3, 1.0), inputs=UNIT, n_s=1)
 
 
+def test_lstm_chi_needs_two_samples_as_m1_does():
+    # chi sums m1's per-label frame means, so it takes moments' n_s rule
+    arch = get_architecture("LSTM")
+    with pytest.raises(ValueError, match="n_s = 1: .*n_s >= 2"):
+        chi_at(make_theta(arch), arch, UNIT, MomentState(0.0, 0.1, 0.0), 0.5, n_s=1)
+
+
 def test_lstm_zero_variance_solve_settles_on_tol():
     # every cell sample is the same number, so both standard errors are 0 and
     # only the tol floor of the noise-window test lets the solve stop

@@ -196,6 +196,27 @@ def test_lstm_step_advances_with_paired_cells():
     assert nxt.q_s >= nxt.mu_s**2
 
 
+def test_lstm_step_reads_the_correlation_maps_pair_estimator():
+    # the trajectory's C' is the map's estimator, the chains' output
+    # covariance over the root of their own output variances, to the bit;
+    # a rho' standardized to chain a's moments was 1 ulp off here
+    arch = get_architecture("LSTM")
+    theta = make_theta(arch)
+    state = MomentState(0.1, 0.4, 0.5)
+    gates = preactivation_stats(theta, arch, state, UNIT)
+    pairs = correlated_cell_pairs(theta, gates, n_s=64, n_iters=40, seed=2)
+    new = advance_cell(theta, gates, pairs)
+    e_o, e_o2 = gates.expect("o", ("sig",)), gates.expect("o", ("sig", "sig"))
+    th_a, th_b = np.tanh(new.samples), np.tanh(new.samples_b)
+    mu_a, mu_b = e_o * float(np.mean(th_a)), e_o * float(np.mean(th_b))
+    var_a = e_o2 * float(np.mean(th_a * th_a)) - mu_a * mu_a
+    var_b = e_o2 * float(np.mean(th_b * th_b)) - mu_b * mu_b
+    cov = gates.pair("o", "sig", "sig") * float(np.mean(th_a * th_b)) - mu_a * mu_b
+    c_n = cov / math.sqrt(var_a * var_b)
+    assert var_a > 0.0 and var_b > 0.0 and abs(c_n) < 1.0
+    assert step_moments(theta, arch, state, UNIT, cell=pairs).c_s == c_n
+
+
 def test_lstm_sampled_correlation_stays_in_range():
     # the two chains' sample moments differ; normalizing their covariance by
     # chain a's variance alone gave C = 1.024 at step 9 of this trajectory

@@ -274,3 +274,25 @@ def test_cell_distribution_shape_and_determinism(name):
     assert cells.shape == (40,)
     assert np.array_equal(cells, again)
     assert np.all(np.isfinite(cells))
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        (dict(N=4.0, T=3), "N"),  # built, then died inside numpy
+        (dict(N=4, T=2.5), "T"),  # reached jacobian_frame unchecked
+        (dict(N=4, T=3, seed=1.5), "seed"),  # died in SeedSequence
+        (dict(N=4, T=3, seed=-1), "seed"),
+        (dict(N="4", T=3), "N"),
+        (dict(N=0, T=3), "N"),
+        (dict(N=4, T=0), "T"),
+    ],
+)
+def test_simulation_config_rejects_a_field_that_is_not_a_count(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        SimulationConfig(**fields)
+
+
+def test_simulation_config_takes_numpy_integers():
+    config = SimulationConfig(N=np.int64(4), T=np.int32(3), seed=np.uint32(7))
+    assert len(simulate_pair(make_theta(get_architecture("GRU")), get_architecture("GRU"), config, UNIT)) == 4

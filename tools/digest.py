@@ -29,8 +29,8 @@ iteration counts and error estimates at thetas whose maps expand or
 overshoot, or whose forget gate saturates), the LSTM correlation solve at
 two input correlations and four seeds, the quadrature engine on laws wider
 than its Gauss-Hermite threshold and the solve of a theta with such a gate,
-and the inputs that the theta, direction, constraint and schedule rules
-reject or complete; chi_at also runs at a point mass, (0.3, 0.09), and
+and the inputs that the theta, direction, constraint, schedule and
+SimulationConfig rules reject or complete; chi_at also runs at a point mass, (0.3, 0.09), and
 at a fixed state that is one, at input correlations 0 and 0.5; then each
 command of the benchmark's cli-battery set (`perfbench/workloads.py`) runs
 in process at seeds 1 and 2 and its stdout and stderr are hashed. Scalars print as
@@ -291,8 +291,9 @@ def rule_paths():
     entries that are not numbers, an integer too large for a float in a
     theta document and in a direction, an infinite direction step (read
     and swept), entry keys of mixed types, a partial library direction, a
-    string and a bool search constraint, and a NaN and a short sigma_z
-    schedule through simulate_pair and moment_trajectory."""
+    string and a bool search constraint, a NaN and a short sigma_z
+    schedule through simulate_pair and moment_trajectory, and a float N,
+    a float T and a float seed of a SimulationConfig."""
     vanilla = R.get_architecture("vanillaRNN")
     emit("rule/theta[tuple entry] solve_moments", lambda: R.solve_moments(
         R.Hyperparameters({"f": (0.5, 0.5, 0.05, 1.0)}), vanilla, UNIT))
@@ -319,6 +320,9 @@ def rule_paths():
             theta, vanilla, config, UNIT, seed=3, sigma_z_schedule=schedule))
         emit(f"rule/moment_trajectory[{name} schedule]", lambda: R.moment_trajectory(
             theta, vanilla, UNIT, 5, sigma_z_schedule=schedule))
+    for name, fields in (("N = 4.0", dict(N=4.0, T=3)), ("T = 2.5", dict(N=4, T=2.5)),
+                         ("seed = 1.5", dict(N=4, T=3, seed=1.5))):
+        emit(f"rule/SimulationConfig[{name}]", lambda: R.SimulationConfig(**fields))
 
 
 def cli(seed: int):

@@ -26,7 +26,9 @@ Run from the root of a checkout:
 runs each op kind on the two packages in turn for --rounds rounds,
 alternating which goes first, so that a drift of the machine's speed reaches
 both sides alike. It prints each side's median over the rounds and the
-ratio of this checkout's time to the other's.
+median and quartiles of the per-round ratios of this checkout's time to the
+other's: a ratio is taken within one round, so one round in which the
+machine drifted moves one ratio, not the reading.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 import rnnmf
 
@@ -60,7 +64,7 @@ def load_package(path: Path, name: str = "rnnmf_base"):
 
 def _modules(pkg):
     return {m: importlib.import_module(f"{pkg.__name__}.{m}")
-            for m in ("core", "quadrature", "moment_maps", "fixed_point", "jacobian", "verify", "cells")}
+            for m in ("core", "quadrature", "moment_maps", "fixed_point", "jacobian", "verify")}
 
 
 def _fresh(pkg, theta):
@@ -107,10 +111,7 @@ def op_kinds(pkg) -> dict:
 
     def iterate():
         fp = m["fixed_point"]
-        if hasattr(fp, "_gamma"):  # the solver on tuples, before the moment solve was scalar
-            args = (lambda x: (0.5 * x[0] + 0.25,), (0.0,), tuple, tuple)
-        else:
-            args = (lambda x: 0.5 * x + 0.25, 0.0, -math.inf, math.inf)
+        args = (lambda x: 0.5 * x + 0.25, 0.0, -math.inf, math.inf)
         evals = fp._iterate(*args, 1e-9, 100, "trivial")[3]
 
         def sample():
@@ -153,9 +154,6 @@ def op_kinds(pkg) -> dict:
             jac = m["jacobian"]
             at = pkg.MomentState(state.mu_s, state.q_s, 1.0)
             ev = pkg.preactivation_stats(theta, arch, at, unit).expect
-            if hasattr(jac, "_stationary_state_powers"):  # the recursion before it was compiled
-                rules = m["cells"].CELLS[arch_name]
-                return batch(100, lambda i: jac._stationary_state_powers(rules, ev, state.mu_s, state.q_s))
             powers = jac._kernels(arch_name)[2]
             return batch(100, lambda i: powers(ev, state.mu_s, state.q_s))
 
@@ -234,15 +232,16 @@ def main():
             print(f"{measure(make, args.repeats):12.1f} us  {name}")
         return
     theirs = op_kinds(load_package(args.compare.resolve()))
-    print(f"{'this':>12s} {'other':>12s} {'ratio':>7s}  (median us over {args.rounds} rounds)")
+    print(f"{'this':>12s} {'other':>12s} {'ratio':>7s} {'q1':>7s} {'q3':>7s}  "
+          f"(median us and per-round ratio quartiles over {args.rounds} rounds)")
     for name in ours:
         a, b = [], []
         for r in range(args.rounds):
             sides = [(ours, a), (theirs, b)]
             for kinds, out in sides if r % 2 == 0 else sides[::-1]:
                 out.append(measure(kinds[name], args.repeats))
-        ma, mb = statistics.median(a), statistics.median(b)
-        print(f"{ma:12.1f} {mb:12.1f} {ma / mb:7.3f}  {name}")
+        q1, ratio, q3 = np.percentile([x / y for x, y in zip(a, b)], [25, 50, 75])
+        print(f"{statistics.median(a):12.1f} {statistics.median(b):12.1f} {ratio:7.3f} {q1:7.3f} {q3:7.3f}  {name}")
 
 
 if __name__ == "__main__":
