@@ -82,9 +82,11 @@ def _lstm_cifar_critical(k, N, input_dim):
 
 
 def _standard(k, N, input_dim):
-    # recurrent variance 1/N (Gaussian stand-in for an orthogonal draw,
-    # which has no variance parameterization); input variance Glorot-style
-    return GateParams(sigma2=1.0 / N, nu2=2.0 / (input_dim + N), rho2=0.0, mu=1.0 if k == "f" else 0.0)
+    # sigma2 and nu2 are entry variances times N: an orthogonal recurrent
+    # matrix has entries of variance 1/N, so its Gaussian stand-in is
+    # sigma2 = 1, and Glorot's input entry variance 2/(input_dim + N) is
+    # nu2 = 2N/(input_dim + N)
+    return GateParams(sigma2=1.0, nu2=2.0 * N / (input_dim + N), rho2=0.0, mu=1.0 if k == "f" else 0.0)
 
 
 _PRESETS = {
@@ -110,9 +112,12 @@ def preset_init(
 ) -> Hyperparameters:
     """Named initialization, resolved over the given architecture's gates.
 
-    `standard` depends on the widths: recurrent variance 1/N and input
-    variance 2/(input_dim + N), input_dim defaulting to N. A width below 1
-    raises ValueError naming it.
+    `standard` depends on the widths. Like every theta it gives weight
+    variances times the width N: sigma2 = 1, the Gaussian stand-in for an
+    orthogonal recurrent matrix (entries of variance 1/N), and nu2 =
+    2N/(input_dim + N), Glorot's input entry variance 2/(input_dim + N)
+    times N; input_dim defaults to N. A width below 1 raises ValueError
+    naming it.
     """
 
     default_arch = preset_default_arch(name)

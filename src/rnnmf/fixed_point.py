@@ -2,7 +2,10 @@
 
 solve_moments iterates the single-network moment map to (mu*, Q*);
 solve_correlation then iterates the correlation map at that fixed state and
-linearizes it, packaging everything into a FixedPointReport. chi < 1 means
+linearizes it, packaging everything into a FixedPointReport. In the ordered
+phase at fully correlated inputs (chi(1) < 1, sigma_z = 1) it iterates
+nothing: C* = 1 is the map's only fixed point on [0, 1], read off one map
+evaluation at C = 1 (iterations 1). chi < 1 means
 perturbations of the correlation decay like chi^t, i.e. over the timescale
 xi = -1/log chi; chi >= 1 is reported with an infinite-timescale sentinel,
 not an error, since criticality is the regime of interest.
@@ -391,11 +394,25 @@ def solve_correlation(
     chi_at's slope at C*. For the LSTM each evaluation reuses the same
     seed, so the sampled map is a fixed deterministic function; it
     normalizes on its own chains, so M(1) = 1 exactly and fully correlated
-    inputs (sigma_z = 1) give C* = 1 in the ordered phase. When the fixed
-    state is degenerate the correlation is undefined: C* = 1 is reported
-    by convention, without a map evaluation, and chi_at reads the state at
-    full correlation. tol must be a positive finite number and max_iter at
-    least 1 (ValueError otherwise).
+    inputs (sigma_z = 1) give C* = 1 in the ordered phase.
+
+    That case is answered from C = 1 itself, without iterating: with
+    sigma_z = 1 and c0 >= 0 the solve first reads chi(1), where every pair
+    collapses (m1 to the bit), and if chi(1) < 1 evaluates the map once at
+    C = 1. If that value, clamped to 1, is 1, the report is C* = 1 with
+    residual and estimate 0, iterations 1, trajectory (1.0,) and chi =
+    chi(1): what the iteration returns when it lands on 1. The map is
+    convex on [0, 1] with M(1) = 1 and M'(1) = chi(1) < 1, so M(c) >=
+    1 - chi(1)(1 - c) > c on [0, 1) and an iteration from any c0 in
+    [0, 1] can only end at 1. Otherwise (chi(1) >= 1; M(1) < 1, which a
+    quadrature cell's moment residual can give, M(1) - 1 = dQ / sigma*^2;
+    c0 < 0; sigma_z < 1) the map is iterated from c0 as if the probe had
+    not run, and the probe, like chi's evaluations, is not counted.
+
+    When the fixed state is degenerate the correlation is undefined: C* = 1
+    is reported by convention, without a map evaluation, and chi_at reads
+    the state at full correlation. tol must be a positive finite number and
+    max_iter at least 1 (ValueError otherwise).
     """
 
     _check_solver(tol, max_iter)
@@ -404,14 +421,24 @@ def solve_correlation(
         raise ValueError(f"start correlation c0 = {c0} outside [-1, 1]")
     mu_res, mu_err = (fixed.residual, fixed.error_estimate) if isinstance(fixed, MomentsSolution) else (0.0, 0.0)
 
+    def slope(c):
+        return chi_at(theta, arch, inputs, st, c, order, n_s, n_iters, seed)
+
     if _degenerate(st.mu_s, st.q_s):  # no correlation direction: C* = 1 by convention
         c, resid_c, err_c, it, traj = 1.0, 0.0, 0.0, 0, [1.0]
+        chi = slope(c)
     else:
         def G(c):
             return step_correlation(theta, arch, st, c, inputs, order, n_s, n_iters, seed)
 
-        c, resid_c, err_c, it, traj = _iterate(G, c0, -1.0, 1.0, tol, max_iter, "correlation")
-    chi = chi_at(theta, arch, inputs, st, c, order, n_s, n_iters, seed)
+        # M is convex on [0, 1]; with M(1) = 1 and M'(1) = chi(1) < 1 it
+        # stays above c on [0, 1), so an iteration from c0 >= 0 ends at 1
+        at_one = inputs.sigma_z == 1.0 and c0 >= 0.0
+        if at_one and (chi := slope(1.0)) < 1.0 and min(G(1.0), 1.0) == 1.0:
+            c, resid_c, err_c, it, traj = 1.0, 0.0, 0.0, 1, [1.0]
+        else:
+            c, resid_c, err_c, it, traj = _iterate(G, c0, -1.0, 1.0, tol, max_iter, "correlation")
+            chi = slope(c)
     return FixedPointReport(
         arch=arch.name,
         mu_star=st.mu_s,

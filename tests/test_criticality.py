@@ -74,12 +74,13 @@ def test_lstm_cifar_preset_values():
 def test_standard_preset_scales_with_width():
     theta = preset_init("standard", N=512)
     p = theta.gates["f"]
-    assert p.sigma2 == 1.0 / 512
-    assert p.nu2 == 2.0 / (512 + 512)
+    # weight variances times N: an orthogonal matrix's stand-in and Glorot
+    assert p.sigma2 == 1.0
+    assert p.nu2 == 1.0
     assert p.mu == 1.0
     narrow = preset_init("standard", N=256, input_dim=64)
-    assert narrow.gates["o"].sigma2 == 1.0 / 256
-    assert narrow.gates["o"].nu2 == 2.0 / (64 + 256)
+    assert narrow.gates["o"].sigma2 == 1.0
+    assert narrow.gates["o"].nu2 == 2.0 * 256 / (64 + 256)
 
 
 @pytest.mark.parametrize(

@@ -381,6 +381,90 @@ def test_correlation_starts_converge_to_same_point():
     assert abs(r0.c_star - r9.c_star) < 1e-8
 
 
+def _spy_correlation_map(monkeypatch):
+    """Record every c the correlation solve evaluates its map at."""
+    points = []
+    step = fixed_point.step_correlation
+
+    def spy(theta, arch, state, c, *args):
+        points.append(c)
+        return step(theta, arch, state, c, *args)
+
+    monkeypatch.setattr(fixed_point, "step_correlation", spy)
+    return points
+
+
+def test_ordered_phase_at_full_input_correlation_reads_c_star_one_at_once(monkeypatch, any_arch):
+    # chi(1) < 1 and M(1) = 1: C = 1 is the only fixed point on [0, 1], so
+    # one collapsed map evaluation there is the whole solve
+    theta = make_theta(any_arch)
+    kw = {"seed": 1} if any_arch.needs_cell else {}
+    msol = solve_moments(theta, any_arch, UNIT, **kw)
+    points = _spy_correlation_map(monkeypatch)
+    rep = solve_correlation(theta, any_arch, UNIT, msol, **kw)
+    assert points == [1.0]
+    assert rep.c_star == 1.0 and rep.iterations == 1 and rep.trajectory == (1.0,)
+    assert rep.residuals["c"] == rep.error_estimates["c"] == 0.0
+    assert rep.chi == moments(theta, any_arch, msol.state, inputs=UNIT, **kw).m1
+
+
+def _wide_law_peephole(draw):
+    """The peephole's draw-th (1-based) `random_theta` from default_rng(7),
+    after 60 draws each for vanillaRNN, minimalRNN and the GRU. Draws 20
+    and 49 have gate variances of 2 to 5.7, where the composite pair rule
+    applies."""
+    rng = np.random.default_rng(7)
+    for name in ("vanillaRNN", "minimalRNN", "GRU"):
+        for _ in range(60):
+            random_theta(get_architecture(name), rng)
+    arch = get_architecture("peepholeLSTM")
+    for _ in range(draw):
+        theta = random_theta(arch, rng)
+    return arch, theta
+
+
+@pytest.mark.parametrize("draw", [20, 49])
+def test_wide_law_peephole_reads_the_exact_c_star(draw):
+    # plain iteration from c0 = 0 stops 1.8e-9 (draw 20) and 6.5e-9 (draw
+    # 49) short of the exact C* = 1, with estimates 7.7e-13 and 2.4e-14
+    arch, theta = _wide_law_peephole(draw)
+    msol = solve_moments(theta, arch, UNIT)
+    rep = solve_correlation(theta, arch, UNIT, msol)
+    assert rep.c_star == 1.0 and rep.iterations == 1
+    assert rep.chi == moments(theta, arch, msol.state, inputs=UNIT).m1 < 1.0
+
+
+# where the answer at C = 1 is not known, the solve iterates from c0 and
+# keeps its bits: (C*, chi, residual, estimate) as float.hex(), evaluations
+ITERATED = {
+    # chi(1) = 1.014: C = 1 repels, C* is interior
+    ("peepholeLSTM", "ray", 4.5, 0.0): (
+        "0x1.1acaecc9bf5a3p-1", "0x1.fac96472d25c4p-1", "0x1.6000000000000p-50", "0x1.0e15f66ea51a1p-42", 9,
+    ),
+    # M(1) - 1 = -1.0e-10: the fixed point sits just below 1
+    ("vanillaRNN", "ray", 3.5, 0.0): (
+        "0x1.ffffffff228d3p-1", "0x1.8b272ba89ef2fp-10", "0x1.33c0000000000p-40", "0x1.33c0000000000p-39", 4,
+    ),
+    # c0 < 0, where convexity on [0, 1] says nothing
+    ("peepholeLSTM", "make", 1.0, -0.5): (
+        "0x1.0000000000000p+0", "0x1.2b82cdf0581dep-1", "0x0.0p+0", "0x0.0p+0", 6,
+    ),
+    ("GRU", "make", 1.0, -0.5): (
+        "0x1.fffffffffccc5p-1", "0x1.11f60ab49936cp-1", "0x1.8440000000000p-41", "0x1.a18b92da2561dp-39", 5,
+    ),
+}
+
+
+@pytest.mark.parametrize("arch_name, tag, mu_f, c0", sorted(ITERATED))
+def test_correlation_solve_iterates_where_c_star_one_is_not_known(arch_name, tag, mu_f, c0):
+    arch = get_architecture(arch_name)
+    ray = {"sigma2": 0.5, "nu2": 0.5, "rho2": 0.05} if tag == "ray" else {}
+    theta = make_theta(arch, mu_f=mu_f, **ray)
+    rep = solve_correlation(theta, arch, UNIT, solve_moments(theta, arch, UNIT), c0=c0)
+    got = (rep.c_star.hex(), rep.chi.hex(), rep.residuals["c"].hex(), rep.error_estimates["c"].hex(), rep.iterations)
+    assert got == ITERATED[arch_name, tag, mu_f, c0]
+
+
 def test_timescale_anchor_exact_at_zero_variance():
     arch = get_architecture("peepholeLSTM")
     theta = Hyperparameters(

@@ -11,7 +11,9 @@ Each figure is the minimum over --repeats samples of the CPU time
 - `quadrature._Law()` alone and with its first reads, E[sig] and E[sig^2];
 - `jacobian.moments` at a solved state and its state-power recursion;
 - one pipeline op (solve_moments, solve_correlation, moments) per
-  quadrature cell, one T = 50 moment trajectory and one critical search;
+  quadrature cell at fully correlated inputs, and one for the GRU at
+  sigma_z = 0.5, where the correlation solve always iterates; one T = 50
+  moment trajectory and one critical search;
 - the LSTM cell sampler at `verify.make_theta`'s gates: one cold-start run
   of 200 chains for 200 steps, single (`sample_cell_distribution`) and
   coupled (`correlated_cell_pairs`), and one sampled LSTM pipeline op at
@@ -159,16 +161,16 @@ def op_kinds(pkg) -> dict:
 
         return make
 
-    def pipeline(arch_name, calls=5):
+    def pipeline(arch_name, calls=5, inputs=unit):
         def make():
             arch = pkg.get_architecture(arch_name)
             theta = make_theta(arch, sigma2=0.5, nu2=0.5, rho2=0.05, mu_f=2.0)
 
             def body(i):
                 th = _fresh(pkg, theta)
-                ms = pkg.solve_moments(th, arch, unit)
-                pkg.solve_correlation(th, arch, unit, ms)
-                pkg.moments(th, arch, ms.state, inputs=unit)
+                ms = pkg.solve_moments(th, arch, inputs)
+                pkg.solve_correlation(th, arch, inputs, ms)
+                pkg.moments(th, arch, ms.state, inputs=inputs)
 
             return batch(calls, body)
 
@@ -205,6 +207,7 @@ def op_kinds(pkg) -> dict:
         kinds[f"state powers ({a})"] = state_powers(a)
     for a in ("vanillaRNN", "minimalRNN", "GRU", "peepholeLSTM"):
         kinds[f"pipeline op ({a})"] = pipeline(a)
+    kinds["pipeline op (GRU, sigma_z = 0.5)"] = pipeline("GRU", inputs=pkg.InputStats(1.0, 0.5))
     kinds["trajectory T = 50 (GRU)"] = trajectory
     kinds["search (GRU, isometry)"] = search
     kinds["sampler run 200 x 200"] = sampler(pkg.sample_cell_distribution)
